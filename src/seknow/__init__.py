@@ -72,7 +72,6 @@ from .pipeline import (
     make_heuristic_predictor,
     make_oracle_predictor,
     make_template_generator,
-    oracle_predictor,
     run_turn,
     template_generate,
 )

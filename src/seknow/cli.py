@@ -88,25 +88,17 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _predictor_factory(name: str, kb, index) -> metrics_mod.PredictorFactory:
-    if name == "oracle":
-        return metrics_mod.oracle_factory
-    return metrics_mod.heuristic_factory(kb, index)
-
-
 def cmd_run(args) -> int:
     kb = _load_kb(args)
     index = topics.read_index(args.index)
     corpus = corpus_io.load_corpus(args.corpus)
-    factory = _predictor_factory(args.predictor, kb, index)
+    factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
     generator = pipeline.make_template_generator(
         pipeline.load_templates(args.templates) if args.templates else None)
     lines = []
     for dialog in corpus.dialogs:
-        session = pipeline.Session()
-        predictor = factory(dialog)
-        for k, turn in enumerate(dialog.turns):
-            out = pipeline.run_turn(session, turn.user, predictor, generator, kb, index)
+        outputs = metrics_mod.run_dialog(dialog, factory, generator, kb, index)
+        for k, out in enumerate(outputs):
             doc_id = out.document.doc_id if out.document is not None else "-"
             lines.append("\t".join([
                 f"{dialog.dialog_id}:{k}",
@@ -168,24 +160,12 @@ def cmd_eval(args) -> int:
     kb = _load_kb(args)
     index = topics.read_index(args.index)
     corpus = corpus_io.load_corpus(args.corpus)
-    goals = None
-    if args.goals:
-        with open(args.goals, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        goals = {
-            dialog_id: corpus_io.GoalSpec(domains={
-                dom: corpus_io.DomainGoal(
-                    constraints=dict(obj.get("constraints", {})),
-                    requestables=tuple(obj.get("requestables", ())))
-                for dom, obj in domains.items()})
-            for dialog_id, domains in raw.items()
-        }
+    goals = corpus_io.load_goals(args.goals) if args.goals else None
     generator = pipeline.make_template_generator(
         pipeline.load_templates(args.templates) if args.templates else None)
     report = metrics_mod.evaluate_corpus(
         corpus, kb, index,
-        predictor=_predictor_factory(args.predictor, kb, index),
-        generator=generator, goals=goals, workers=args.workers)
+        predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)
     payload = {
         "metrics": report.to_dict(),
         "metadata": {
@@ -295,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--predictor", choices=("oracle", "heuristic"), default="oracle")
+    p.add_argument("--predictor", choices=tuple(metrics_mod.PREDICTORS), default="oracle")
     p.add_argument("--templates")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
@@ -311,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--goals", help="optional goal file overriding embedded goals")
-    p.add_argument("--predictor", choices=("oracle", "heuristic"), default="oracle")
+    p.add_argument("--predictor", choices=tuple(metrics_mod.PREDICTORS), default="oracle")
     p.add_argument("--templates")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 from .belief import extend_gold_label, make_state, parse_belief_span, serialize_belief
 from .errors import GenerationError, LoadError
-from .kb import KnowledgeBase
-from .knowops import knowledge_operation
-from .pipeline import TemplateSet, lexicalize, load_templates, template_generate
+from .kb import KnowledgeBase, expect, read_json
+from .pipeline import (Session, TemplateSet, make_oracle_predictor,
+                       make_template_generator, run_turn)
+# Unused here; benchmarks/tracer.py patches these two names on this module.
+from .pipeline import lexicalize, template_generate  # noqa: F401
 from .topics import TopicIndex
 
 
@@ -81,7 +83,11 @@ class CorpusSpec:
 def load_corpus(path: str) -> DialogCorpus:
     """Load a corpus file, parsing every belief span eagerly."""
     dialogs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise LoadError(str(exc), file=path) from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -93,40 +99,70 @@ def load_corpus(path: str) -> DialogCorpus:
     return DialogCorpus(dialogs=tuple(dialogs))
 
 
-def _parse_dialog(raw: dict, path: str, lineno: int) -> Dialog:
+def load_goals(path: str) -> dict[str, GoalSpec]:
+    """Load a goal file: a JSON object mapping dialog ids to goals."""
+    raw = read_json(path)
+    expect(isinstance(raw, dict), "goal file must be a JSON object keyed by dialog id", path)
+    return {dialog_id: parse_goal(goal, f"dialog '{dialog_id}'", path)
+            for dialog_id, goal in raw.items()}
+
+
+def parse_goal(raw, where: str, path: str, lineno: int | None = None) -> GoalSpec:
+    """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``."""
+    expect(isinstance(raw, dict), f"{where}: goal is not an object", path, lineno)
+    domains = {}
+    for dom, obj in raw.items():
+        expect(isinstance(obj, dict), f"{where}: goal domain '{dom}' is not an object",
+               path, lineno)
+        constraints = obj.get("constraints", {})
+        requestables = obj.get("requestables", [])
+        expect(isinstance(constraints, dict) and isinstance(requestables, list)
+               and all(isinstance(v, str) for v in (*constraints.values(), *requestables)),
+               f"{where}: goal domain '{dom}' needs an object of string 'constraints' "
+               "and an array of string 'requestables'", path, lineno)
+        domains[dom] = DomainGoal(constraints=dict(constraints),
+                                  requestables=tuple(requestables))
+    return GoalSpec(domains=domains)
+
+
+def _parse_dialog(raw, path: str, lineno: int) -> Dialog:
+    expect(isinstance(raw, dict), "dialog is not a JSON object", path, lineno)
     dialog_id = raw.get("dialog_id")
-    if not isinstance(dialog_id, str):
-        raise LoadError("dialog missing 'dialog_id'", file=path, line=lineno)
-    goal_domains = {}
-    for dom, obj in raw.get("goal", {}).items():
-        goal_domains[dom] = DomainGoal(
-            constraints=dict(obj.get("constraints", {})),
-            requestables=tuple(obj.get("requestables", ())))
+    expect(isinstance(dialog_id, str), "dialog missing 'dialog_id'", path, lineno)
+    goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno)
+    raw_turns = raw.get("turns", [])
+    expect(isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns),
+           f"dialog '{dialog_id}': 'turns' is not an array of objects", path, lineno)
     turns = []
-    for k, t in enumerate(raw.get("turns", [])):
+    for k, t in enumerate(raw_turns):
+        where = f"dialog '{dialog_id}' turn {k}"
+        delex = t.get("delex")
+        expect(isinstance(t.get("user", ""), str) and isinstance(t.get("response", ""), str)
+               and (delex is None or isinstance(delex, str)),
+               f"{where}: 'user', 'response' and 'delex' must be strings", path, lineno)
         span = t.get("belief_span", "")
         try:
             state = parse_belief_span(span)
         except Exception as exc:
-            raise LoadError(f"dialog '{dialog_id}' turn {k}: {exc}",
-                            file=path, line=lineno) from exc
+            raise LoadError(f"{where}: {exc}", file=path, line=lineno) from exc
         doc = t.get("doc")
         annotation = None
         if doc is not None:
-            annotation = (doc["domain"], doc["entity_id"], doc["doc_id"])
-            if not state.has_ruk():
-                raise LoadError(
-                    f"dialog '{dialog_id}' turn {k}: document annotation without "
-                    "a ruk triple in the belief span", file=path, line=lineno)
+            keys = ("domain", "entity_id", "doc_id")
+            expect(isinstance(doc, dict) and all(isinstance(doc.get(key), str) for key in keys),
+                   f"{where}: 'doc' needs string 'domain', 'entity_id' and 'doc_id'",
+                   path, lineno)
+            annotation = tuple(doc[key] for key in keys)
+            expect(state.has_ruk(), f"{where}: document annotation without a ruk triple "
+                   "in the belief span", path, lineno)
         turns.append(DialogTurn(
             user=t.get("user", ""),
             response=t.get("response", ""),
             gold_belief_span=span,
             doc_annotation=annotation,
-            delex_response=t.get("delex"),
+            delex_response=delex,
         ))
-    return Dialog(dialog_id=dialog_id, goal=GoalSpec(domains=goal_domains),
-                  turns=tuple(turns))
+    return Dialog(dialog_id=dialog_id, goal=goal, turns=tuple(turns))
 
 
 def save_corpus(corpus: DialogCorpus, path: str):
@@ -190,11 +226,10 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
     attribute values (so the structured query always matches it), then
     inserted turns asking about distinct documents, with gold states
     extended via the document's index topics. Reference responses come from
-    the committed template generator, so they match what a faithful system
-    would produce.
+    replaying the gold states through :func:`run_turn` with the template
+    generator, so they match what a faithful system would produce.
     """
-    if templates is None:
-        templates = load_templates()
+    generator = make_template_generator(templates)
     rng = random.Random(seed)
     candidates = []
     for dom_name in sorted(kb.domains):
@@ -214,7 +249,7 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
                 f"'{entity.id}' has only {len(docs)} indexed documents")
         slots = sorted(s for s in entity.attributes if s != "name")
         rng.shuffle(slots)
-        turns = []
+        plan = []  # (user utterance, gold state, doc annotation) per turn
         accumulated: list = []
         for j in range(spec.original_turns):
             if j < len(slots):
@@ -224,32 +259,27 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
                 user = f"i am looking for a {domain} with {slot} {value}"
             else:
                 user = "what else can you tell me ?"
-            state = make_state(accumulated)
-            turns.append(_reference_turn(kb, templates, user, state, None, index))
-        chosen_docs = docs[: spec.inserted_turns]
+            plan.append((user, make_state(accumulated), None))
         base_state = make_state(accumulated)
-        for doc_id, topics in chosen_docs:
-            user = f"what about the {' '.join(topics)} ?"
+        for doc_id, topics in docs[: spec.inserted_turns]:
             annotation = (domain, entity.id, doc_id)
-            state = extend_gold_label(base_state, annotation, index)
-            turns.append(_reference_turn(kb, templates, user, state, annotation, index))
+            plan.append((f"what about the {' '.join(topics)} ?",
+                         extend_gold_label(base_state, annotation, index), annotation))
+        session = Session()
+        predictor = make_oracle_predictor([state for _, state, _ in plan])
+        turns = []
+        for user, state, annotation in plan:
+            out = run_turn(session, user, predictor, generator, kb, index)
+            turns.append(DialogTurn(
+                user=user,
+                response=out.lexicalized_response,
+                gold_belief_span=serialize_belief(state),
+                doc_annotation=annotation,
+                delex_response=out.delexicalized_response,
+            ))
         requestables = tuple(r for r in spec.requestables if r in entity.attributes)
         goal = GoalSpec(domains={domain: DomainGoal(
             constraints={s: v for _, s, v in accumulated},
             requestables=requestables)})
         dialogs.append(Dialog(dialog_id=f"dlg{i:04d}", goal=goal, turns=tuple(turns)))
     return DialogCorpus(dialogs=tuple(dialogs))
-
-
-def _reference_turn(kb: KnowledgeBase, templates: TemplateSet, user: str,
-                    state, annotation, index: TopicIndex) -> DialogTurn:
-    query, document = knowledge_operation(kb, index, state)
-    delex = template_generate(state, query, document, templates)
-    lexed = lexicalize(delex, query, kb)
-    return DialogTurn(
-        user=user,
-        response=lexed.text,
-        gold_belief_span=serialize_belief(state),
-        doc_annotation=annotation,
-        delex_response=delex,
-    )

@@ -84,12 +84,13 @@ class ValidationReport:
         return not self.violations
 
 
-def _expect(cond: bool, detail: str, file: str):
+def expect(cond: bool, detail: str, file: str, line: int | None = None):
+    """Raise a :class:`LoadError` at ``file`` (and ``line``) unless ``cond`` holds."""
     if not cond:
-        raise LoadError(detail, file=file)
+        raise LoadError(detail, file=file, line=line)
 
 
-def _read_json(path: str):
+def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -100,35 +101,35 @@ def _read_json(path: str):
 
 
 def _parse_db(path: str) -> dict[str, Domain]:
-    raw = _read_json(path)
-    _expect(isinstance(raw, dict), "db file must be a JSON object keyed by domain", path)
+    raw = read_json(path)
+    expect(isinstance(raw, dict), "db file must be a JSON object keyed by domain", path)
     domains: dict[str, Domain] = {}
     for dom_name, dom_obj in raw.items():
         name = normalize(dom_name)
-        _expect(bool(name), "empty domain name", path)
-        _expect(name not in domains, f"duplicate domain '{name}'", path)
-        _expect(isinstance(dom_obj, dict), f"domain '{name}' must be an object", path)
+        expect(bool(name), "empty domain name", path)
+        expect(name not in domains, f"duplicate domain '{name}'", path)
+        expect(isinstance(dom_obj, dict), f"domain '{name}' must be an object", path)
         slots = dom_obj.get("slots")
         ents = dom_obj.get("entities")
-        _expect(isinstance(slots, list) and all(isinstance(s, str) for s in slots),
-                f"domain '{name}': 'slots' must be an array of strings", path)
-        _expect(isinstance(ents, list), f"domain '{name}': 'entities' must be an array", path)
+        expect(isinstance(slots, list) and all(isinstance(s, str) for s in slots),
+               f"domain '{name}': 'slots' must be an array of strings", path)
+        expect(isinstance(ents, list), f"domain '{name}': 'entities' must be an array", path)
         schema = frozenset(normalize(s) for s in slots)
         entities = []
         for k, ent in enumerate(ents):
-            _expect(isinstance(ent, dict), f"domain '{name}': entity #{k} must be an object", path)
-            _expect(isinstance(ent.get("id"), str) and ent["id"].strip(),
-                    f"domain '{name}': entity #{k} missing 'id'", path)
-            _expect(isinstance(ent.get("name"), str) and ent["name"].strip(),
-                    f"domain '{name}': entity #{k} missing 'name'", path)
+            expect(isinstance(ent, dict), f"domain '{name}': entity #{k} must be an object", path)
+            expect(isinstance(ent.get("id"), str) and ent["id"].strip(),
+                   f"domain '{name}': entity #{k} missing 'id'", path)
+            expect(isinstance(ent.get("name"), str) and ent["name"].strip(),
+                   f"domain '{name}': entity #{k} missing 'name'", path)
             attrs = ent.get("attributes", {})
-            _expect(isinstance(attrs, dict) and all(
+            expect(isinstance(attrs, dict) and all(
                 isinstance(s, str) and isinstance(v, str) for s, v in attrs.items()),
                 f"domain '{name}': entity '{ent['id']}' attributes must map strings to strings",
                 path)
             bookable = ent.get("bookable", False)
-            _expect(isinstance(bookable, bool),
-                    f"domain '{name}': entity '{ent['id']}' 'bookable' must be a boolean", path)
+            expect(isinstance(bookable, bool),
+                   f"domain '{name}': entity '{ent['id']}' 'bookable' must be a boolean", path)
             entities.append(Entity(
                 id=normalize(ent["id"]),
                 name=normalize(ent["name"]),
@@ -140,13 +141,13 @@ def _parse_db(path: str) -> dict[str, Domain]:
 
 
 def _parse_docs(path: str) -> list[dict]:
-    raw = _read_json(path)
-    _expect(isinstance(raw, list), "doc-base file must be a JSON array", path)
+    raw = read_json(path)
+    expect(isinstance(raw, list), "doc-base file must be a JSON array", path)
     records = []
     for k, rec in enumerate(raw):
-        _expect(isinstance(rec, dict), f"document #{k} must be an object", path)
+        expect(isinstance(rec, dict), f"document #{k} must be an object", path)
         for key in ("domain", "entity_id", "doc_id", "title", "body"):
-            _expect(isinstance(rec.get(key), str), f"document #{k} missing '{key}'", path)
+            expect(isinstance(rec.get(key), str), f"document #{k} missing '{key}'", path)
         records.append(rec)
     return records
 

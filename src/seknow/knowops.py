@@ -116,14 +116,15 @@ def map_query_vector(result: QueryResult, active_domain: str) -> QueryVector:
     return QueryVector(bucket=bucket, booking=booking)
 
 
-def _lcs_length(a: str, b: str) -> int:
+def lcs_length(a: Sequence, b: Sequence) -> int:
+    """Longest-common-subsequence length of two strings or token sequences."""
     if not a or not b:
         return 0
     prev = [0] * (len(b) + 1)
-    for ca in a:
+    for x in a:
         cur = [0]
-        for j, cb in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[j - 1]))
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
 
@@ -135,7 +136,7 @@ def fuzzy_similarity(a: str, b: str) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    return 2.0 * _lcs_length(a, b) / (len(a) + len(b))
+    return 2.0 * lcs_length(a, b) / (len(a) + len(b))
 
 
 def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
@@ -184,22 +185,14 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
 def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
                         state: ExtendedBeliefState,
                         floor: float = MATCH_FLOOR,
-                        ) -> tuple[QueryResult, RetrievedDocument | None]:
-    """Structured query plus document retrieval for one belief state."""
-    result, document, _ = knowledge_operation_ranked(kb, index, state, floor)
-    return result, document
+                        ) -> tuple[QueryResult, RetrievedDocument | None,
+                                   tuple[RetrievedDocument, ...]]:
+    """Structured query plus document retrieval for one belief state.
 
-
-def knowledge_operation_ranked(kb: KnowledgeBase, index: TopicIndex,
-                               state: ExtendedBeliefState,
-                               floor: float = MATCH_FLOOR,
-                               ) -> tuple[QueryResult, RetrievedDocument | None,
-                                          tuple[RetrievedDocument, ...]]:
-    """Like :func:`knowledge_operation`, also returning the full ranking.
-
-    The document is none unless the state has both a ruk triple and a topic,
-    an entity clears the fuzzy floor, and the best-ranked document's score
-    clears it as well.
+    Returns the query result, the retrieved document and the full document
+    ranking. The document is none unless the state has both a ruk triple and
+    a topic, an entity clears the fuzzy floor, and the best-ranked
+    document's score clears it as well.
     """
     result = structured_query(kb, state)
     ruk = state.ruk_triple()

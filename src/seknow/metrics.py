@@ -21,9 +21,9 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .belief import ExtendedBeliefState, extended_prf, joint_goal_match, parse_belief_span
 from .corpus import Dialog, DialogCorpus, GoalSpec
-from .errors import EvaluationError, MetricError
+from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
-from .knowops import MATCH_FLOOR, entity_matches
+from .knowops import MATCH_FLOOR, entity_matches, lcs_length
 from .pipeline import (
     Generator,
     Predictor,
@@ -117,21 +117,11 @@ def bleu(hypotheses: Sequence[Sequence[str]],
     return 100.0 * bp * math.exp(log_precision)
 
 
-def _lcs_table(a: Sequence, b: Sequence) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
-
-
 def rouge_l(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     """Sentence-level ROUGE-L F-measure (recall-weighted, beta = 1.2), x100."""
     if not reference:
         raise MetricError("ROUGE-L needs a nonempty reference")
-    lcs = _lcs_table(hypothesis, reference)
+    lcs = lcs_length(hypothesis, reference)
     if lcs == 0:
         return 0.0
     p = lcs / len(hypothesis)
@@ -300,9 +290,17 @@ def heuristic_factory(kb: KnowledgeBase, index: TopicIndex) -> PredictorFactory:
     return lambda dialog: predictor
 
 
-def _evaluate_dialog(dialog: Dialog, factory: PredictorFactory,
-                     generator: Generator, kb: KnowledgeBase,
-                     index: TopicIndex, floor: float) -> list[TurnOutput]:
+# Predictor name -> (kb, index) -> factory; its keys are the CLI's --predictor choices.
+PREDICTORS: dict[str, Callable[[KnowledgeBase, TopicIndex], PredictorFactory]] = {
+    "oracle": lambda kb, index: oracle_factory,
+    "heuristic": heuristic_factory,
+}
+
+
+def run_dialog(dialog: Dialog, factory: PredictorFactory, generator: Generator,
+               kb: KnowledgeBase, index: TopicIndex,
+               floor: float = MATCH_FLOOR) -> list[TurnOutput]:
+    """Run every turn of one dialog through a fresh session, in order."""
     session = Session()
     predictor = factory(dialog)
     outputs = []
@@ -323,26 +321,23 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                     floor: float = MATCH_FLOOR) -> MetricsReport:
     """Run the full pipeline over a corpus and compute every metric.
 
-    ``predictor`` is ``"oracle"``, ``"heuristic"``, or a factory mapping a
-    dialog to a per-turn predictor. Dialogs evaluate independently, so any
-    worker count yields identical results.
+    ``predictor`` is a :data:`PREDICTORS` name or a factory mapping a dialog
+    to a per-turn predictor. Dialogs evaluate independently, so any worker
+    count yields identical results.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if isinstance(predictor, str):
-        if predictor == "oracle":
-            factory: PredictorFactory = oracle_factory
-        elif predictor == "heuristic":
-            factory = heuristic_factory(kb, index)
-        else:
+        if predictor not in PREDICTORS:
             raise EvaluationError(f"unknown predictor '{predictor}'")
-    else:
-        factory = predictor
+        predictor = PREDICTORS[predictor](kb, index)
     if generator is None:
         generator = make_template_generator()
     if goals is None:
         goals = {d.dialog_id: d.goal for d in corpus.dialogs}
 
     def job(dialog: Dialog) -> list[TurnOutput]:
-        return _evaluate_dialog(dialog, factory, generator, kb, index, floor)
+        return run_dialog(dialog, predictor, generator, kb, index, floor)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

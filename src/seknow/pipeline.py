@@ -35,7 +35,7 @@ from .knowops import (
     QueryResult,
     RetrievedDocument,
     format_query_span,
-    knowledge_operation_ranked,
+    knowledge_operation,
     structured_query,
 )
 from .text import normalize, tokenize
@@ -183,7 +183,7 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     turn = session.turn_index
     try:
         belief = predictor(session.context(), session.prev_belief)
-        query, document, ranking = knowledge_operation_ranked(kb, index, belief, floor)
+        query, document, ranking = knowledge_operation(kb, index, belief, floor)
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
@@ -203,15 +203,8 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     )
 
 
-def oracle_predictor(gold: ExtendedBeliefState | None) -> ExtendedBeliefState:
-    """Return the gold extended state verbatim; missing gold is an error."""
-    if gold is None:
-        raise OracleError("turn has no gold belief annotation")
-    return gold
-
-
 def make_oracle_predictor(golds: Sequence[ExtendedBeliefState | None]) -> Predictor:
-    """Predictor that replays per-turn gold states in call order."""
+    """Predictor that replays per-turn gold states verbatim; a missing one is an error."""
     cursor = iter(list(golds))
 
     def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
@@ -219,7 +212,9 @@ def make_oracle_predictor(golds: Sequence[ExtendedBeliefState | None]) -> Predic
             gold = next(cursor)
         except StopIteration:
             raise OracleError("more turns than gold annotations") from None
-        return oracle_predictor(gold)
+        if gold is None:
+            raise OracleError("turn has no gold belief annotation")
+        return gold
 
     return predict
 

@@ -139,7 +139,7 @@ def test_criterion_4_knowledge_operation(toy_kb, toy_index):
         state = _random_toy_state(rng, toy_kb)
         if state.ruk_triple() is not None and state.topic:
             continue
-        _, document = knowledge_operation(toy_kb, toy_index, state)
+        _, document, _ = knowledge_operation(toy_kb, toy_index, state)
         assert document is None
         checked += 1
     assert checked > 400

@@ -133,6 +133,70 @@ def test_eval_workers_byte_identical(tmp_path, capsys):
     assert "Joint Goal" in table and "Combined" in table
 
 
+def _drop_doc_key(key):
+    def mutate(dialog):
+        next(t for t in dialog["turns"] if "doc" in t)["doc"].pop(key)
+        return dialog
+    return mutate
+
+
+# (file to corrupt, mutation of the first toy dialog, expected detail)
+MALFORMED_INPUTS = {
+    "doc-without-domain": ("corpus", _drop_doc_key("domain"), "'doc' needs string"),
+    "doc-without-entity-id": ("corpus", _drop_doc_key("entity_id"), "'doc' needs string"),
+    "doc-without-doc-id": ("corpus", _drop_doc_key("doc_id"), "'doc' needs string"),
+    "line-not-object": ("corpus", lambda d: [d], "dialog is not a JSON object"),
+    "goal-not-object": ("corpus", lambda d: {**d, "goal": ["hotel"]},
+                        "dialog 'dlg0000': goal is not an object"),
+    "goal-domain-not-object": ("corpus", lambda d: {**d, "goal": {"hotel": "stars 4"}},
+                               "goal domain 'hotel' is not an object"),
+    "turn-not-object": ("corpus", lambda d: {**d, "turns": ["hi"]},
+                        "'turns' is not an array of objects"),
+    "user-not-string": ("corpus", lambda d: {**d, "turns": [{**d["turns"][0], "user": 7}]},
+                        "turn 0: 'user', 'response' and 'delex' must be strings"),
+    "requestables-not-array": ("corpus",
+                               lambda d: {**d, "goal": {"hotel": {"requestables": "phone"}}},
+                               "array of string 'requestables'"),
+    "goals-entry-not-object": ("goals", lambda d: {d["dialog_id"]: ["hotel"]},
+                               "dialog 'dlg0000': goal is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_load_error(tmp_path, capsys, case):
+    target, mutate, detail = MALFORMED_INPUTS[case]
+    first = TOY_CORPUS_PATH.read_text("utf-8").splitlines()[0]
+    bad = json.dumps(mutate(json.loads(first)))
+    corpus, goals = tmp_path / "corpus.jsonl", tmp_path / "goals.json"
+    argv = ["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+            "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus)]
+    if target == "corpus":
+        corpus.write_text(f"{first}\n{bad}\n", encoding="utf-8")
+        where = f"{corpus}:2"
+    else:
+        corpus.write_text(f"{first}\n", encoding="utf-8")
+        goals.write_text(bad, encoding="utf-8")
+        argv += ["--goals", str(goals)]
+        where = str(goals)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: load: {where}: ")
+    assert detail in lines[0]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_rejects_workers_below_one(capsys, workers):
+    code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
+                 "--workers", workers])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config: workers must be at least 1, got {workers}")
+
+
 def test_stats_prints_json(capsys):
     code = main(["stats", "--corpus", str(TOY_CORPUS_PATH)])
     assert code == 0

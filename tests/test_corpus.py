@@ -103,6 +103,11 @@ def test_load_error_annotation_without_ruk(tmp_path):
         load_corpus(str(path))
 
 
+def test_load_missing_file_is_load_error(tmp_path):
+    with pytest.raises(LoadError, match="missing.jsonl"):
+        load_corpus(str(tmp_path / "missing.jsonl"))
+
+
 def test_corpus_stats_committed_values():
     stats = corpus_stats(load_corpus(str(TOY_CORPUS_PATH)))
     assert stats.dialog_count == 6

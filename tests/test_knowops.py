@@ -238,14 +238,14 @@ def test_retrieve_document_matches_exhaustive_sort():
 
 def test_knowledge_operation_without_ruk(toy_kb, toy_index):
     state = make_state([("restaurant", "food", "italian")])
-    result, document = knowledge_operation(toy_kb, toy_index, state)
+    result, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert document is None
     assert result.per_domain["restaurant"].count == 2
 
 
 def test_knowledge_operation_ruk_without_topic(toy_kb, toy_index):
     state = make_state([("restaurant", "ruk", "pizza hut")])
-    _, document = knowledge_operation(toy_kb, toy_index, state)
+    _, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert document is None
 
 
@@ -253,7 +253,7 @@ def test_knowledge_operation_full_scenario(toy_kb, toy_index):
     state = make_state([("restaurant", "food", "italian"),
                         ("restaurant", "area", "center"),
                         ("restaurant", "ruk", "pizza hut")], ["favorite"])
-    result, document = knowledge_operation(toy_kb, toy_index, state)
+    result, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert result.per_domain["restaurant"].count == 2
     assert document is not None
     assert (document.entity_id, document.doc_id) == ("pizza hut", "d1")
@@ -262,5 +262,5 @@ def test_knowledge_operation_full_scenario(toy_kb, toy_index):
 
 def test_knowledge_operation_unmatched_entity(toy_kb, toy_index):
     state = make_state([("restaurant", "ruk", "qqqq")], ["favorite"])
-    _, document = knowledge_operation(toy_kb, toy_index, state)
+    _, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert document is None

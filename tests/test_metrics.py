@@ -16,7 +16,7 @@ from seknow import (
     retrieval_metrics,
     rouge_l,
 )
-from seknow.errors import EvaluationError, MetricError
+from seknow.errors import ConfigError, EvaluationError, MetricError
 from seknow.metrics import round_half_up
 from seknow.pipeline import TemplateSet, make_template_generator
 
@@ -275,6 +275,13 @@ def test_evaluate_workers_equivalent(toy_kb, toy_index):
     one = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic", workers=1)
     many = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic", workers=8)
     assert one == many
+
+
+def test_evaluate_rejects_workers_below_one(toy_kb, toy_index):
+    corpus = load_corpus(str(TOY_CORPUS_PATH))
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            evaluate_corpus(corpus, toy_kb, toy_index, workers=workers)
 
 
 def test_evaluate_dialog_order_invariant(toy_kb, toy_index):

@@ -11,7 +11,6 @@ from seknow import (
     make_oracle_predictor,
     make_state,
     make_template_generator,
-    oracle_predictor,
     parse_belief_span,
     run_turn,
     serialize_belief,
@@ -47,7 +46,7 @@ def test_template_no_match(toy_kb, templates):
 def test_template_document_answer(toy_kb, toy_index, templates):
     from seknow import knowledge_operation
     state = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
-    query, document = knowledge_operation(toy_kb, toy_index, state)
+    query, document, _ = knowledge_operation(toy_kb, toy_index, state)
     text = template_generate(state, query, document, templates)
     assert text.startswith("according to our information : ")
     assert "favorite" in text
@@ -128,17 +127,20 @@ def test_run_turn_wraps_predictor_failure(toy_kb, toy_index, templates):
 
 def test_oracle_predictor_verbatim():
     gold = make_state([("restaurant", "food", "italian")])
-    assert oracle_predictor(gold) is gold
     extended = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
-    assert oracle_predictor(extended) is extended
+    predictor = make_oracle_predictor([gold, extended])
+    assert predictor(None, make_state([])) is gold
+    assert predictor(None, gold) is extended
 
 
 def test_oracle_predictor_missing_annotation():
-    with pytest.raises(OracleError):
-        oracle_predictor(None)
-    predictor = make_oracle_predictor([None])
-    with pytest.raises(OracleError):
-        predictor(None, make_state([]))
+    gold = make_state([("restaurant", "food", "italian")])
+    predictor = make_oracle_predictor([gold, None])
+    assert predictor(None, make_state([])) is gold
+    with pytest.raises(OracleError, match="no gold belief annotation"):
+        predictor(None, gold)
+    with pytest.raises(OracleError, match="more turns than gold annotations"):
+        predictor(None, gold)
 
 
 def test_heuristic_adds_verbatim_ontology_values(toy_kb, toy_index):
