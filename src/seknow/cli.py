@@ -26,7 +26,7 @@ from .knowops import (
     retrieve_document,
     structured_query,
 )
-from .text import load_stopwords, sha256_file, stopwords_digest, stopwords_file
+from .text import sha256_file, stopwords_digest, stopwords_file
 
 
 def _parse_thresholds(pairs: list[str]) -> dict[str, float]:
@@ -57,8 +57,7 @@ def _load_kb(args) -> kb_mod.KnowledgeBase:
 
 def cmd_build_index(args) -> int:
     kb = _load_kb(args)
-    stopwords = load_stopwords()
-    index = topics.build_topic_index(kb, _parse_thresholds(args.threshold), stopwords)
+    index = topics.build_topic_index(kb, _parse_thresholds(args.threshold))
     topics.write_index(index, args.out)
     print(f"indexed {len(index.entries)} documents -> {args.out}")
     return 0
@@ -315,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    if stopwords_file():
-        print(f"stopwords: {stopwords_file()} (sha256 {stopwords_digest()[:12]})",
-              file=sys.stderr)
     try:
+        if stopwords_file():
+            print(f"stopwords: {stopwords_file()} (sha256 {stopwords_digest()[:12]})",
+                  file=sys.stderr)
         return args.func(args)
     except SeknowError as exc:
         print(f"error: {exc.kind}: {exc.detail}", file=sys.stderr)

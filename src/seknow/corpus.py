@@ -233,7 +233,7 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
     rng = random.Random(seed)
     candidates = []
     for dom_name in sorted(kb.domains):
-        for ent in sorted(kb.domains[dom_name].entities, key=lambda e: e.id):
+        for ent in kb.domains[dom_name].id_order:
             if index.docs_for_entity(dom_name, ent.id):
                 candidates.append((dom_name, ent))
     if not candidates:

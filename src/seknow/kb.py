@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import DomainNotFoundError, FusionError, LoadError
 from .text import normalize
@@ -43,13 +44,19 @@ class Entity:
 class Domain:
     name: str
     slot_schema: frozenset[str]
-    entities: tuple[Entity, ...]
+    entities: tuple[Entity, ...]  # file order
+
+    @cached_property
+    def id_order(self) -> tuple[Entity, ...]:
+        """Entities ascending by id; equal ids keep their file order."""
+        return tuple(sorted(self.entities, key=lambda e: e.id))
+
+    @cached_property
+    def _by_id(self) -> dict[str, Entity]:
+        return {ent.id: ent for ent in reversed(self.entities)}  # first of equal ids wins
 
     def entity(self, entity_id: str) -> Entity | None:
-        for ent in self.entities:
-            if ent.id == entity_id:
-                return ent
-        return None
+        return self._by_id.get(entity_id)
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,7 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
 
 def list_entities(kb: KnowledgeBase, domain: str) -> list[Entity]:
     """Entities of ``domain`` in deterministic order (ascending by id)."""
-    return sorted(kb.domain(domain).entities, key=lambda e: e.id)
+    return list(kb.domain(domain).id_order)
 
 
 def build_ontology(kb: KnowledgeBase, include_ruk: bool = False) -> dict[tuple[str, str], tuple[str, ...]]:

@@ -85,9 +85,7 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResu
         for slot in constraints:
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
-        matched = sorted(
-            (e for e in domain.entities if entity_matches(e, constraints)),
-            key=lambda e: e.id)
+        matched = [e for e in domain.id_order if entity_matches(e, constraints)]
         ids = tuple(e.id for e in matched)
         bookable = tuple(e.id for e in matched if e.bookable)
         booking = booking or bool(bookable)
@@ -148,7 +146,7 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     """
     best: Entity | None = None
     best_score = -1.0
-    for ent in sorted(kb.domain(domain).entities, key=lambda e: e.id):
+    for ent in kb.domain(domain).id_order:
         score = max(fuzzy_similarity(ruk_value, ent.name),
                     fuzzy_similarity(ruk_value, ent.id))
         if score > best_score:

@@ -335,6 +335,11 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
         generator = make_template_generator()
     if goals is None:
         goals = {d.dialog_id: d.goal for d in corpus.dialogs}
+    for dialog in corpus.dialogs:
+        for k, turn in enumerate(dialog.turns):
+            if turn.doc_annotation is not None and turn.doc_annotation not in index.entries:
+                raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: annotated "
+                                      f"document {turn.doc_annotation} is not in the index")
 
     def job(dialog: Dialog) -> list[TurnOutput]:
         return run_dialog(dialog, predictor, generator, kb, index, floor)

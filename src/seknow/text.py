@@ -4,7 +4,8 @@ The stopword list is part of the package's external interface: it ships as a
 plain-text data file, one word per line, and its SHA-256 digest is recorded in
 index sidecar files so that two indexes are only comparable when they were
 built with the same list. The ``SEKNOW_STOPWORDS`` environment variable may
-point to an alternative file.
+point to an alternative file; the list in effect is read once per path and
+serves tokenizing, index building and every recorded digest alike.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 import re
 from functools import lru_cache
 from importlib import resources
+
+from .errors import ConfigError
 
 STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 
@@ -28,37 +31,34 @@ def normalize(text: str) -> str:
 
 def stopwords_file() -> str | None:
     """Path of the stopword file named by the environment, if any."""
-    path = os.environ.get(STOPWORDS_ENV_VAR)
-    return path if path else None
+    return os.environ.get(STOPWORDS_ENV_VAR) or None
 
 
-def _packaged_stopwords_bytes() -> bytes:
-    return resources.files("seknow.data").joinpath("stopwords.txt").read_bytes()
+@lru_cache(maxsize=4)
+def _read_stopwords(path: str | None) -> tuple[frozenset[str], str]:
+    """Word set and SHA-256 of the file at ``path``, or of the packaged list."""
+    try:
+        if path is None:
+            raw = resources.files("seknow.data").joinpath("stopwords.txt").read_bytes()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        words = raw.decode("utf-8").split()
+    except OSError as exc:
+        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {path}: {exc}") from exc
+    return frozenset(normalize(w) for w in words), hashlib.sha256(raw).hexdigest()
 
 
-def _stopwords_bytes(path: str | None = None) -> bytes:
-    if path is None:
-        path = stopwords_file()
-    if path is None:
-        return _packaged_stopwords_bytes()
-    with open(path, "rb") as fh:
-        return fh.read()
+def load_stopwords() -> frozenset[str]:
+    """The stopword set in effect: the environment's file, else the packaged list."""
+    return _read_stopwords(stopwords_file())[0]
 
 
-def load_stopwords(path: str | None = None) -> frozenset[str]:
-    """Load the stopword set from ``path``, the environment, or the package."""
-    words = _stopwords_bytes(path).decode("utf-8").split()
-    return frozenset(normalize(w) for w in words if w.strip())
-
-
-def stopwords_digest(path: str | None = None) -> str:
+def stopwords_digest() -> str:
     """SHA-256 hex digest of the stopword file in effect."""
-    return hashlib.sha256(_stopwords_bytes(path)).hexdigest()
-
-
-@lru_cache(maxsize=1)
-def default_stopwords() -> frozenset[str]:
-    return frozenset(_packaged_stopwords_bytes().decode("utf-8").split())
+    return _read_stopwords(stopwords_file())[1]
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -69,7 +69,7 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     vocabulary).
     """
     if stopwords is None:
-        stopwords = default_stopwords()
+        stopwords = load_stopwords()
     tokens = _TOKEN_RE.findall(text.lower())
     return [t for t in tokens if len(t) >= _MIN_TOKEN_LEN and t not in stopwords]
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ConfigError, IndexingError, LoadError
 from .kb import KnowledgeBase
-from .text import stopwords_digest, tokenize
+from .text import load_stopwords, stopwords_digest, tokenize
 
 # Per-domain filter thresholds: restaurant, hotel, taxi, train.
 DEFAULT_THRESHOLDS: dict[str, float] = {
@@ -59,36 +61,31 @@ class TopicIndex:
             return None
         return tuple(tw.token for tw in entry)
 
+    @cached_property
+    def _doc_ids(self) -> dict[tuple[str, str], list[str]]:
+        grouped: dict[tuple[str, str], list[str]] = {}
+        for domain, entity_id, doc_id in sorted(self.entries):
+            grouped.setdefault((domain, entity_id), []).append(doc_id)
+        return grouped
+
     def docs_for_entity(self, domain: str, entity_id: str) -> list[tuple[str, tuple[str, ...]]]:
         """(doc_id, topic words) pairs for one entity, ascending by doc_id."""
-        found = [
-            (key[2], tuple(tw.token for tw in words))
-            for key, words in self.entries.items()
-            if key[0] == domain and key[1] == entity_id
-        ]
-        return sorted(found)
+        return [(doc_id, self.topics(domain, entity_id, doc_id))
+                for doc_id in self._doc_ids.get((domain, entity_id), ())]
 
 
-def compute_tfidf(doc_tokens: Mapping) -> dict[tuple[object, str], float]:
-    """Score every (document, token) pair of one domain.
+def compute_tfidf(doc_tokens: Mapping) -> dict[object, dict[str, float]]:
+    """Score every token of every document of one domain.
 
-    ``doc_tokens`` maps an opaque document key to its token stream. The
-    score is ``tf * ln(N / df)`` with raw counts; a token present in every
-    document scores zero.
+    ``doc_tokens`` maps an opaque document key to its token stream; the
+    result maps that key to ``{token: tf * ln(N / df)}`` with raw counts. A
+    token present in every document scores zero.
     """
     n_docs = len(doc_tokens)
-    df: dict[str, int] = {}
-    for tokens in doc_tokens.values():
-        for token in set(tokens):
-            df[token] = df.get(token, 0) + 1
-    scores: dict[tuple[object, str], float] = {}
-    for key, tokens in doc_tokens.items():
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for token, tf in counts.items():
-            scores[(key, token)] = tf * math.log(n_docs / df[token])
-    return scores
+    df = Counter(token for tokens in doc_tokens.values() for token in set(tokens))
+    return {key: {token: tf * math.log(n_docs / df[token])
+                  for token, tf in Counter(tokens).items()}
+            for key, tokens in doc_tokens.items()}
 
 
 def extract_candidates(tokens: Sequence[str], scores: Mapping[str, float]) -> list[TopicWord]:
@@ -130,16 +127,21 @@ def build_topic_index(kb: KnowledgeBase,
     """Index every document of the knowledge base with 1-3 topic words.
 
     ``thresholds`` must cover every domain that has documents; it defaults
-    to :data:`DEFAULT_THRESHOLDS`.
+    to :data:`DEFAULT_THRESHOLDS`. ``stopwords``, if given, must be the list
+    in effect.
     """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
+    in_effect = load_stopwords()
+    if stopwords is not None and stopwords != in_effect:
+        raise ConfigError("stopwords passed to build_topic_index differ from the list "
+                          f"in effect (sha256 {stopwords_digest()})")
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     for dom_name, domain in kb.domains.items():
         doc_tokens: dict[tuple[str, str], list[str]] = {}
         for ent in domain.entities:
             for doc in ent.documents:
-                stream = tokenize(doc.title, stopwords) + tokenize(doc.body, stopwords)
+                stream = tokenize(doc.title, in_effect) + tokenize(doc.body, in_effect)
                 doc_tokens[(ent.id, doc.doc_id)] = stream
         if not doc_tokens:
             continue
@@ -150,9 +152,8 @@ def build_topic_index(kb: KnowledgeBase,
         scores = compute_tfidf(doc_tokens)
         candidates: dict[tuple[str, str], list[TopicWord]] = {}
         for key, tokens in doc_tokens.items():
-            per_doc = {tok: val for (k, tok), val in scores.items() if k == key}
             try:
-                candidates[key] = extract_candidates(tokens, per_doc)
+                candidates[key] = extract_candidates(tokens, scores[key])
             except IndexingError as exc:
                 raise IndexingError(
                     f"domain '{dom_name}' entity '{key[0]}' document '{key[1]}': "
@@ -229,4 +230,7 @@ def read_index(path: str) -> TopicIndex:
             raw = json.load(fh)
         thresholds = {str(k): float(v) for k, v in raw.get("thresholds", {}).items()}
         digest = raw.get("stopwords_sha256", "")
+        if digest and digest != stopwords_digest():
+            raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest}, "
+                              f"but the list in effect has {stopwords_digest()}")
     return TopicIndex(entries=entries, thresholds=thresholds, stopwords_sha256=digest)

@@ -27,3 +27,12 @@ def toy_kb():
 @pytest.fixture(scope="session")
 def toy_index(toy_kb):
     return build_topic_index(toy_kb, TOY_THRESHOLDS)
+
+
+@pytest.fixture
+def env_stopwords(tmp_path, monkeypatch):
+    """A two-word stopword file put in effect through SEKNOW_STOPWORDS."""
+    path = tmp_path / "stops.txt"
+    path.write_text("the\nand\n", encoding="utf-8")
+    monkeypatch.setenv("SEKNOW_STOPWORDS", str(path))
+    return path

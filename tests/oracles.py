@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the definitions, without
 importing the algorithms under test: recursive LCS with memoization, a
-from-scratch topic extraction pass, an exhaustive entity filter, and a
-naive n-gram BLEU. Slow is fine; these run on desk-scale inputs only.
+from-scratch topic extraction pass, an exhaustive entity filter, a scan of
+every index entry per entity, and a naive n-gram BLEU. Slow is fine; these
+run on desk-scale inputs only.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def oracle_filter_entities(entities: list, constraints: dict) -> list:
         if ok:
             out.append(ent.id)
     return sorted(out)
+
+
+def oracle_docs_for_entity(entries: dict, domain: str, entity_id: str) -> list:
+    """Scan every index entry: (doc_id, topic words) of one entity, sorted."""
+    return sorted((doc_id, tuple(tw.token for tw in words))
+                  for (dom, ent, doc_id), words in entries.items()
+                  if dom == domain and ent == entity_id)
 
 
 def oracle_bleu(hypotheses: list, references: list) -> float:

@@ -227,3 +227,42 @@ def test_stopword_override_env(tmp_path, capsys, monkeypatch):
     code = main(["stats", "--corpus", str(TOY_CORPUS_PATH)])
     assert code == 0
     assert "stopwords:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "build-index"])
+@pytest.mark.parametrize("content", [None, b"the\n\xff\xfe\n"], ids=["missing", "not-utf8"])
+def test_bad_stopword_file_is_config_error(tmp_path, capsys, monkeypatch, command, content):
+    stops = tmp_path / "stops.txt"
+    if content is not None:
+        stops.write_bytes(content)
+    monkeypatch.setenv("SEKNOW_STOPWORDS", str(stops))
+    argv = {"stats": ["stats", "--corpus", str(TOY_CORPUS_PATH)],
+            "build-index": ["build-index", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                            "--out", str(tmp_path / "index.tsv")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config: SEKNOW_STOPWORDS: {stops}: ")
+
+
+def test_eval_refuses_index_of_other_stopword_list(tmp_path, capsys, env_stopwords):
+    code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
+                 "--predictor", "heuristic", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: config: ")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_refuses_annotation_outside_index(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    text = TOY_CORPUS_PATH.read_text("utf-8")
+    corpus.write_text(text.replace('"doc_id": "d1"', '"doc_id": "d99"', 1), encoding="utf-8")
+    code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation: dialog 'dlg0003': turn ")
+    assert "annotated document ('restaurant', 'pizza hut', 'd99') is not in the index" in err

@@ -9,6 +9,8 @@ from seknow import (
     KnowledgeBase,
     list_entities,
     load_knowledge_base,
+    parse_belief_span,
+    structured_query,
     validate_knowledge_base,
     write_knowledge_base,
 )
@@ -139,6 +141,20 @@ def test_list_entities_ordered(toy_kb):
     ids = [e.id for e in list_entities(toy_kb, "restaurant")]
     assert ids == sorted(ids) == ["golden wok", "pizza hut", "roma ristorante"]
     assert len(list_entities(toy_kb, "taxi")) == 1
+
+
+def test_shared_id_keeps_file_order():
+    first = Entity(id="b", name="first", attributes={"area": "north"})
+    other = Entity(id="a", name="other", attributes={"area": "north"})
+    second = Entity(id="b", name="second", attributes={"area": "north"})
+    domain = Domain(name="hotel", slot_schema=frozenset({"area"}),
+                    entities=(first, other, second))
+    kb = KnowledgeBase(domains={"hotel": domain})
+    assert domain.entity("b") is first
+    assert domain.id_order == (other, first, second)
+    assert list_entities(kb, "hotel") == [other, first, second]
+    matches = structured_query(kb, parse_belief_span("hotel { area = north }"))
+    assert matches.per_domain["hotel"].entity_ids == ("a", "b", "b")
 
 
 def test_list_entities_unknown_domain(toy_kb):

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from oracles import oracle_topic_index
+from oracles import oracle_docs_for_entity, oracle_topic_index
 from seknow import (
     DEFAULT_THRESHOLDS,
     build_topic_index,
@@ -15,7 +16,8 @@ from seknow import (
     write_index,
 )
 from seknow.errors import ConfigError, IndexingError
-from seknow.topics import TopicWord
+from seknow.text import load_stopwords
+from seknow.topics import TopicIndex, TopicWord
 
 from conftest import GOLDEN_INDEX_PATH, TOY_THRESHOLDS
 
@@ -34,20 +36,20 @@ def test_tokenize_all_stopwords():
 
 def test_tfidf_token_in_every_doc_scores_zero():
     scores = compute_tfidf({"a": ["pizza", "good"], "b": ["pizza", "bad"]})
-    assert scores[("a", "pizza")] == 0.0
-    assert scores[("b", "pizza")] == 0.0
+    assert scores["a"]["pizza"] == 0.0
+    assert scores["b"]["pizza"] == 0.0
 
 
 def test_tfidf_three_occurrences_one_doc():
     scores = compute_tfidf({"a": ["wifi", "wifi", "wifi", "desk"], "b": ["desk"]})
     expected = 3 * math.log(2)  # tf=3, idf=ln(2/1)
-    assert scores[("a", "wifi")] == pytest.approx(expected)
-    assert scores[("a", "wifi")] == pytest.approx(2.0794415416798357)
+    assert scores["a"]["wifi"] == pytest.approx(expected)
+    assert scores["a"]["wifi"] == pytest.approx(2.0794415416798357)
 
 
 def test_tfidf_single_doc_domain_scores_zero():
     scores = compute_tfidf({"only": ["wifi", "pool", "wifi"]})
-    assert all(v == 0.0 for v in scores.values())
+    assert scores["only"] == {"wifi": 0.0, "pool": 0.0}
 
 
 def test_extract_candidates_tie_break_by_occurrence():
@@ -162,3 +164,46 @@ def test_write_read_roundtrip(toy_index, tmp_path):
         assert loaded.topics(*key) == toy_index.topics(*key)
     assert loaded.thresholds == toy_index.thresholds
     assert loaded.stopwords_sha256 == toy_index.stopwords_sha256
+
+
+def test_docs_for_entity_matches_scan(toy_kb, toy_index):
+    hand_made = TopicIndex(entries={
+        ("hotel", "a", "d2"): (TopicWord("pool", 1.0),),
+        ("hotel", "a", "d10"): (TopicWord("wifi", 1.0), TopicWord("desk", 0.5)),
+        ("hotel", "b", "d0"): (TopicWord("bar", 1.0),),
+        ("taxi", "a", "d1"): (TopicWord("car", 1.0),),
+    }, thresholds={})
+    for index in (toy_index, hand_made):
+        keys = {key[:2] for key in index.entries} | {("hotel", "nowhere")} | {
+            (name, ent.id) for name, dom in toy_kb.domains.items() for ent in dom.entities}
+        for domain, entity_id in sorted(keys):
+            assert index.docs_for_entity(domain, entity_id) == \
+                oracle_docs_for_entity(index.entries, domain, entity_id)
+    assert hand_made.docs_for_entity("hotel", "a") == [
+        ("d10", ("wifi", "desk")), ("d2", ("pool",))]
+    hand_made.docs_for_entity("hotel", "a").clear()  # callers get a fresh list
+    assert len(hand_made.docs_for_entity("hotel", "a")) == 2
+
+
+def test_stopword_env_list_is_in_effect(toy_kb, env_stopwords):
+    assert tokenize("is it with the wifi") == ["is", "it", "with", "wifi"]
+    digest = hashlib.sha256(env_stopwords.read_bytes()).hexdigest()
+    assert build_topic_index(toy_kb).stopwords_sha256 == digest
+    assert build_topic_index(toy_kb, TOY_THRESHOLDS, load_stopwords()).stopwords_sha256 == digest
+    with pytest.raises(ConfigError, match="differ from the list in effect"):
+        build_topic_index(toy_kb, TOY_THRESHOLDS, frozenset({"x"}))
+
+
+def test_read_index_refuses_other_stopword_list(toy_index, tmp_path, env_stopwords):
+    path = tmp_path / "index.tsv"
+    write_index(toy_index, str(path))
+    env_digest = hashlib.sha256(env_stopwords.read_bytes()).hexdigest()
+    with pytest.raises(ConfigError) as exc:
+        read_index(str(path))
+    assert toy_index.stopwords_sha256 in exc.value.detail
+    assert env_digest in exc.value.detail
+    sidecar = tmp_path / "index.tsv.meta.json"
+    sidecar.write_text('{"stopwords_sha256": ""}', encoding="utf-8")
+    assert read_index(str(path)).stopwords_sha256 == ""
+    sidecar.unlink()
+    assert set(read_index(str(path)).entries) == set(toy_index.entries)
