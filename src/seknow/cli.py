@@ -26,7 +26,7 @@ from .knowops import (
     retrieve_document,
     structured_query,
 )
-from .text import sha256_file, stopwords_digest, stopwords_file
+from .text import open_output, sha256_file, stopwords_digest, stopwords_file
 
 
 def _parse_thresholds(pairs: list[str]) -> dict[str, float]:
@@ -55,6 +55,13 @@ def _load_kb(args) -> kb_mod.KnowledgeBase:
     return kb
 
 
+def _load_kb_and_index(args) -> tuple[kb_mod.KnowledgeBase, topics.TopicIndex]:
+    kb = _load_kb(args)
+    index = topics.read_index(args.index)
+    topics.check_index(index, kb, args.index)
+    return kb, index
+
+
 def cmd_build_index(args) -> int:
     kb = _load_kb(args)
     index = topics.build_topic_index(kb, _parse_thresholds(args.threshold))
@@ -71,8 +78,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    kb = _load_kb(args)
-    index = topics.read_index(args.index)
+    kb, index = _load_kb_and_index(args)
     state = parse_belief_span(args.belief)
     ruk = state.ruk_triple()
     if ruk is None or not state.topic:
@@ -88,12 +94,10 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_run(args) -> int:
-    kb = _load_kb(args)
-    index = topics.read_index(args.index)
+    kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
-    generator = pipeline.make_template_generator(
-        pipeline.load_templates(args.templates) if args.templates else None)
+    generator = pipeline.make_template_generator(pipeline.load_templates(args.templates))
     lines = []
     for dialog in corpus.dialogs:
         outputs = metrics_mod.run_dialog(dialog, factory, generator, kb, index)
@@ -109,7 +113,7 @@ def cmd_run(args) -> int:
             ]))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
         print(f"wrote {len(lines)} turns -> {args.out}")
     else:
@@ -138,7 +142,7 @@ def cmd_corrupt(args) -> int:
                 ontology.setdefault((t.domain, t.slot), set()).add(t.value)
     frozen = {key: tuple(sorted(vals)) for key, vals in ontology.items()}
     corrupted = pipeline.corrupt_samples(samples, args.seed, frozen)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         for sample in corrupted:
             fh.write(json.dumps({
                 "context": [list(u) for u in sample.context],
@@ -156,12 +160,10 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kb = _load_kb(args)
-    index = topics.read_index(args.index)
+    kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     goals = corpus_io.load_goals(args.goals) if args.goals else None
-    generator = pipeline.make_template_generator(
-        pipeline.load_templates(args.templates) if args.templates else None)
+    generator = pipeline.make_template_generator(pipeline.load_templates(args.templates))
     report = metrics_mod.evaluate_corpus(
         corpus, kb, index,
         predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)
@@ -178,7 +180,7 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     _print_report_table(report)
     return 0
@@ -223,8 +225,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_chat(args) -> int:
-    kb = _load_kb(args)
-    index = topics.read_index(args.index)
+    kb, index = _load_kb_and_index(args)
     predictor = pipeline.make_heuristic_predictor(kb, index)
     generator = pipeline.make_template_generator()
     session = pipeline.Session()

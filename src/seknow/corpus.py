@@ -25,6 +25,7 @@ from .pipeline import (Session, TemplateSet, make_oracle_predictor,
                        make_template_generator, run_turn)
 # Unused here; benchmarks/tracer.py patches these two names on this module.
 from .pipeline import lexicalize, template_generate  # noqa: F401
+from .text import open_input, open_output
 from .topics import TopicIndex
 
 
@@ -83,11 +84,7 @@ class CorpusSpec:
 def load_corpus(path: str) -> DialogCorpus:
     """Load a corpus file, parsing every belief span eagerly."""
     dialogs = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), file=path) from exc
-    with fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -167,7 +164,7 @@ def _parse_dialog(raw, path: str, lineno: int) -> Dialog:
 
 def save_corpus(corpus: DialogCorpus, path: str):
     """Write one dialog per line; inverse of :func:`load_corpus`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for dialog in corpus.dialogs:
             fh.write(json.dumps(_dialog_to_obj(dialog), ensure_ascii=False,
                                 sort_keys=True))

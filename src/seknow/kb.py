@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import DomainNotFoundError, FusionError, LoadError
-from .text import normalize
+from .text import normalize, open_input, open_output
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,8 @@ def expect(cond: bool, detail: str, file: str, line: int | None = None):
 
 def read_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_input(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise LoadError(str(exc), file=path) from exc
     except json.JSONDecodeError as exc:
         raise LoadError(exc.msg, file=path, line=exc.lineno) from exc
 
@@ -228,11 +226,11 @@ def write_knowledge_base(kb: KnowledgeBase, db_path: str, doc_path: str | None =
                 doc_records.append({"domain": name, "entity_id": ent.id,
                                     "doc_id": doc.doc_id, "title": doc.title,
                                     "body": doc.body})
-    with open(db_path, "w", encoding="utf-8") as fh:
+    with open_output(db_path) as fh:
         json.dump(db_obj, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
     if doc_path is not None:
-        with open(doc_path, "w", encoding="utf-8") as fh:
+        with open_output(doc_path) as fh:
             json.dump(doc_records, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
 

@@ -38,7 +38,7 @@ from .knowops import (
     knowledge_operation,
     structured_query,
 )
-from .text import normalize, tokenize
+from .text import normalize, open_input, tokenize
 from .topics import TopicIndex
 
 Predictor = Callable[[DialogContext, ExtendedBeliefState], ExtendedBeliefState]
@@ -98,7 +98,7 @@ def load_templates(path: str | None = None) -> TemplateSet:
     if path is None:
         text = resources.files("seknow.data").joinpath("templates.tsv").read_text("utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_input(path) as fh:
             text = fh.read()
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

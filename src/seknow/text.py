@@ -1,4 +1,6 @@
-"""Shared text plumbing: normalization, tokenization and the stopword list.
+"""Shared text plumbing: file I/O, normalization, tokenization and the stopword list.
+
+Every text file read or written opens through :func:`open_input`/:func:`open_output`.
 
 The stopword list is part of the package's external interface: it ships as a
 plain-text data file, one word per line, and its SHA-256 digest is recorded in
@@ -13,15 +15,40 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
+from typing import TextIO
 
-from .errors import ConfigError
+from .errors import ConfigError, LoadError
 
 STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MIN_TOKEN_LEN = 2
+
+
+@contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text; failing to open, read or decode it is a LoadError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise LoadError(exc.strerror or str(exc), file=path) from exc
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"not UTF-8 text: {exc.reason}", file=path) from exc
+
+
+@contextmanager
+def open_output(path: str) -> Iterator[TextIO]:
+    """Open ``path`` for writing as UTF-8 text; failing to write it is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def normalize(text: str) -> str:

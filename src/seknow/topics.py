@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConfigError, IndexingError, LoadError
-from .kb import KnowledgeBase
-from .text import load_stopwords, stopwords_digest, tokenize
+from .kb import KnowledgeBase, expect, read_json
+from .text import load_stopwords, open_input, open_output, stopwords_digest, tokenize
 
 # Per-domain filter thresholds: restaurant, hotel, taxi, train.
 DEFAULT_THRESHOLDS: dict[str, float] = {
@@ -186,13 +186,13 @@ def write_index(index: TopicIndex, path: str):
     for (domain, entity_id, doc_id), words in sorted(index.entries.items()):
         topics = ",".join(tw.token for tw in words)
         lines.append(f"{domain}\t{entity_id}\t{doc_id}\t{topics}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     sidecar = {
         "thresholds": {k: index.thresholds[k] for k in sorted(index.thresholds)},
         "stopwords_sha256": index.stopwords_sha256,
     }
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
+    with open_output(sidecar_path(path)) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -208,7 +208,7 @@ def read_index(path: str) -> TopicIndex:
     and an unset filter flag; only the topic tokens matter downstream.
     """
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -226,11 +226,28 @@ def read_index(path: str) -> TopicIndex:
     digest = ""
     meta = sidecar_path(path)
     if os.path.exists(meta):
-        with open(meta, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        thresholds = {str(k): float(v) for k, v in raw.get("thresholds", {}).items()}
+        raw = read_json(meta)
+        expect(isinstance(raw, dict), "sidecar must be a JSON object", meta)
+        raw_thresholds = raw.get("thresholds", {})
+        expect(isinstance(raw_thresholds, dict)
+               and all(type(v) in (int, float) for v in raw_thresholds.values()),
+               "'thresholds' must map domain names to numbers", meta)
+        thresholds = {k: float(v) for k, v in raw_thresholds.items()}
         digest = raw.get("stopwords_sha256", "")
+        expect(isinstance(digest, str), "'stopwords_sha256' must be a string", meta)
         if digest and digest != stopwords_digest():
             raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest}, "
                               f"but the list in effect has {stopwords_digest()}")
     return TopicIndex(entries=entries, thresholds=thresholds, stopwords_sha256=digest)
+
+
+def check_index(index: TopicIndex, kb: KnowledgeBase, path: str):
+    """Refuse rows of the index file ``path`` naming no KB entity or, when the KB
+    holds documents, no document of that entity."""
+    with_docs = any(ent.documents for dom in kb.domains.values() for ent in dom.entities)
+    for domain, entity_id, doc_id in index.entries:
+        entity = kb.domains[domain].entity(entity_id) if domain in kb.domains else None
+        row = f"row ({domain}, {entity_id}, {doc_id})"
+        expect(entity is not None, f"{row} names no entity of the knowledge base", path)
+        expect(not with_docs or any(doc.doc_id == doc_id for doc in entity.documents),
+               f"{row} names no document of that entity", path)

@@ -4,7 +4,7 @@ import pytest
 
 from seknow.cli import main
 
-from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH
+from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, eval_argv
 
 TOY_THRESHOLD_FLAGS = ["--threshold", "restaurant=1.0", "--threshold", "hotel=1.0"]
 
@@ -185,6 +185,86 @@ def test_malformed_input_is_load_error(tmp_path, capsys, case):
     assert len(lines) == 1
     assert lines[0].startswith(f"error: load: {where}: ")
     assert detail in lines[0]
+
+
+def _bad_input(target, content):
+    """Replace one `eval` input with ``content``, or delete it when ``content`` is None."""
+    def case(files, tmp_path):
+        if content is None:
+            files[target].unlink()
+        else:
+            files[target].write_bytes(content)
+        return eval_argv(files), f"error: load: {files[target]}:"
+    return case
+
+
+def _bad_output(command):
+    """Point one subcommand's --out into a directory that does not exist."""
+    def case(files, tmp_path):
+        out = tmp_path / "missing" / "out"
+        kb = ["--kb", str(DB_PATH), "--docs", str(DOCS_PATH)]
+        corpus = ["--corpus", str(TOY_CORPUS_PATH)]
+        argv = {"build-index": ["build-index", *kb, *TOY_THRESHOLD_FLAGS],
+                "run": ["run", *kb, "--index", str(GOLDEN_INDEX_PATH), *corpus],
+                "eval": eval_argv(files),
+                "corrupt": ["--seed", "10", "corrupt", *corpus]}[command]
+        return [*argv, "--out", str(out)], f"error: config: {out}: "
+    return case
+
+
+NOT_UTF8 = b"\xff\xfe"
+# each case builds (argv, expected prefix of the one stderr line)
+BAD_FILES = {
+    **{f"{target}-not-utf8": _bad_input(target, NOT_UTF8)
+       for target in ("db", "docs", "corpus", "goals", "index", "templates")},
+    "index-missing": _bad_input("index", None),
+    "templates-missing": _bad_input("templates", None),
+    "sidecar-broken-json": _bad_input("sidecar", b"{"),
+    "sidecar-array": _bad_input("sidecar", b"[]"),
+    "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),
+    **{f"{command}-out-in-missing-dir": _bad_output(command)
+       for command in ("build-index", "run", "eval", "corrupt")},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_file_is_one_error_line(tmp_path, capsys, eval_files, case):
+    argv, prefix = BAD_FILES[case](eval_files, tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+
+
+UNKNOWN_ENTITY = "restaurant\tpizza palace\td1\tpizza"
+UNKNOWN_DOCUMENT = "restaurant\tpizza hut\td9\tpizza,menu"
+
+
+@pytest.mark.parametrize("row, docs, detail", [
+    (UNKNOWN_ENTITY, True,
+     "row (restaurant, pizza palace, d1) names no entity of the knowledge base"),
+    (UNKNOWN_ENTITY, False,
+     "row (restaurant, pizza palace, d1) names no entity of the knowledge base"),
+    (UNKNOWN_DOCUMENT, True, "row (restaurant, pizza hut, d9) names no document of that entity"),
+    (UNKNOWN_DOCUMENT, False, None),  # a KB without documents leaves doc ids unchecked
+], ids=["entity-with-docs", "entity-without-docs", "document-with-docs",
+        "document-without-docs"])
+def test_index_rows_are_checked_against_kb(tmp_path, capsys, row, docs, detail):
+    index = tmp_path / "index.tsv"
+    index.write_text(GOLDEN_INDEX_PATH.read_text("utf-8") + row + "\n", encoding="utf-8")
+    argv = ["retrieve", "--kb", str(DB_PATH), "--index", str(index),
+            "--belief", "restaurant { ruk = pizza hut } || pizza menu"]
+    if docs:
+        argv += ["--docs", str(DOCS_PATH)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if detail is None:
+        assert code == 0 and out.startswith("1\t")
+    else:
+        assert code == 1
+        assert err.splitlines() == [f"error: load: {index}: {detail}"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
