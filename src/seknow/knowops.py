@@ -164,7 +164,8 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     each document's space-joined index topics; descending score, ties by
     ascending doc_id. An entity with no indexed documents yields an empty
     list; an empty topic is a query error since retrieval is only meaningful
-    with a topic.
+    with a topic. When the entity has documents, an index row naming none of
+    them is a query error; without documents every body is empty.
     """
     if not topic:
         raise QueryError("document retrieval needs a nonempty topic")
@@ -172,6 +173,9 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     bodies = {doc.doc_id: doc.body for doc in entity.documents}
     scored = []
     for doc_id, doc_topics in index.docs_for_entity(domain, entity.id):
+        if bodies and doc_id not in bodies:
+            raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
+                             f"document of entity '{entity.id}'")
         score = fuzzy_similarity(query, " ".join(doc_topics))
         scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
                                         doc_id=doc_id, body=bodies.get(doc_id, ""),
@@ -182,24 +186,23 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
 
 def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
                         state: ExtendedBeliefState,
-                        floor: float = MATCH_FLOOR,
                         ) -> tuple[QueryResult, RetrievedDocument | None,
                                    tuple[RetrievedDocument, ...]]:
     """Structured query plus document retrieval for one belief state.
 
     Returns the query result, the retrieved document and the full document
     ranking. The document is none unless the state has both a ruk triple and
-    a topic, an entity clears the fuzzy floor, and the best-ranked
+    a topic, an entity clears :data:`MATCH_FLOOR`, and the best-ranked
     document's score clears it as well.
     """
     result = structured_query(kb, state)
     ruk = state.ruk_triple()
     if ruk is None or not state.topic:
         return result, None, ()
-    entity = match_entity(kb, ruk.domain, ruk.value, floor=floor)
+    entity = match_entity(kb, ruk.domain, ruk.value)
     if entity is None:
         return result, None, ()
     ranking = tuple(retrieve_document(index, ruk.domain, entity, state.topic))
-    if not ranking or ranking[0].score < floor:
+    if not ranking or ranking[0].score < MATCH_FLOOR:
         return result, None, ranking
     return result, ranking[0], ranking

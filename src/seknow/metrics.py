@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -23,7 +22,7 @@ from .belief import ExtendedBeliefState, extended_prf, joint_goal_match, parse_b
 from .corpus import Dialog, DialogCorpus, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
-from .knowops import MATCH_FLOOR, entity_matches, lcs_length
+from .knowops import entity_matches, lcs_length
 from .pipeline import (
     Generator,
     Predictor,
@@ -298,16 +297,14 @@ PREDICTORS: dict[str, Callable[[KnowledgeBase, TopicIndex], PredictorFactory]] =
 
 
 def run_dialog(dialog: Dialog, factory: PredictorFactory, generator: Generator,
-               kb: KnowledgeBase, index: TopicIndex,
-               floor: float = MATCH_FLOOR) -> list[TurnOutput]:
+               kb: KnowledgeBase, index: TopicIndex) -> list[TurnOutput]:
     """Run every turn of one dialog through a fresh session, in order."""
     session = Session()
     predictor = factory(dialog)
     outputs = []
     for turn in dialog.turns:
         try:
-            outputs.append(run_turn(session, turn.user, predictor, generator,
-                                    kb, index, floor))
+            outputs.append(run_turn(session, turn.user, predictor, generator, kb, index))
         except Exception as exc:
             raise EvaluationError(f"dialog '{dialog.dialog_id}': {exc}") from exc
     return outputs
@@ -317,13 +314,13 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                     predictor: str | PredictorFactory = "oracle",
                     generator: Generator | None = None,
                     goals: Mapping[str, GoalSpec] | None = None,
-                    workers: int = 1,
-                    floor: float = MATCH_FLOOR) -> MetricsReport:
+                    workers: int = 1) -> MetricsReport:
     """Run the full pipeline over a corpus and compute every metric.
 
     ``predictor`` is a :data:`PREDICTORS` name or a factory mapping a dialog
-    to a per-turn predictor. Dialogs evaluate independently, so any worker
-    count yields identical results.
+    to a per-turn predictor. Dialogs run in corpus order in the calling
+    thread. ``workers`` must be at least 1 and changes nothing else; it is
+    accepted so that existing callers keep working.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -341,15 +338,7 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                 raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: annotated "
                                       f"document {turn.doc_annotation} is not in the index")
 
-    def job(dialog: Dialog) -> list[TurnOutput]:
-        return run_dialog(dialog, predictor, generator, kb, index, floor)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_dialog = list(pool.map(job, corpus.dialogs))
-    else:
-        per_dialog = [job(d) for d in corpus.dialogs]
-
+    per_dialog = [run_dialog(d, predictor, generator, kb, index) for d in corpus.dialogs]
     results = {d.dialog_id: outs for d, outs in zip(corpus.dialogs, per_dialog)}
 
     joint_hits: list[bool] = []

@@ -28,10 +28,9 @@ from .belief import (
     parse_belief_span,
     serialize_belief,
 )
-from .errors import CorruptionError, OracleError, PipelineError, TemplateError
+from .errors import CorruptionError, LoadError, OracleError, PipelineError, TemplateError
 from .kb import KnowledgeBase
 from .knowops import (
-    MATCH_FLOOR,
     QueryResult,
     RetrievedDocument,
     format_query_span,
@@ -106,7 +105,8 @@ def load_templates(path: str | None = None) -> TemplateSet:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise TemplateError(f"template line {lineno} is not 3 tab-separated fields")
+            raise LoadError("template row is not 3 tab-separated fields",
+                            file=path, line=lineno)
         entries[(parts[0], parts[1])] = parts[2]
     return TemplateSet(entries=entries)
 
@@ -172,8 +172,7 @@ def lexicalize(delex: str, query: QueryResult, kb: KnowledgeBase) -> Lexicalized
 
 
 def run_turn(session: Session, user_utterance: str, predictor: Predictor,
-             generator: Generator, kb: KnowledgeBase, index: TopicIndex,
-             floor: float = MATCH_FLOOR) -> TurnOutput:
+             generator: Generator, kb: KnowledgeBase, index: TopicIndex) -> TurnOutput:
     """Process one dialog turn and advance the session.
 
     Gold annotations are only reachable through the predictor; the knowledge
@@ -183,7 +182,7 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     turn = session.turn_index
     try:
         belief = predictor(session.context(), session.prev_belief)
-        query, document, ranking = knowledge_operation(kb, index, belief, floor)
+        query, document, ranking = knowledge_operation(kb, index, belief)
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
@@ -269,6 +268,11 @@ def build_ontology_values(kb: KnowledgeBase) -> list[tuple[str, tuple[tuple[str,
 
 def _find_unclaimed(utterance: str, value: str,
                     claimed: list[tuple[int, int]]) -> tuple[int, int] | None:
+    # Exact, since a whole-word match is a substring. It keeps most patterns
+    # out of re's 512-entry cache, which a real-size ontology (~900 values)
+    # overflows when every value is compiled on every turn.
+    if value not in utterance:
+        return None
     for match in re.finditer(rf"\b{re.escape(value)}\b", utterance):
         span = (match.start(), match.end())
         if all(span[1] <= lo or span[0] >= hi for lo, hi in claimed):

@@ -3,8 +3,8 @@
 Everything here is deliberately written from the definitions, without
 importing the algorithms under test: recursive LCS with memoization, a
 from-scratch topic extraction pass, an exhaustive entity filter, a scan of
-every index entry per entity, and a naive n-gram BLEU. Slow is fine; these
-run on desk-scale inputs only.
+every index entry per entity, a regex-only ontology value finder, and a
+naive n-gram BLEU. Slow is fine; these run on desk-scale inputs only.
 """
 
 from __future__ import annotations
@@ -106,6 +106,14 @@ def oracle_docs_for_entity(entries: dict, domain: str, entity_id: str) -> list:
     return sorted((doc_id, tuple(tw.token for tw in words))
                   for (dom, ent, doc_id), words in entries.items()
                   if dom == domain and ent == entity_id)
+
+
+def oracle_find_unclaimed(utterance: str, value: str, claimed: list) -> tuple | None:
+    """First whole-word regex match of ``value`` overlapping no claimed span."""
+    for match in re.finditer(rf"\b{re.escape(value)}\b", utterance):
+        if all(match.end() <= lo or match.start() >= hi for lo, hi in claimed):
+            return match.start(), match.end()
+    return None
 
 
 def oracle_bleu(hypotheses: list, references: list) -> float:

@@ -219,6 +219,7 @@ BAD_FILES = {
        for target in ("db", "docs", "corpus", "goals", "index", "templates")},
     "index-missing": _bad_input("index", None),
     "templates-missing": _bad_input("templates", None),
+    "templates-row-not-3-fields": _bad_input("templates", b"general\tnomatch\n"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),

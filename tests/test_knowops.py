@@ -14,12 +14,16 @@ from seknow import (
     make_state,
     map_query_vector,
     match_entity,
+    parse_belief_span,
+    read_index,
     retrieve_document,
     structured_query,
 )
 from seknow.errors import DomainNotFoundError, QueryError
 from seknow.knowops import QueryResult, DomainMatches
 from seknow.topics import TopicIndex, TopicWord
+
+from conftest import GOLDEN_INDEX_PATH
 
 
 def rand_kb(rng: random.Random, n_entities: int, domain: str = "restaurant"):
@@ -264,3 +268,13 @@ def test_knowledge_operation_unmatched_entity(toy_kb, toy_index):
     state = make_state([("restaurant", "ruk", "qqqq")], ["favorite"])
     _, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert document is None
+
+
+def test_knowledge_operation_refuses_row_without_document(tmp_path, toy_kb):
+    path = tmp_path / "index.tsv"
+    path.write_text(GOLDEN_INDEX_PATH.read_text("utf-8")
+                    + "restaurant\tpizza hut\td9\tpizza,menu\n", encoding="utf-8")
+    state = parse_belief_span("restaurant { ruk = pizza hut } || pizza menu")
+    with pytest.raises(QueryError, match=r"index row \(restaurant, pizza hut, d9\) names no "
+                                         r"document of entity 'pizza hut'"):
+        knowledge_operation(toy_kb, read_index(str(path)), state)

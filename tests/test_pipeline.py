@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from oracles import oracle_find_unclaimed
 from seknow import (
     CorruptionSample,
     Session,
@@ -18,7 +20,7 @@ from seknow import (
     template_generate,
 )
 from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
-from seknow.pipeline import TemplateSet, load_templates
+from seknow.pipeline import TemplateSet, _find_unclaimed, load_templates
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +182,30 @@ def test_heuristic_longest_match_first(toy_kb, toy_index):
     session.utterances.append(("user", "is acorn guest house in the north ?"))
     state = predictor(session.context(), make_state([]))
     assert state.constraints()["hotel"]["name"] == "acorn guest house"
+
+
+# regex metacharacters, non-word edges, values that prefix others, and ""
+FIND_VALUES = ["c++", "£10", "19:45", "a.m.", "north-east", "st", "star", "5 star", ""]
+FIND_FILLER = ["the", "north", "east", "stars", "5", "at", "10"]
+
+
+def test_find_unclaimed_matches_regex_reference():
+    rng = random.Random(0)
+    hits = 0
+    for _ in range(2000):
+        value = rng.choice(FIND_VALUES)
+        # the value is drawn three times as often as any other piece, so it repeats
+        pieces = [rng.choice([value] * 3 + FIND_VALUES + FIND_FILLER)
+                  for _ in range(rng.randint(0, 8))]
+        utterance = "".join(p + rng.choice([" ", " ", "", "-", ".", ",", "?"]) for p in pieces)
+        claimed = []
+        for _ in range(rng.randint(0, 3)):
+            lo = rng.randint(0, len(utterance))
+            claimed.append((lo, rng.randint(lo, len(utterance))))
+        expected = oracle_find_unclaimed(utterance, value, claimed)
+        assert _find_unclaimed(utterance, value, claimed) == expected, (utterance, value, claimed)
+        hits += expected is not None
+    assert 400 < hits < 1600  # both outcomes are well covered
 
 
 def sample(span, response="resp"):
