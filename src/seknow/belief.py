@@ -250,34 +250,32 @@ def _prf(correct: int, predicted: int, gold: int) -> PRF:
     return PRF(p, r, f1)
 
 
+def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bool, ...]:
+    """One turn's (correct, predicted, gold) counts of the ruk triple, then of the topic:
+    a ruk is correct when its (domain, value) equals the gold one, a topic its token set."""
+    p_ruk, g_ruk = pred.ruk_triple(), gold.ruk_triple()
+    ruk_correct = p_ruk is not None and g_ruk is not None \
+        and (p_ruk.domain, p_ruk.value) == (g_ruk.domain, g_ruk.value)
+    topic_correct = bool(pred.topic) and bool(gold.topic) and set(pred.topic) == set(gold.topic)
+    return (ruk_correct, p_ruk is not None, g_ruk is not None,
+            topic_correct, bool(pred.topic), bool(gold.topic))
+
+
+def prf_from_counts(counts: Sequence[int]) -> dict[str, PRF]:
+    """Ruk and topic P/R/F1 (fractions; undefined reports 0) from summed prf_counts."""
+    return {"ruk": _prf(*counts[:3]), "topic": _prf(*counts[3:])}
+
+
 def extended_prf(preds: Sequence[ExtendedBeliefState],
                  golds: Sequence[ExtendedBeliefState]) -> dict[str, PRF]:
-    """Precision/recall/F1 (as fractions) of the ruk triple and the topic.
-
-    A ruk prediction counts as correct when its (domain, value) pair equals
-    the gold ruk triple; a topic prediction counts when the predicted token
-    set equals the gold set. Undefined precision or recall reports as 0.
-    """
+    """Precision/recall/F1 (as fractions) of the ruk triple and the topic."""
     if len(preds) != len(golds):
         raise EvaluationError(
             f"prediction/gold length mismatch ({len(preds)} vs {len(golds)})")
-    ruk_correct = ruk_pred = ruk_gold = 0
-    top_correct = top_pred = top_gold = 0
+    counts = [0] * 6
     for pred, gold in zip(preds, golds):
-        p_ruk, g_ruk = pred.ruk_triple(), gold.ruk_triple()
-        ruk_pred += p_ruk is not None
-        ruk_gold += g_ruk is not None
-        if p_ruk is not None and g_ruk is not None \
-                and (p_ruk.domain, p_ruk.value) == (g_ruk.domain, g_ruk.value):
-            ruk_correct += 1
-        top_pred += bool(pred.topic)
-        top_gold += bool(gold.topic)
-        if pred.topic and gold.topic and set(pred.topic) == set(gold.topic):
-            top_correct += 1
-    return {
-        "ruk": _prf(ruk_correct, ruk_pred, ruk_gold),
-        "topic": _prf(top_correct, top_pred, top_gold),
-    }
+        counts = [a + b for a, b in zip(counts, prf_counts(pred, gold), strict=True)]
+    return prf_from_counts(counts)
 
 
 @dataclass(frozen=True)

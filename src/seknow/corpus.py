@@ -82,8 +82,9 @@ class CorpusSpec:
 
 
 def load_corpus(path: str) -> DialogCorpus:
-    """Load a corpus file, parsing every belief span eagerly."""
+    """Load a corpus file, parsing every belief span eagerly; dialog ids must be unique."""
     dialogs = []
+    seen = set()
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -92,7 +93,11 @@ def load_corpus(path: str) -> DialogCorpus:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LoadError(exc.msg, file=path, line=lineno) from exc
-            dialogs.append(_parse_dialog(raw, path, lineno))
+            dialog = _parse_dialog(raw, path, lineno)
+            expect(dialog.dialog_id not in seen,
+                   f"duplicate dialog id '{dialog.dialog_id}'", path, lineno)
+            seen.add(dialog.dialog_id)
+            dialogs.append(dialog)
     return DialogCorpus(dialogs=tuple(dialogs))
 
 

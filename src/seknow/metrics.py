@@ -8,6 +8,10 @@ Inform / Success over dialog goals, Joint Goal accuracy over original turns,
 MRR@5 and R@1 over knowledge-seeking turns, and P/R/F1 of the belief state
 extension. Everything is reported on the 0-100 percent scale; the combined
 score is ``(inform + success) * 0.5 + bleu``.
+
+:func:`evaluate_corpus` checks dialog ids, document annotations and goals
+before the first turn, then scores each dialog as it finishes and keeps only
+per-metric counts and scores (per-turn METEOR and ROUGE-L), not turn outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .belief import ExtendedBeliefState, extended_prf, joint_goal_match, parse_belief_span
+from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
 from .corpus import Dialog, DialogCorpus, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
@@ -40,6 +44,7 @@ ROUGE_BETA = 1.2
 METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
+MRR_CUTOFF = 5
 _STEM_SUFFIXES = ("ingly", "edly", "ing", "ed", "es", "ly", "s")
 
 
@@ -86,6 +91,30 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[int]:
+    """One pair's BLEU statistics: pairs (1), clipped and total 1..4-gram
+    counts, hypothesis and reference lengths. Corpus BLEU pools their sums."""
+    clipped, totals = [], []
+    for n in range(1, 5):
+        counts = _ngrams(hypothesis, n)
+        refcounts = _ngrams(reference, n)
+        totals.append(sum(counts.values()))
+        clipped.append(sum(min(c, refcounts[g]) for g, c in counts.items()))
+    return [1, *clipped, *totals, len(hypothesis), len(reference)]
+
+
+def _bleu_score(stats: Sequence[int]) -> float:
+    """Corpus BLEU-4 from summed :func:`_bleu_counts`."""
+    if not stats[0]:
+        raise MetricError("BLEU needs at least one hypothesis/reference pair")
+    clipped, totals, (hyp_len, ref_len) = stats[1:5], stats[5:9], stats[9:]
+    if any(t == 0 or c == 0 for c, t in zip(clipped, totals)):
+        return 0.0
+    log_precision = sum(0.25 * math.log(c / t) for c, t in zip(clipped, totals))
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_precision)
+
+
 def bleu(hypotheses: Sequence[Sequence[str]],
          references: Sequence[Sequence[str]]) -> float:
     """Corpus BLEU-4 on the 0-100 scale.
@@ -94,26 +123,12 @@ def bleu(hypotheses: Sequence[Sequence[str]],
     over the corpus, standard brevity penalty, and no smoothing: a zero
     n-gram precision zeroes the whole score.
     """
-    if not hypotheses:
-        raise MetricError("BLEU needs at least one hypothesis/reference pair")
     if len(hypotheses) != len(references):
         raise MetricError("BLEU needs aligned hypothesis/reference lists")
-    clipped = [0, 0, 0, 0]
-    totals = [0, 0, 0, 0]
-    hyp_len = ref_len = 0
+    stats = [0] * 11
     for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, 5):
-            counts = _ngrams(hyp, n)
-            refcounts = _ngrams(ref, n)
-            totals[n - 1] += sum(counts.values())
-            clipped[n - 1] += sum(min(c, refcounts[g]) for g, c in counts.items())
-    if any(t == 0 or c == 0 for c, t in zip(clipped, totals)):
-        return 0.0
-    log_precision = sum(0.25 * math.log(c / t) for c, t in zip(clipped, totals))
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(log_precision)
+        stats = [a + b for a, b in zip(stats, _bleu_counts(hyp, ref), strict=True)]
+    return _bleu_score(stats)
 
 
 def rouge_l(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
@@ -184,7 +199,7 @@ def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> fl
 
 
 def retrieval_metrics(rankings: Sequence[Sequence], golds: Sequence,
-                      cutoff: int = 5) -> tuple[float, float]:
+                      cutoff: int = MRR_CUTOFF) -> tuple[float, float]:
     """(MRR@5, R@1) over knowledge-seeking turns, x100.
 
     Each ranking is the ordered document keys a turn produced; its gold key
@@ -220,10 +235,21 @@ def round_half_up(value: float, ndigits: int = 1) -> float:
     return float(Decimal(str(value)).quantize(exponent, rounding=ROUND_HALF_UP))
 
 
-def inform_success(results: Mapping[str, Sequence[TurnOutput]],
-                   goals: Mapping[str, GoalSpec],
-                   kb: KnowledgeBase) -> tuple[float, float]:
-    """Dialog-level Inform and Success rates, x100.
+def _check_goal(dialog_id: str, goal: GoalSpec, kb: KnowledgeBase):
+    """Refuse a goal naming a domain outside the KB or a slot outside its schema."""
+    where = f"goal of dialog '{dialog_id}'"
+    for dom_name, dgoal in goal.domains.items():
+        if dom_name not in kb.domains:
+            raise EvaluationError(f"{where} references unknown domain '{dom_name}'")
+        for slot in dgoal.constraints:
+            if slot not in kb.domains[dom_name].slot_schema:
+                raise EvaluationError(f"{where} uses slot '{slot}' outside the schema "
+                                      f"of domain '{dom_name}'")
+
+
+def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
+                   kb: KnowledgeBase) -> tuple[bool, bool]:
+    """Whether one dialog informs and succeeds on a goal already checked against the KB.
 
     A goal domain is informed when some turn offers ``[name]`` while its
     matched-entity set intersects the entities satisfying the goal
@@ -231,49 +257,21 @@ def inform_success(results: Mapping[str, Sequence[TurnOutput]],
     dialog succeeds when it is informed and every requestable slot's
     placeholder appears in some response attributed to that domain.
     """
-    informed_dialogs = 0
-    successful_dialogs = 0
-    n = 0
-    for dialog_id, outputs in results.items():
-        goal = goals.get(dialog_id)
-        if goal is None or not goal.domains:
-            continue
-        n += 1
-        informed = True
-        succeeded = True
-        for dom_name, dgoal in goal.domains.items():
-            try:
-                domain = kb.domain(dom_name)
-            except Exception as exc:
-                raise EvaluationError(
-                    f"goal of dialog '{dialog_id}' references unknown domain "
-                    f"'{dom_name}'") from exc
-            for slot in dgoal.constraints:
-                if slot not in domain.slot_schema:
-                    raise EvaluationError(
-                        f"goal of dialog '{dialog_id}' uses slot '{slot}' outside "
-                        f"the schema of domain '{dom_name}'")
-            if dgoal.constraints:
-                satisfying = {e.id for e in domain.entities
-                              if entity_matches(e, dgoal.constraints)}
-                informed_here = any(
-                    "[name]" in out.delexicalized_response
-                    and dom_name in out.query.per_domain
-                    and set(out.query.per_domain[dom_name].entity_ids) & satisfying
-                    for out in outputs)
-            else:
-                informed_here = True
-            informed = informed and informed_here
-            domain_responses = [out.delexicalized_response for out in outputs
-                                if active_domain(out.belief) == dom_name]
-            for requestable in dgoal.requestables:
-                if not any(f"[{requestable}]" in resp for resp in domain_responses):
-                    succeeded = False
-        informed_dialogs += informed
-        successful_dialogs += informed and succeeded
-    if n == 0:
-        return 0.0, 0.0
-    return 100.0 * informed_dialogs / n, 100.0 * successful_dialogs / n
+    informed = succeeded = True
+    for dom_name, dgoal in goal.domains.items():
+        if dgoal.constraints:
+            satisfying = {e.id for e in kb.domains[dom_name].entities
+                          if entity_matches(e, dgoal.constraints)}
+            informed = informed and any(
+                "[name]" in out.delexicalized_response
+                and dom_name in out.query.per_domain
+                and set(out.query.per_domain[dom_name].entity_ids) & satisfying
+                for out in outputs)
+        domain_responses = [out.delexicalized_response for out in outputs
+                            if active_domain(out.belief) == dom_name]
+        succeeded = succeeded and all(any(f"[{slot}]" in resp for resp in domain_responses)
+                                      for slot in dgoal.requestables)
+    return informed, informed and succeeded
 
 
 PredictorFactory = Callable[[Dialog], Predictor]
@@ -332,48 +330,56 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
         generator = make_template_generator()
     if goals is None:
         goals = {d.dialog_id: d.goal for d in corpus.dialogs}
+    seen = set()
     for dialog in corpus.dialogs:
+        if dialog.dialog_id in seen:
+            raise EvaluationError(f"duplicate dialog id '{dialog.dialog_id}'")
+        seen.add(dialog.dialog_id)
         for k, turn in enumerate(dialog.turns):
             if turn.doc_annotation is not None and turn.doc_annotation not in index.entries:
                 raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: annotated "
                                       f"document {turn.doc_annotation} is not in the index")
+        if dialog.dialog_id in goals:
+            _check_goal(dialog.dialog_id, goals[dialog.dialog_id], kb)
 
-    per_dialog = [run_dialog(d, predictor, generator, kb, index) for d in corpus.dialogs]
-    results = {d.dialog_id: outs for d, outs in zip(corpus.dialogs, per_dialog)}
-
-    joint_hits: list[bool] = []
-    hyps: list[list[str]] = []
-    refs: list[list[str]] = []
-    preds: list[ExtendedBeliefState] = []
-    golds: list[ExtendedBeliefState] = []
+    bleu_stats = [0] * 11
+    prf = [0] * 6
+    meteors: list[float] = []
+    rouges: list[float] = []
+    joint_hits = joint_turns = 0
     rankings: list[tuple] = []
     gold_docs: list[tuple] = []
-    for dialog, outputs in zip(corpus.dialogs, per_dialog):
+    judged: list[tuple[bool, bool]] = []
+    for dialog in corpus.dialogs:
+        outputs = run_dialog(dialog, predictor, generator, kb, index)
         for turn, out in zip(dialog.turns, outputs):
             gold = parse_belief_span(turn.gold_belief_span)
-            preds.append(out.belief)
-            golds.append(gold)
+            prf = [a + b for a, b in zip(prf, prf_counts(out.belief, gold), strict=True)]
             if turn.doc_annotation is None:
-                joint_hits.append(joint_goal_match(out.belief, gold))
+                joint_turns += 1
+                joint_hits += joint_goal_match(out.belief, gold)
             else:
-                rankings.append(tuple(doc.key for doc in out.ranking))
+                rankings.append(tuple(doc.key for doc in out.ranking[:MRR_CUTOFF]))
                 gold_docs.append(turn.doc_annotation)
-            hyps.append(out.delexicalized_response.split())
-            reference = turn.delex_response if turn.delex_response is not None \
-                else turn.response
-            refs.append(reference.split())
+            hyp = out.delexicalized_response.split()
+            ref = (turn.response if turn.delex_response is None else turn.delex_response).split()
+            bleu_stats = [a + b for a, b in zip(bleu_stats, _bleu_counts(hyp, ref), strict=True)]
+            meteors.append(meteor_simplified(hyp, ref))
+            rouges.append(rouge_l(hyp, ref))
+        goal = goals.get(dialog.dialog_id)
+        if goal is not None and goal.domains:
+            judged.append(inform_success(outputs, goal, kb))
 
-    joint = 100.0 * sum(joint_hits) / len(joint_hits) if joint_hits else 0.0
-    bleu_score = bleu(hyps, refs)
+    bleu_score = _bleu_score(bleu_stats)
+    joint = 100.0 * joint_hits / joint_turns if joint_turns else 0.0
     # fsum keeps the means exactly invariant under dialog reordering
-    meteor = math.fsum(meteor_simplified(h, r) for h, r in zip(hyps, refs)) / len(hyps)
-    rouge = math.fsum(rouge_l(h, r) for h, r in zip(hyps, refs)) / len(hyps)
-    if rankings:
-        mrr5, r1 = retrieval_metrics(rankings, gold_docs)
-    else:
-        mrr5 = r1 = 0.0
-    prf = extended_prf(preds, golds)
-    inform, success = inform_success(results, goals, kb)
+    meteor = math.fsum(meteors) / len(meteors)
+    rouge = math.fsum(rouges) / len(rouges)
+    mrr5, r1 = retrieval_metrics(rankings, gold_docs) if rankings else (0.0, 0.0)
+    n = len(judged)
+    inform = 100.0 * sum(i for i, _ in judged) / n if n else 0.0
+    success = 100.0 * sum(s for _, s in judged) / n if n else 0.0
+    scores = prf_from_counts(prf)
     return MetricsReport(
         joint_goal=joint,
         inform=inform,
@@ -385,6 +391,6 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
         mrr_at_5=mrr5,
         r_at_1=r1,
         extended_prf=ExtendedPrf(
-            ruk=PrfReport(*(100.0 * x for x in prf["ruk"])),
-            topic=PrfReport(*(100.0 * x for x in prf["topic"]))),
+            ruk=PrfReport(*(100.0 * x for x in scores["ruk"])),
+            topic=PrfReport(*(100.0 * x for x in scores["topic"]))),
     )

@@ -5,6 +5,8 @@ importing the algorithms under test: recursive LCS with memoization, a
 from-scratch topic extraction pass, an exhaustive entity filter, a scan of
 every index entry per entity, a regex-only ontology value finder, and a
 naive n-gram BLEU. Slow is fine; these run on desk-scale inputs only.
+The one exception is ``oracle_evaluate``, which checks the single-pass
+evaluation driver against the list-based metric functions it folds.
 """
 
 from __future__ import annotations
@@ -148,3 +150,75 @@ def oracle_lcs_tokens(a: list, b: list) -> int:
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
     return table[len(a)][len(b)]
+
+
+def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=None):
+    """Three-pass reference for ``evaluate_corpus``.
+
+    Runs every dialog and keeps all outputs, builds corpus-wide lists of
+    predictions, golds, rankings and token lists, scores them with the
+    list-based ``bleu``, ``extended_prf`` and ``retrieval_metrics``, and walks
+    all outputs once more for Inform and Success, written from the definition.
+    """
+    from seknow import belief, metrics
+    from seknow.pipeline import active_domain, make_template_generator
+
+    factory = metrics.PREDICTORS[predictor](kb, index)
+    generator = generator or make_template_generator()
+    if goals is None:
+        goals = {d.dialog_id: d.goal for d in corpus.dialogs}
+    outputs = {d.dialog_id: metrics.run_dialog(d, factory, generator, kb, index)
+               for d in corpus.dialogs}
+    hyps, refs, preds, golds, joint, rankings, gold_docs = [], [], [], [], [], [], []
+    for dialog in corpus.dialogs:
+        for turn, out in zip(dialog.turns, outputs[dialog.dialog_id]):
+            gold = belief.parse_belief_span(turn.gold_belief_span)
+            preds.append(out.belief)
+            golds.append(gold)
+            if turn.doc_annotation is None:
+                joint.append(belief.joint_goal_match(out.belief, gold))
+            else:
+                rankings.append([doc.key for doc in out.ranking])
+                gold_docs.append(turn.doc_annotation)
+            hyps.append(out.delexicalized_response.split())
+            refs.append((turn.response if turn.delex_response is None
+                         else turn.delex_response).split())
+    bleu = metrics.bleu(hyps, refs)
+    pairs = list(zip(hyps, refs))
+    meteor = math.fsum(metrics.meteor_simplified(h, r) for h, r in pairs) / len(pairs)
+    rouge = math.fsum(metrics.rouge_l(h, r) for h, r in pairs) / len(pairs)
+    mrr5, r1 = metrics.retrieval_metrics(rankings, gold_docs) if rankings else (0.0, 0.0)
+    prf = belief.extended_prf(preds, golds)
+
+    informed = succeeded = judged = 0
+    for dialog in corpus.dialogs:
+        goal = goals.get(dialog.dialog_id)
+        if goal is None or not goal.domains:
+            continue
+        outs = outputs[dialog.dialog_id]
+        judged += 1
+        ok_inform = ok_success = True
+        for dom, dgoal in goal.domains.items():
+            if dgoal.constraints:
+                satisfying = set(oracle_filter_entities(kb.domains[dom].entities,
+                                                        dgoal.constraints))
+                offered = [out for out in outs if "[name]" in out.delexicalized_response
+                           and dom in out.query.per_domain]
+                if not any(set(out.query.per_domain[dom].entity_ids) & satisfying
+                           for out in offered):
+                    ok_inform = False
+            for slot in dgoal.requestables:
+                if not any(f"[{slot}]" in out.delexicalized_response for out in outs
+                           if active_domain(out.belief) == dom):
+                    ok_success = False
+        informed += ok_inform
+        succeeded += ok_inform and ok_success
+    inform = 100.0 * informed / judged if judged else 0.0
+    success = 100.0 * succeeded / judged if judged else 0.0
+    return metrics.MetricsReport(
+        joint_goal=100.0 * sum(joint) / len(joint) if joint else 0.0,
+        inform=inform, success=success, bleu=bleu, meteor=meteor, rouge_l=rouge,
+        combined=(inform + success) * 0.5 + bleu, mrr_at_5=mrr5, r_at_1=r1,
+        extended_prf=metrics.ExtendedPrf(
+            ruk=metrics.PrfReport(*(100.0 * x for x in prf["ruk"])),
+            topic=metrics.PrfReport(*(100.0 * x for x in prf["topic"]))))

@@ -133,6 +133,21 @@ def test_eval_workers_byte_identical(tmp_path, capsys):
     assert "Joint Goal" in table and "Combined" in table
 
 
+def test_eval_checks_goals_before_any_turn(tmp_path, capsys):
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    dialogs[0]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
+    corpus, goals = tmp_path / "corpus.jsonl", tmp_path / "goals.json"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    goals.write_text(json.dumps({"dlg0003": {"moon": {"constraints": {}}}}), encoding="utf-8")
+    assert main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus),
+                 "--goals", str(goals)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: evaluation: goal of dialog 'dlg0003' references unknown domain 'moon'"]
+
+
 def _drop_doc_key(key):
     def mutate(dialog):
         next(t for t in dialog["turns"] if "doc" in t)["doc"].pop(key)
@@ -159,6 +174,7 @@ MALFORMED_INPUTS = {
                                "array of string 'requestables'"),
     "goals-entry-not-object": ("goals", lambda d: {d["dialog_id"]: ["hotel"]},
                                "dialog 'dlg0000': goal is not an object"),
+    "duplicate-dialog-id": ("corpus", lambda d: d, "duplicate dialog id 'dlg0000'"),
 }
 
 

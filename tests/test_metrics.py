@@ -1,12 +1,15 @@
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 
-from oracles import oracle_bleu, oracle_lcs_tokens
+from oracles import oracle_bleu, oracle_evaluate, oracle_lcs_tokens
 from seknow import (
     CorpusSpec,
     bleu,
+    build_topic_index,
     combined_score,
     evaluate_corpus,
     generate_synthetic_corpus,
@@ -16,8 +19,10 @@ from seknow import (
     retrieval_metrics,
     rouge_l,
 )
+from seknow.corpus import Dialog, DialogCorpus, DialogTurn, DomainGoal, GoalSpec
 from seknow.errors import ConfigError, EvaluationError, MetricError
-from seknow.metrics import round_half_up
+from seknow.kb import Document, Domain, Entity, KnowledgeBase
+from seknow.metrics import oracle_factory, round_half_up, run_dialog
 from seknow.pipeline import TemplateSet, make_template_generator
 
 from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH
@@ -218,7 +223,6 @@ def test_inform_zero_when_offers_never_satisfy(toy_kb, toy_index):
         toy_kb, toy_index, CorpusSpec(dialogs=3, original_turns=1, inserted_turns=0),
         seed=2)
     # rewrite goals so no offered entity can satisfy them
-    from seknow.corpus import Dialog, DialogCorpus, DomainGoal, GoalSpec
     twisted = DialogCorpus(dialogs=tuple(
         Dialog(d.dialog_id,
                GoalSpec(domains={next(iter(d.goal.domains)): DomainGoal(
@@ -245,10 +249,46 @@ def test_informed_but_missing_requestable(toy_kb, toy_index):
 
 
 def test_inform_unknown_goal_domain_errors(toy_kb, toy_index):
-    from seknow.corpus import DomainGoal, GoalSpec
+    corpus = load_corpus(str(TOY_CORPUS_PATH))
+    goals = {"dlg0000": GoalSpec(domains={"moon": DomainGoal(constraints={"area": "dark"})})}
     with pytest.raises(EvaluationError, match="moon"):
-        inform_success({"d": []}, {"d": GoalSpec(domains={
-            "moon": DomainGoal(constraints={"area": "dark"})})}, toy_kb)
+        evaluate_corpus(corpus, toy_kb, toy_index, goals=goals)
+
+
+@pytest.mark.parametrize("goal, detail", [
+    (GoalSpec(domains={"moon": DomainGoal()}),
+     "goal of dialog 'dlg0005' references unknown domain 'moon'"),
+    (GoalSpec(domains={"hotel": DomainGoal(constraints={"colour": "red"})}),
+     "goal of dialog 'dlg0005' uses slot 'colour' outside the schema of domain 'hotel'"),
+])
+def test_goal_is_checked_before_any_turn(toy_kb, toy_index, goal, detail):
+    corpus = load_corpus(str(TOY_CORPUS_PATH))
+
+    def factory(dialog):
+        raise AssertionError(f"dialog '{dialog.dialog_id}' ran before the goal check")
+    with pytest.raises(EvaluationError, match=re.escape(detail)):
+        evaluate_corpus(corpus, toy_kb, toy_index, predictor=factory,
+                        goals={"dlg0005": goal})
+
+
+def test_inform_success_judges_one_dialog(toy_kb, toy_index):
+    corpus = generate_synthetic_corpus(
+        toy_kb, toy_index, CorpusSpec(dialogs=1, original_turns=2, inserted_turns=0,
+                                      requestables=("phone",)), seed=9)
+    dialog = corpus.dialogs[0]
+    outputs = run_dialog(dialog, oracle_factory, make_template_generator(), toy_kb, toy_index)
+    assert inform_success(outputs, dialog.goal, toy_kb) == (True, False)
+    no_requests = GoalSpec(domains={dom: DomainGoal(constraints=g.constraints)
+                                    for dom, g in dialog.goal.domains.items()})
+    assert inform_success(outputs, no_requests, toy_kb) == (True, True)
+    assert inform_success([], no_requests, toy_kb) == (False, False)
+
+
+def test_evaluate_refuses_duplicate_dialog_id(toy_kb, toy_index):
+    corpus = load_corpus(str(TOY_CORPUS_PATH))
+    doubled = DialogCorpus(dialogs=corpus.dialogs + corpus.dialogs[:1])
+    with pytest.raises(EvaluationError, match="duplicate dialog id 'dlg0000'"):
+        evaluate_corpus(doubled, toy_kb, toy_index)
 
 
 def test_evaluate_oracle_perfect_tracking(toy_kb, toy_index):
@@ -285,9 +325,100 @@ def test_evaluate_rejects_workers_below_one(toy_kb, toy_index):
 
 
 def test_evaluate_dialog_order_invariant(toy_kb, toy_index):
-    from seknow.corpus import DialogCorpus
     corpus = load_corpus(str(TOY_CORPUS_PATH))
     reordered = DialogCorpus(dialogs=tuple(reversed(corpus.dialogs)))
     a = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic")
     b = evaluate_corpus(reordered, toy_kb, toy_index, predictor="heuristic")
     assert a == b
+
+
+def _fold_corpus(toy_kb, toy_index, seed):
+    """A seeded synthetic corpus of random size, with or without knowledge turns."""
+    rng = random.Random(seed)
+    spec = CorpusSpec(dialogs=rng.randint(2, 12), original_turns=rng.randint(1, 3),
+                      inserted_turns=rng.randint(0, 1),
+                      requestables=("phone", "address")[:rng.randint(0, 2)])
+    templates = VERBOSE_TEMPLATES if rng.random() < 0.5 else None
+    return generate_synthetic_corpus(toy_kb, toy_index, spec, seed=seed, templates=templates)
+
+
+FOLD_CASES = [*(f"seed-{seed}" for seed in range(6)), "toy-corpus", "reversed",
+              "no-knowledge-turns", "goals-without-domains"]
+
+
+def _fold_case(case, kb, index):
+    """(corpus, goals) of one fold-versus-reference case; goals None means embedded."""
+    if case.startswith("seed-"):
+        return _fold_corpus(kb, index, int(case[len("seed-"):])), None
+    if case == "toy-corpus":
+        return load_corpus(str(TOY_CORPUS_PATH)), None
+    if case == "reversed":
+        return DialogCorpus(dialogs=tuple(reversed(_fold_corpus(kb, index, 3).dialogs))), None
+    if case == "no-knowledge-turns":
+        return generate_synthetic_corpus(
+            kb, index, CorpusSpec(dialogs=5, original_turns=2, inserted_turns=0), seed=1), None
+    corpus = _fold_corpus(kb, index, 4)
+    return corpus, {d.dialog_id: GoalSpec() for d in corpus.dialogs}
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_evaluate_matches_three_pass_oracle(toy_kb, toy_index, predictor, case):
+    corpus, goals = _fold_case(case, toy_kb, toy_index)
+    generator = make_template_generator(VERBOSE_TEMPLATES)
+    got = evaluate_corpus(corpus, toy_kb, toy_index, predictor=predictor,
+                          generator=generator, goals=goals)
+    assert got == oracle_evaluate(corpus, toy_kb, toy_index, predictor,
+                                  generator=generator, goals=goals)
+    if case == "no-knowledge-turns":
+        assert (got.mrr_at_5, got.r_at_1) == (0.0, 0.0)
+    if case == "goals-without-domains":
+        assert (got.inform, got.success) == (0.0, 0.0)
+
+
+def test_evaluate_ranks_gold_down_to_five():
+    # one entity whose six documents each index one word; the topic "alpha"
+    # ranks them in order, so gold document k sits at rank k
+    words = ("alpha", "alphx", "alpxx", "alxxx", "axxxx", "zzzzz")
+    roma = Entity(id="roma", name="roma", attributes={"name": "roma"}, documents=tuple(
+        Document(f"d{k}", "", word) for k, word in enumerate(words, start=1)))
+    kb = KnowledgeBase(domains={"restaurant": Domain(
+        name="restaurant", slot_schema=frozenset({"name"}), entities=(roma,))})
+    index = build_topic_index(kb, {"restaurant": 0.0})
+    turns = tuple(DialogTurn(user="tell me about roma", response="it is good .",
+                             gold_belief_span="restaurant { ruk = roma } || alpha",
+                             doc_annotation=("restaurant", "roma", f"d{k}"))
+                  for k in range(1, 7))
+    corpus = DialogCorpus(dialogs=(Dialog("d", GoalSpec(), turns),))
+    report = evaluate_corpus(corpus, kb, index, predictor="oracle")
+    assert report == oracle_evaluate(corpus, kb, index, "oracle")
+    assert report.mrr_at_5 == pytest.approx(100.0 * (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5) / 6)
+    assert report.r_at_1 == pytest.approx(100.0 / 6)
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_evaluate_empty_corpus_is_metric_error(toy_kb, toy_index, predictor):
+    empty = DialogCorpus(dialogs=())
+    with pytest.raises(MetricError, match="at least one"):
+        evaluate_corpus(empty, toy_kb, toy_index, predictor=predictor)
+    with pytest.raises(MetricError, match="at least one"):
+        oracle_evaluate(empty, toy_kb, toy_index, predictor)
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_evaluate_heap_stays_per_dialog(toy_kb, toy_index, predictor):
+    corpus = generate_synthetic_corpus(
+        toy_kb, toy_index, CorpusSpec(dialogs=160, original_turns=2, inserted_turns=1),
+        seed=0)
+
+    def traced_peak(n):
+        part = DialogCorpus(dialogs=corpus.dialogs[:n])
+        evaluate_corpus(part, toy_kb, toy_index, predictor=predictor)  # warm-up
+        tracemalloc.start()
+        try:
+            evaluate_corpus(part, toy_kb, toy_index, predictor=predictor)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = traced_peak(20), traced_peak(160)
+    assert large < 4 * small, (small, large)
