@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
 
 from . import corpus as corpus_io
 from . import kb as kb_mod
@@ -98,26 +99,24 @@ def cmd_run(args) -> int:
     corpus = corpus_io.load_corpus(args.corpus)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
     generator = pipeline.make_template_generator(pipeline.load_templates(args.templates))
-    lines = []
-    for dialog in corpus.dialogs:
-        outputs = metrics_mod.run_dialog(dialog, factory, generator, kb, index)
-        for k, out in enumerate(outputs):
-            doc_id = out.document.doc_id if out.document is not None else "-"
-            lines.append("\t".join([
-                f"{dialog.dialog_id}:{k}",
-                serialize_belief(out.belief),
-                out.query_span,
-                doc_id,
-                out.delexicalized_response,
-                out.lexicalized_response,
-            ]))
-    text = "\n".join(lines) + ("\n" if lines else "")
+    turns = 0
+    # each dialog's lines are written as it finishes, so a failure keeps the finished ones
+    with open_output(args.out) if args.out else nullcontext(sys.stdout) as fh:
+        for dialog in corpus.dialogs:
+            outputs = metrics_mod.run_dialog(dialog, factory, generator, kb, index)
+            for k, out in enumerate(outputs):
+                doc_id = out.document.doc_id if out.document is not None else "-"
+                fh.write("\t".join([
+                    f"{dialog.dialog_id}:{k}",
+                    serialize_belief(out.belief),
+                    out.query_span,
+                    doc_id,
+                    out.delexicalized_response,
+                    out.lexicalized_response,
+                ]) + "\n")
+            turns += len(outputs)
     if args.out:
-        with open_output(args.out) as fh:
-            fh.write(text)
-        print(f"wrote {len(lines)} turns -> {args.out}")
-    else:
-        sys.stdout.write(text)
+        print(f"wrote {turns} turns -> {args.out}")
     return 0
 
 

@@ -115,16 +115,24 @@ def map_query_vector(result: QueryResult, active_domain: str) -> QueryVector:
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Longest-common-subsequence length of two strings or token sequences."""
+    """Longest-common-subsequence length of two strings or token sequences.
+
+    Bit-vector LCS (Allison & Dix 1986; Crochemore, Iliopoulos, Pinzon & Reid
+    2001): bit ``i`` of ``masks[x]`` is set where ``a[i] == x``, one pass over
+    ``b`` updates the row vector ``v``, and its cleared bits count the LCS.
+    Python ints are unbounded, so no 64-symbol blocking is needed.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    masks: dict = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = v = (1 << len(a)) - 1
+    for y in b:
+        if y in masks:
+            u = v & masks[y]
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def fuzzy_similarity(a: str, b: str) -> float:
@@ -147,8 +155,9 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     best: Entity | None = None
     best_score = -1.0
     for ent in kb.domain(domain).id_order:
-        score = max(fuzzy_similarity(ruk_value, ent.name),
-                    fuzzy_similarity(ruk_value, ent.id))
+        score = fuzzy_similarity(ruk_value, ent.name)
+        if ent.id != ent.name:
+            score = max(score, fuzzy_similarity(ruk_value, ent.id))
         if score > best_score:
             best, best_score = ent, score
     if best is None or best_score < floor:

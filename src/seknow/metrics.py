@@ -9,9 +9,10 @@ MRR@5 and R@1 over knowledge-seeking turns, and P/R/F1 of the belief state
 extension. Everything is reported on the 0-100 percent scale; the combined
 score is ``(inform + success) * 0.5 + bleu``.
 
-:func:`evaluate_corpus` checks dialog ids, document annotations and goals
-before the first turn, then scores each dialog as it finishes and keeps only
-per-metric counts and scores (per-turn METEOR and ROUGE-L), not turn outputs.
+:func:`evaluate_corpus` checks dialog ids, document annotations, references
+and goals before the first turn, then scores each dialog as it finishes and
+keeps only per-metric counts and scores (per-turn METEOR and ROUGE-L), not
+turn outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
-from .corpus import Dialog, DialogCorpus, GoalSpec
+from .corpus import Dialog, DialogCorpus, DialogTurn, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
 from .knowops import entity_matches, lcs_length
@@ -152,7 +153,7 @@ def _stem(token: str) -> str:
 
 
 def _align(hypothesis: Sequence[str], reference: Sequence[str],
-           key: Callable[[str], str], taken_h: set, taken_r: set) -> list[tuple[int, int]]:
+           taken_h: set, taken_r: set) -> list[tuple[int, int]]:
     pairs = []
     for i, h in enumerate(hypothesis):
         if i in taken_h:
@@ -160,7 +161,7 @@ def _align(hypothesis: Sequence[str], reference: Sequence[str],
         for j, r in enumerate(reference):
             if j in taken_r:
                 continue
-            if key(h) == key(r):
+            if h == r:
                 pairs.append((i, j))
                 taken_h.add(i)
                 taken_r.add(j)
@@ -181,8 +182,12 @@ def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> fl
         return 0.0
     taken_h: set[int] = set()
     taken_r: set[int] = set()
-    pairs = _align(hypothesis, reference, lambda t: t, taken_h, taken_r)
-    pairs += _align(hypothesis, reference, _stem, taken_h, taken_r)
+    pairs = _align(hypothesis, reference, taken_h, taken_r)
+    if len(pairs) < min(len(hypothesis), len(reference)):
+        # stem each token once, and only those the exact pass left unaligned
+        pairs += _align([t if i in taken_h else _stem(t) for i, t in enumerate(hypothesis)],
+                        [t if j in taken_r else _stem(t) for j, t in enumerate(reference)],
+                        taken_h, taken_r)
     m = len(pairs)
     if m == 0:
         return 0.0
@@ -274,6 +279,11 @@ def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
     return informed, informed and succeeded
 
 
+def _reference(turn: DialogTurn) -> list[str]:
+    """Tokens of the turn's reference: its delexicalized response when it has one."""
+    return (turn.response if turn.delex_response is None else turn.delex_response).split()
+
+
 PredictorFactory = Callable[[Dialog], Predictor]
 
 
@@ -339,6 +349,9 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
             if turn.doc_annotation is not None and turn.doc_annotation not in index.entries:
                 raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: annotated "
                                       f"document {turn.doc_annotation} is not in the index")
+            if not _reference(turn):
+                raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: "
+                                      "empty reference response")
         if dialog.dialog_id in goals:
             _check_goal(dialog.dialog_id, goals[dialog.dialog_id], kb)
 
@@ -362,7 +375,7 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                 rankings.append(tuple(doc.key for doc in out.ranking[:MRR_CUTOFF]))
                 gold_docs.append(turn.doc_annotation)
             hyp = out.delexicalized_response.split()
-            ref = (turn.response if turn.delex_response is None else turn.delex_response).split()
+            ref = _reference(turn)
             bleu_stats = [a + b for a, b in zip(bleu_stats, _bleu_counts(hyp, ref), strict=True)]
             meteors.append(meteor_simplified(hyp, ref))
             rouges.append(rouge_l(hyp, ref))

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from the definitions, without
 importing the algorithms under test: recursive LCS with memoization, a
-from-scratch topic extraction pass, an exhaustive entity filter, a scan of
-every index entry per entity, a regex-only ontology value finder, and a
-naive n-gram BLEU. Slow is fine; these run on desk-scale inputs only.
-The one exception is ``oracle_evaluate``, which checks the single-pass
-evaluation driver against the list-based metric functions it folds.
+full-matrix LCS, an exhaustive fuzzy entity match, a from-scratch topic
+extraction pass, an exhaustive entity filter, a scan of every index entry
+per entity, a regex-only ontology value finder, a naive n-gram BLEU and a
+two-pass greedy METEOR alignment. Slow is fine; these run on desk-scale
+inputs only. The one exception is ``oracle_evaluate``, which checks the
+single-pass evaluation driver against the list-based metric functions it
+folds.
 """
 
 from __future__ import annotations
@@ -140,8 +142,41 @@ def oracle_bleu(hypotheses: list, references: list) -> float:
     return 100.0 * brevity * geo_mean
 
 
-def oracle_lcs_tokens(a: list, b: list) -> int:
-    """Token-level LCS length by full matrix."""
+def oracle_meteor(hypothesis: list, reference: list) -> float:
+    """Simplified METEOR x100 from the definition (alpha 0.9, beta 3, gamma 0.5).
+
+    Greedy left-to-right unigram alignment, first on exact tokens, then on
+    suffix-stripped stems of every pair still unaligned; chunks are maximal
+    runs contiguous in both sentences.
+    """
+    def stem(token):
+        for suffix in ("ingly", "edly", "ing", "ed", "es", "ly", "s"):
+            if token.endswith(suffix) and len(token) - len(suffix) >= 3:
+                return token[: -len(suffix)]
+        return token
+
+    pairs = []
+    for key in (lambda t: t, stem):
+        for i, h in enumerate(hypothesis):
+            if any(i == a for a, _ in pairs):
+                continue
+            for j, r in enumerate(reference):
+                if all(j != b for _, b in pairs) and key(h) == key(r):
+                    pairs.append((i, j))
+                    break
+    if not pairs:
+        return 0.0
+    m = len(pairs)
+    p, r = m / len(hypothesis), m / len(reference)
+    f_mean = p * r / (0.9 * p + (1 - 0.9) * r)
+    pairs.sort()
+    chunks = 1 + sum(1 for (h0, r0), (h1, r1) in zip(pairs, pairs[1:])
+                     if (h1, r1) != (h0 + 1, r0 + 1))
+    return 100.0 * f_mean * (1.0 - 0.5 * (chunks / m) ** 3.0)
+
+
+def oracle_lcs_length(a, b) -> int:
+    """LCS length of two strings or token lists by the full dynamic-programming matrix."""
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(1, len(a) + 1):
         for j in range(1, len(b) + 1):
@@ -150,6 +185,23 @@ def oracle_lcs_tokens(a: list, b: list) -> int:
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
     return table[len(a)][len(b)]
+
+
+def oracle_match_entity(entities: list, ruk_value: str, floor: float,
+                        fields: tuple = ("name", "id")) -> str | None:
+    """Id of the entity whose best ``fields`` score against ``ruk_value`` is highest.
+
+    Every field of every entity is scored with :func:`lcs_ratio_oracle`; ties
+    go to the lowest id, and a best score below ``floor`` gives None.
+    """
+    scored = [(max(lcs_ratio_oracle(ruk_value, getattr(ent, f)) for f in fields), ent.id)
+              for ent in entities]
+    if not scored:
+        return None
+    best = max(score for score, _ in scored)
+    if best < floor:
+        return None
+    return min(ent_id for score, ent_id in scored if score == best)
 
 
 def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=None):

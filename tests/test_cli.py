@@ -86,6 +86,27 @@ def test_run_writes_turn_lines(tmp_path, capsys):
     assert "-" in doc_column and "h1" in doc_column
 
 
+def test_run_keeps_finished_dialogs_after_a_failure(tmp_path, capsys):
+    argv = ["run", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+            "--index", str(GOLDEN_INDEX_PATH)]
+    full = tmp_path / "full.tsv"
+    assert main([*argv, "--corpus", str(TOY_CORPUS_PATH), "--out", str(full)]) == 0
+    assert capsys.readouterr().out == f"wrote 18 turns -> {full}\n"
+    assert main([*argv, "--corpus", str(TOY_CORPUS_PATH)]) == 0
+    assert capsys.readouterr().out == full.read_text("utf-8")
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    dialogs[2]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "partial.tsv"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    assert main([*argv, "--corpus", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: evaluation: dialog 'dlg0002': ")
+    finished = [line for line in full.read_text("utf-8").splitlines(keepends=True)
+                if line.startswith(("dlg0000:", "dlg0001:"))]
+    assert len(finished) == 6
+    assert out.read_text("utf-8") == "".join(finished)
+
+
 def test_corrupt_deterministic_bytes(tmp_path):
     # seeds 10 and 12 avoid drawing a value corruption on the taxi turns,
     # whose only type value has no corpus alternative (that error path is
@@ -146,6 +167,21 @@ def test_eval_checks_goals_before_any_turn(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: evaluation: goal of dialog 'dlg0003' references unknown domain 'moon'"]
+
+
+def test_eval_checks_references_before_any_turn(tmp_path, capsys):
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    dialogs[0]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
+    dialogs[2]["turns"][1]["response"] = ""
+    del dialogs[2]["turns"][1]["delex"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    assert main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: evaluation: dialog 'dlg0002': turn 1: empty reference response"]
 
 
 def _drop_doc_key(key):

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from oracles import lcs_ratio_oracle, oracle_filter_entities
+from oracles import (
+    lcs_ratio_oracle,
+    oracle_filter_entities,
+    oracle_lcs_length,
+    oracle_match_entity,
+)
 from seknow import (
     Document,
     Domain,
@@ -20,7 +25,7 @@ from seknow import (
     structured_query,
 )
 from seknow.errors import DomainNotFoundError, QueryError
-from seknow.knowops import QueryResult, DomainMatches
+from seknow.knowops import MATCH_FLOOR, QueryResult, DomainMatches, lcs_length
 from seknow.topics import TopicIndex, TopicWord
 
 from conftest import GOLDEN_INDEX_PATH
@@ -126,6 +131,26 @@ def test_map_query_vector_one_hot_property():
         assert sum(map_query_vector(result, "d").as_vector()[:5]) == 1
 
 
+def test_lcs_length_matches_dp_reference():
+    # lengths 0-200 cross the 64-bit word edge; small alphabets repeat symbols
+    rng = random.Random(2001)
+    alphabets = ["a", "ab", "acgt ", "aé日 ", "abcdefghijklmnopqrstuvwxyz "]
+    vocab = ["the", "a", "café", "日本", "house", "guest"]
+    for case in range(240):
+        n, m = rng.randint(0, 200), rng.randint(0, 200)
+        if case % 3 == 2:
+            symbols = vocab[:rng.randint(1, len(vocab))]
+            a = [rng.choice(symbols) for _ in range(n)]
+            b = [rng.choice(symbols) for _ in range(m)]
+        else:
+            symbols = rng.choice(alphabets)
+            a = "".join(rng.choice(symbols) for _ in range(n))
+            b = "".join(rng.choice(symbols) for _ in range(m))
+        expected = oracle_lcs_length(a, b)
+        assert lcs_length(a, b) == expected, (a, b)
+        assert lcs_length(b, a) == expected, (b, a)
+
+
 def test_fuzzy_identity():
     assert fuzzy_similarity("pizza hut", "pizza hut") == 1.0
 
@@ -200,6 +225,32 @@ def test_match_entity_stability_under_irrelevant_alternative():
             entities=domain.entities + (
                 Entity(id="zzz unrelated", name="zzz unrelated", attributes={}),))})
         assert match_entity(bigger, "restaurant", query, floor=0.0).id == winner.id
+
+
+def test_match_entity_equals_bruteforce_with_distinct_ids():
+    rng = random.Random(1986)
+    words = ["acorn", "guest", "house", "pizza", "hut", "city", "lodge", "garden"]
+    decided_by_id = 0
+    for _ in range(150):
+        entities, ids = [], set()
+        for k in range(rng.randint(1, 6)):
+            name = " ".join(rng.sample(words, rng.randint(1, 3)))
+            if name in ids or rng.random() < 0.6:
+                ent_id = f"{rng.choice(words)}{k}"
+            else:
+                ent_id = name
+            ids.add(ent_id)
+            entities.append(Entity(id=ent_id, name=name, attributes={}))
+        source = rng.choice([rng.choice(entities).name, rng.choice(entities).id])
+        query = "".join(c for c in source if rng.random() < 0.8)
+        floor = rng.choice([0.0, MATCH_FLOOR, 0.9])
+        kb = KnowledgeBase(domains={"hotel": Domain(
+            name="hotel", slot_schema=frozenset({"name"}), entities=tuple(entities))})
+        got = match_entity(kb, "hotel", query, floor=floor)
+        expected = oracle_match_entity(entities, query, floor)
+        assert (got.id if got else None) == expected, (query, entities)
+        decided_by_id += expected != oracle_match_entity(entities, query, floor, ("name",))
+    assert decided_by_id >= 10  # ids that outscore their names do change the winner
 
 
 def test_retrieve_document_ranks_exact_topic_first(toy_kb, toy_index):

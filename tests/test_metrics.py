@@ -2,10 +2,11 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from oracles import oracle_bleu, oracle_evaluate, oracle_lcs_tokens
+from oracles import oracle_bleu, oracle_evaluate, oracle_lcs_length, oracle_meteor
 from seknow import (
     CorpusSpec,
     bleu,
@@ -109,7 +110,7 @@ def test_rouge_uses_token_lcs():
     for _ in range(100):
         hyp = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-        lcs = oracle_lcs_tokens(hyp, ref)
+        lcs = oracle_lcs_length(hyp, ref)
         got = rouge_l(hyp, ref)
         if lcs == 0:
             assert got == 0.0
@@ -146,6 +147,16 @@ def test_meteor_stem_match():
     assert got > 0.0
     exact_only = meteor_simplified("nice options".split(), "nice xxxx".split())
     assert got > exact_only
+
+
+def test_meteor_matches_reference_alignment():
+    rng = random.Random(1984)
+    vocab = ["option", "options", "book", "booked", "booking", "bookings", "cheap",
+             "cheaply", "nice", "the", "is"]
+    for _ in range(400):
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
 
 
 def test_retrieval_metrics_all_rank_one():
@@ -269,6 +280,22 @@ def test_goal_is_checked_before_any_turn(toy_kb, toy_index, goal, detail):
     with pytest.raises(EvaluationError, match=re.escape(detail)):
         evaluate_corpus(corpus, toy_kb, toy_index, predictor=factory,
                         goals={"dlg0005": goal})
+
+
+@pytest.mark.parametrize("response, delex", [("", None), (" \t ", None), ("hi", "  ")],
+                         ids=["empty", "whitespace", "empty-delex"])
+def test_empty_reference_is_refused_before_any_turn(toy_kb, toy_index, response, delex):
+    dialogs = list(load_corpus(str(TOY_CORPUS_PATH)).dialogs)
+    turns = list(dialogs[2].turns)
+    turns[1] = replace(turns[1], response=response, delex_response=delex)
+    dialogs[2] = replace(dialogs[2], turns=tuple(turns))
+
+    def factory(dialog):
+        raise AssertionError(f"dialog '{dialog.dialog_id}' ran before the reference check")
+    with pytest.raises(EvaluationError,
+                       match=re.escape("dialog 'dlg0002': turn 1: empty reference response")):
+        evaluate_corpus(DialogCorpus(dialogs=tuple(dialogs)), toy_kb, toy_index,
+                        predictor=factory)
 
 
 def test_inform_success_judges_one_dialog(toy_kb, toy_index):
