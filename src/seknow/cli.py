@@ -98,7 +98,9 @@ def cmd_run(args) -> int:
     kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
-    generator = pipeline.make_template_generator(pipeline.load_templates(args.templates))
+    templates = pipeline.load_templates(args.templates)
+    pipeline.check_templates(templates, kb, args.templates)
+    generator = pipeline.make_template_generator(templates)
     turns = 0
     # each dialog's lines are written as it finishes, so a failure keeps the finished ones
     with open_output(args.out) if args.out else nullcontext(sys.stdout) as fh:
@@ -162,7 +164,9 @@ def cmd_eval(args) -> int:
     kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     goals = corpus_io.load_goals(args.goals) if args.goals else None
-    generator = pipeline.make_template_generator(pipeline.load_templates(args.templates))
+    templates = pipeline.load_templates(args.templates)
+    pipeline.check_templates(templates, kb, args.templates)
+    generator = pipeline.make_template_generator(templates)
     report = metrics_mod.evaluate_corpus(
         corpus, kb, index,
         predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)

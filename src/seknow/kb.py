@@ -17,11 +17,14 @@ File formats (committed toy example under ``data/toy/``):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import DomainNotFoundError, FusionError, LoadError
 from .text import normalize, open_input, open_output
+
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,33 @@ class Domain:
     def entity(self, entity_id: str) -> Entity | None:
         return self._by_id.get(entity_id)
 
+    @cached_property
+    def _postings(self) -> dict[tuple[str, str], int]:
+        """(slot, value) -> bitmask of the ``id_order`` positions carrying that value."""
+        masks: dict[tuple[str, str], int] = {}
+        for pos, ent in enumerate(self.id_order):
+            for pair in ent.attributes.items():
+                masks[pair] = masks.get(pair, 0) | 1 << pos
+        return masks
+
+    def matching(self, constraints: dict[str, str]) -> list[Entity]:
+        """Entities equal to every constraint, in ``id_order``; a missing attribute fails."""
+        mask = (1 << len(self.id_order)) - 1
+        for pair in constraints.items():
+            mask &= self._postings.get(pair, 0)
+        matched = []
+        while mask:
+            low = mask & -mask
+            matched.append(self.id_order[low.bit_length() - 1])
+            mask ^= low
+        return matched
+
+    @cached_property
+    def match_keys(self) -> tuple[tuple[str, Entity], ...]:
+        """(key, entity) in ``id_order``: each normalized name, then the id where it differs."""
+        return tuple((key, ent) for ent in self.id_order
+                     for key in dict.fromkeys((normalize(ent.name), normalize(ent.id))))
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:
@@ -71,6 +101,31 @@ class KnowledgeBase:
 
     def entity(self, domain: str, entity_id: str) -> Entity | None:
         return self.domain(domain).entity(entity_id)
+
+    @cached_property
+    def _ontology(self) -> tuple[list, dict[str, list[int]]]:
+        """Attribute values longest-first (ties by value) with their (domain, slot) pairs,
+        and their positions keyed by the first ``\\w+`` run ("" for a non-word start)."""
+        by_value: dict[str, set[tuple[str, str]]] = {}
+        for name, domain in self.domains.items():
+            for ent in domain.entities:
+                for slot, value in ent.attributes.items():
+                    by_value.setdefault(value, set()).add((name, slot))
+        values = [(value, tuple(sorted(by_value[value])))
+                  for value in sorted(by_value, key=lambda v: (-len(v), v))]
+        index: dict[str, list[int]] = {}
+        for pos, (value, _) in enumerate(values):
+            word = _WORD_RE.match(value)
+            index.setdefault(word.group() if word else "", []).append(pos)
+        return values, index
+
+    def ontology_candidates(self, text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
+        """Longest-first values that may occur as whole words of ``text``: those whose
+        first word run is a word of ``text`` (a ``\\b``-bounded match starts such a
+        word) and those starting with a non-word character."""
+        values, index = self._ontology
+        words = {"", *_WORD_RE.findall(text)}
+        return [values[pos] for pos in sorted(p for w in words for p in index.get(w, ()))]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ entity's documents; otherwise the retrieved document is none.
 Fuzzy similarity is the character-level longest-common-subsequence ratio
 ``2 * LCS(a, b) / (len(a) + len(b))`` after lowercasing and whitespace
 collapsing, giving scores in [0, 1] with 1 exactly on equal strings.
+
+Both steps read lookups each :class:`~seknow.kb.Domain` builds on first use:
+the query ANDs per-(slot, value) postings, bitmasks over the id order; the
+entity match reads pre-normalized names and ids and skips a key whose length
+bound ``2 * min(len) / (len + len)`` cannot beat the best score so far.
 """
 
 from __future__ import annotations
@@ -66,11 +71,6 @@ class QueryVector:
         return tuple(int(self.bucket == b) for b in _BUCKETS) + (int(self.booking),)
 
 
-def entity_matches(entity: Entity, constraints: dict[str, str]) -> bool:
-    """Exact attribute equality on every constraint; missing attribute fails."""
-    return all(entity.attributes.get(slot) == value for slot, value in constraints.items())
-
-
 def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResult:
     """Match every constrained domain's entities against the belief state.
 
@@ -85,7 +85,7 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResu
         for slot in constraints:
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
-        matched = [e for e in domain.id_order if entity_matches(e, constraints)]
+        matched = domain.matching(constraints)
         ids = tuple(e.id for e in matched)
         bookable = tuple(e.id for e in matched if e.bookable)
         booking = booking or bool(bookable)
@@ -135,14 +135,15 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     return len(a) - v.bit_count()
 
 
+def _ratio(common: int, total: int) -> float:
+    """``2 * common / total``; two empty strings (total 0) are equal and score 1."""
+    return 2.0 * common / total if total else 1.0
+
+
 def fuzzy_similarity(a: str, b: str) -> float:
     """LCS ratio of the normalized strings; empty vs nonempty scores 0."""
     a, b = normalize(a), normalize(b)
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return 2.0 * lcs_length(a, b) / (len(a) + len(b))
+    return _ratio(lcs_length(a, b), len(a) + len(b))
 
 
 def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
@@ -150,14 +151,18 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     """Best fuzzy match of ``ruk_value`` against entity names and ids.
 
     Only the single best-matched entity is selected; ties break by ascending
-    id, and a best score below ``floor`` returns None.
+    id, and a best score below ``floor`` returns None. A key is skipped when
+    its length bound ``2 * min / (len + len)``, which no LCS ratio exceeds,
+    cannot beat the best score so far; after an exact hit every key is.
     """
+    query = normalize(ruk_value)
     best: Entity | None = None
     best_score = -1.0
-    for ent in kb.domain(domain).id_order:
-        score = fuzzy_similarity(ruk_value, ent.name)
-        if ent.id != ent.name:
-            score = max(score, fuzzy_similarity(ruk_value, ent.id))
+    for key, ent in kb.domain(domain).match_keys:
+        total = len(query) + len(key)
+        if _ratio(min(len(query), len(key)), total) <= best_score:
+            continue
+        score = _ratio(lcs_length(query, key), total)
         if score > best_score:
             best, best_score = ent, score
     if best is None or best_score < floor:

@@ -27,7 +27,7 @@ from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_co
 from .corpus import Dialog, DialogCorpus, DialogTurn, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
-from .knowops import entity_matches, lcs_length
+from .knowops import lcs_length
 from .pipeline import (
     Generator,
     Predictor,
@@ -265,8 +265,7 @@ def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
     informed = succeeded = True
     for dom_name, dgoal in goal.domains.items():
         if dgoal.constraints:
-            satisfying = {e.id for e in kb.domains[dom_name].entities
-                          if entity_matches(e, dgoal.constraints)}
+            satisfying = {e.id for e in kb.domains[dom_name].matching(dgoal.constraints)}
             informed = informed and any(
                 "[name]" in out.delexicalized_response
                 and dom_name in out.query.per_domain

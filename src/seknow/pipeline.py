@@ -111,6 +111,18 @@ def load_templates(path: str | None = None) -> TemplateSet:
     return TemplateSet(entries=entries)
 
 
+def check_templates(templates: TemplateSet, kb: KnowledgeBase, path: str | None):
+    """Refuse templates lacking a row some turn over ``kb`` may need: general/nomatch,
+    each domain's offer and nomatch, and doc where the domain has documents."""
+    needed = [("general", "nomatch")]
+    for name, domain in kb.domains.items():
+        needed += [(name, "offer"), (name, "nomatch")]
+        needed += [(name, "doc")] if any(ent.documents for ent in domain.entities) else []
+    for domain, condition in needed:
+        if (domain, condition) not in templates.entries:
+            raise LoadError(f"no '{condition}' template for domain '{domain}'", file=path)
+
+
 def template_generate(belief: ExtendedBeliefState, query: QueryResult,
                       document: RetrievedDocument | None,
                       templates: TemplateSet) -> str:
@@ -224,18 +236,19 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     Constraints: every ontology value appearing verbatim (whole words) in the
     latest user utterance is added for each (domain, slot) that carries it,
     longest match first so short values cannot claim text inside longer ones.
+    Only values whose first word run is a word of the utterance, or that start
+    with a non-word character, are tested: the KB's first-word index
+    (:meth:`~seknow.kb.KnowledgeBase.ontology_candidates`) finds them.
     Extension: the single best-matching entity of the current structured
     query is checked for documents whose index topics share a token with the
     utterance; the first overlap sets the ruk triple and the shared topic
     words.
     """
-    ontology = build_ontology_values(kb)
-
     def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
         utterance = normalize(context.latest_user())
         claimed: list[tuple[int, int]] = []
         new_triples = list(prev.triples)
-        for value, pairs in ontology:
+        for value, pairs in kb.ontology_candidates(utterance):
             span = _find_unclaimed(utterance, value, claimed)
             if span is None:
                 continue
@@ -253,17 +266,6 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
         return make_state(base, shared)
 
     return predict
-
-
-def build_ontology_values(kb: KnowledgeBase) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
-    """Attribute values sorted longest-first with their (domain, slot) pairs."""
-    by_value: dict[str, set[tuple[str, str]]] = {}
-    for name, domain in kb.domains.items():
-        for ent in domain.entities:
-            for slot, value in ent.attributes.items():
-                by_value.setdefault(value, set()).add((name, slot))
-    return [(value, tuple(sorted(by_value[value])))
-            for value in sorted(by_value, key=lambda v: (-len(v), v))]
 
 
 def _find_unclaimed(utterance: str, value: str,

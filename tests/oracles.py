@@ -4,11 +4,12 @@ Everything here is deliberately written from the definitions, without
 importing the algorithms under test: recursive LCS with memoization, a
 full-matrix LCS, an exhaustive fuzzy entity match, a from-scratch topic
 extraction pass, an exhaustive entity filter, a scan of every index entry
-per entity, a regex-only ontology value finder, a naive n-gram BLEU and a
-two-pass greedy METEOR alignment. Slow is fine; these run on desk-scale
-inputs only. The one exception is ``oracle_evaluate``, which checks the
-single-pass evaluation driver against the list-based metric functions it
-folds.
+per entity, a regex-only ontology value finder and the full ontology scan
+built on it, Inform and Success from their definition, a naive n-gram BLEU
+and a two-pass greedy METEOR alignment. Slow is fine; these run on
+desk-scale inputs only. The one exception is ``oracle_evaluate``, which
+checks the single-pass evaluation driver against the list-based metric
+functions it folds.
 """
 
 from __future__ import annotations
@@ -120,6 +121,27 @@ def oracle_find_unclaimed(utterance: str, value: str, claimed: list) -> tuple | 
     return None
 
 
+def oracle_heuristic_constraints(kb, utterance: str) -> list:
+    """(domain, slot, value) triples the heuristic predictor adds for ``utterance``.
+
+    The full scan: every attribute value of the KB, longest first (ties by
+    value), is tried with :func:`oracle_find_unclaimed`; a match claims its
+    span and adds the value for every (domain, slot) carrying it, sorted.
+    """
+    pairs = {}
+    for dom_name, domain in kb.domains.items():
+        for ent in domain.entities:
+            for slot, value in ent.attributes.items():
+                pairs.setdefault(value, set()).add((dom_name, slot))
+    claimed, triples = [], []
+    for value in sorted(pairs, key=lambda v: (-len(v), v)):
+        span = oracle_find_unclaimed(utterance, value, claimed)
+        if span is not None:
+            claimed.append(span)
+            triples += [(dom, slot, value) for dom, slot in sorted(pairs[value])]
+    return triples
+
+
 def oracle_bleu(hypotheses: list, references: list) -> float:
     """Naive corpus BLEU-4: explicit n-gram enumeration, no smoothing."""
     hyp_len = sum(len(h) for h in hypotheses)
@@ -204,6 +226,27 @@ def oracle_match_entity(entities: list, ruk_value: str, floor: float,
     return min(ent_id for score, ent_id in scored if score == best)
 
 
+def oracle_inform_success(outs: list, goal, kb) -> tuple:
+    """(informed, succeeded) of one dialog's outputs, written from the definition."""
+    from seknow.pipeline import active_domain
+
+    ok_inform = ok_success = True
+    for dom, dgoal in goal.domains.items():
+        if dgoal.constraints:
+            satisfying = set(oracle_filter_entities(kb.domains[dom].entities,
+                                                    dgoal.constraints))
+            offered = [out for out in outs if "[name]" in out.delexicalized_response
+                       and dom in out.query.per_domain]
+            if not any(set(out.query.per_domain[dom].entity_ids) & satisfying
+                       for out in offered):
+                ok_inform = False
+        for slot in dgoal.requestables:
+            if not any(f"[{slot}]" in out.delexicalized_response for out in outs
+                       if active_domain(out.belief) == dom):
+                ok_success = False
+    return ok_inform, ok_inform and ok_success
+
+
 def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=None):
     """Three-pass reference for ``evaluate_corpus``.
 
@@ -213,7 +256,7 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
     all outputs once more for Inform and Success, written from the definition.
     """
     from seknow import belief, metrics
-    from seknow.pipeline import active_domain, make_template_generator
+    from seknow.pipeline import make_template_generator
 
     factory = metrics.PREDICTORS[predictor](kb, index)
     generator = generator or make_template_generator()
@@ -247,24 +290,10 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
         goal = goals.get(dialog.dialog_id)
         if goal is None or not goal.domains:
             continue
-        outs = outputs[dialog.dialog_id]
         judged += 1
-        ok_inform = ok_success = True
-        for dom, dgoal in goal.domains.items():
-            if dgoal.constraints:
-                satisfying = set(oracle_filter_entities(kb.domains[dom].entities,
-                                                        dgoal.constraints))
-                offered = [out for out in outs if "[name]" in out.delexicalized_response
-                           and dom in out.query.per_domain]
-                if not any(set(out.query.per_domain[dom].entity_ids) & satisfying
-                           for out in offered):
-                    ok_inform = False
-            for slot in dgoal.requestables:
-                if not any(f"[{slot}]" in out.delexicalized_response for out in outs
-                           if active_domain(out.belief) == dom):
-                    ok_success = False
+        ok_inform, ok_success = oracle_inform_success(outputs[dialog.dialog_id], goal, kb)
         informed += ok_inform
-        succeeded += ok_inform and ok_success
+        succeeded += ok_success
     inform = 100.0 * informed / judged if judged else 0.0
     success = 100.0 * succeeded / judged if judged else 0.0
     return metrics.MetricsReport(

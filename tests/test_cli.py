@@ -399,3 +399,22 @@ def test_eval_refuses_annotation_outside_index(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: evaluation: dialog 'dlg0003': turn ")
     assert "annotated document ('restaurant', 'pizza hut', 'd99') is not in the index" in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_templates_missing_a_needed_row_are_refused_before_any_turn(
+        tmp_path, capsys, eval_files, command):
+    templates = eval_files["templates"]
+    rows = templates.read_text("utf-8").splitlines(keepends=True)
+    templates.write_text("".join(r for r in rows if not r.startswith("hotel\tdoc\t")),
+                         encoding="utf-8")
+    out = tmp_path / "out"
+    argv = eval_argv(eval_files) if command == "eval" else [
+        "run", "--kb", str(eval_files["db"]), "--docs", str(eval_files["docs"]),
+        "--index", str(eval_files["index"]), "--corpus", str(eval_files["corpus"]),
+        "--templates", str(templates)]
+    assert main([*argv, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"error: load: {templates}: no 'doc' template for domain 'hotel'"]
+    assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     lcs_ratio_oracle,
     oracle_filter_entities,
+    oracle_inform_success,
     oracle_lcs_length,
     oracle_match_entity,
 )
@@ -15,6 +16,7 @@ from seknow import (
     KnowledgeBase,
     format_query_span,
     fuzzy_similarity,
+    inform_success,
     knowledge_operation,
     make_state,
     map_query_vector,
@@ -24,8 +26,10 @@ from seknow import (
     retrieve_document,
     structured_query,
 )
+from seknow.corpus import DomainGoal, GoalSpec
 from seknow.errors import DomainNotFoundError, QueryError
 from seknow.knowops import MATCH_FLOOR, QueryResult, DomainMatches, lcs_length
+from seknow.pipeline import TurnOutput
 from seknow.topics import TopicIndex, TopicWord
 
 from conftest import GOLDEN_INDEX_PATH
@@ -76,6 +80,83 @@ def test_structured_query_equals_bruteforce():
         expected = oracle_filter_entities(kb.domains["restaurant"].entities,
                                           {slot: value})
         assert list(got) == expected
+
+
+POSTING_SLOTS = ["food", "area", "pricerange"]
+POSTING_VALUES = {"food": ["italian", "chinese", "any"], "area": ["north", "south", "any"],
+                  "pricerange": ["cheap", "moderate", "expensive"]}
+
+
+def rand_postings_kb(rng: random.Random) -> KnowledgeBase:
+    """Two domains of 0-150 entities: ids repeat, slots go missing, "stars" is never set."""
+    domains = {}
+    for dom in ("restaurant", "hotel"):
+        entities = []
+        for _ in range(rng.randint(0, 150)):
+            ent_id = f"e{rng.randrange(120):03d}"
+            attrs = {s: rng.choice(POSTING_VALUES[s]) for s in POSTING_SLOTS
+                     if rng.random() < 0.85}
+            entities.append(Entity(id=ent_id, name=ent_id, attributes=attrs,
+                                   bookable=rng.random() < 0.5))
+        domains[dom] = Domain(name=dom, slot_schema=frozenset(POSTING_SLOTS + ["stars"]),
+                              entities=tuple(entities))
+    return KnowledgeBase(domains=domains)
+
+
+def rand_constraints(rng: random.Random) -> dict[str, str]:
+    """1-3 constraints; "thai" and the "stars" slot are carried by no entity."""
+    slots = rng.sample(POSTING_SLOTS + ["stars"], rng.randint(1, 3))
+    return {s: rng.choice(POSTING_VALUES.get(s, ["5"]) + ["thai"] * (rng.random() < 0.1))
+            for s in slots}
+
+
+def test_structured_query_postings_equal_bruteforce():
+    # 0-150 entities cross the 64-bit edge; ids repeat and slots go missing
+    rng = random.Random(2006)
+    hits = past_word = 0
+    for _ in range(200):
+        kb = rand_postings_kb(rng)
+        goals = {dom: rand_constraints(rng) for dom in kb.domains}
+        state = make_state([(d, s, v) for d, c in goals.items() for s, v in c.items()])
+        result = structured_query(kb, state)
+        for dom, constraints in goals.items():
+            entities = kb.domains[dom].entities
+            expected = oracle_filter_entities(entities, constraints)
+            got = result.per_domain[dom]
+            assert list(got.entity_ids) == expected, (dom, constraints)
+            assert got.count == len(expected)
+            assert list(got.bookable_ids) == oracle_filter_entities(
+                [e for e in entities if e.bookable], constraints)
+            hits += bool(expected)
+            past_word += len(entities) > 64 and bool(expected) and \
+                expected[-1] > kb.domains[dom].id_order[63].id
+        assert result.booking_available == any(m.bookable_ids for m in result.per_domain.values())
+    assert hits > 80 and past_word > 20
+
+
+def test_inform_success_equals_oracle_on_postings_kbs():
+    rng = random.Random(2007)
+    responses = ["[name] is a nice choice .", "call [phone] .", "sorry , no match found ."]
+    informed = 0
+    for _ in range(200):
+        kb = rand_postings_kb(rng)
+        outputs = []
+        for _ in range(rng.randint(0, 4)):
+            dom = rng.choice(sorted(kb.domains))
+            belief = make_state([(dom, s, v) for s, v in rand_constraints(rng).items()
+                                 if s != "stars"] or [(dom, "area", "north")])
+            query = structured_query(kb, belief)
+            outputs.append(TurnOutput(belief=belief, query=query, query_span="",
+                                      document=None, delexicalized_response=rng.choice(responses),
+                                      lexicalized_response=""))
+        goal = GoalSpec(domains={dom: DomainGoal(
+            constraints=rand_constraints(rng) if rng.random() < 0.8 else {},
+            requestables=("phone",) if rng.random() < 0.5 else ())
+            for dom in rng.sample(sorted(kb.domains), rng.randint(1, 2))})
+        expected = oracle_inform_success(outputs, goal, kb)
+        assert inform_success(outputs, goal, kb) == expected
+        informed += expected[0]
+    assert 20 < informed < 180
 
 
 def test_structured_query_unknown_slot(toy_kb):
@@ -251,6 +332,34 @@ def test_match_entity_equals_bruteforce_with_distinct_ids():
         assert (got.id if got else None) == expected, (query, entities)
         decided_by_id += expected != oracle_match_entity(entities, query, floor, ("name",))
     assert decided_by_id >= 10  # ids that outscore their names do change the winner
+
+
+def test_match_entity_equals_bruteforce_on_unnormalized_keys():
+    # names and ids as built in code, not loaded: mixed case and repeated spaces
+    rng = random.Random(1977)
+    words = ["Acorn", "GUEST", "house", "Pizza", "hut", "city", "a", ""]
+    queries = ["", "   ", "acorn guest", "ACORN  GUEST   HOUSE", " pizza  hut ", "x"]
+    exact = 0
+    for _ in range(300):
+        entities = []
+        for k in range(rng.randint(0, 8)):
+            name = rng.choice(["  ", " "]).join(rng.sample(words, rng.randint(1, 3)))
+            ent_id = rng.choice([name, name.upper(), f" {name}  {k} ", f"id{k}"])
+            entities.append(Entity(id=ent_id, name=name, attributes={}))
+        if entities and rng.random() < 0.7:
+            source = rng.choice([rng.choice(entities).name, rng.choice(entities).id])
+            query = "".join(c.upper() if rng.random() < 0.3 else c for c in source
+                            if rng.random() < 0.9) + rng.choice(["", " ", "  "])
+        else:
+            query = rng.choice(queries)
+        kb = KnowledgeBase(domains={"hotel": Domain(
+            name="hotel", slot_schema=frozenset({"name"}), entities=tuple(entities))})
+        for floor in (0.0, MATCH_FLOOR, 1.0):
+            got = match_entity(kb, "hotel", query, floor=floor)
+            expected = oracle_match_entity(entities, query, floor)
+            assert (got.id if got else None) == expected, (query, floor, entities)
+            exact += floor == 1.0 and expected is not None
+    assert exact > 20
 
 
 def test_retrieve_document_ranks_exact_topic_first(toy_kb, toy_index):

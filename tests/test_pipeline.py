@@ -3,9 +3,12 @@ import random
 
 import pytest
 
-from oracles import oracle_find_unclaimed
+from oracles import oracle_find_unclaimed, oracle_heuristic_constraints
 from seknow import (
     CorruptionSample,
+    Domain,
+    Entity,
+    KnowledgeBase,
     Session,
     corrupt_samples,
     lexicalize,
@@ -21,6 +24,7 @@ from seknow import (
 )
 from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
 from seknow.pipeline import TemplateSet, _find_unclaimed, load_templates
+from seknow.topics import TopicIndex
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +221,41 @@ ONTOLOGY = {
     ("restaurant", "food"): ("chinese", "italian"),
     ("restaurant", "area"): ("center", "north", "south"),
 }
+
+
+# values opening with a non-word character, inner punctuation, digits, non-ASCII
+# letters, "_" (a word character) and values that are prefixes of other values
+ONTOLOGY_VALUES = ["-free", "(north)", "£10", "b&b", "st. john's", "st", "star", "5 star",
+                   "5", "19:45", "café", "cafe", "caf", "a.m.", "x_ray", "north",
+                   "north-east", "guest house", "guest", "日本", "c++"]
+ONTOLOGY_FILLER = ["the", "in", "stars", "cafés", "CAFÉ", "st.", "johns", "x", "10", "ray"]
+
+
+def test_heuristic_first_word_index_equals_full_scan():
+    rng = random.Random(1989)
+    slots = ["name", "area", "type", "food"]
+    entities = {"hotel": [], "restaurant": []}
+    for k, value in enumerate(ONTOLOGY_VALUES):
+        for dom in rng.sample(sorted(entities), rng.randint(1, 2)):
+            entities[dom].append(Entity(id=f"e{k}", name=f"e{k}",
+                                        attributes={rng.choice(slots): value}))
+    kb = KnowledgeBase(domains={dom: Domain(name=dom, slot_schema=frozenset(slots),
+                                            entities=tuple(ents))
+                                for dom, ents in entities.items()})
+    predictor = make_heuristic_predictor(kb, TopicIndex(entries={}, thresholds={}))
+    found = non_word_start = 0
+    for _ in range(1500):
+        pieces = [rng.choice(ONTOLOGY_VALUES * 2 + ONTOLOGY_FILLER)
+                  for _ in range(rng.randint(0, 7))]
+        utterance = "".join(p + rng.choice([" ", " ", "", "-", ".", ",", "'", "("])
+                            for p in pieces)
+        session = Session()
+        session.utterances.append(("user", utterance))
+        expected = oracle_heuristic_constraints(kb, " ".join(utterance.lower().split()))
+        assert predictor(session.context(), make_state([])) == make_state(expected), utterance
+        found += bool(expected)
+        non_word_start += any(v[:1] in ("-", "(", "£") for _, _, v in expected)
+    assert found > 1000 and non_word_start > 20
 
 
 def make_samples(n):
