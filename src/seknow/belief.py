@@ -88,22 +88,19 @@ def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
     requires a ruk triple.
     """
     latest: dict[tuple[str, str], str] = {}
-    domain_order: list[str] = []
     for item in triples:
         domain, slot, value = (item.domain, item.slot, item.value) \
             if isinstance(item, DsvTriple) else item
         domain, slot, value = normalize(domain), normalize(slot), normalize(value)
         if not (domain and slot and value):
             raise ValueError("belief triples need nonempty domain, slot and value")
-        if domain not in domain_order:
-            domain_order.append(domain)
         latest[(domain, slot)] = value
-    ordered = []
-    for domain in domain_order:
-        slots = sorted((s for d, s in latest if d == domain),
-                       key=lambda s: (s == RUK_SLOT, s))
-        ordered.extend(DsvTriple(domain, s, latest[(domain, s)]) for s in slots)
-    topic_tokens = tuple(normalize(t) for t in topic if normalize(t))
+    slots_of: dict[str, list[str]] = {}  # domains in first-mention order
+    for domain, slot in latest:
+        slots_of.setdefault(domain, []).append(slot)
+    ordered = [DsvTriple(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
+               for s in sorted(slots, key=lambda s: (s == RUK_SLOT, s))]
+    topic_tokens = tuple(filter(None, map(normalize, topic)))
     state = ExtendedBeliefState(triples=tuple(ordered), topic=topic_tokens)
     if state.topic and not state.has_ruk():
         raise ValueError("a topic requires a ruk triple")
@@ -135,36 +132,12 @@ def _grouped(state: ExtendedBeliefState) -> list[tuple[str, list[tuple[str, str]
     return groups
 
 
-class _Tokens:
-    """Whitespace tokens of a span with their byte offsets."""
-
-    def __init__(self, text: str):
-        self.items = [(m.group(0), len(text[:m.start()].encode("utf-8")))
-                      for m in re.finditer(r"\S+", text)]
-        self.pos = 0
-        self.end_offset = len(text.encode("utf-8"))
-
-    def peek(self) -> str | None:
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
-
-    def offset(self) -> int:
-        return self.items[self.pos][1] if self.pos < len(self.items) else self.end_offset
-
-    def take(self) -> str:
-        token = self.items[self.pos][0]
-        self.pos += 1
-        return token
-
-
-def _take_words(toks: _Tokens, stop: set[str], what: str) -> str:
-    words = []
-    while toks.peek() is not None and toks.peek() not in _RESERVED:
-        words.append(toks.take())
-    if not words:
-        found = toks.peek()
-        raise ParseError(f"empty {what}" if found in stop or found is None
-                         else f"expected {what}, found '{found}'", toks.offset())
-    return " ".join(words)
+def _offset(text: str, k: int) -> int:
+    """Byte offset of the ``k``-th whitespace token of ``text``, or of its end."""
+    for j, match in enumerate(re.finditer(r"\S+", text)):
+        if j == k:
+            return len(text[:match.start()].encode("utf-8"))
+    return len(text.encode("utf-8"))
 
 
 def parse_belief_span(text: str) -> ExtendedBeliefState:
@@ -172,43 +145,59 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
 
     Tolerates repeated whitespace. Raises :class:`ParseError` with a byte
     offset on malformed input (unbalanced braces, missing ``=``, empty
-    values, stray tokens outside a ``||`` topic segment).
+    values, stray tokens outside a ``||`` topic segment, text that is not
+    valid UTF-8). One pass over the whitespace tokens; the offset is only
+    computed for the error.
     """
-    toks = _Tokens(text)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError("span is not valid UTF-8",
+                         len(text[:exc.start].encode("utf-8"))) from None
+    toks = [*text.split(), None]  # None marks the end
+    i = 0
+
+    def words(stop: set[str], what: str) -> str:
+        nonlocal i
+        start = i
+        while toks[i] is not None and toks[i] not in _RESERVED:
+            i += 1
+        if i == start:
+            found = toks[i]
+            raise ParseError(f"empty {what}" if found in stop or found is None
+                             else f"expected {what}, found '{found}'", _offset(text, i))
+        return " ".join(toks[start:i])
+
     triples: list[tuple[str, str, str]] = []
-    topic: list[str] = []
-    while toks.peek() is not None and toks.peek() != TOPIC_SEPARATOR:
-        domain = _take_words(toks, {"{"}, "domain name")
-        if toks.peek() != "{":
-            raise ParseError(f"expected '{{' after domain '{domain}'", toks.offset())
-        toks.take()
-        while toks.peek() != "}":
-            if toks.peek() is None:
-                raise ParseError("unbalanced braces: missing '}'", toks.offset())
-            slot = _take_words(toks, {"="}, "slot name")
-            if toks.peek() != "=":
-                raise ParseError(f"missing '=' after slot '{slot}'", toks.offset())
-            toks.take()
-            value = _take_words(toks, {",", "}"}, "value")
-            triples.append((domain, slot, value))
-            if toks.peek() == ",":
-                toks.take()
-                if toks.peek() == "}":
-                    raise ParseError("trailing ',' before '}'", toks.offset())
-        toks.take()
-    if toks.peek() == TOPIC_SEPARATOR:
-        toks.take()
-        if toks.peek() is None:
-            raise ParseError("empty topic segment", toks.offset())
-        while toks.peek() is not None:
-            token = toks.take()
+    while toks[i] is not None and toks[i] != TOPIC_SEPARATOR:
+        domain = words({"{"}, "domain name")
+        if toks[i] != "{":
+            raise ParseError(f"expected '{{' after domain '{domain}'", _offset(text, i))
+        i += 1
+        while toks[i] != "}":
+            if toks[i] is None:
+                raise ParseError("unbalanced braces: missing '}'", _offset(text, i))
+            slot = words({"="}, "slot name")
+            if toks[i] != "=":
+                raise ParseError(f"missing '=' after slot '{slot}'", _offset(text, i))
+            i += 1
+            triples.append((domain, slot, words({",", "}"}, "value")))
+            if toks[i] == ",":
+                i += 1
+                if toks[i] == "}":
+                    raise ParseError("trailing ',' before '}'", _offset(text, i))
+        i += 1
+    topic = toks[i + 1:-1]
+    if toks[i] == TOPIC_SEPARATOR:
+        if not topic:
+            raise ParseError("empty topic segment", _offset(text, i + 1))
+        for k, token in enumerate(topic, start=i + 2):
             if token in _RESERVED:
-                raise ParseError(f"reserved token '{token}' in topic", toks.offset())
-            topic.append(token)
+                raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
     try:
         return make_state(triples, topic)
     except ValueError as exc:
-        raise ParseError(str(exc), toks.end_offset) from exc
+        raise ParseError(str(exc), len(text.encode("utf-8"))) from exc
 
 
 def extend_gold_label(original: ExtendedBeliefState,

@@ -187,13 +187,20 @@ def _parse_db(path: str) -> dict[str, Domain]:
                 isinstance(s, str) and isinstance(v, str) for s, v in attrs.items()),
                 f"domain '{name}': entity '{ent['id']}' attributes must map strings to strings",
                 path)
+            attributes = {}
+            for slot, value in attrs.items():
+                key, value = normalize(slot), normalize(value)
+                if not (key and value):
+                    raise LoadError(f"domain '{name}': entity '{ent['id']}' attribute "
+                                    f"'{slot}' is empty", file=path)
+                attributes[key] = value
             bookable = ent.get("bookable", False)
             expect(isinstance(bookable, bool),
                    f"domain '{name}': entity '{ent['id']}' 'bookable' must be a boolean", path)
             entities.append(Entity(
                 id=normalize(ent["id"]),
                 name=normalize(ent["name"]),
-                attributes={normalize(s): normalize(v) for s, v in attrs.items()},
+                attributes=attributes,
                 bookable=bookable,
             ))
         domains[name] = Domain(name=name, slot_schema=schema, entities=tuple(entities))

@@ -8,7 +8,9 @@ entity's documents; otherwise the retrieved document is none.
 
 Fuzzy similarity is the character-level longest-common-subsequence ratio
 ``2 * LCS(a, b) / (len(a) + len(b))`` after lowercasing and whitespace
-collapsing, giving scores in [0, 1] with 1 exactly on equal strings.
+collapsing, giving scores in [0, 1] with 1 exactly on equal strings. The
+entity match and the document ranking score one query against many keys, so
+each builds the query's LCS bit masks once per call.
 
 Both steps read lookups each :class:`~seknow.kb.Domain` builds on first use:
 the query ANDs per-(slot, value) postings, bitmasks over the id order; the
@@ -114,25 +116,33 @@ def map_query_vector(result: QueryResult, active_domain: str) -> QueryVector:
     return QueryVector(bucket=bucket, booking=booking)
 
 
-def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Longest-common-subsequence length of two strings or token sequences.
-
-    Bit-vector LCS (Allison & Dix 1986; Crochemore, Iliopoulos, Pinzon & Reid
-    2001): bit ``i`` of ``masks[x]`` is set where ``a[i] == x``, one pass over
-    ``b`` updates the row vector ``v``, and its cleared bits count the LCS.
-    Python ints are unbounded, so no 64-symbol blocking is needed.
-    """
-    if not a or not b:
-        return 0
+def _lcs_masks(a: Sequence) -> dict:
+    """Bit ``i`` of ``masks[x]`` is set where ``a[i] == x``."""
     masks: dict = {}
     for i, x in enumerate(a):
         masks[x] = masks.get(x, 0) | 1 << i
-    full = v = (1 << len(a)) - 1
+    return masks
+
+
+def _lcs_scan(masks: dict, n: int, b: Sequence) -> int:
+    """LCS length of ``b`` and the length-``n`` sequence whose :func:`_lcs_masks` is ``masks``."""
+    full = v = (1 << n) - 1
     for y in b:
         if y in masks:
             u = v & masks[y]
             v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return n - v.bit_count()
+
+
+def lcs_length(a: Sequence, b: Sequence) -> int:
+    """Longest-common-subsequence length of two strings or token sequences.
+
+    Bit-vector LCS (Allison & Dix 1986; Crochemore, Iliopoulos, Pinzon & Reid
+    2001): one pass over ``b`` updates the row vector ``v`` from the
+    per-symbol masks of ``a``, and its cleared bits count the LCS. Python
+    ints are unbounded, so no 64-symbol blocking is needed.
+    """
+    return _lcs_scan(_lcs_masks(a), len(a), b)
 
 
 def _ratio(common: int, total: int) -> float:
@@ -156,13 +166,14 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     cannot beat the best score so far; after an exact hit every key is.
     """
     query = normalize(ruk_value)
+    n, masks = len(query), _lcs_masks(query)
     best: Entity | None = None
     best_score = -1.0
     for key, ent in kb.domain(domain).match_keys:
-        total = len(query) + len(key)
-        if _ratio(min(len(query), len(key)), total) <= best_score:
+        total = n + len(key)
+        if _ratio(min(n, len(key)), total) <= best_score:
             continue
-        score = _ratio(lcs_length(query, key), total)
+        score = _ratio(_lcs_scan(masks, n, key), total)
         if score > best_score:
             best, best_score = ent, score
     if best is None or best_score < floor:
@@ -183,14 +194,16 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     """
     if not topic:
         raise QueryError("document retrieval needs a nonempty topic")
-    query = " ".join(topic)
+    query = normalize(" ".join(topic))
+    n, masks = len(query), _lcs_masks(query)
     bodies = {doc.doc_id: doc.body for doc in entity.documents}
     scored = []
     for doc_id, doc_topics in index.docs_for_entity(domain, entity.id):
         if bodies and doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")
-        score = fuzzy_similarity(query, " ".join(doc_topics))
+        key = normalize(" ".join(doc_topics))
+        score = _ratio(_lcs_scan(masks, n, key), n + len(key))
         scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
                                         doc_id=doc_id, body=bodies.get(doc_id, ""),
                                         score=score))

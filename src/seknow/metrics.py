@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
 from .corpus import Dialog, DialogCorpus, DialogTurn, GoalSpec
@@ -88,19 +89,16 @@ def _round_floats(obj):
     return obj
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[int]:
     """One pair's BLEU statistics: pairs (1), clipped and total 1..4-gram
     counts, hypothesis and reference lengths. Corpus BLEU pools their sums."""
-    clipped, totals = [], []
-    for n in range(1, 5):
-        counts = _ngrams(hypothesis, n)
-        refcounts = _ngrams(reference, n)
-        totals.append(sum(counts.values()))
-        clipped.append(sum(min(c, refcounts[g]) for g, c in counts.items()))
+    hyp, ref = (Counter(chain.from_iterable(zip(*(tokens[i:] for i in range(n)))
+                                            for n in range(1, 5)))
+                for tokens in (hypothesis, reference))
+    clipped = [0] * 4
+    for gram, count in (hyp & ref).items():
+        clipped[len(gram) - 1] += count
+    totals = [max(len(hypothesis) - n + 1, 0) for n in range(1, 5)]
     return [1, *clipped, *totals, len(hypothesis), len(reference)]
 
 
@@ -152,20 +150,19 @@ def _stem(token: str) -> str:
     return token
 
 
-def _align(hypothesis: Sequence[str], reference: Sequence[str],
-           taken_h: set, taken_r: set) -> list[tuple[int, int]]:
+def _align(hypothesis: Sequence[str], reference: Sequence[str], taken_h: Collection[int] = (),
+           taken_r: Collection[int] = ()) -> list[tuple[int, int]]:
+    """Pair each untaken hypothesis token, left to right, with the leftmost
+    untaken equal reference token; one stack of free positions per token."""
+    free: dict[str, list[int]] = {}
+    for j in range(len(reference) - 1, -1, -1):
+        if j not in taken_r:
+            free.setdefault(reference[j], []).append(j)
     pairs = []
     for i, h in enumerate(hypothesis):
-        if i in taken_h:
-            continue
-        for j, r in enumerate(reference):
-            if j in taken_r:
-                continue
-            if h == r:
-                pairs.append((i, j))
-                taken_h.add(i)
-                taken_r.add(j)
-                break
+        stack = free.get(h)
+        if stack and i not in taken_h:
+            pairs.append((i, stack.pop()))
     return pairs
 
 
@@ -180,11 +177,10 @@ def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> fl
         raise MetricError("METEOR needs a nonempty reference")
     if not hypothesis:
         return 0.0
-    taken_h: set[int] = set()
-    taken_r: set[int] = set()
-    pairs = _align(hypothesis, reference, taken_h, taken_r)
+    pairs = _align(hypothesis, reference)
     if len(pairs) < min(len(hypothesis), len(reference)):
         # stem each token once, and only those the exact pass left unaligned
+        taken_h, taken_r = {i for i, _ in pairs}, {j for _, j in pairs}
         pairs += _align([t if i in taken_h else _stem(t) for i, t in enumerate(hypothesis)],
                         [t if j in taken_r else _stem(t) for j, t in enumerate(reference)],
                         taken_h, taken_r)

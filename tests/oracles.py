@@ -6,10 +6,11 @@ full-matrix LCS, an exhaustive fuzzy entity match, a from-scratch topic
 extraction pass, an exhaustive entity filter, a scan of every index entry
 per entity, a regex-only ontology value finder and the full ontology scan
 built on it, Inform and Success from their definition, a naive n-gram BLEU
-and a two-pass greedy METEOR alignment. Slow is fine; these run on
-desk-scale inputs only. The one exception is ``oracle_evaluate``, which
-checks the single-pass evaluation driver against the list-based metric
-functions it folds.
+and its per-pair counts from slices, a two-pass greedy METEOR alignment,
+and the token-cursor belief-span parser with eager byte offsets. Slow is
+fine; these run on desk-scale inputs only. The one exception is
+``oracle_evaluate``, which checks the single-pass evaluation driver against
+the list-based metric functions it folds.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import re
 import sys
 from functools import lru_cache
 from pathlib import Path
+
+from seknow.belief import make_state
+from seknow.errors import ParseError
 
 STOPWORDS_PATH = Path(__file__).resolve().parent.parent / "src" / "seknow" / "data" / "stopwords.txt"
 
@@ -164,6 +168,18 @@ def oracle_bleu(hypotheses: list, references: list) -> float:
     return 100.0 * brevity * geo_mean
 
 
+def oracle_bleu_counts(hypothesis: list, reference: list) -> list:
+    """One pair's [1, clipped 1..4-gram counts, totals, hyp length, ref length] from slices."""
+    clipped, totals = [], []
+    for n in range(1, 5):
+        hyp_ngrams = [tuple(hypothesis[i:i + n]) for i in range(len(hypothesis) - n + 1)]
+        ref_ngrams = [tuple(reference[i:i + n]) for i in range(len(reference) - n + 1)]
+        totals.append(len(hyp_ngrams))
+        clipped.append(sum(min(hyp_ngrams.count(gram), ref_ngrams.count(gram))
+                           for gram in set(hyp_ngrams)))
+    return [1, *clipped, *totals, len(hypothesis), len(reference)]
+
+
 def oracle_meteor(hypothesis: list, reference: list) -> float:
     """Simplified METEOR x100 from the definition (alpha 0.9, beta 3, gamma 0.5).
 
@@ -303,3 +319,78 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
         extended_prf=metrics.ExtendedPrf(
             ruk=metrics.PrfReport(*(100.0 * x for x in prf["ruk"])),
             topic=metrics.PrfReport(*(100.0 * x for x in prf["topic"]))))
+
+
+_RESERVED = {"{", "}", ",", "=", "||"}
+TOPIC_SEPARATOR = "||"
+
+
+class _Tokens:
+    """Whitespace tokens of a span with their byte offsets."""
+
+    def __init__(self, text: str):
+        self.items = [(m.group(0), len(text[:m.start()].encode("utf-8")))
+                      for m in re.finditer(r"\S+", text)]
+        self.pos = 0
+        self.end_offset = len(text.encode("utf-8"))
+
+    def peek(self) -> str | None:
+        return self.items[self.pos][0] if self.pos < len(self.items) else None
+
+    def offset(self) -> int:
+        return self.items[self.pos][1] if self.pos < len(self.items) else self.end_offset
+
+    def take(self) -> str:
+        token = self.items[self.pos][0]
+        self.pos += 1
+        return token
+
+
+def _take_words(toks: _Tokens, stop: set[str], what: str) -> str:
+    words = []
+    while toks.peek() is not None and toks.peek() not in _RESERVED:
+        words.append(toks.take())
+    if not words:
+        found = toks.peek()
+        raise ParseError(f"empty {what}" if found in stop or found is None
+                         else f"expected {what}, found '{found}'", toks.offset())
+    return " ".join(words)
+
+
+def oracle_parse_belief_span(text: str):
+    """Belief-span parser over a token cursor that records every token's byte offset."""
+    toks = _Tokens(text)
+    triples: list[tuple[str, str, str]] = []
+    topic: list[str] = []
+    while toks.peek() is not None and toks.peek() != TOPIC_SEPARATOR:
+        domain = _take_words(toks, {"{"}, "domain name")
+        if toks.peek() != "{":
+            raise ParseError(f"expected '{{' after domain '{domain}'", toks.offset())
+        toks.take()
+        while toks.peek() != "}":
+            if toks.peek() is None:
+                raise ParseError("unbalanced braces: missing '}'", toks.offset())
+            slot = _take_words(toks, {"="}, "slot name")
+            if toks.peek() != "=":
+                raise ParseError(f"missing '=' after slot '{slot}'", toks.offset())
+            toks.take()
+            value = _take_words(toks, {",", "}"}, "value")
+            triples.append((domain, slot, value))
+            if toks.peek() == ",":
+                toks.take()
+                if toks.peek() == "}":
+                    raise ParseError("trailing ',' before '}'", toks.offset())
+        toks.take()
+    if toks.peek() == TOPIC_SEPARATOR:
+        toks.take()
+        if toks.peek() is None:
+            raise ParseError("empty topic segment", toks.offset())
+        while toks.peek() is not None:
+            token = toks.take()
+            if token in _RESERVED:
+                raise ParseError(f"reserved token '{token}' in topic", toks.offset())
+            topic.append(token)
+    try:
+        return make_state(triples, topic)
+    except ValueError as exc:
+        raise ParseError(str(exc), toks.end_offset) from exc

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from genstates import random_state
+from oracles import oracle_parse_belief_span
 from seknow import (
     DialogContext,
     DsvTriple,
@@ -104,6 +105,65 @@ def test_parse_topic_requires_ruk():
 def test_parse_empty_topic_segment():
     with pytest.raises(ParseError, match="empty topic"):
         parse_belief_span("restaurant { ruk = pizza hut } ||")
+
+
+def test_parse_refuses_text_that_is_not_utf8():
+    text = "restaurant { area = \udcff }"
+    with pytest.raises(ParseError, match="not valid UTF-8") as err:
+        parse_belief_span(text)
+    assert err.value.offset == text.index("\udcff")
+
+
+PARSE_WORDS = ["restaurant", "hotel", "food", "area", "ruk", "pizza", "hut", "Área", "日本",
+               "İ", "x{", "a=b", "||x"]
+PARSE_TOKENS = PARSE_WORDS + ["{", "}", ",", "=", "||"]
+PARSE_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\u00a0"]
+
+
+def _random_span(rng: random.Random) -> str:
+    """A mostly well-formed span, mutated by 0-2 token edits and joined by mixed whitespace."""
+    def words():
+        return rng.choices(PARSE_WORDS, k=rng.randint(1, 2))
+
+    toks = []
+    for _ in range(rng.randint(0, 3)):
+        toks += [*words(), "{"]
+        for k in range(rng.randint(1, 3)):
+            toks += ([","] if k else []) + words() + ["="] + words()
+        toks.append("}")
+    if rng.random() < 0.4:
+        toks += ["||", *rng.choices(PARSE_WORDS, k=rng.randint(0, 3))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(toks) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            toks.insert(at, rng.choice(PARSE_TOKENS))
+        elif at < len(toks):
+            toks[at:at + 1] = [] if edit == 1 else [rng.choice(PARSE_TOKENS)]
+    gaps = [rng.choice(PARSE_SPACES) for _ in range(len(toks) + 1)]
+    gaps[0], gaps[-1] = rng.choice(("", *PARSE_SPACES)), rng.choice(("", *PARSE_SPACES))
+    return "".join(gap + tok for gap, tok in zip(gaps, toks)) + gaps[-1]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def test_parse_matches_reference_parser():
+    rng = random.Random(909)
+    accepted = refused = 0
+    for _ in range(20_000):
+        text = _random_span(rng)
+        got = _outcome(parse_belief_span, text)
+        assert got == _outcome(oracle_parse_belief_span, text), text
+        if isinstance(got, tuple):
+            refused += 1
+        else:
+            accepted += 1
+    assert accepted >= 1_000 and refused >= 1_000, (accepted, refused)
 
 
 def test_roundtrip_random_states():

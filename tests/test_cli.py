@@ -41,6 +41,19 @@ def test_query_parse_error_line(capsys):
     assert err.startswith("error: parse: ")
 
 
+@pytest.mark.parametrize("command", ["query", "retrieve"])
+def test_belief_that_is_not_utf8_is_a_parse_error(capsys, command):
+    # an undecodable argv byte (b"\xff") reaches Python as the lone surrogate "\udcff"
+    argv = [command, "--kb", str(DB_PATH), "--belief", "restaurant { area = \udcff }"]
+    if command == "retrieve":
+        argv += ["--index", str(GOLDEN_INDEX_PATH)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: parse: span is not valid UTF-8 (byte offset 20)"]
+
+
 def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--kb", str(DB_PATH)])
@@ -182,6 +195,18 @@ def test_eval_checks_references_before_any_turn(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: evaluation: dialog 'dlg0002': turn 1: empty reference response"]
+
+
+def test_eval_refuses_empty_attribute_before_any_turn(capsys, eval_files):
+    db = json.loads(eval_files["db"].read_text("utf-8"))
+    db["restaurant"]["entities"][0]["attributes"]["area"] = ""
+    eval_files["db"].write_text(json.dumps(db), encoding="utf-8")
+    assert main(eval_argv(eval_files)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: load: {eval_files['db']}: domain 'restaurant': "
+        "entity 'pizza hut' attribute 'area' is empty"]
 
 
 def _drop_doc_key(key):

@@ -92,6 +92,17 @@ def test_load_error_names_dialog_and_turn(tmp_path):
         load_corpus(str(path))
 
 
+def test_load_refuses_span_that_is_not_utf8(tmp_path):
+    bad = {"dialog_id": "dlgZ", "goal": {}, "turns": [
+        {"user": "x", "response": "y", "belief_span": "restaurant { area = \ud800 }"}]}
+    path = tmp_path / "broken.jsonl"
+    path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(str(path))
+    assert str(err.value) == (f"{path}:1: dialog 'dlgZ' turn 0: "
+                              "span is not valid UTF-8 (byte offset 20)")
+
+
 def test_load_error_annotation_without_ruk(tmp_path):
     bad = {"dialog_id": "dlgY", "goal": {}, "turns": [
         {"user": "x", "response": "y", "belief_span": "restaurant { food = italian }",

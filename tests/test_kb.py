@@ -89,6 +89,17 @@ def test_schema_violation_names_file(tmp_path):
     assert "db.json" in str(err.value)
 
 
+@pytest.mark.parametrize("attributes, slot", [
+    ({"food": ""}, "food"), ({"food": " \t "}, "food"), ({"  ": "italian"}, "  ")])
+def test_empty_attribute_is_refused_at_load(tmp_path, attributes, slot):
+    db = write_json(tmp_path / "db.json", {"restaurant": {"slots": ["food"], "entities": [
+        {"id": "Pizza Hut", "name": "pizza hut", "attributes": attributes}]}})
+    with pytest.raises(LoadError) as err:
+        load_knowledge_base(db)
+    assert str(err.value) == \
+        f"{db}: domain 'restaurant': entity 'Pizza Hut' attribute '{slot}' is empty"
+
+
 def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "db.json"
     path.write_text('{\n  "hotel": {\n', encoding="utf-8")

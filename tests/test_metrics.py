@@ -6,7 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import oracle_bleu, oracle_evaluate, oracle_lcs_length, oracle_meteor
+from oracles import (
+    oracle_bleu,
+    oracle_bleu_counts,
+    oracle_evaluate,
+    oracle_lcs_length,
+    oracle_meteor,
+)
 from seknow import (
     CorpusSpec,
     bleu,
@@ -23,7 +29,7 @@ from seknow import (
 from seknow.corpus import Dialog, DialogCorpus, DialogTurn, DomainGoal, GoalSpec
 from seknow.errors import ConfigError, EvaluationError, MetricError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase
-from seknow.metrics import oracle_factory, round_half_up, run_dialog
+from seknow.metrics import _bleu_counts, oracle_factory, round_half_up, run_dialog
 from seknow.pipeline import TemplateSet, make_template_generator
 
 from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH
@@ -83,6 +89,18 @@ def test_bleu_brevity_penalty_matches_oracle():
     refs = toks("a b c d e f g")
     assert bleu(hyps, refs) == pytest.approx(oracle_bleu(hyps, refs))
     assert bleu(hyps, refs) < 100.0 * (1.0) ** 0.25  # penalized
+
+
+def test_bleu_counts_equal_reference_counts():
+    rng = random.Random(2002)
+    clipped_pairs = 0
+    for _ in range(3000):
+        hyp = rng.choices("abc", k=rng.randint(0, 5))
+        ref = rng.choices("abc", k=rng.randint(0, 5))
+        expected = oracle_bleu_counts(hyp, ref)
+        assert _bleu_counts(hyp, ref) == expected, (hyp, ref)
+        clipped_pairs += expected[1] < sum(tok in ref for tok in hyp)
+    assert clipped_pairs > 500
 
 
 def test_bleu_empty_corpus_errors():
@@ -157,6 +175,20 @@ def test_meteor_matches_reference_alignment():
         hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
         assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
+
+
+def test_meteor_leftmost_free_alignment_matches_reference():
+    # three words and their stemmable forms: repeats leave several free
+    # reference positions for a token, and the leftmost one must be taken
+    rng = random.Random(2005)
+    vocab = ["book", "room", "stay", "books", "booked", "rooms", "staying", "stays"]
+    repeated = 0
+    for _ in range(2000):
+        hyp = rng.choices(vocab, k=rng.randint(0, 8))
+        ref = rng.choices(vocab, k=rng.randint(1, 8))
+        assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
+        repeated += any(hyp.count(t) and ref.count(t) > 1 for t in vocab)
+    assert repeated > 500
 
 
 def test_retrieval_metrics_all_rank_one():
