@@ -272,7 +272,6 @@ class DialogContext:
     """Alternating (speaker, text) turns ending with a user utterance."""
 
     utterances: tuple[tuple[str, str], ...]
-    window: int | None = None
 
     def __post_init__(self):
         if not self.utterances or self.utterances[-1][0] != "user":
@@ -280,10 +279,3 @@ class DialogContext:
 
     def latest_user(self) -> str:
         return self.utterances[-1][1]
-
-    def windowed(self) -> tuple[tuple[str, str], ...]:
-        """The last ``window`` exchanges plus the current user utterance."""
-        if self.window is None:
-            return self.utterances
-        keep = 2 * self.window + 1
-        return self.utterances[-keep:]

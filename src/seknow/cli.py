@@ -20,7 +20,7 @@ from . import kb as kb_mod
 from . import metrics as metrics_mod
 from . import pipeline, topics
 from .belief import parse_belief_span, serialize_belief
-from .errors import ConfigError, SeknowError
+from .errors import ConfigError, LoadError, SeknowError
 from .knowops import (
     format_query_span,
     match_entity,
@@ -47,12 +47,15 @@ log = logging.getLogger("seknow")
 
 
 def _load_kb(args) -> kb_mod.KnowledgeBase:
+    """Load and fuse ``--kb`` and ``--docs``; the first validation violation is a load error."""
     kb = kb_mod.load_knowledge_base(args.kb, getattr(args, "docs", None))
     report = kb_mod.validate_knowledge_base(kb)
+    if report.violations:
+        first = report.violations[0]
+        raise LoadError(f"{first.kind}: {first.detail}",
+                        file=args.docs if first.kind in kb_mod.DOC_VIOLATIONS else args.kb)
     log.info("loaded %d entities, %d documents from %s",
              report.entity_count, report.document_count, args.kb)
-    for violation in report.violations:
-        log.warning("knowledge base: %s: %s", violation.kind, violation.detail)
     return kb
 
 
@@ -61,6 +64,15 @@ def _load_kb_and_index(args) -> tuple[kb_mod.KnowledgeBase, topics.TopicIndex]:
     index = topics.read_index(args.index)
     topics.check_index(index, kb, args.index)
     return kb, index
+
+
+def _load_generator(args, kb: kb_mod.KnowledgeBase) -> pipeline.Generator:
+    """Template generator over ``--templates`` (the packaged set without it), refused
+    before the first turn when a turn over ``kb`` could lack its template row."""
+    path = getattr(args, "templates", None)
+    templates = pipeline.load_templates(path)
+    pipeline.check_templates(templates, kb, path)
+    return pipeline.make_template_generator(templates)
 
 
 def cmd_build_index(args) -> int:
@@ -98,9 +110,7 @@ def cmd_run(args) -> int:
     kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
-    templates = pipeline.load_templates(args.templates)
-    pipeline.check_templates(templates, kb, args.templates)
-    generator = pipeline.make_template_generator(templates)
+    generator = _load_generator(args, kb)
     turns = 0
     # each dialog's lines are written as it finishes, so a failure keeps the finished ones
     with open_output(args.out) if args.out else nullcontext(sys.stdout) as fh:
@@ -164,9 +174,7 @@ def cmd_eval(args) -> int:
     kb, index = _load_kb_and_index(args)
     corpus = corpus_io.load_corpus(args.corpus)
     goals = corpus_io.load_goals(args.goals) if args.goals else None
-    templates = pipeline.load_templates(args.templates)
-    pipeline.check_templates(templates, kb, args.templates)
-    generator = pipeline.make_template_generator(templates)
+    generator = _load_generator(args, kb)
     report = metrics_mod.evaluate_corpus(
         corpus, kb, index,
         predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)
@@ -230,7 +238,7 @@ def cmd_stats(args) -> int:
 def cmd_chat(args) -> int:
     kb, index = _load_kb_and_index(args)
     predictor = pipeline.make_heuristic_predictor(kb, index)
-    generator = pipeline.make_template_generator()
+    generator = _load_generator(args, kb)
     session = pipeline.Session()
     print("type a message (ctrl-d to quit)", file=sys.stderr)
     for line in sys.stdin:

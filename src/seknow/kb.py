@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import DomainNotFoundError, FusionError, LoadError
-from .text import normalize, open_input, open_output
+from .text import normalize, open_input
 
 _WORD_RE = re.compile(r"\w+")
 
@@ -128,6 +128,10 @@ class KnowledgeBase:
         return [values[pos] for pos in sorted(p for w in words for p in index.get(w, ()))]
 
 
+# validation kinds that lie in the doc-base file; every other kind lies in the db file
+DOC_VIOLATIONS = ("empty-body", "duplicate-doc-id")
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -138,12 +142,7 @@ class Violation:
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
     entity_count: int = 0
-    per_domain_entities: dict[str, int] = field(default_factory=dict)
     document_count: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def expect(cond: bool, detail: str, file: str, line: int | None = None):
@@ -270,43 +269,15 @@ def load_knowledge_base(db_source: str, doc_source: str | None = None) -> Knowle
     return KnowledgeBase(domains=fused)
 
 
-def write_knowledge_base(kb: KnowledgeBase, db_path: str, doc_path: str | None = None):
-    """Re-serialize a knowledge base into the two source formats."""
-    db_obj = {}
-    doc_records = []
-    for name, domain in kb.domains.items():
-        db_obj[name] = {
-            "slots": sorted(domain.slot_schema),
-            "entities": [
-                {"id": e.id, "name": e.name, "bookable": e.bookable,
-                 "attributes": dict(sorted(e.attributes.items()))}
-                for e in domain.entities
-            ],
-        }
-        for ent in domain.entities:
-            for doc in ent.documents:
-                doc_records.append({"domain": name, "entity_id": ent.id,
-                                    "doc_id": doc.doc_id, "title": doc.title,
-                                    "body": doc.body})
-    with open_output(db_path) as fh:
-        json.dump(db_obj, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    if doc_path is not None:
-        with open_output(doc_path) as fh:
-            json.dump(doc_records, fh, indent=2, ensure_ascii=False)
-            fh.write("\n")
-
-
 def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
     """Report every invariant violation; a valid KB yields an empty report."""
     violations = []
-    per_domain = {}
-    doc_count = 0
+    entity_count = doc_count = 0
     for name, domain in kb.domains.items():
         if not name or name != normalize(name):
             violations.append(Violation("bad-domain-name", f"domain '{name}'"))
         seen_ids = set()
-        per_domain[name] = len(domain.entities)
+        entity_count += len(domain.entities)
         for ent in domain.entities:
             if ent.id in seen_ids:
                 violations.append(Violation(
@@ -340,28 +311,6 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
                 seen_docs.add(doc.doc_id)
     return ValidationReport(
         violations=tuple(violations),
-        entity_count=sum(per_domain.values()),
-        per_domain_entities=per_domain,
+        entity_count=entity_count,
         document_count=doc_count,
     )
-
-
-def list_entities(kb: KnowledgeBase, domain: str) -> list[Entity]:
-    """Entities of ``domain`` in deterministic order (ascending by id)."""
-    return list(kb.domain(domain).id_order)
-
-
-def build_ontology(kb: KnowledgeBase, include_ruk: bool = False) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Collect every attribute value per (domain, slot) pair.
-
-    With ``include_ruk`` the pseudo-slot ``ruk`` maps to the domain's entity
-    ids, which is what corruption needs to swap entity references.
-    """
-    values: dict[tuple[str, str], set[str]] = {}
-    for name, domain in kb.domains.items():
-        for ent in domain.entities:
-            for slot, value in ent.attributes.items():
-                values.setdefault((name, slot), set()).add(value)
-            if include_ruk:
-                values.setdefault((name, "ruk"), set()).add(ent.id)
-    return {key: tuple(sorted(vals)) for key, vals in sorted(values.items())}

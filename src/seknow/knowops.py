@@ -32,20 +32,16 @@ from .topics import TopicIndex
 # Fuzzy scores below this floor are treated as no match at all.
 MATCH_FLOOR = 0.6
 
-_BUCKETS = ("0", "1", "2", "3", "4+")
-
 
 @dataclass(frozen=True)
 class DomainMatches:
     count: int
     entity_ids: tuple[str, ...]
-    bookable_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class QueryResult:
     per_domain: dict[str, DomainMatches] = field(default_factory=dict)
-    booking_available: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,18 +57,6 @@ class RetrievedDocument:
         return (self.domain, self.entity_id, self.doc_id)
 
 
-@dataclass(frozen=True)
-class QueryVector:
-    """Match-count bucket plus booking flag for the active domain."""
-
-    bucket: str  # one of "0", "1", "2", "3", "4+"
-    booking: bool
-
-    def as_vector(self) -> tuple[int, ...]:
-        """Fixed 6-position 0/1 encoding: five count buckets, one booking bit."""
-        return tuple(int(self.bucket == b) for b in _BUCKETS) + (int(self.booking),)
-
-
 def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResult:
     """Match every constrained domain's entities against the belief state.
 
@@ -81,19 +65,14 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResu
     query error.
     """
     per_domain: dict[str, DomainMatches] = {}
-    booking = False
     for dom_name, constraints in state.constraints().items():
         domain = kb.domain(dom_name)
         for slot in constraints:
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
-        matched = domain.matching(constraints)
-        ids = tuple(e.id for e in matched)
-        bookable = tuple(e.id for e in matched if e.bookable)
-        booking = booking or bool(bookable)
-        per_domain[dom_name] = DomainMatches(count=len(ids), entity_ids=ids,
-                                             bookable_ids=bookable)
-    return QueryResult(per_domain=per_domain, booking_available=booking)
+        ids = tuple(e.id for e in domain.matching(constraints))
+        per_domain[dom_name] = DomainMatches(count=len(ids), entity_ids=ids)
+    return QueryResult(per_domain=per_domain)
 
 
 def format_query_span(result: QueryResult) -> str:
@@ -105,15 +84,6 @@ def format_query_span(result: QueryResult) -> str:
         else:
             parts.append(f"{domain} no match")
     return " , ".join(parts)
-
-
-def map_query_vector(result: QueryResult, active_domain: str) -> QueryVector:
-    """Bucket the active domain's match count and derive the booking flag."""
-    matches = result.per_domain.get(active_domain)
-    count = matches.count if matches else 0
-    bucket = _BUCKETS[count] if count < 4 else "4+"
-    booking = bool(matches and matches.bookable_ids)
-    return QueryVector(bucket=bucket, booking=booking)
 
 
 def _lcs_masks(a: Sequence) -> dict:

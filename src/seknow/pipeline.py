@@ -62,13 +62,12 @@ class TurnOutput:
 class Session:
     """Single-owner dialog state accumulator across turns."""
 
-    window: int | None = None
     utterances: list[tuple[str, str]] = field(default_factory=list)
     prev_belief: ExtendedBeliefState = EMPTY_STATE
     turn_index: int = 0
 
     def context(self) -> DialogContext:
-        return DialogContext(utterances=tuple(self.utterances), window=self.window)
+        return DialogContext(utterances=tuple(self.utterances))
 
 
 def active_domain(state: ExtendedBeliefState) -> str | None:
@@ -92,13 +91,16 @@ class TemplateSet:
                 f"no '{condition}' template for domain '{domain}'") from None
 
 
+def _packaged_templates() -> str:
+    return str(resources.files("seknow.data").joinpath("templates.tsv"))
+
+
 def load_templates(path: str | None = None) -> TemplateSet:
     """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set)."""
     if path is None:
-        text = resources.files("seknow.data").joinpath("templates.tsv").read_text("utf-8")
-    else:
-        with open_input(path) as fh:
-            text = fh.read()
+        path = _packaged_templates()
+    with open_input(path) as fh:
+        text = fh.read()
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -113,14 +115,16 @@ def load_templates(path: str | None = None) -> TemplateSet:
 
 def check_templates(templates: TemplateSet, kb: KnowledgeBase, path: str | None):
     """Refuse templates lacking a row some turn over ``kb`` may need: general/nomatch,
-    each domain's offer and nomatch, and doc where the domain has documents."""
+    each domain's offer and nomatch, and doc where the domain has documents.
+    ``path`` names the file in the error; None names the packaged set."""
     needed = [("general", "nomatch")]
     for name, domain in kb.domains.items():
         needed += [(name, "offer"), (name, "nomatch")]
         needed += [(name, "doc")] if any(ent.documents for ent in domain.entities) else []
     for domain, condition in needed:
         if (domain, condition) not in templates.entries:
-            raise LoadError(f"no '{condition}' template for domain '{domain}'", file=path)
+            raise LoadError(f"no '{condition}' template for domain '{domain}'",
+                            file=_packaged_templates() if path is None else path)
 
 
 def template_generate(belief: ExtendedBeliefState, query: QueryResult,

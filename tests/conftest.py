@@ -8,8 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from seknow import build_topic_index, load_knowledge_base
-from seknow.topics import sidecar_path
+from seknow.kb import load_knowledge_base
+from seknow.topics import build_topic_index, sidecar_path
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
 DB_PATH = DATA_DIR / "db.json"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from seknow import ExtendedBeliefState, make_state
+from seknow.belief import ExtendedBeliefState, make_state
 
 DOMAINS = ["restaurant", "hotel", "train", "taxi", "attraction"]
 SLOTS = ["area", "food", "pricerange", "stars", "type", "parking",

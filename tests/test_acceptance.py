@@ -15,36 +15,32 @@ import pytest
 
 from genstates import random_state
 from oracles import lcs_ratio_oracle, oracle_filter_entities, oracle_topic_index
-from seknow import (
+from seknow.belief import make_state, parse_belief_span, serialize_belief
+from seknow.cli import main
+from seknow.corpus import (
     CorpusSpec,
-    Document,
-    KnowledgeBase,
-    bleu,
-    build_topic_index,
-    combined_score,
-    corrupt_samples,
     corpus_stats,
-    evaluate_corpus,
-    fuzzy_similarity,
     generate_synthetic_corpus,
-    knowledge_operation,
-    list_entities,
     load_corpus,
-    load_knowledge_base,
-    make_state,
-    parse_belief_span,
+    save_corpus,
+)
+from seknow.kb import Document, KnowledgeBase, load_knowledge_base, validate_knowledge_base
+from seknow.knowops import (
+    format_query_span,
+    fuzzy_similarity,
+    knowledge_operation,
+    structured_query,
+)
+from seknow.metrics import (
+    bleu,
+    combined_score,
+    evaluate_corpus,
     retrieval_metrics,
     rouge_l,
-    save_corpus,
-    serialize_belief,
-    structured_query,
-    validate_knowledge_base,
+    round_half_up,
 )
-from seknow.cli import main
-from seknow.knowops import format_query_span
-from seknow.metrics import round_half_up
-from seknow.pipeline import CorruptionSample
-from seknow.topics import DEFAULT_THRESHOLDS, TopicIndex, write_index
+from seknow.pipeline import CorruptionSample, corrupt_samples
+from seknow.topics import DEFAULT_THRESHOLDS, TopicIndex, build_topic_index, write_index
 
 from conftest import DB_PATH, DOCS_PATH, TOY_THRESHOLDS
 from test_knowops import rand_kb
@@ -328,5 +324,5 @@ def test_criterion_10_real_corpus_statistics():
     validation = validate_knowledge_base(kb)
     assert validation.entity_count == 291
     assert validation.document_count == 2882
-    assert len(list_entities(kb, "restaurant")) == 110
+    assert len(kb.domain("restaurant").id_order) == 110
     report(10, "real corpus statistics reproduced")

@@ -4,7 +4,7 @@ import pytest
 
 from genstates import random_state
 from oracles import oracle_parse_belief_span
-from seknow import (
+from seknow.belief import (
     DialogContext,
     DsvTriple,
     extend_gold_label,
@@ -282,6 +282,5 @@ def test_dialog_context_must_end_with_user():
     with pytest.raises(ValueError):
         DialogContext(utterances=(("system", "hello"),))
     ctx = DialogContext(utterances=(("user", "hi"), ("system", "hello"),
-                                    ("user", "find me a hotel")), window=0)
+                                    ("user", "find me a hotel")))
     assert ctx.latest_user() == "find me a hotel"
-    assert ctx.windowed() == (("user", "find me a hotel"),)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -207,6 +208,63 @@ def test_eval_refuses_empty_attribute_before_any_turn(capsys, eval_files):
     assert captured.err.splitlines() == [
         f"error: load: {eval_files['db']}: domain 'restaurant': "
         "entity 'pizza hut' attribute 'area' is empty"]
+
+
+def _foreign_slot(db, docs):
+    db["restaurant"]["entities"][0]["attributes"]["parking"] = "yes"
+    return "db", "schema-foreign: domain 'restaurant': entity 'pizza hut' attribute 'parking'"
+
+
+def _renamed_attribute(db, docs):
+    db["restaurant"]["entities"][0]["attributes"]["name"] = "pizza palace"
+    return "db", ("name-mismatch: domain 'restaurant': entity 'pizza hut' "
+                  "name attribute 'pizza palace'")
+
+
+def _blank_body(db, docs):
+    docs[0]["body"] = " "
+    return "docs", "empty-body: domain 'restaurant': entity 'pizza hut' document 'd1'"
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+@pytest.mark.parametrize("violate", [_foreign_slot, _renamed_attribute, _blank_body],
+                         ids=["schema-foreign", "name-mismatch", "empty-body"])
+def test_kb_violation_is_refused_before_any_turn(capsys, eval_files, predictor, violate):
+    db = json.loads(eval_files["db"].read_text("utf-8"))
+    docs = json.loads(eval_files["docs"].read_text("utf-8"))
+    file, detail = violate(db, docs)
+    eval_files["db"].write_text(json.dumps(db), encoding="utf-8")
+    eval_files["docs"].write_text(json.dumps(docs), encoding="utf-8")
+    assert main([*eval_argv(eval_files)[:-1], predictor]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: load: {eval_files[file]}: {detail}"]
+
+
+@pytest.mark.parametrize("command", ["chat", "eval"])
+def test_packaged_templates_are_checked_before_the_first_prompt(
+        capsys, monkeypatch, eval_files, command):
+    db = json.loads(eval_files["db"].read_text("utf-8"))
+    db["museum"] = {"slots": ["name", "area"], "entities": [
+        {"id": "fitzwilliam", "name": "fitzwilliam",
+         "attributes": {"name": "fitzwilliam", "area": "center"}}]}
+    eval_files["db"].write_text(json.dumps(db), encoding="utf-8")
+
+    class UnreadStdin:
+        def __iter__(self):
+            raise AssertionError("stdin read before the templates were checked")
+
+    monkeypatch.setattr("sys.stdin", UnreadStdin())
+    files = ["--kb", str(eval_files["db"]), "--docs", str(eval_files["docs"]),
+             "--index", str(eval_files["index"])]
+    argv = ["chat", *files] if command == "chat" else [
+        "eval", *files, "--corpus", str(eval_files["corpus"])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    packaged = resources.files("seknow.data").joinpath("templates.tsv")
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: load: {packaged}: no 'offer' template for domain 'museum'"]
 
 
 def _drop_doc_key(key):

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from seknow import (
+from seknow.belief import parse_belief_span
+from seknow.corpus import (
     CorpusSpec,
     corpus_stats,
     generate_synthetic_corpus,
     load_corpus,
-    parse_belief_span,
     save_corpus,
 )
 from seknow.errors import GenerationError, LoadError

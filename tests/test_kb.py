@@ -2,19 +2,17 @@ import json
 
 import pytest
 
-from seknow import (
+from seknow.belief import parse_belief_span
+from seknow.errors import DomainNotFoundError, FusionError, LoadError
+from seknow.kb import (
     Document,
     Domain,
     Entity,
     KnowledgeBase,
-    list_entities,
     load_knowledge_base,
-    parse_belief_span,
-    structured_query,
     validate_knowledge_base,
-    write_knowledge_base,
 )
-from seknow.errors import DomainNotFoundError, FusionError, LoadError
+from seknow.knowops import structured_query
 
 
 def write_json(path, obj):
@@ -111,15 +109,9 @@ def test_malformed_json_names_line(tmp_path):
 
 def test_validate_toy_kb_clean(toy_kb):
     report = validate_knowledge_base(toy_kb)
-    assert report.ok
-    assert report.violations == ()
+    assert not report.violations
     assert report.entity_count == 7
     assert report.document_count == 9
-
-
-def test_validate_entity_counts_consistent(toy_kb):
-    report = validate_knowledge_base(toy_kb)
-    assert sum(report.per_domain_entities.values()) == report.entity_count
 
 
 def test_validate_schema_foreign_attribute():
@@ -148,10 +140,10 @@ def test_validate_empty_body_and_duplicate_doc():
     assert kinds == ["duplicate-doc-id", "empty-body"]
 
 
-def test_list_entities_ordered(toy_kb):
-    ids = [e.id for e in list_entities(toy_kb, "restaurant")]
+def test_id_order_ascending(toy_kb):
+    ids = [e.id for e in toy_kb.domain("restaurant").id_order]
     assert ids == sorted(ids) == ["golden wok", "pizza hut", "roma ristorante"]
-    assert len(list_entities(toy_kb, "taxi")) == 1
+    assert len(toy_kb.domain("taxi").id_order) == 1
 
 
 def test_shared_id_keeps_file_order():
@@ -163,22 +155,13 @@ def test_shared_id_keeps_file_order():
     kb = KnowledgeBase(domains={"hotel": domain})
     assert domain.entity("b") is first
     assert domain.id_order == (other, first, second)
-    assert list_entities(kb, "hotel") == [other, first, second]
     matches = structured_query(kb, parse_belief_span("hotel { area = north }"))
     assert matches.per_domain["hotel"].entity_ids == ("a", "b", "b")
 
 
-def test_list_entities_unknown_domain(toy_kb):
+def test_unknown_domain_is_domain_not_found(toy_kb):
     with pytest.raises(DomainNotFoundError):
-        list_entities(toy_kb, "moon")
-
-
-def test_reload_roundtrip(toy_kb, tmp_path):
-    db = tmp_path / "db.json"
-    docs = tmp_path / "docs.json"
-    write_knowledge_base(toy_kb, str(db), str(docs))
-    again = load_knowledge_base(str(db), str(docs))
-    assert again == toy_kb
+        toy_kb.domain("moon")
 
 
 def test_documents_have_unique_paths(toy_kb):

@@ -9,28 +9,25 @@ from oracles import (
     oracle_lcs_length,
     oracle_match_entity,
 )
-from seknow import (
-    Document,
-    Domain,
-    Entity,
-    KnowledgeBase,
+from seknow.belief import make_state, parse_belief_span
+from seknow.corpus import DomainGoal, GoalSpec
+from seknow.errors import DomainNotFoundError, QueryError
+from seknow.kb import Document, Domain, Entity, KnowledgeBase
+from seknow.knowops import (
+    MATCH_FLOOR,
+    DomainMatches,
+    QueryResult,
     format_query_span,
     fuzzy_similarity,
-    inform_success,
     knowledge_operation,
-    make_state,
-    map_query_vector,
+    lcs_length,
     match_entity,
-    parse_belief_span,
-    read_index,
     retrieve_document,
     structured_query,
 )
-from seknow.corpus import DomainGoal, GoalSpec
-from seknow.errors import DomainNotFoundError, QueryError
-from seknow.knowops import MATCH_FLOOR, QueryResult, DomainMatches, lcs_length
+from seknow.metrics import inform_success
 from seknow.pipeline import TurnOutput
-from seknow.topics import TopicIndex, TopicWord
+from seknow.topics import TopicIndex, TopicWord, read_index
 
 from conftest import GOLDEN_INDEX_PATH
 
@@ -57,7 +54,6 @@ def test_structured_query_two_matches(toy_kb):
     matches = result.per_domain["restaurant"]
     assert matches.count == 2
     assert matches.entity_ids == ("pizza hut", "roma ristorante")
-    assert result.booking_available
 
 
 def test_structured_query_empty_state(toy_kb):
@@ -125,12 +121,9 @@ def test_structured_query_postings_equal_bruteforce():
             got = result.per_domain[dom]
             assert list(got.entity_ids) == expected, (dom, constraints)
             assert got.count == len(expected)
-            assert list(got.bookable_ids) == oracle_filter_entities(
-                [e for e in entities if e.bookable], constraints)
             hits += bool(expected)
             past_word += len(entities) > 64 and bool(expected) and \
                 expected[-1] > kb.domains[dom].id_order[63].id
-        assert result.booking_available == any(m.bookable_ids for m in result.per_domain.values())
     assert hits > 80 and past_word > 20
 
 
@@ -185,31 +178,6 @@ def test_format_query_span_empty():
 def test_format_query_span_single():
     result = QueryResult(per_domain={"hotel": DomainMatches(1, ("acorn",))})
     assert format_query_span(result) == "hotel 1 match"
-
-
-def test_map_query_vector_bucket_two_bookable():
-    result = QueryResult(per_domain={"restaurant": DomainMatches(
-        2, ("a", "b"), bookable_ids=("a",))})
-    vec = map_query_vector(result, "restaurant")
-    assert vec.bucket == "2" and vec.booking
-    assert vec.as_vector() == (0, 0, 1, 0, 0, 1)
-
-
-def test_map_query_vector_zero():
-    vec = map_query_vector(QueryResult(), "restaurant")
-    assert vec.bucket == "0" and not vec.booking
-    assert vec.as_vector() == (1, 0, 0, 0, 0, 0)
-
-
-def test_map_query_vector_overflow_bucket():
-    result = QueryResult(per_domain={"hotel": DomainMatches(7, tuple("abcdefg"))})
-    assert map_query_vector(result, "hotel").bucket == "4+"
-
-
-def test_map_query_vector_one_hot_property():
-    for count in range(9):
-        result = QueryResult(per_domain={"d": DomainMatches(count, ("x",) * count)})
-        assert sum(map_query_vector(result, "d").as_vector()[:5]) == 1
 
 
 def test_lcs_length_matches_dp_reference():

@@ -13,24 +13,33 @@ from oracles import (
     oracle_lcs_length,
     oracle_meteor,
 )
-from seknow import (
+from seknow.corpus import (
     CorpusSpec,
-    bleu,
-    build_topic_index,
-    combined_score,
-    evaluate_corpus,
+    Dialog,
+    DialogCorpus,
+    DialogTurn,
+    DomainGoal,
+    GoalSpec,
     generate_synthetic_corpus,
-    inform_success,
     load_corpus,
-    meteor_simplified,
-    retrieval_metrics,
-    rouge_l,
 )
-from seknow.corpus import Dialog, DialogCorpus, DialogTurn, DomainGoal, GoalSpec
 from seknow.errors import ConfigError, EvaluationError, MetricError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase
-from seknow.metrics import _bleu_counts, oracle_factory, round_half_up, run_dialog
+from seknow.metrics import (
+    _bleu_counts,
+    bleu,
+    combined_score,
+    evaluate_corpus,
+    inform_success,
+    meteor_simplified,
+    oracle_factory,
+    retrieval_metrics,
+    rouge_l,
+    round_half_up,
+    run_dialog,
+)
 from seknow.pipeline import TemplateSet, make_template_generator
+from seknow.topics import build_topic_index
 
 from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH
 

@@ -4,26 +4,24 @@ import random
 import pytest
 
 from oracles import oracle_find_unclaimed, oracle_heuristic_constraints
-from seknow import (
+from seknow.belief import make_state, parse_belief_span, serialize_belief
+from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
+from seknow.kb import Domain, Entity, KnowledgeBase
+from seknow.knowops import knowledge_operation, structured_query
+from seknow.pipeline import (
     CorruptionSample,
-    Domain,
-    Entity,
-    KnowledgeBase,
     Session,
+    TemplateSet,
+    _find_unclaimed,
     corrupt_samples,
     lexicalize,
+    load_templates,
     make_heuristic_predictor,
     make_oracle_predictor,
-    make_state,
     make_template_generator,
-    parse_belief_span,
     run_turn,
-    serialize_belief,
-    structured_query,
     template_generate,
 )
-from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
-from seknow.pipeline import TemplateSet, _find_unclaimed, load_templates
 from seknow.topics import TopicIndex
 
 
@@ -50,7 +48,6 @@ def test_template_no_match(toy_kb, templates):
 
 
 def test_template_document_answer(toy_kb, toy_index, templates):
-    from seknow import knowledge_operation
     state = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
     query, document, _ = knowledge_operation(toy_kb, toy_index, state)
     text = template_generate(state, query, document, templates)
@@ -292,11 +289,9 @@ def test_corrupt_value_swap_is_forced_alternative():
         assert s.belief_span == "restaurant { food = chinese }"
 
 
-def test_corrupt_value_swap_differs_and_keeps_topic(toy_kb):
-    from seknow import build_ontology
-    ontology = build_ontology(toy_kb, include_ruk=True)
-    assert ontology[("restaurant", "food")] == ("chinese", "italian")
-    assert "pizza hut" in ontology[("restaurant", "ruk")]
+def test_corrupt_value_swap_differs_and_keeps_topic():
+    ontology = {("restaurant", "food"): ("chinese", "italian"),
+                ("restaurant", "ruk"): ("golden wok", "pizza hut", "roma ristorante")}
     spans = [serialize_belief(make_state(
         [("restaurant", "food", "italian"), ("restaurant", "ruk", "pizza hut")],
         ["favorite"]))] * 20

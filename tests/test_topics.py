@@ -4,20 +4,20 @@ import math
 import pytest
 
 from oracles import oracle_docs_for_entity, oracle_topic_index
-from seknow import (
+from seknow.errors import ConfigError, IndexingError
+from seknow.kb import load_knowledge_base
+from seknow.text import load_stopwords, tokenize
+from seknow.topics import (
     DEFAULT_THRESHOLDS,
+    TopicIndex,
+    TopicWord,
     build_topic_index,
     compute_ca_tfidf,
     compute_tfidf,
     extract_candidates,
-    load_knowledge_base,
     read_index,
-    tokenize,
     write_index,
 )
-from seknow.errors import ConfigError, IndexingError
-from seknow.text import load_stopwords
-from seknow.topics import TopicIndex, TopicWord
 
 from conftest import GOLDEN_INDEX_PATH, TOY_THRESHOLDS
 
