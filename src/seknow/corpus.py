@@ -25,7 +25,7 @@ from .pipeline import (Session, TemplateSet, make_oracle_predictor,
                        make_template_generator, run_turn)
 # Unused here; benchmarks/tracer.py patches these two names on this module.
 from .pipeline import lexicalize, template_generate  # noqa: F401
-from .text import open_input, open_output
+from .text import normalize, open_input, open_output
 from .topics import TopicIndex
 
 
@@ -110,7 +110,12 @@ def load_goals(path: str) -> dict[str, GoalSpec]:
 
 
 def parse_goal(raw, where: str, path: str, lineno: int | None = None) -> GoalSpec:
-    """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``."""
+    """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``.
+
+    Domain, slot, value and requestable names are normalized as the db file's
+    are; one that normalizes to empty, or a domain or slot that normalizes
+    like another of the goal, is refused.
+    """
     expect(isinstance(raw, dict), f"{where}: goal is not an object", path, lineno)
     domains = {}
     for dom, obj in raw.items():
@@ -122,8 +127,21 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None) -> GoalSpe
                and all(isinstance(v, str) for v in (*constraints.values(), *requestables)),
                f"{where}: goal domain '{dom}' needs an object of string 'constraints' "
                "and an array of string 'requestables'", path, lineno)
-        domains[dom] = DomainGoal(constraints=dict(constraints),
-                                  requestables=tuple(requestables))
+        name = normalize(dom)
+        expect(bool(name), f"{where}: empty goal domain name", path, lineno)
+        expect(name not in domains, f"{where}: duplicate goal domain '{name}'", path, lineno)
+        normalized = {}
+        for slot, value in constraints.items():
+            key, value = normalize(slot), normalize(value)
+            expect(bool(key and value),
+                   f"{where}: goal domain '{name}': constraint '{slot}' is empty", path, lineno)
+            expect(key not in normalized,
+                   f"{where}: goal domain '{name}': duplicate constraint '{key}'", path, lineno)
+            normalized[key] = value
+        requested = tuple(normalize(slot) for slot in requestables)
+        expect(all(requested), f"{where}: goal domain '{name}': empty requestable",
+               path, lineno)
+        domains[name] = DomainGoal(constraints=normalized, requestables=requested)
     return GoalSpec(domains=domains)
 
 

@@ -88,6 +88,14 @@ class Domain:
         return tuple((key, ent) for ent in self.id_order
                      for key in dict.fromkeys((normalize(ent.name), normalize(ent.id))))
 
+    @cached_property
+    def first_by_key(self) -> dict[str, Entity]:
+        """Each :attr:`match_keys` key -> the first entity in ``id_order`` that has it."""
+        first: dict[str, Entity] = {}
+        for key, ent in self.match_keys:
+            first.setdefault(key, ent)
+        return first
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:
@@ -274,8 +282,6 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
     violations = []
     entity_count = doc_count = 0
     for name, domain in kb.domains.items():
-        if not name or name != normalize(name):
-            violations.append(Violation("bad-domain-name", f"domain '{name}'"))
         seen_ids = set()
         entity_count += len(domain.entities)
         for ent in domain.entities:
@@ -283,15 +289,11 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
                 violations.append(Violation(
                     "duplicate-id", f"domain '{name}': entity id '{ent.id}'"))
             seen_ids.add(ent.id)
-            for slot, value in ent.attributes.items():
+            for slot in ent.attributes:
                 if slot not in domain.slot_schema:
                     violations.append(Violation(
                         "schema-foreign",
                         f"domain '{name}': entity '{ent.id}' attribute '{slot}'"))
-                if value != normalize(value):
-                    violations.append(Violation(
-                        "bad-value",
-                        f"domain '{name}': entity '{ent.id}' value for '{slot}'"))
             if ent.attributes.get("name") not in (None, ent.name):
                 violations.append(Violation(
                     "name-mismatch",

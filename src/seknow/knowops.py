@@ -12,10 +12,14 @@ collapsing, giving scores in [0, 1] with 1 exactly on equal strings. The
 entity match and the document ranking score one query against many keys, so
 each builds the query's LCS bit masks once per call.
 
-Both steps read lookups each :class:`~seknow.kb.Domain` builds on first use:
-the query ANDs per-(slot, value) postings, bitmasks over the id order; the
-entity match reads pre-normalized names and ids and skips a key whose length
-bound ``2 * min(len) / (len + len)`` cannot beat the best score so far.
+The steps read lookups built on first use. Each :class:`~seknow.kb.Domain`
+holds per-(slot, value) postings, bitmasks over the id order, which the query
+ANDs; and its pre-normalized names and ids, with a map from each to the first
+entity having it. The entity match takes a query equal to a key from that
+map, since only equal strings score 1.0; otherwise it scans the keys and
+skips one whose length bound ``2 * min(len) / (len + len)`` cannot beat the
+best score so far. The document ranking reads each entity's normalized
+space-joined topic words from :meth:`~seknow.topics.TopicIndex.entity_docs`.
 """
 
 from __future__ import annotations
@@ -131,15 +135,21 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     """Best fuzzy match of ``ruk_value`` against entity names and ids.
 
     Only the single best-matched entity is selected; ties break by ascending
-    id, and a best score below ``floor`` returns None. A key is skipped when
-    its length bound ``2 * min / (len + len)``, which no LCS ratio exceeds,
-    cannot beat the best score so far; after an exact hit every key is.
+    id, and a best score below ``floor`` returns None. Only equal strings
+    score 1.0, so a query equal to some key takes the first entity in id
+    order that has it (``Domain.first_by_key``) without a scan. Otherwise a
+    key is skipped when its length bound ``2 * min / (len + len)``, which no
+    LCS ratio exceeds, cannot beat the best score so far.
     """
     query = normalize(ruk_value)
+    dom = kb.domain(domain)
+    exact = dom.first_by_key.get(query)
+    if exact is not None:
+        return exact if floor <= 1.0 else None
     n, masks = len(query), _lcs_masks(query)
     best: Entity | None = None
     best_score = -1.0
-    for key, ent in kb.domain(domain).match_keys:
+    for key, ent in dom.match_keys:
         total = n + len(key)
         if _ratio(min(n, len(key)), total) <= best_score:
             continue
@@ -168,11 +178,10 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     n, masks = len(query), _lcs_masks(query)
     bodies = {doc.doc_id: doc.body for doc in entity.documents}
     scored = []
-    for doc_id, doc_topics in index.docs_for_entity(domain, entity.id):
+    for doc_id, _, key in index.entity_docs(domain, entity.id):
         if bodies and doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")
-        key = normalize(" ".join(doc_topics))
         score = _ratio(_lcs_scan(masks, n, key), n + len(key))
         scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
                                         doc_id=doc_id, body=bodies.get(doc_id, ""),

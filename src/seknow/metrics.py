@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
 from .corpus import Dialog, DialogCorpus, DialogTurn, GoalSpec
@@ -91,14 +90,37 @@ def _round_floats(obj):
 
 def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[int]:
     """One pair's BLEU statistics: pairs (1), clipped and total 1..4-gram
-    counts, hypothesis and reference lengths. Corpus BLEU pools their sums."""
-    hyp, ref = (Counter(chain.from_iterable(zip(*(tokens[i:] for i in range(n)))
-                                            for n in range(1, 5)))
-                for tokens in (hypothesis, reference))
+    counts, hypothesis and reference lengths. Corpus BLEU pools their sums.
+
+    The pair's tokens are coded once as small ints, so each n-gram is one int
+    ``prev * vocab + id``. An order's clipped count is the size of the
+    hypothesis/reference gram-set intersection, plus ``min(counts) - 1`` for
+    each shared gram repeated on both sides; the ``Counter``s for that
+    correction are built only when both sides repeat some gram of the order.
+    An order with no shared gram ends the count: every longer gram contains one.
+    """
+    codes: dict[str, int] = {}
+    hyp = [codes.setdefault(t, len(codes)) for t in hypothesis]
+    ref = [codes.setdefault(t, len(codes)) for t in reference]
+    vocab = len(codes)
     clipped = [0] * 4
-    for gram, count in (hyp & ref).items():
-        clipped[len(gram) - 1] += count
-    totals = [max(len(hypothesis) - n + 1, 0) for n in range(1, 5)]
+    hyp_grams, ref_grams = hyp, ref
+    for n in range(4):
+        if n:
+            hyp_grams = [g * vocab + t for g, t in zip(hyp_grams, hyp[n:])]
+            ref_grams = [g * vocab + t for g, t in zip(ref_grams, ref[n:])]
+        hyp_set, ref_set = set(hyp_grams), set(ref_grams)
+        common = hyp_set & ref_set
+        if not common:
+            break
+        clipped[n] = len(common)
+        if len(hyp_set) < len(hyp_grams) and len(ref_set) < len(ref_grams):
+            hyp_count, ref_count = Counter(hyp_grams), Counter(ref_grams)
+            for g in common:
+                h, r = hyp_count[g], ref_count[g]
+                if h > 1 and r > 1:
+                    clipped[n] += min(h, r) - 1
+    totals = [max(len(hypothesis) - n, 0) for n in range(4)]
     return [1, *clipped, *totals, len(hypothesis), len(reference)]
 
 
@@ -150,40 +172,43 @@ def _stem(token: str) -> str:
     return token
 
 
-def _align(hypothesis: Sequence[str], reference: Sequence[str], taken_h: Collection[int] = (),
-           taken_r: Collection[int] = ()) -> list[tuple[int, int]]:
-    """Pair each untaken hypothesis token, left to right, with the leftmost
-    untaken equal reference token; one stack of free positions per token."""
-    free: dict[str, list[int]] = {}
-    for j in range(len(reference) - 1, -1, -1):
-        if j not in taken_r:
-            free.setdefault(reference[j], []).append(j)
-    pairs = []
-    for i, h in enumerate(hypothesis):
-        stack = free.get(h)
-        if stack and i not in taken_h:
-            pairs.append((i, stack.pop()))
-    return pairs
-
-
 def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     """Simplified METEOR, x100: exact then stem unigram matches, no synonyms.
 
     ``F_mean = P * R / (alpha * P + (1 - alpha) * R)`` and the fragmentation
     penalty is ``gamma * (chunks / matches) ** beta``; chunks are maximal
     runs of matches contiguous in both sentences.
+
+    Each pass pairs each unaligned hypothesis token, left to right, with the
+    leftmost free reference token equal to it (stem pass: with equal stem).
+    Free positions sit on one stack per token; the stem pass regroups the
+    stacks the exact pass left by stem, stemming only tokens still free.
     """
     if not reference:
         raise MetricError("METEOR needs a nonempty reference")
     if not hypothesis:
         return 0.0
-    pairs = _align(hypothesis, reference)
-    if len(pairs) < min(len(hypothesis), len(reference)):
-        # stem each token once, and only those the exact pass left unaligned
-        taken_h, taken_r = {i for i, _ in pairs}, {j for _, j in pairs}
-        pairs += _align([t if i in taken_h else _stem(t) for i, t in enumerate(hypothesis)],
-                        [t if j in taken_r else _stem(t) for j, t in enumerate(reference)],
-                        taken_h, taken_r)
+    free: dict[str, list[int]] = {}
+    for j in range(len(reference) - 1, -1, -1):
+        free.setdefault(reference[j], []).append(j)
+    pairs, unaligned = [], []
+    for i, h in enumerate(hypothesis):
+        stack = free.get(h)
+        if stack:
+            pairs.append((i, stack.pop()))
+        else:
+            unaligned.append(i)
+    if unaligned and len(pairs) < len(reference):
+        by_stem: dict[str, list[int]] = {}
+        for token, stack in free.items():
+            if stack:
+                by_stem.setdefault(_stem(token), []).extend(stack)
+        for stack in by_stem.values():
+            stack.sort(reverse=True)
+        for i in unaligned:
+            stack = by_stem.get(_stem(hypothesis[i]))
+            if stack:
+                pairs.append((i, stack.pop()))
     m = len(pairs)
     if m == 0:
         return 0.0

@@ -26,7 +26,8 @@ from functools import cached_property
 
 from .errors import ConfigError, IndexingError, LoadError
 from .kb import KnowledgeBase, expect, read_json
-from .text import load_stopwords, open_input, open_output, stopwords_digest, tokenize
+from .text import (load_stopwords, normalize, open_input, open_output, stopwords_digest,
+                   tokenize)
 
 # Per-domain filter thresholds: restaurant, hotel, taxi, train.
 DEFAULT_THRESHOLDS: dict[str, float] = {
@@ -39,6 +40,8 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 MAX_TOPICS = 3
 
 DocKey = tuple[str, str, str]  # (domain, entity_id, doc_id)
+# (doc_id, topic words, the topic words space-joined and normalized)
+EntityDoc = tuple[str, tuple[str, ...], str]
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,21 @@ class TopicIndex:
         return tuple(tw.token for tw in entry)
 
     @cached_property
-    def _doc_ids(self) -> dict[tuple[str, str], list[str]]:
-        grouped: dict[tuple[str, str], list[str]] = {}
-        for domain, entity_id, doc_id in sorted(self.entries):
-            grouped.setdefault((domain, entity_id), []).append(doc_id)
-        return grouped
+    def _entity_docs(self) -> dict[tuple[str, str], tuple[EntityDoc, ...]]:
+        grouped: dict[tuple[str, str], list[EntityDoc]] = {}
+        for (domain, entity_id, doc_id), words in sorted(self.entries.items()):
+            topics = tuple(tw.token for tw in words)
+            grouped.setdefault((domain, entity_id), []).append(
+                (doc_id, topics, normalize(" ".join(topics))))
+        return {key: tuple(docs) for key, docs in grouped.items()}
+
+    def entity_docs(self, domain: str, entity_id: str) -> tuple[EntityDoc, ...]:
+        """One entity's documents, ascending by doc_id; built once per index, on first use."""
+        return self._entity_docs.get((domain, entity_id), ())
 
     def docs_for_entity(self, domain: str, entity_id: str) -> list[tuple[str, tuple[str, ...]]]:
         """(doc_id, topic words) pairs for one entity, ascending by doc_id."""
-        return [(doc_id, self.topics(domain, entity_id, doc_id))
-                for doc_id in self._doc_ids.get((domain, entity_id), ())]
+        return [(doc_id, topics) for doc_id, topics, _ in self.entity_docs(domain, entity_id)]
 
 
 def compute_tfidf(doc_tokens: Mapping) -> dict[object, dict[str, float]]:

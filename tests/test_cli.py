@@ -293,6 +293,19 @@ MALFORMED_INPUTS = {
                                "array of string 'requestables'"),
     "goals-entry-not-object": ("goals", lambda d: {d["dialog_id"]: ["hotel"]},
                                "dialog 'dlg0000': goal is not an object"),
+    "goal-domain-empty": ("corpus", lambda d: {**d, "goal": {" ": {}}},
+                          "dialog 'dlg0000': empty goal domain name"),
+    "goal-domain-duplicate": ("goals", lambda d: {d["dialog_id"]: {"hotel": {}, " Hotel": {}}},
+                              "dialog 'dlg0000': duplicate goal domain 'hotel'"),
+    "goal-constraint-empty": ("corpus",
+                              lambda d: {**d, "goal": {"hotel": {"constraints": {"type": " "}}}},
+                              "goal domain 'hotel': constraint 'type' is empty"),
+    "goal-constraint-duplicate": (
+        "corpus", lambda d: {**d, "goal": {"hotel": {"constraints": {"Type": "a", "type": "b"}}}},
+        "goal domain 'hotel': duplicate constraint 'type'"),
+    "goal-requestable-empty": ("goals",
+                               lambda d: {d["dialog_id"]: {"hotel": {"requestables": [""]}}},
+                               "goal domain 'hotel': empty requestable"),
     "duplicate-dialog-id": ("corpus", lambda d: d, "duplicate dialog id 'dlg0000'"),
 }
 

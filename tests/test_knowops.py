@@ -307,12 +307,14 @@ def test_match_entity_equals_bruteforce_on_unnormalized_keys():
     rng = random.Random(1977)
     words = ["Acorn", "GUEST", "house", "Pizza", "hut", "city", "a", ""]
     queries = ["", "   ", "acorn guest", "ACORN  GUEST   HOUSE", " pizza  hut ", "x"]
-    exact = 0
+    exact = shared = 0
     for _ in range(300):
         entities = []
         for k in range(rng.randint(0, 8)):
             name = rng.choice(["  ", " "]).join(rng.sample(words, rng.randint(1, 3)))
             ent_id = rng.choice([name, name.upper(), f" {name}  {k} ", f"id{k}"])
+            if entities and rng.random() < 0.3:  # one entity's name is another's id
+                ent_id = rng.choice(entities).name.title()
             entities.append(Entity(id=ent_id, name=name, attributes={}))
         if entities and rng.random() < 0.7:
             source = rng.choice([rng.choice(entities).name, rng.choice(entities).id])
@@ -322,12 +324,16 @@ def test_match_entity_equals_bruteforce_on_unnormalized_keys():
             query = rng.choice(queries)
         kb = KnowledgeBase(domains={"hotel": Domain(
             name="hotel", slot_schema=frozenset({"name"}), entities=tuple(entities))})
-        for floor in (0.0, MATCH_FLOOR, 1.0):
+        for floor in (0.0, MATCH_FLOOR, 1.0, 1.5):
             got = match_entity(kb, "hotel", query, floor=floor)
             expected = oracle_match_entity(entities, query, floor)
             assert (got.id if got else None) == expected, (query, floor, entities)
             exact += floor == 1.0 and expected is not None
+        owners = {e.id for e in entities
+                  if 1.0 in (lcs_ratio_oracle(query, e.name), lcs_ratio_oracle(query, e.id))}
+        shared += len(owners) > 1  # an exact key that more than one entity has
     assert exact > 20
+    assert shared > 10
 
 
 def test_retrieve_document_ranks_exact_topic_first(toy_kb, toy_index):

@@ -22,11 +22,13 @@ from seknow.corpus import (
     GoalSpec,
     generate_synthetic_corpus,
     load_corpus,
+    parse_goal,
 )
 from seknow.errors import ConfigError, EvaluationError, MetricError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase
 from seknow.metrics import (
     _bleu_counts,
+    _stem,
     bleu,
     combined_score,
     evaluate_corpus,
@@ -55,8 +57,22 @@ VERBOSE_TEMPLATES = TemplateSet(entries={
 })
 
 
+# Random kernel inputs: three forms of one stem, and ten stems in four forms each.
+KERNEL_VOCABS = (["book", "books", "booked"],
+                 [stem + suffix for stem in ("book", "room", "stay", "park", "walk", "call",
+                                             "open", "rent", "pack", "turn")
+                  for suffix in ("", "s", "ed", "ing")])
+
+
 def toks(*sentences):
     return [s.split() for s in sentences]
+
+
+def repeated_on_both_sides(hyp, ref, n):
+    """Whether some n-gram occurs more than once in both ``hyp`` and ``ref``."""
+    grams = [[tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+             for tokens in (hyp, ref)]
+    return any(grams[0].count(g) > 1 and grams[1].count(g) > 1 for g in set(grams[0]))
 
 
 def test_bleu_identity():
@@ -102,14 +118,18 @@ def test_bleu_brevity_penalty_matches_oracle():
 
 def test_bleu_counts_equal_reference_counts():
     rng = random.Random(2002)
-    clipped_pairs = 0
-    for _ in range(3000):
-        hyp = rng.choices("abc", k=rng.randint(0, 5))
-        ref = rng.choices("abc", k=rng.randint(0, 5))
-        expected = oracle_bleu_counts(hyp, ref)
-        assert _bleu_counts(hyp, ref) == expected, (hyp, ref)
-        clipped_pairs += expected[1] < sum(tok in ref for tok in hyp)
+    clipped_pairs = corrected_pairs = 0
+    for vocab, longest, pairs in (("abc", 5, 3000), *((v, 30, 400) for v in KERNEL_VOCABS)):
+        for _ in range(pairs):
+            hyp = rng.choices(vocab, k=rng.randint(0, longest))
+            ref = rng.choices(vocab, k=rng.randint(0, longest))
+            expected = oracle_bleu_counts(hyp, ref)
+            assert _bleu_counts(hyp, ref) == expected, (hyp, ref)
+            clipped_pairs += expected[1] < sum(tok in ref for tok in hyp)
+            # the count correction for a gram repeated on both sides, beyond unigrams
+            corrected_pairs += any(repeated_on_both_sides(hyp, ref, n) for n in (2, 3, 4))
     assert clipped_pairs > 500
+    assert corrected_pairs > 150
 
 
 def test_bleu_empty_corpus_errors():
@@ -190,14 +210,23 @@ def test_meteor_leftmost_free_alignment_matches_reference():
     # three words and their stemmable forms: repeats leave several free
     # reference positions for a token, and the leftmost one must be taken
     rng = random.Random(2005)
-    vocab = ["book", "room", "stay", "books", "booked", "rooms", "staying", "stays"]
+    words = ["book", "room", "stay", "books", "booked", "rooms", "staying", "stays"]
     repeated = 0
-    for _ in range(2000):
-        hyp = rng.choices(vocab, k=rng.randint(0, 8))
-        ref = rng.choices(vocab, k=rng.randint(1, 8))
-        assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
-        repeated += any(hyp.count(t) and ref.count(t) > 1 for t in vocab)
+    merged = {len(v): 0 for v in KERNEL_VOCABS}
+    for vocab, longest, pairs in ((words, 8, 2000), *((v, 30, 300) for v in KERNEL_VOCABS)):
+        for _ in range(pairs):
+            hyp = rng.choices(vocab, k=rng.randint(0, longest))
+            ref = rng.choices(vocab, k=rng.randint(1, longest))
+            assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
+            repeated += any(hyp.count(t) and ref.count(t) > 1 for t in vocab)
+            if len(vocab) in merged:
+                # the stem pass pairs a token through the free stacks of two
+                # or more reference forms sharing its stem
+                free = {t for t in ref if ref.count(t) > hyp.count(t)}
+                merged[len(vocab)] += any(len({f for f in free if _stem(f) == _stem(t)}) > 1
+                                          for t in hyp if hyp.count(t) > ref.count(t))
     assert repeated > 500
+    assert min(merged.values()) > 30
 
 
 def test_retrieval_metrics_all_rank_one():
@@ -350,6 +379,27 @@ def test_inform_success_judges_one_dialog(toy_kb, toy_index):
                                     for dom, g in dialog.goal.domains.items()})
     assert inform_success(outputs, no_requests, toy_kb) == (True, True)
     assert inform_success([], no_requests, toy_kb) == (False, False)
+
+
+def test_goal_names_are_normalized_like_the_db(tmp_path, toy_kb, toy_index):
+    # "Hotel" / " Type " / "Guesthouse" name what the db file calls hotel / type / guesthouse
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    for dialog in dialogs:
+        dialog["goal"] = {f" {dom.title()}": {
+            "constraints": {f" {slot.title()} ": value.title()
+                            for slot, value in goal["constraints"].items()},
+            "requestables": [slot.upper() for slot in goal["requestables"]]}
+            for dom, goal in dialog["goal"].items()}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    original = load_corpus(str(TOY_CORPUS_PATH))
+    recased = load_corpus(str(path))
+    assert [d.goal for d in recased.dialogs] == [d.goal for d in original.dialogs]
+    report = evaluate_corpus(recased, toy_kb, toy_index, predictor="oracle")
+    assert (report.inform, report.success) == (100.0, 100.0)
+    assert report == evaluate_corpus(original, toy_kb, toy_index, predictor="oracle")
+    assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == GoalSpec(
+        domains={"hotel": DomainGoal(requestables=("phone",))})
 
 
 def test_evaluate_refuses_duplicate_dialog_id(toy_kb, toy_index):
