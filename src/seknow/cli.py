@@ -20,7 +20,7 @@ from . import kb as kb_mod
 from . import metrics as metrics_mod
 from . import pipeline, topics
 from .belief import parse_belief_span, serialize_belief
-from .errors import ConfigError, LoadError, SeknowError
+from .errors import ConfigError, SeknowError
 from .knowops import (
     format_query_span,
     match_entity,
@@ -46,37 +46,25 @@ def _parse_thresholds(pairs: list[str]) -> dict[str, float]:
 log = logging.getLogger("seknow")
 
 
-def _load_kb(args) -> kb_mod.KnowledgeBase:
-    """Load and fuse ``--kb`` and ``--docs``; the first validation violation is a load error."""
+def _load(args):
+    """(kb, index, corpus, goals, generator) from the files the subcommand's arguments
+    name, None for a file it takes none of; the generator is over ``--templates``. Each
+    loader checks its file against those loaded before it, before the first turn."""
     kb = kb_mod.load_knowledge_base(args.kb, getattr(args, "docs", None))
-    report = kb_mod.validate_knowledge_base(kb)
-    if report.violations:
-        first = report.violations[0]
-        raise LoadError(f"{first.kind}: {first.detail}",
-                        file=args.docs if first.kind in kb_mod.DOC_VIOLATIONS else args.kb)
+    entities = [ent for domain in kb.domains.values() for ent in domain.entities]
     log.info("loaded %d entities, %d documents from %s",
-             report.entity_count, report.document_count, args.kb)
-    return kb
-
-
-def _load_kb_and_index(args) -> tuple[kb_mod.KnowledgeBase, topics.TopicIndex]:
-    kb = _load_kb(args)
-    index = topics.read_index(args.index)
-    topics.check_index(index, kb, args.index)
-    return kb, index
-
-
-def _load_generator(args, kb: kb_mod.KnowledgeBase) -> pipeline.Generator:
-    """Template generator over ``--templates`` (the packaged set without it), refused
-    before the first turn when a turn over ``kb`` could lack its template row."""
-    path = getattr(args, "templates", None)
-    templates = pipeline.load_templates(path)
-    pipeline.check_templates(templates, kb, path)
-    return pipeline.make_template_generator(templates)
+             len(entities), sum(len(ent.documents) for ent in entities), args.kb)
+    index = topics.read_index(args.index, kb) if hasattr(args, "index") else None
+    corpus = corpus_io.load_corpus(args.corpus, kb, index) if hasattr(args, "corpus") else None
+    goals = corpus_io.load_goals(args.goals, kb) if getattr(args, "goals", None) else None
+    generator = None
+    if hasattr(args, "templates"):
+        generator = pipeline.make_template_generator(pipeline.load_templates(args.templates, kb))
+    return kb, index, corpus, goals, generator
 
 
 def cmd_build_index(args) -> int:
-    kb = _load_kb(args)
+    kb, *_ = _load(args)
     index = topics.build_topic_index(kb, _parse_thresholds(args.threshold))
     topics.write_index(index, args.out)
     print(f"indexed {len(index.entries)} documents -> {args.out}")
@@ -84,14 +72,14 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_query(args) -> int:
-    kb = _load_kb(args)
+    kb, *_ = _load(args)
     state = parse_belief_span(args.belief)
     print(format_query_span(structured_query(kb, state)))
     return 0
 
 
 def cmd_retrieve(args) -> int:
-    kb, index = _load_kb_and_index(args)
+    kb, index, *_ = _load(args)
     state = parse_belief_span(args.belief)
     ruk = state.ruk_triple()
     if ruk is None or not state.topic:
@@ -107,10 +95,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_run(args) -> int:
-    kb, index = _load_kb_and_index(args)
-    corpus = corpus_io.load_corpus(args.corpus)
+    kb, index, corpus, _, generator = _load(args)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
-    generator = _load_generator(args, kb)
     turns = 0
     # each dialog's lines are written as it finishes, so a failure keeps the finished ones
     with open_output(args.out) if args.out else nullcontext(sys.stdout) as fh:
@@ -171,10 +157,7 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kb, index = _load_kb_and_index(args)
-    corpus = corpus_io.load_corpus(args.corpus)
-    goals = corpus_io.load_goals(args.goals) if args.goals else None
-    generator = _load_generator(args, kb)
+    kb, index, corpus, goals, generator = _load(args)
     report = metrics_mod.evaluate_corpus(
         corpus, kb, index,
         predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)
@@ -236,9 +219,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_chat(args) -> int:
-    kb, index = _load_kb_and_index(args)
+    kb, index, _, _, generator = _load(args)
     predictor = pipeline.make_heuristic_predictor(kb, index)
-    generator = _load_generator(args, kb)
     session = pipeline.Session()
     print("type a message (ctrl-d to quit)", file=sys.stderr)
     for line in sys.stdin:
@@ -316,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True)
     p.add_argument("--docs", required=True)
     p.add_argument("--index", required=True)
-    p.set_defaults(func=cmd_chat)
+    p.set_defaults(func=cmd_chat, templates=None)  # the packaged set
     return parser
 
 

@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .belief import extend_gold_label, make_state, parse_belief_span, serialize_belief
+from .belief import RUK_SLOT, extend_gold_label, make_state, parse_belief_span, serialize_belief
 from .errors import GenerationError, LoadError
 from .kb import KnowledgeBase, expect, read_json
 from .pipeline import (Session, TemplateSet, make_oracle_predictor,
@@ -47,6 +47,11 @@ class DialogTurn:
     gold_belief_span: str
     doc_annotation: tuple[str, str, str] | None = None
     delex_response: str | None = None
+
+    @property
+    def reference(self) -> str:
+        """The text a response is scored against: ``delex_response``, else ``response``."""
+        return self.response if self.delex_response is None else self.delex_response
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,11 @@ class CorpusSpec:
     requestables: tuple[str, ...] = ()
 
 
-def load_corpus(path: str) -> DialogCorpus:
-    """Load a corpus file, parsing every belief span eagerly; dialog ids must be unique."""
+def load_corpus(path: str, kb: KnowledgeBase | None = None,
+                index: TopicIndex | None = None) -> DialogCorpus:
+    """Load a corpus file, parsing each belief span once. Dialog ids must be unique and
+    references nonempty; given the checked ``kb`` and ``index``, goals and spans must
+    fit the KB schema, and each ``doc`` annotation must name an index row."""
     dialogs = []
     seen = set()
     with open_input(path) as fh:
@@ -93,7 +101,7 @@ def load_corpus(path: str) -> DialogCorpus:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LoadError(exc.msg, file=path, line=lineno) from exc
-            dialog = _parse_dialog(raw, path, lineno)
+            dialog = _parse_dialog(raw, path, lineno, kb, index)
             expect(dialog.dialog_id not in seen,
                    f"duplicate dialog id '{dialog.dialog_id}'", path, lineno)
             seen.add(dialog.dialog_id)
@@ -101,20 +109,22 @@ def load_corpus(path: str) -> DialogCorpus:
     return DialogCorpus(dialogs=tuple(dialogs))
 
 
-def load_goals(path: str) -> dict[str, GoalSpec]:
-    """Load a goal file: a JSON object mapping dialog ids to goals."""
+def load_goals(path: str, kb: KnowledgeBase) -> dict[str, GoalSpec]:
+    """Load a goal file: a JSON object mapping dialog ids to goals over the checked ``kb``."""
     raw = read_json(path)
     expect(isinstance(raw, dict), "goal file must be a JSON object keyed by dialog id", path)
-    return {dialog_id: parse_goal(goal, f"dialog '{dialog_id}'", path)
+    return {dialog_id: parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
             for dialog_id, goal in raw.items()}
 
 
-def parse_goal(raw, where: str, path: str, lineno: int | None = None) -> GoalSpec:
+def parse_goal(raw, where: str, path: str, lineno: int | None = None,
+               kb: KnowledgeBase | None = None) -> GoalSpec:
     """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``.
 
     Domain, slot, value and requestable names are normalized as the db file's
     are; one that normalizes to empty, or a domain or slot that normalizes
-    like another of the goal, is refused.
+    like another of the goal, is refused; given the checked ``kb``, so is a
+    domain or a constraint or requestable slot outside its schema.
     """
     expect(isinstance(raw, dict), f"{where}: goal is not an object", path, lineno)
     domains = {}
@@ -141,15 +151,22 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None) -> GoalSpe
         requested = tuple(normalize(slot) for slot in requestables)
         expect(all(requested), f"{where}: goal domain '{name}': empty requestable",
                path, lineno)
+        if kb is not None:
+            expect(name in kb.domains, f"goal of {where} references unknown domain '{name}'",
+                   path, lineno)
+            for slot in (*normalized, *requested):
+                expect(slot in kb.domains[name].slot_schema, f"goal of {where} uses slot "
+                       f"'{slot}' outside the schema of domain '{name}'", path, lineno)
         domains[name] = DomainGoal(constraints=normalized, requestables=requested)
     return GoalSpec(domains=domains)
 
 
-def _parse_dialog(raw, path: str, lineno: int) -> Dialog:
+def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
+                  index: TopicIndex | None) -> Dialog:
     expect(isinstance(raw, dict), "dialog is not a JSON object", path, lineno)
     dialog_id = raw.get("dialog_id")
     expect(isinstance(dialog_id, str), "dialog missing 'dialog_id'", path, lineno)
-    goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno)
+    goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno, kb)
     raw_turns = raw.get("turns", [])
     expect(isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns),
            f"dialog '{dialog_id}': 'turns' is not an array of objects", path, lineno)
@@ -165,6 +182,14 @@ def _parse_dialog(raw, path: str, lineno: int) -> Dialog:
             state = parse_belief_span(span)
         except Exception as exc:
             raise LoadError(f"{where}: {exc}", file=path, line=lineno) from exc
+        if kb is not None:
+            for triple in state.triples:
+                expect(triple.domain in kb.domains,
+                       f"{where}: unknown domain '{triple.domain}'", path, lineno)
+                expect(triple.slot == RUK_SLOT
+                       or triple.slot in kb.domains[triple.domain].slot_schema,
+                       f"{where}: slot '{triple.slot}' is not in the schema of domain "
+                       f"'{triple.domain}'", path, lineno)
         doc = t.get("doc")
         annotation = None
         if doc is not None:
@@ -175,13 +200,19 @@ def _parse_dialog(raw, path: str, lineno: int) -> Dialog:
             annotation = tuple(doc[key] for key in keys)
             expect(state.has_ruk(), f"{where}: document annotation without a ruk triple "
                    "in the belief span", path, lineno)
-        turns.append(DialogTurn(
+            expect(index is None or annotation in index.entries,
+                   f"{where}: annotated document {annotation} is not in the index",
+                   path, lineno)
+        turn = DialogTurn(
             user=t.get("user", ""),
             response=t.get("response", ""),
             gold_belief_span=span,
             doc_annotation=annotation,
             delex_response=delex,
-        ))
+        )
+        expect(bool(turn.reference.strip()), f"{where}: empty reference response",
+               path, lineno)
+        turns.append(turn)
     return Dialog(dialog_id=dialog_id, goal=goal, turns=tuple(turns))
 
 

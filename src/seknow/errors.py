@@ -16,7 +16,8 @@ class SeknowError(Exception):
 
 
 class LoadError(SeknowError):
-    """A source file failed to parse or violated its schema."""
+    """A source file failed to parse, violated its schema, or disagrees with a file
+    loaded before it."""
 
     kind = "load"
 
@@ -27,12 +28,6 @@ class LoadError(SeknowError):
         super().__init__(where + detail)
         self.file = file
         self.line = line
-
-
-class FusionError(SeknowError):
-    """A document could not be attached to a unique knowledge-base entity."""
-
-    kind = "fusion"
 
 
 class DomainNotFoundError(SeknowError):

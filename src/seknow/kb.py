@@ -5,6 +5,10 @@ entity records, and a document base of free-text documents that each declare
 the domain and entity they describe. After loading, the knowledge base is
 immutable and safe to share across threads.
 
+:func:`load_knowledge_base` refuses each fault of either file, up to the first
+invariant violation of the fused KB, as a load error naming the file it lies
+in. A loaded KB therefore has unique entity ids per domain.
+
 File formats (committed toy example under ``data/toy/``):
 
 * db file: JSON object mapping domain name to ``{"slots": [...],
@@ -21,7 +25,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import DomainNotFoundError, FusionError, LoadError
+from .errors import DomainNotFoundError, LoadError
 from .text import normalize, open_input
 
 _WORD_RE = re.compile(r"\w+")
@@ -51,12 +55,12 @@ class Domain:
 
     @cached_property
     def id_order(self) -> tuple[Entity, ...]:
-        """Entities ascending by id; equal ids keep their file order."""
+        """Entities ascending by id."""
         return tuple(sorted(self.entities, key=lambda e: e.id))
 
     @cached_property
     def _by_id(self) -> dict[str, Entity]:
-        return {ent.id: ent for ent in reversed(self.entities)}  # first of equal ids wins
+        return {ent.id: ent for ent in self.entities}
 
     def entity(self, entity_id: str) -> Entity | None:
         return self._by_id.get(entity_id)
@@ -137,7 +141,7 @@ class KnowledgeBase:
 
 
 # validation kinds that lie in the doc-base file; every other kind lies in the db file
-DOC_VIOLATIONS = ("empty-body", "duplicate-doc-id")
+_DOC_VIOLATIONS = ("empty-body", "duplicate-doc-id")
 
 
 @dataclass(frozen=True)
@@ -226,39 +230,28 @@ def _parse_docs(path: str) -> list[dict]:
     return records
 
 
-def _locate_owner(domain: Domain, ref: str, record_no: int) -> Entity | None:
+def _locate_owner(domain: Domain, ref: str, record_no: int, path: str) -> Entity | None:
     """Resolve a document's entity reference: id first, then exact name."""
     ent = domain.entity(ref)
     if ent is not None:
         return ent
     by_name = [e for e in domain.entities if e.name == ref]
     if len(by_name) > 1:
-        raise FusionError(
+        raise LoadError(
             f"document #{record_no}: entity reference '{ref}' is ambiguous in "
-            f"domain '{domain.name}' ({len(by_name)} entities share that name)")
+            f"domain '{domain.name}' ({len(by_name)} entities share that name)", file=path)
     return by_name[0] if by_name else None
 
 
-def load_knowledge_base(db_source: str, doc_source: str | None = None) -> KnowledgeBase:
-    """Load and fuse the structured db and the document base.
-
-    Every document is attached to the entity it declares via
-    ``(domain, entity_id)``, falling back to a case-insensitive exact name
-    match. Documents referencing unknown entities make the whole load fail
-    with a fusion error listing the orphans.
-    """
-    domains = _parse_db(db_source)
-    if doc_source is None:
-        return KnowledgeBase(domains=domains)
-
-    records = _parse_docs(doc_source)
+def _fuse(domains: dict[str, Domain], doc_source: str) -> dict[str, Domain]:
+    """``domains`` with every document of ``doc_source`` attached to its entity."""
     attached: dict[tuple[str, str], list[Document]] = {}
     orphans = []
-    for k, rec in enumerate(records):
+    for k, rec in enumerate(_parse_docs(doc_source)):
         dom_name = normalize(rec["domain"])
         ref = normalize(rec["entity_id"])
         domain = domains.get(dom_name)
-        owner = _locate_owner(domain, ref, k) if domain is not None else None
+        owner = _locate_owner(domain, ref, k, doc_source) if domain is not None else None
         if owner is None:
             orphans.append((dom_name, ref))
             continue
@@ -266,7 +259,7 @@ def load_knowledge_base(db_source: str, doc_source: str | None = None) -> Knowle
         attached.setdefault((dom_name, owner.id), []).append(doc)
     if orphans:
         listed = ", ".join(f"({d!r}, {e!r})" for d, e in orphans)
-        raise FusionError(f"documents reference unknown entities: {listed}")
+        raise LoadError(f"documents reference unknown entities: {listed}", file=doc_source)
 
     fused = {}
     for name, domain in domains.items():
@@ -274,7 +267,27 @@ def load_knowledge_base(db_source: str, doc_source: str | None = None) -> Knowle
             replace(ent, documents=tuple(attached.get((name, ent.id), ())))
             for ent in domain.entities)
         fused[name] = replace(domain, entities=entities)
-    return KnowledgeBase(domains=fused)
+    return fused
+
+
+def load_knowledge_base(db_source: str, doc_source: str | None = None) -> KnowledgeBase:
+    """Load, fuse and check the structured db and the document base.
+
+    Every document is attached to the entity it declares via
+    ``(domain, entity_id)``, falling back to a case-insensitive exact name
+    match. Documents referencing unknown entities make the whole load fail,
+    listing the orphans. The first violation of the fused KB is refused as
+    ``<kind>: <detail>``, naming the doc-base file for the kinds that lie in
+    it and the db file for the others.
+    """
+    domains = _parse_db(db_source)
+    kb = KnowledgeBase(domains=domains if doc_source is None else _fuse(domains, doc_source))
+    report = validate_knowledge_base(kb)
+    if report.violations:
+        first = report.violations[0]
+        raise LoadError(f"{first.kind}: {first.detail}",
+                        file=doc_source if first.kind in _DOC_VIOLATIONS else db_source)
+    return kb
 
 
 def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:

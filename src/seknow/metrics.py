@@ -9,10 +9,10 @@ MRR@5 and R@1 over knowledge-seeking turns, and P/R/F1 of the belief state
 extension. Everything is reported on the 0-100 percent scale; the combined
 score is ``(inform + success) * 0.5 + bleu``.
 
-:func:`evaluate_corpus` checks dialog ids, document annotations, references
-and goals before the first turn, then scores each dialog as it finishes and
-keeps only per-metric counts and scores (per-turn METEOR and ROUGE-L), not
-turn outputs.
+:func:`evaluate_corpus` takes a corpus and goals the loaders have checked
+against the knowledge base and index (:func:`seknow.corpus.load_corpus`). It
+scores each dialog as it finishes and keeps only per-metric counts and scores
+(per-turn METEOR and ROUGE-L), not turn outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
-from .corpus import Dialog, DialogCorpus, DialogTurn, GoalSpec
+from .corpus import Dialog, DialogCorpus, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
 from .knowops import lcs_length
@@ -261,18 +261,6 @@ def round_half_up(value: float, ndigits: int = 1) -> float:
     return float(Decimal(str(value)).quantize(exponent, rounding=ROUND_HALF_UP))
 
 
-def _check_goal(dialog_id: str, goal: GoalSpec, kb: KnowledgeBase):
-    """Refuse a goal naming a domain outside the KB or a slot outside its schema."""
-    where = f"goal of dialog '{dialog_id}'"
-    for dom_name, dgoal in goal.domains.items():
-        if dom_name not in kb.domains:
-            raise EvaluationError(f"{where} references unknown domain '{dom_name}'")
-        for slot in dgoal.constraints:
-            if slot not in kb.domains[dom_name].slot_schema:
-                raise EvaluationError(f"{where} uses slot '{slot}' outside the schema "
-                                      f"of domain '{dom_name}'")
-
-
 def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
                    kb: KnowledgeBase) -> tuple[bool, bool]:
     """Whether one dialog informs and succeeds on a goal already checked against the KB.
@@ -297,11 +285,6 @@ def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
         succeeded = succeeded and all(any(f"[{slot}]" in resp for resp in domain_responses)
                                       for slot in dgoal.requestables)
     return informed, informed and succeeded
-
-
-def _reference(turn: DialogTurn) -> list[str]:
-    """Tokens of the turn's reference: its delexicalized response when it has one."""
-    return (turn.response if turn.delex_response is None else turn.delex_response).split()
 
 
 PredictorFactory = Callable[[Dialog], Predictor]
@@ -345,10 +328,11 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                     workers: int = 1) -> MetricsReport:
     """Run the full pipeline over a corpus and compute every metric.
 
-    ``predictor`` is a :data:`PREDICTORS` name or a factory mapping a dialog
-    to a per-turn predictor. Dialogs run in corpus order in the calling
-    thread. ``workers`` must be at least 1 and changes nothing else; it is
-    accepted so that existing callers keep working.
+    The corpus and ``goals`` must be as the loaders return them, checked
+    against ``kb`` and ``index``. ``predictor`` is a :data:`PREDICTORS` name
+    or a factory mapping a dialog to a per-turn predictor. Dialogs run in
+    corpus order in the calling thread. ``workers`` must be at least 1 and
+    changes nothing else; it is accepted so that existing callers keep working.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -360,20 +344,6 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
         generator = make_template_generator()
     if goals is None:
         goals = {d.dialog_id: d.goal for d in corpus.dialogs}
-    seen = set()
-    for dialog in corpus.dialogs:
-        if dialog.dialog_id in seen:
-            raise EvaluationError(f"duplicate dialog id '{dialog.dialog_id}'")
-        seen.add(dialog.dialog_id)
-        for k, turn in enumerate(dialog.turns):
-            if turn.doc_annotation is not None and turn.doc_annotation not in index.entries:
-                raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: annotated "
-                                      f"document {turn.doc_annotation} is not in the index")
-            if not _reference(turn):
-                raise EvaluationError(f"dialog '{dialog.dialog_id}': turn {k}: "
-                                      "empty reference response")
-        if dialog.dialog_id in goals:
-            _check_goal(dialog.dialog_id, goals[dialog.dialog_id], kb)
 
     bleu_stats = [0] * 11
     prf = [0] * 6
@@ -395,7 +365,7 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                 rankings.append(tuple(doc.key for doc in out.ranking[:MRR_CUTOFF]))
                 gold_docs.append(turn.doc_annotation)
             hyp = out.delexicalized_response.split()
-            ref = _reference(turn)
+            ref = turn.reference.split()
             bleu_stats = [a + b for a, b in zip(bleu_stats, _bleu_counts(hyp, ref), strict=True)]
             meteors.append(meteor_simplified(hyp, ref))
             rouges.append(rouge_l(hyp, ref))

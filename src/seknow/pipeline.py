@@ -95,8 +95,13 @@ def _packaged_templates() -> str:
     return str(resources.files("seknow.data").joinpath("templates.tsv"))
 
 
-def load_templates(path: str | None = None) -> TemplateSet:
-    """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set)."""
+def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> TemplateSet:
+    """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set).
+
+    A repeated (domain, condition) row is refused; given the checked ``kb``, so is
+    a set lacking a row some turn over it may need: general/nomatch, each domain's
+    offer and nomatch, and doc where the domain has documents.
+    """
     if path is None:
         path = _packaged_templates()
     with open_input(path) as fh:
@@ -109,22 +114,19 @@ def load_templates(path: str | None = None) -> TemplateSet:
         if len(parts) != 3:
             raise LoadError("template row is not 3 tab-separated fields",
                             file=path, line=lineno)
+        if (parts[0], parts[1]) in entries:
+            raise LoadError(f"duplicate '{parts[1]}' template for domain '{parts[0]}'",
+                            file=path, line=lineno)
         entries[(parts[0], parts[1])] = parts[2]
+    if kb is not None:
+        needed = [("general", "nomatch")]
+        for name, domain in kb.domains.items():
+            needed += [(name, "offer"), (name, "nomatch")]
+            needed += [(name, "doc")] if any(ent.documents for ent in domain.entities) else []
+        for domain, condition in needed:
+            if (domain, condition) not in entries:
+                raise LoadError(f"no '{condition}' template for domain '{domain}'", file=path)
     return TemplateSet(entries=entries)
-
-
-def check_templates(templates: TemplateSet, kb: KnowledgeBase, path: str | None):
-    """Refuse templates lacking a row some turn over ``kb`` may need: general/nomatch,
-    each domain's offer and nomatch, and doc where the domain has documents.
-    ``path`` names the file in the error; None names the packaged set."""
-    needed = [("general", "nomatch")]
-    for name, domain in kb.domains.items():
-        needed += [(name, "offer"), (name, "nomatch")]
-        needed += [(name, "doc")] if any(ent.documents for ent in domain.entities) else []
-    for domain, condition in needed:
-        if (domain, condition) not in templates.entries:
-            raise LoadError(f"no '{condition}' template for domain '{domain}'",
-                            file=_packaged_templates() if path is None else path)
 
 
 def template_generate(belief: ExtendedBeliefState, query: QueryResult,

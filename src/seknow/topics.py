@@ -209,12 +209,16 @@ def sidecar_path(index_path: str) -> str:
     return index_path + ".meta.json"
 
 
-def read_index(path: str) -> TopicIndex:
+def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
     """Load an index file written by :func:`write_index`.
 
-    Score provenance is not persisted, so loaded entries carry zero scores
-    and an unset filter flag; only the topic tokens matter downstream.
+    A repeated (domain, entity, doc) row is refused; given the checked ``kb``, so
+    is a row naming no entity of it, or no document of that entity when the KB
+    holds documents. Score provenance is not persisted, so loaded entries carry
+    zero scores and an unset filter flag; only the topic tokens matter downstream.
     """
+    with_docs = kb is not None and any(
+        ent.documents for dom in kb.domains.values() for ent in dom.entities)
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -229,7 +233,18 @@ def read_index(path: str) -> TopicIndex:
             if not 1 <= len(topics) <= MAX_TOPICS:
                 raise LoadError(f"{len(topics)} topic words (expected 1-{MAX_TOPICS})",
                                 file=path, line=lineno)
-            entries[(parts[0], parts[1], parts[2])] = topics
+            key = (parts[0], parts[1], parts[2])
+            if key in entries:
+                raise LoadError(f"duplicate row ({', '.join(key)})", file=path, line=lineno)
+            if kb is not None:
+                domain, entity_id, doc_id = key
+                row = f"row ({domain}, {entity_id}, {doc_id})"
+                entity = kb.domains[domain].entity(entity_id) if domain in kb.domains else None
+                expect(entity is not None, f"{row} names no entity of the knowledge base",
+                       path, lineno)
+                expect(not with_docs or any(doc.doc_id == doc_id for doc in entity.documents),
+                       f"{row} names no document of that entity", path, lineno)
+            entries[key] = topics
     thresholds: dict[str, float] = {}
     digest = ""
     meta = sidecar_path(path)
@@ -247,15 +262,3 @@ def read_index(path: str) -> TopicIndex:
             raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest}, "
                               f"but the list in effect has {stopwords_digest()}")
     return TopicIndex(entries=entries, thresholds=thresholds, stopwords_sha256=digest)
-
-
-def check_index(index: TopicIndex, kb: KnowledgeBase, path: str):
-    """Refuse rows of the index file ``path`` naming no KB entity or, when the KB
-    holds documents, no document of that entity."""
-    with_docs = any(ent.documents for dom in kb.domains.values() for ent in dom.entities)
-    for domain, entity_id, doc_id in index.entries:
-        entity = kb.domains[domain].entity(entity_id) if domain in kb.domains else None
-        row = f"row ({domain}, {entity_id}, {doc_id})"
-        expect(entity is not None, f"{row} names no entity of the knowledge base", path)
-        expect(not with_docs or any(doc.doc_id == doc_id for doc in entity.documents),
-               f"{row} names no document of that entity", path)

@@ -62,6 +62,14 @@ def eval_files(tmp_path):
     return files
 
 
+@pytest.fixture
+def no_turn(monkeypatch):
+    """Make any dialog turn of `run` or `eval` fail: the inputs must be refused first."""
+    def run_turn(*args):
+        raise AssertionError("a turn ran")
+    monkeypatch.setattr("seknow.metrics.run_turn", run_turn)
+
+
 def eval_argv(files) -> list[str]:
     """`eval` with the heuristic predictor over the files of :func:`eval_files`."""
     return ["eval", "--kb", str(files["db"]), "--docs", str(files["docs"]),

@@ -3,11 +3,14 @@ from importlib import resources
 
 import pytest
 
+from seknow import metrics
 from seknow.cli import main
+from seknow.errors import QueryError
 
 from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, eval_argv
 
 TOY_THRESHOLD_FLAGS = ["--threshold", "restaurant=1.0", "--threshold", "hotel=1.0"]
+PACKAGED_TEMPLATES = resources.files("seknow.data").joinpath("templates.tsv")
 
 
 def build_index(tmp_path):
@@ -100,21 +103,26 @@ def test_run_writes_turn_lines(tmp_path, capsys):
     assert "-" in doc_column and "h1" in doc_column
 
 
-def test_run_keeps_finished_dialogs_after_a_failure(tmp_path, capsys):
+def test_run_keeps_finished_dialogs_after_a_failure(tmp_path, capsys, monkeypatch):
     argv = ["run", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
-            "--index", str(GOLDEN_INDEX_PATH)]
+            "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH)]
     full = tmp_path / "full.tsv"
-    assert main([*argv, "--corpus", str(TOY_CORPUS_PATH), "--out", str(full)]) == 0
+    assert main([*argv, "--out", str(full)]) == 0
     assert capsys.readouterr().out == f"wrote 18 turns -> {full}\n"
-    assert main([*argv, "--corpus", str(TOY_CORPUS_PATH)]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out == full.read_text("utf-8")
-    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
-    dialogs[2]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "partial.tsv"
-    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
-    assert main([*argv, "--corpus", str(corpus), "--out", str(out)]) == 1
+    calls, run_turn = [], metrics.run_turn
+
+    def failing_run_turn(*args):
+        calls.append(args)
+        if len(calls) == 7:  # the first turn of the third dialog
+            raise QueryError("injected fault")
+        return run_turn(*args)
+    monkeypatch.setattr(metrics, "run_turn", failing_run_turn)
+    out = tmp_path / "partial.tsv"
+    assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: evaluation: dialog 'dlg0002': ")
+    assert err == ["error: evaluation: dialog 'dlg0002': injected fault"]
     finished = [line for line in full.read_text("utf-8").splitlines(keepends=True)
                 if line.startswith(("dlg0000:", "dlg0001:"))]
     assert len(finished) == 6
@@ -168,24 +176,20 @@ def test_eval_workers_byte_identical(tmp_path, capsys):
     assert "Joint Goal" in table and "Combined" in table
 
 
-def test_eval_checks_goals_before_any_turn(tmp_path, capsys):
-    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
-    dialogs[0]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
-    corpus, goals = tmp_path / "corpus.jsonl", tmp_path / "goals.json"
-    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+def test_eval_checks_goals_before_any_turn(tmp_path, capsys, no_turn):
+    goals = tmp_path / "goals.json"
     goals.write_text(json.dumps({"dlg0003": {"moon": {"constraints": {}}}}), encoding="utf-8")
     assert main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
-                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
                  "--goals", str(goals)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: evaluation: goal of dialog 'dlg0003' references unknown domain 'moon'"]
+        f"error: load: {goals}: goal of dialog 'dlg0003' references unknown domain 'moon'"]
 
 
-def test_eval_checks_references_before_any_turn(tmp_path, capsys):
+def test_eval_checks_references_before_any_turn(tmp_path, capsys, no_turn):
     dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
-    dialogs[0]["turns"][0]["belief_span"] = "hotel { colour = red }"  # fails when run
     dialogs[2]["turns"][1]["response"] = ""
     del dialogs[2]["turns"][1]["delex"]
     corpus = tmp_path / "corpus.jsonl"
@@ -195,7 +199,7 @@ def test_eval_checks_references_before_any_turn(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: evaluation: dialog 'dlg0002': turn 1: empty reference response"]
+        f"error: load: {corpus}:3: dialog 'dlg0002' turn 1: empty reference response"]
 
 
 def test_eval_refuses_empty_attribute_before_any_turn(capsys, eval_files):
@@ -261,10 +265,9 @@ def test_packaged_templates_are_checked_before_the_first_prompt(
         "eval", *files, "--corpus", str(eval_files["corpus"])]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    packaged = resources.files("seknow.data").joinpath("templates.tsv")
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: load: {packaged}: no 'offer' template for domain 'museum'"]
+        f"error: load: {PACKAGED_TEMPLATES}: no 'offer' template for domain 'museum'"]
 
 
 def _drop_doc_key(key):
@@ -272,6 +275,10 @@ def _drop_doc_key(key):
         next(t for t in dialog["turns"] if "doc" in t)["doc"].pop(key)
         return dialog
     return mutate
+
+
+def _first_span(span):
+    return lambda dialog: {**dialog, "turns": [{**dialog["turns"][0], "belief_span": span}]}
 
 
 # (file to corrupt, mutation of the first toy dialog, expected detail)
@@ -306,6 +313,16 @@ MALFORMED_INPUTS = {
     "goal-requestable-empty": ("goals",
                                lambda d: {d["dialog_id"]: {"hotel": {"requestables": [""]}}},
                                "goal domain 'hotel': empty requestable"),
+    "goal-requestable-outside-schema": (
+        "corpus", lambda d: {**d, "goal": {"hotel": {"requestables": ["colour"]}}},
+        "goal of dialog 'dlg0000' uses slot 'colour' outside the schema of domain 'hotel'"),
+    "goals-requestable-outside-schema": (
+        "goals", lambda d: {d["dialog_id"]: {"hotel": {"requestables": ["colour"]}}},
+        "goal of dialog 'dlg0000' uses slot 'colour' outside the schema of domain 'hotel'"),
+    "span-slot-outside-schema": ("corpus", _first_span("hotel { colour = red }"),
+                                 "turn 0: slot 'colour' is not in the schema of domain 'hotel'"),
+    "span-domain-unknown": ("corpus", _first_span("moon { area = dark }"),
+                            "turn 0: unknown domain 'moon'"),
     "duplicate-dialog-id": ("corpus", lambda d: d, "duplicate dialog id 'dlg0000'"),
 }
 
@@ -335,14 +352,15 @@ def test_malformed_input_is_load_error(tmp_path, capsys, case):
     assert detail in lines[0]
 
 
-def _bad_input(target, content):
-    """Replace one `eval` input with ``content``, or delete it when ``content`` is None."""
+def _bad_input(target, content, detail=""):
+    """Replace one `eval` input with ``content``, or delete it when ``content`` is None;
+    the error line names that file, followed by ``detail``."""
     def case(files, tmp_path):
         if content is None:
             files[target].unlink()
         else:
             files[target].write_bytes(content)
-        return eval_argv(files), f"error: load: {files[target]}:"
+        return eval_argv(files), f"error: load: {files[target]}:{detail}"
     return case
 
 
@@ -368,6 +386,12 @@ BAD_FILES = {
     "index-missing": _bad_input("index", None),
     "templates-missing": _bad_input("templates", None),
     "templates-row-not-3-fields": _bad_input("templates", b"general\tnomatch\n"),
+    "templates-duplicate-row": _bad_input(
+        "templates", PACKAGED_TEMPLATES.read_bytes() + b"hotel\toffer\tdup\n",
+        "17: duplicate 'offer' template for domain 'hotel'"),
+    "index-duplicate-row": _bad_input(
+        "index", GOLDEN_INDEX_PATH.read_bytes() + b"hotel\tacorn guest house\th1\tzzz\n",
+        "10: duplicate row (hotel, acorn guest house, h1)"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),
@@ -413,7 +437,7 @@ def test_index_rows_are_checked_against_kb(tmp_path, capsys, row, docs, detail):
         assert code == 0 and out.startswith("1\t")
     else:
         assert code == 1
-        assert err.splitlines() == [f"error: load: {index}: {detail}"]
+        assert err.splitlines() == [f"error: load: {index}:10: {detail}"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -485,16 +509,16 @@ def test_eval_refuses_index_of_other_stopword_list(tmp_path, capsys, env_stopwor
     assert not (tmp_path / "report.json").exists()
 
 
-def test_eval_refuses_annotation_outside_index(tmp_path, capsys):
+def test_eval_refuses_annotation_outside_index(tmp_path, capsys, no_turn):
     corpus = tmp_path / "corpus.jsonl"
     text = TOY_CORPUS_PATH.read_text("utf-8")
     corpus.write_text(text.replace('"doc_id": "d1"', '"doc_id": "d99"', 1), encoding="utf-8")
     code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
                  "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: evaluation: dialog 'dlg0003': turn ")
-    assert "annotated document ('restaurant', 'pizza hut', 'd99') is not in the index" in err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: load: {corpus}:4: dialog 'dlg0003' turn 2: annotated document "
+        "('restaurant', 'pizza hut', 'd99') is not in the index"]
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from seknow.belief import parse_belief_span
-from seknow.errors import DomainNotFoundError, FusionError, LoadError
+from seknow.errors import DomainNotFoundError, LoadError
 from seknow.kb import (
     Document,
     Domain,
@@ -12,7 +11,6 @@ from seknow.kb import (
     load_knowledge_base,
     validate_knowledge_base,
 )
-from seknow.knowops import structured_query
 
 
 def write_json(path, obj):
@@ -63,9 +61,9 @@ def test_fusion_orphan_listed(tmp_path):
     docs = write_json(tmp_path / "docs.json", [
         {"domain": "hotel", "entity_id": "ghost inn", "doc_id": "d",
          "title": "t", "body": "b"}])
-    with pytest.raises(FusionError) as err:
+    with pytest.raises(LoadError) as err:
         load_knowledge_base(db, docs)
-    assert "'hotel'" in str(err.value) and "'ghost inn'" in str(err.value)
+    assert str(err.value) == f"{docs}: documents reference unknown entities: ('hotel', 'ghost inn')"
 
 
 def test_fusion_ambiguous_name(tmp_path):
@@ -76,8 +74,9 @@ def test_fusion_ambiguous_name(tmp_path):
     docs = write_json(tmp_path / "docs.json", [
         {"domain": "hotel", "entity_id": "twin lodge", "doc_id": "d",
          "title": "t", "body": "b"}])
-    with pytest.raises(FusionError, match="ambiguous"):
+    with pytest.raises(LoadError, match="ambiguous") as err:
         load_knowledge_base(db, docs)
+    assert err.value.file == docs
 
 
 def test_schema_violation_names_file(tmp_path):
@@ -131,6 +130,15 @@ def test_validate_duplicate_ids():
     assert kinds == ["duplicate-id"]
 
 
+def test_load_refuses_duplicate_ids(tmp_path):
+    db = write_json(tmp_path / "db.json", {"hotel": {"slots": ["name"], "entities": [
+        {"id": "a", "name": "x", "attributes": {}},
+        {"id": " A", "name": "y", "attributes": {}}]}})
+    with pytest.raises(LoadError) as err:
+        load_knowledge_base(db)
+    assert str(err.value) == f"{db}: duplicate-id: domain 'hotel': entity id 'a'"
+
+
 def test_validate_empty_body_and_duplicate_doc():
     kb = KnowledgeBase(domains={"hotel": Domain(
         name="hotel", slot_schema=frozenset({"name"}),
@@ -144,19 +152,6 @@ def test_id_order_ascending(toy_kb):
     ids = [e.id for e in toy_kb.domain("restaurant").id_order]
     assert ids == sorted(ids) == ["golden wok", "pizza hut", "roma ristorante"]
     assert len(toy_kb.domain("taxi").id_order) == 1
-
-
-def test_shared_id_keeps_file_order():
-    first = Entity(id="b", name="first", attributes={"area": "north"})
-    other = Entity(id="a", name="other", attributes={"area": "north"})
-    second = Entity(id="b", name="second", attributes={"area": "north"})
-    domain = Domain(name="hotel", slot_schema=frozenset({"area"}),
-                    entities=(first, other, second))
-    kb = KnowledgeBase(domains={"hotel": domain})
-    assert domain.entity("b") is first
-    assert domain.id_order == (other, first, second)
-    matches = structured_query(kb, parse_belief_span("hotel { area = north }"))
-    assert matches.per_domain["hotel"].entity_ids == ("a", "b", "b")
 
 
 def test_unknown_domain_is_domain_not_found(toy_kb):

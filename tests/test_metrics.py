@@ -1,8 +1,6 @@
 import json
 import random
-import re
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -22,9 +20,10 @@ from seknow.corpus import (
     GoalSpec,
     generate_synthetic_corpus,
     load_corpus,
+    load_goals,
     parse_goal,
 )
-from seknow.errors import ConfigError, EvaluationError, MetricError
+from seknow.errors import ConfigError, EvaluationError, LoadError, MetricError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase
 from seknow.metrics import (
     _bleu_counts,
@@ -329,43 +328,45 @@ def test_informed_but_missing_requestable(toy_kb, toy_index):
     assert report.success <= report.inform
 
 
-def test_inform_unknown_goal_domain_errors(toy_kb, toy_index):
-    corpus = load_corpus(str(TOY_CORPUS_PATH))
-    goals = {"dlg0000": GoalSpec(domains={"moon": DomainGoal(constraints={"area": "dark"})})}
-    with pytest.raises(EvaluationError, match="moon"):
-        evaluate_corpus(corpus, toy_kb, toy_index, goals=goals)
+def test_inform_unknown_goal_domain_errors(tmp_path, toy_kb, toy_index):
+    dialog = json.loads(TOY_CORPUS_PATH.read_text("utf-8").splitlines()[0])
+    dialog["goal"] = {"moon": {"constraints": {"area": "dark"}}}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(dialog) + "\n", encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(str(path), toy_kb, toy_index)
+    assert str(err.value) == \
+        f"{path}:1: goal of dialog 'dlg0000' references unknown domain 'moon'"
+    assert "moon" in load_corpus(str(path)).dialogs[0].goal.domains  # unchecked without a KB
 
 
 @pytest.mark.parametrize("goal, detail", [
-    (GoalSpec(domains={"moon": DomainGoal()}),
-     "goal of dialog 'dlg0005' references unknown domain 'moon'"),
-    (GoalSpec(domains={"hotel": DomainGoal(constraints={"colour": "red"})}),
+    ({"moon": {}}, "goal of dialog 'dlg0005' references unknown domain 'moon'"),
+    ({"hotel": {"constraints": {"colour": "red"}}},
      "goal of dialog 'dlg0005' uses slot 'colour' outside the schema of domain 'hotel'"),
 ])
-def test_goal_is_checked_before_any_turn(toy_kb, toy_index, goal, detail):
-    corpus = load_corpus(str(TOY_CORPUS_PATH))
-
-    def factory(dialog):
-        raise AssertionError(f"dialog '{dialog.dialog_id}' ran before the goal check")
-    with pytest.raises(EvaluationError, match=re.escape(detail)):
-        evaluate_corpus(corpus, toy_kb, toy_index, predictor=factory,
-                        goals={"dlg0005": goal})
+def test_goal_is_checked_before_any_turn(tmp_path, toy_kb, goal, detail):
+    path = tmp_path / "goals.json"
+    path.write_text(json.dumps({"dlg0005": goal}), encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_goals(str(path), toy_kb)
+    assert str(err.value) == f"{path}: {detail}"
 
 
 @pytest.mark.parametrize("response, delex", [("", None), (" \t ", None), ("hi", "  ")],
                          ids=["empty", "whitespace", "empty-delex"])
-def test_empty_reference_is_refused_before_any_turn(toy_kb, toy_index, response, delex):
-    dialogs = list(load_corpus(str(TOY_CORPUS_PATH)).dialogs)
-    turns = list(dialogs[2].turns)
-    turns[1] = replace(turns[1], response=response, delex_response=delex)
-    dialogs[2] = replace(dialogs[2], turns=tuple(turns))
-
-    def factory(dialog):
-        raise AssertionError(f"dialog '{dialog.dialog_id}' ran before the reference check")
-    with pytest.raises(EvaluationError,
-                       match=re.escape("dialog 'dlg0002': turn 1: empty reference response")):
-        evaluate_corpus(DialogCorpus(dialogs=tuple(dialogs)), toy_kb, toy_index,
-                        predictor=factory)
+def test_empty_reference_is_refused_before_any_turn(tmp_path, response, delex):
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    turn = dialogs[2]["turns"][1]
+    turn["response"] = response
+    turn.pop("delex")
+    if delex is not None:
+        turn["delex"] = delex
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(str(path))
+    assert str(err.value) == f"{path}:3: dialog 'dlg0002' turn 1: empty reference response"
 
 
 def test_inform_success_judges_one_dialog(toy_kb, toy_index):
@@ -400,13 +401,6 @@ def test_goal_names_are_normalized_like_the_db(tmp_path, toy_kb, toy_index):
     assert report == evaluate_corpus(original, toy_kb, toy_index, predictor="oracle")
     assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == GoalSpec(
         domains={"hotel": DomainGoal(requestables=("phone",))})
-
-
-def test_evaluate_refuses_duplicate_dialog_id(toy_kb, toy_index):
-    corpus = load_corpus(str(TOY_CORPUS_PATH))
-    doubled = DialogCorpus(dialogs=corpus.dialogs + corpus.dialogs[:1])
-    with pytest.raises(EvaluationError, match="duplicate dialog id 'dlg0000'"):
-        evaluate_corpus(doubled, toy_kb, toy_index)
 
 
 def test_evaluate_oracle_perfect_tracking(toy_kb, toy_index):

@@ -1,11 +1,17 @@
-"""Seeded mutation test: no corruption of an input file makes `eval` end in a traceback.
+"""Mutation tests of the files `eval` and `run` read.
 
-Each file `eval` reads is corrupted in a fixed set of ways at positions drawn
-from ``random.Random(0)``. Every mutant must exit 0, or exit 1 with a last
+Seeded: each file `eval` reads is corrupted in a fixed set of ways at positions
+drawn from ``random.Random(0)``. Every mutant must exit 0, or exit 1 with a last
 stderr line ``error: <kind>: <detail>``.
+
+Cross-file: one domain, slot, entity id or doc id is renamed in one file only,
+so that file disagrees with the others. Every mutant must be refused before
+any turn runs, with one ``error: load: <file>[:<line>]: ...`` line naming the
+file the loaders read last among those that disagree.
 """
 
 import random
+import re
 
 import pytest
 
@@ -51,3 +57,51 @@ def test_mutated_input_ends_in_error_line(eval_files, capsys, target):
             err = capsys.readouterr().err.splitlines()
             assert code == 0 or (code == 1 and err and err[-1].startswith("error: ")), \
                 f"{target}, {mutation}: exit {code}, stderr {err[-1:]}"
+
+
+# name -> (file renamed in, old text, new text, file the error names)
+RENAMES = {
+    "db-domain": ("db", '"hotel"', '"lodge"', "docs"),
+    "db-slot": ("db", '"stars"', '"rating"', "corpus"),
+    "db-entity-id": ("db", '"id": "acorn guest house"', '"id": "acorn inn"', "index"),
+    "docs-domain": ("docs", '"domain": "hotel"', '"domain": "lodge"', "docs"),
+    "docs-entity-id": ("docs", '"entity_id": "acorn guest house"', '"entity_id": "acorn inn"',
+                       "docs"),
+    "docs-doc-id": ("docs", '"doc_id": "h1"', '"doc_id": "h9"', "index"),
+    "index-domain": ("index", "hotel\t", "lodge\t", "index"),
+    "index-entity-id": ("index", "\tacorn guest house\t", "\tacorn inn\t", "index"),
+    "index-doc-id": ("index", "\th1\t", "\th9\t", "index"),
+    "corpus-domain": ("corpus", "hotel", "lodge", "corpus"),
+    "corpus-span-domain": ("corpus", '"belief_span": "hotel', '"belief_span": "lodge', "corpus"),
+    "corpus-slot": ("corpus", "stars", "rating", "corpus"),
+    "corpus-span-slot": ("corpus", "stars =", "rating =", "corpus"),
+    "corpus-entity-id": ("corpus", '"entity_id": "acorn guest house"',
+                         '"entity_id": "acorn inn"', "corpus"),
+    "corpus-doc-id": ("corpus", '"doc_id": "h1"', '"doc_id": "h9"', "corpus"),
+    "goals-domain": ("goals", '"hotel"', '"lodge"', "goals"),
+    "goals-slot": ("goals", '"stars"', '"rating"', "goals"),
+    "templates-domain": ("templates", "hotel\t", "lodge\t", "templates"),
+}
+LINE_FILES = ("index", "corpus")  # their errors name the line
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in ("eval", "run") for case in RENAMES
+    if command == "eval" or RENAMES[case][0] != "goals"])  # `run` reads no goals
+def test_cross_file_rename_is_refused_at_load(tmp_path, capsys, eval_files, no_turn,
+                                              command, case):
+    target, old, new, blamed = RENAMES[case]
+    text = eval_files[target].read_text("utf-8")
+    assert old in text
+    eval_files[target].write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = eval_argv(eval_files)
+    if command == "run":  # the same files but the goals
+        k = argv.index("--goals")
+        argv = ["run", *argv[1:k], *argv[k + 2:]]
+    assert main([*argv, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    line = r":\d+" if blamed in LINE_FILES else ""
+    assert re.fullmatch(rf"error: load: {re.escape(str(eval_files[blamed]))}{line}: .+\n", err), \
+        err
