@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EvaluationError, LabelError, ParseError
+from .errors import LabelError, ParseError
 from .text import normalize
 
 RUK_SLOT = "ruk"
@@ -95,13 +95,19 @@ def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
         if not (domain and slot and value):
             raise ValueError("belief triples need nonempty domain, slot and value")
         latest[(domain, slot)] = value
+    return _canonical_state(latest, filter(None, map(normalize, topic)))
+
+
+def _canonical_state(latest: dict[tuple[str, str], str],
+                     topic: Iterable[str]) -> ExtendedBeliefState:
+    """:func:`make_state` on fields that are normalized and nonempty already:
+    ``latest`` maps each (domain, slot) to its value, in mention order."""
     slots_of: dict[str, list[str]] = {}  # domains in first-mention order
     for domain, slot in latest:
         slots_of.setdefault(domain, []).append(slot)
     ordered = [DsvTriple(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
                for s in sorted(slots, key=lambda s: (s == RUK_SLOT, s))]
-    topic_tokens = tuple(filter(None, map(normalize, topic)))
-    state = ExtendedBeliefState(triples=tuple(ordered), topic=topic_tokens)
+    state = ExtendedBeliefState(triples=tuple(ordered), topic=tuple(topic))
     if state.topic and not state.has_ruk():
         raise ValueError("a topic requires a ruk triple")
     return state
@@ -168,7 +174,9 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
                              else f"expected {what}, found '{found}'", _offset(text, i))
         return " ".join(toks[start:i])
 
-    triples: list[tuple[str, str, str]] = []
+    # Fields are single-spaced runs of whitespace-free tokens, so str.lower normalizes
+    # them: no non-whitespace code point lowercases to text containing whitespace.
+    latest: dict[tuple[str, str], str] = {}
     while toks[i] is not None and toks[i] != TOPIC_SEPARATOR:
         domain = words({"{"}, "domain name")
         if toks[i] != "{":
@@ -181,7 +189,7 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
             if toks[i] != "=":
                 raise ParseError(f"missing '=' after slot '{slot}'", _offset(text, i))
             i += 1
-            triples.append((domain, slot, words({",", "}"}, "value")))
+            latest[(domain.lower(), slot.lower())] = words({",", "}"}, "value").lower()
             if toks[i] == ",":
                 i += 1
                 if toks[i] == "}":
@@ -195,7 +203,7 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
             if token in _RESERVED:
                 raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
     try:
-        return make_state(triples, topic)
+        return _canonical_state(latest, map(str.lower, topic))
     except ValueError as exc:
         raise ParseError(str(exc), len(text.encode("utf-8"))) from exc
 
@@ -253,18 +261,6 @@ def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bo
 def prf_from_counts(counts: Sequence[int]) -> dict[str, PRF]:
     """Ruk and topic P/R/F1 (fractions; undefined reports 0) from summed prf_counts."""
     return {"ruk": _prf(*counts[:3]), "topic": _prf(*counts[3:])}
-
-
-def extended_prf(preds: Sequence[ExtendedBeliefState],
-                 golds: Sequence[ExtendedBeliefState]) -> dict[str, PRF]:
-    """Precision/recall/F1 (as fractions) of the ruk triple and the topic."""
-    if len(preds) != len(golds):
-        raise EvaluationError(
-            f"prediction/gold length mismatch ({len(preds)} vs {len(golds)})")
-    counts = [0] * 6
-    for pred, gold in zip(preds, golds):
-        counts = [a + b for a, b in zip(counts, prf_counts(pred, gold), strict=True)]
-    return prf_from_counts(counts)
 
 
 @dataclass(frozen=True)

@@ -191,17 +191,19 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
 
 
 def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
-                        state: ExtendedBeliefState,
+                        state: ExtendedBeliefState, query: QueryResult | None = None,
                         ) -> tuple[QueryResult, RetrievedDocument | None,
                                    tuple[RetrievedDocument, ...]]:
     """Structured query plus document retrieval for one belief state.
 
     Returns the query result, the retrieved document and the full document
-    ranking. The document is none unless the state has both a ruk triple and
-    a topic, an entity clears :data:`MATCH_FLOOR`, and the best-ranked
-    document's score clears it as well.
+    ranking. ``query``, when given, must be ``structured_query(kb, state)``
+    and is used as is; otherwise the query runs here. The document is none
+    unless the state has both a ruk triple and a topic, an entity clears
+    :data:`MATCH_FLOOR`, and the best-ranked document's score clears it as
+    well.
     """
-    result = structured_query(kb, state)
+    result = structured_query(kb, state) if query is None else query
     ruk = state.ruk_triple()
     if ruk is None or not state.topic:
         return result, None, ()

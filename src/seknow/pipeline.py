@@ -24,6 +24,7 @@ from .belief import (
     DialogContext,
     DsvTriple,
     ExtendedBeliefState,
+    _canonical_state,
     make_state,
     parse_belief_span,
     serialize_belief,
@@ -37,10 +38,12 @@ from .knowops import (
     knowledge_operation,
     structured_query,
 )
-from .text import normalize, open_input, tokenize
+from .text import load_stopwords, normalize, open_input, tokenize
 from .topics import TopicIndex
 
-Predictor = Callable[[DialogContext, ExtendedBeliefState], ExtendedBeliefState]
+# (context, previous belief) -> (belief, its structured query or None to have it run)
+Predictor = Callable[[DialogContext, ExtendedBeliefState],
+                     tuple[ExtendedBeliefState, QueryResult | None]]
 Generator = Callable[[ExtendedBeliefState, QueryResult, RetrievedDocument | None], str]
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
@@ -194,13 +197,15 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     """Process one dialog turn and advance the session.
 
     Gold annotations are only reachable through the predictor; the knowledge
-    operation and the generator see nothing but its output.
+    operation and the generator see nothing but its output. A query the
+    predictor hands back must be ``structured_query(kb, belief)``; the
+    knowledge operation then reuses it instead of querying again.
     """
     session.utterances.append(("user", user_utterance))
     turn = session.turn_index
     try:
-        belief = predictor(session.context(), session.prev_belief)
-        query, document, ranking = knowledge_operation(kb, index, belief)
+        belief, query = predictor(session.context(), session.prev_belief)
+        query, document, ranking = knowledge_operation(kb, index, belief, query)
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
@@ -221,17 +226,19 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
 
 
 def make_oracle_predictor(golds: Sequence[ExtendedBeliefState | None]) -> Predictor:
-    """Predictor that replays per-turn gold states verbatim; a missing one is an error."""
+    """Predictor that replays per-turn gold states verbatim, with no query; a missing
+    state is an error."""
     cursor = iter(list(golds))
 
-    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
+    def predict(context: DialogContext, prev: ExtendedBeliefState,
+                ) -> tuple[ExtendedBeliefState, None]:
         try:
             gold = next(cursor)
         except StopIteration:
             raise OracleError("more turns than gold annotations") from None
         if gold is None:
             raise OracleError("turn has no gold belief annotation")
-        return gold
+        return gold, None
 
     return predict
 
@@ -248,28 +255,36 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     Extension: the single best-matching entity of the current structured
     query is checked for documents whose index topics share a token with the
     utterance; the first overlap sets the ruk triple and the shared topic
-    words.
+    words. The query is handed back, since the extension changes no
+    constraint.
+
+    Every field is canonical already (``prev``, the KB's and the index's
+    words), so states are built without normalizing again.
     """
-    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
+    stopwords = load_stopwords()
+
+    def predict(context: DialogContext, prev: ExtendedBeliefState,
+                ) -> tuple[ExtendedBeliefState, QueryResult]:
         utterance = normalize(context.latest_user())
         claimed: list[tuple[int, int]] = []
-        new_triples = list(prev.triples)
+        latest = {(t.domain, t.slot): t.value for t in prev.triples}
         for value, pairs in kb.ontology_candidates(utterance):
             span = _find_unclaimed(utterance, value, claimed)
             if span is None:
                 continue
             claimed.append(span)
-            for domain, slot in pairs:
-                new_triples.append(DsvTriple(domain, slot, value))
-        state = make_state(new_triples, prev.topic)
+            for pair in pairs:
+                latest[pair] = value
+        state = _canonical_state(latest, prev.topic)
+        query = structured_query(kb, state)
 
-        hit = _topic_overlap(kb, index, state, utterance)
+        hit = _topic_overlap(index, query, set(tokenize(utterance, stopwords)))
         if hit is None:
-            return state
+            return state, query
         domain, entity_id, shared = hit
-        base = [t for t in state.triples if t.slot != RUK_SLOT]
-        base.append(DsvTriple(domain, RUK_SLOT, entity_id))
-        return make_state(base, shared)
+        base = {(t.domain, t.slot): t.value for t in state.triples if t.slot != RUK_SLOT}
+        base[(domain, RUK_SLOT)] = entity_id
+        return _canonical_state(base, shared), query
 
     return predict
 
@@ -288,13 +303,10 @@ def _find_unclaimed(utterance: str, value: str,
     return None
 
 
-def _topic_overlap(kb: KnowledgeBase, index: TopicIndex,
-                   state: ExtendedBeliefState, utterance: str,
+def _topic_overlap(index: TopicIndex, query: QueryResult, tokens: set[str],
                    ) -> tuple[str, str, tuple[str, ...]] | None:
-    tokens = set(tokenize(utterance))
     if not tokens:
         return None
-    query = structured_query(kb, state)
     for domain, matches in query.per_domain.items():
         for entity_id in matches.entity_ids:
             docs = index.docs_for_entity(domain, entity_id)

@@ -6,9 +6,10 @@ full-matrix LCS, an exhaustive fuzzy entity match, a from-scratch topic
 extraction pass, an exhaustive entity filter, a scan of every index entry
 per entity, a regex-only ontology value finder and the full ontology scan
 built on it, Inform and Success from their definition, a naive n-gram BLEU
-and its per-pair counts from slices, a two-pass greedy METEOR alignment,
-and the token-cursor belief-span parser with eager byte offsets. Slow is
-fine; these run on desk-scale inputs only. The one exception is
+and its per-pair counts from slices, a two-pass greedy METEOR alignment, the
+belief-extension P/R/F1 over lists of states, and the token-cursor
+belief-span parser with eager byte offsets and its own canonical ordering.
+Slow is fine; these run on desk-scale inputs only. The one exception is
 ``oracle_evaluate``, which checks the single-pass evaluation driver against
 the list-based metric functions it folds.
 """
@@ -21,8 +22,8 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from seknow.belief import make_state
-from seknow.errors import ParseError
+from seknow.belief import PRF, DsvTriple, ExtendedBeliefState
+from seknow.errors import EvaluationError, ParseError
 
 STOPWORDS_PATH = Path(__file__).resolve().parent.parent / "src" / "seknow" / "data" / "stopwords.txt"
 
@@ -263,12 +264,36 @@ def oracle_inform_success(outs: list, goal, kb) -> tuple:
     return ok_inform, ok_inform and ok_success
 
 
+def extended_prf(preds: list, golds: list) -> dict:
+    """Precision/recall/F1 (fractions, undefined reports 0) of the ruk triple and the
+    topic: a ruk is correct when its (domain, value) equals the gold one, a topic its
+    token set."""
+    if len(preds) != len(golds):
+        raise EvaluationError(
+            f"prediction/gold length mismatch ({len(preds)} vs {len(golds)})")
+
+    def prf(correct, predicted, gold):
+        p = correct / predicted if predicted else 0.0
+        r = correct / gold if gold else 0.0
+        return PRF(p, r, 2 * p * r / (p + r) if p + r else 0.0)
+
+    rukes = [(p.ruk_triple(), g.ruk_triple()) for p, g in zip(preds, golds)]
+    return {
+        "ruk": prf(sum(p is not None and g is not None
+                       and (p.domain, p.value) == (g.domain, g.value) for p, g in rukes),
+                   sum(p is not None for p, _ in rukes), sum(g is not None for _, g in rukes)),
+        "topic": prf(sum(bool(p.topic) and bool(g.topic) and set(p.topic) == set(g.topic)
+                         for p, g in zip(preds, golds)),
+                     sum(bool(p.topic) for p in preds), sum(bool(g.topic) for g in golds)),
+    }
+
+
 def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=None):
     """Three-pass reference for ``evaluate_corpus``.
 
     Runs every dialog and keeps all outputs, builds corpus-wide lists of
     predictions, golds, rankings and token lists, scores them with the
-    list-based ``bleu``, ``extended_prf`` and ``retrieval_metrics``, and walks
+    list-based ``bleu``, :func:`extended_prf` and ``retrieval_metrics``, and walks
     all outputs once more for Inform and Success, written from the definition.
     """
     from seknow import belief, metrics
@@ -299,7 +324,7 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
     meteor = math.fsum(metrics.meteor_simplified(h, r) for h, r in pairs) / len(pairs)
     rouge = math.fsum(metrics.rouge_l(h, r) for h, r in pairs) / len(pairs)
     mrr5, r1 = metrics.retrieval_metrics(rankings, gold_docs) if rankings else (0.0, 0.0)
-    prf = belief.extended_prf(preds, golds)
+    prf = extended_prf(preds, golds)
 
     informed = succeeded = judged = 0
     for dialog in corpus.dialogs:
@@ -390,7 +415,26 @@ def oracle_parse_belief_span(text: str):
             if token in _RESERVED:
                 raise ParseError(f"reserved token '{token}' in topic", toks.offset())
             topic.append(token)
-    try:
-        return make_state(triples, topic)
-    except ValueError as exc:
-        raise ParseError(str(exc), toks.end_offset) from exc
+    return _oracle_canonical_state(triples, topic, toks.end_offset)
+
+
+def _oracle_normalize(text: str) -> str:
+    return " ".join(text.lower().split())
+
+
+def _oracle_canonical_state(triples: list, topic: list, end_offset: int):
+    """Canonical state from the definition: each field normalized, a repeated (domain,
+    slot) keeps its last value, domains in first-mention order, slots sorted with ruk last."""
+    triples = [tuple(map(_oracle_normalize, t)) for t in triples]
+    domains = []
+    for domain, _, _ in triples:
+        if domain not in domains:
+            domains.append(domain)
+    ordered = []
+    for domain in domains:
+        values = {slot: value for d, slot, value in triples if d == domain}
+        slots = sorted(s for s in values if s != "ruk") + (["ruk"] if "ruk" in values else [])
+        ordered += [DsvTriple(domain, slot, values[slot]) for slot in slots]
+    if topic and not any(t.slot == "ruk" for t in ordered):
+        raise ParseError("a topic requires a ruk triple", end_offset)
+    return ExtendedBeliefState(tuple(ordered), tuple(map(_oracle_normalize, topic)))

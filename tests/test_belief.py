@@ -3,12 +3,11 @@ import random
 import pytest
 
 from genstates import random_state
-from oracles import oracle_parse_belief_span
+from oracles import extended_prf, oracle_parse_belief_span
 from seknow.belief import (
     DialogContext,
     DsvTriple,
     extend_gold_label,
-    extended_prf,
     joint_goal_match,
     make_state,
     parse_belief_span,
@@ -114,8 +113,9 @@ def test_parse_refuses_text_that_is_not_utf8():
     assert err.value.offset == text.index("\udcff")
 
 
+# "ǅ", "ẞ" and "ΣΑΣ" change under lowercasing (title case, ß, final sigma); "RUK" is ruk
 PARSE_WORDS = ["restaurant", "hotel", "food", "area", "ruk", "pizza", "hut", "Área", "日本",
-               "İ", "x{", "a=b", "||x"]
+               "İ", "x{", "a=b", "||x", "ǅ", "ẞ", "ΣΑΣ", "RUK"]
 PARSE_TOKENS = PARSE_WORDS + ["{", "}", ",", "=", "||"]
 PARSE_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\u00a0"]
 
@@ -164,6 +164,14 @@ def test_parse_matches_reference_parser():
         else:
             accepted += 1
     assert accepted >= 1_000 and refused >= 1_000, (accepted, refused)
+
+
+def test_no_code_point_lowercases_into_whitespace():
+    # parse_belief_span lowercases its space-joined words in place of normalizing them
+    for cp in range(0x110000):
+        char = chr(cp)
+        if not char.isspace():
+            assert len(char.lower().split()) == 1, hex(cp)
 
 
 def test_roundtrip_random_states():

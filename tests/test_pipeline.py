@@ -1,12 +1,14 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import oracle_find_unclaimed, oracle_heuristic_constraints
 from seknow.belief import make_state, parse_belief_span, serialize_belief
 from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
-from seknow.kb import Domain, Entity, KnowledgeBase
+from seknow.kb import Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.knowops import knowledge_operation, structured_query
 from seknow.pipeline import (
     CorruptionSample,
@@ -22,7 +24,7 @@ from seknow.pipeline import (
     run_turn,
     template_generate,
 )
-from seknow.topics import TopicIndex
+from seknow.topics import TopicIndex, build_topic_index
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +114,7 @@ def test_run_turn_passes_utterance_unchanged(toy_kb, toy_index, templates):
 
     def spy(context, prev):
         seen.append(context.latest_user())
-        return prev
+        return prev, None
 
     session = Session()
     run_turn(session, "", spy, make_template_generator(templates), toy_kb, toy_index)
@@ -132,14 +134,16 @@ def test_oracle_predictor_verbatim():
     gold = make_state([("restaurant", "food", "italian")])
     extended = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
     predictor = make_oracle_predictor([gold, extended])
-    assert predictor(None, make_state([])) is gold
-    assert predictor(None, gold) is extended
+    for prev, expected in ((make_state([]), gold), (gold, extended)):
+        belief, query = predictor(None, prev)
+        assert belief is expected and query is None
 
 
 def test_oracle_predictor_missing_annotation():
     gold = make_state([("restaurant", "food", "italian")])
     predictor = make_oracle_predictor([gold, None])
-    assert predictor(None, make_state([])) is gold
+    belief, query = predictor(None, make_state([]))
+    assert belief is gold and query is None
     with pytest.raises(OracleError, match="no gold belief annotation"):
         predictor(None, gold)
     with pytest.raises(OracleError, match="more turns than gold annotations"):
@@ -150,7 +154,8 @@ def test_heuristic_adds_verbatim_ontology_values(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     session = Session()
     session.utterances.append(("user", "looking for italian food in the center"))
-    state = predictor(session.context(), make_state([]))
+    state, query = predictor(session.context(), make_state([]))
+    assert query == structured_query(toy_kb, state)
     constraints = state.constraints()["restaurant"]
     assert constraints["food"] == "italian"
     assert constraints["area"] == "center"
@@ -161,7 +166,8 @@ def test_heuristic_sets_ruk_on_topic_overlap(toy_kb, toy_index):
     prev = make_state([("hotel", "area", "north")])
     session = Session()
     session.utterances.append(("user", "do they serve breakfast ?"))
-    state = predictor(session.context(), prev)
+    state, query = predictor(session.context(), prev)
+    assert query == structured_query(toy_kb, state)
     ruk = state.ruk_triple()
     assert ruk is not None
     assert (ruk.domain, ruk.value) == ("hotel", "acorn guest house")
@@ -173,7 +179,7 @@ def test_heuristic_no_hits_returns_prev(toy_kb, toy_index):
     prev = make_state([("restaurant", "pricerange", "cheap")])
     session = Session()
     session.utterances.append(("user", "thanks, goodbye!"))
-    assert predictor(session.context(), prev) == prev
+    assert predictor(session.context(), prev) == (prev, structured_query(toy_kb, prev))
 
 
 def test_heuristic_longest_match_first(toy_kb, toy_index):
@@ -181,7 +187,8 @@ def test_heuristic_longest_match_first(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     session = Session()
     session.utterances.append(("user", "is acorn guest house in the north ?"))
-    state = predictor(session.context(), make_state([]))
+    state, query = predictor(session.context(), make_state([]))
+    assert query == structured_query(toy_kb, state)
     assert state.constraints()["hotel"]["name"] == "acorn guest house"
 
 
@@ -249,10 +256,72 @@ def test_heuristic_first_word_index_equals_full_scan():
         session = Session()
         session.utterances.append(("user", utterance))
         expected = oracle_heuristic_constraints(kb, " ".join(utterance.lower().split()))
-        assert predictor(session.context(), make_state([])) == make_state(expected), utterance
+        state, query = predictor(session.context(), make_state([]))
+        assert state == make_state(expected), utterance
+        assert query == structured_query(kb, state), utterance
         found += bool(expected)
         non_word_start += any(v[:1] in ("-", "(", "£") for _, _, v in expected)
     assert found > 1000 and non_word_start > 20
+
+
+def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
+    """Run seeded random dialogs through the heuristic; check every turn's state and query.
+
+    Utterances mix one entity's attribute values, its documents' index topic words
+    and filler. Returns (turns, turns whose ruk triple or topic changed)."""
+    rng = random.Random(seed)
+    entities = [(dom, ent) for dom, domain in kb.domains.items() for ent in domain.entities]
+    topics: dict = {}
+    for (dom, ent_id, _), words in sorted(index.entries.items()):
+        topics.setdefault((dom, ent_id), []).extend(tw.token for tw in words)
+    filler = ["please", "the", "is", "there", "what", "about", "nice", "?", "Thanks"]
+    predictor = make_heuristic_predictor(kb, index)
+    seen = []
+
+    def checked(context, prev):
+        state, query = predictor(context, prev)
+        assert query == structured_query(kb, state)
+        assert state == make_state(state.triples, state.topic)
+        seen.append((prev, state))
+        return state, query
+
+    generator = make_template_generator()
+    for _ in range(dialogs):
+        session = Session()
+        for _ in range(rng.randint(3, 7)):
+            dom, ent = rng.choice(entities)
+            words = []
+            for pool in (sorted(ent.attributes.values()), topics.get((dom, ent.id), filler)):
+                words += rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+            words += rng.choices(filler, k=rng.randint(0, 3))
+            rng.shuffle(words)
+            out = run_turn(session, " ".join(words), checked, generator, kb, index)
+            assert out.query == structured_query(kb, out.belief)
+    extended = sum((prev.ruk_triple(), prev.topic) != (state.ruk_triple(), state.topic)
+                   for prev, state in seen)
+    return len(seen), extended
+
+
+def test_heuristic_hands_back_its_query_and_canonical_state_on_toy_kb(toy_kb, toy_index):
+    turns, extended = _heuristic_dialogs(toy_kb, toy_index, seed=1303, dialogs=60)
+    assert turns >= 240 and extended >= turns // 10, (turns, extended)
+
+
+def test_heuristic_hands_back_its_query_and_canonical_state_on_generated_kb(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
+    try:
+        import inputs
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.pop(0)
+    db, docs = inputs.make_kb(7, {"restaurant": 12, "hotel": 6, "attraction": 6}, 4)
+    (tmp_path / "db.json").write_text(json.dumps(db), "utf-8")
+    (tmp_path / "docs.json").write_text(json.dumps(docs), "utf-8")
+    kb = load_knowledge_base(str(tmp_path / "db.json"), str(tmp_path / "docs.json"))
+    index = build_topic_index(kb, inputs.THRESHOLDS)
+    turns, extended = _heuristic_dialogs(kb, index, seed=1304, dialogs=60)
+    assert turns >= 240 and extended >= turns // 10, (turns, extended)
 
 
 def make_samples(n):
