@@ -95,13 +95,13 @@ def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
         if not (domain and slot and value):
             raise ValueError("belief triples need nonempty domain, slot and value")
         latest[(domain, slot)] = value
-    return _canonical_state(latest, filter(None, map(normalize, topic)))
+    return canonical_state(latest, filter(None, map(normalize, topic)))
 
 
-def _canonical_state(latest: dict[tuple[str, str], str],
-                     topic: Iterable[str]) -> ExtendedBeliefState:
-    """:func:`make_state` on fields that are normalized and nonempty already:
-    ``latest`` maps each (domain, slot) to its value, in mention order."""
+def canonical_state(latest: dict[tuple[str, str], str],
+                    topic: Iterable[str]) -> ExtendedBeliefState:
+    """:func:`make_state` for callers that guarantee, unchecked, normalized nonempty fields
+    and ``latest`` mapping each (domain, slot) to its value in mention order."""
     slots_of: dict[str, list[str]] = {}  # domains in first-mention order
     for domain, slot in latest:
         slots_of.setdefault(domain, []).append(slot)
@@ -203,7 +203,7 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
             if token in _RESERVED:
                 raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
     try:
-        return _canonical_state(latest, map(str.lower, topic))
+        return canonical_state(latest, map(str.lower, topic))
     except ValueError as exc:
         raise ParseError(str(exc), len(text.encode("utf-8"))) from exc
 

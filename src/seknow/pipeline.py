@@ -24,7 +24,7 @@ from .belief import (
     DialogContext,
     DsvTriple,
     ExtendedBeliefState,
-    _canonical_state,
+    canonical_state,
     make_state,
     parse_belief_span,
     serialize_belief,
@@ -275,16 +275,17 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
             claimed.append(span)
             for pair in pairs:
                 latest[pair] = value
-        state = _canonical_state(latest, prev.topic)
+        state = canonical_state(latest, prev.topic)
         query = structured_query(kb, state)
 
         hit = _topic_overlap(index, query, set(tokenize(utterance, stopwords)))
         if hit is None:
             return state, query
         domain, entity_id, shared = hit
+        # from state, not latest: a ruk-only domain of prev would reorder latest's domains
         base = {(t.domain, t.slot): t.value for t in state.triples if t.slot != RUK_SLOT}
         base[(domain, RUK_SLOT)] = entity_id
-        return _canonical_state(base, shared), query
+        return canonical_state(base, shared), query
 
     return predict
 

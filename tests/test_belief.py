@@ -11,6 +11,8 @@ from seknow.belief import (
     joint_goal_match,
     make_state,
     parse_belief_span,
+    prf_counts,
+    prf_from_counts,
     serialize_belief,
 )
 from seknow.errors import EvaluationError, LabelError, ParseError
@@ -248,20 +250,34 @@ def test_joint_goal_reflexive_symmetric():
         assert joint_goal_match(a, b) == joint_goal_match(b, a)
 
 
+def shipped_prf(preds, golds):
+    """The fold evaluate_corpus runs: prf_from_counts of the summed per-turn prf_counts."""
+    counts = [0] * 6
+    for pred, gold in zip(preds, golds, strict=True):
+        counts = [a + b for a, b in zip(counts, prf_counts(pred, gold), strict=True)]
+    return prf_from_counts(counts)
+
+
+# each case holds the shipped fold and the oracle's extended_prf to the same figures
+PRF_FOLDS = (shipped_prf, extended_prf)
+
+
 def test_extended_prf_all_correct():
     states = [state_of(("restaurant", "ruk", "pizza hut"), topic=["favorite"]),
               state_of(("hotel", "ruk", "acorn"), topic=["breakfast", "parking"])]
-    prf = extended_prf(states, states)
-    assert prf["ruk"] == (1.0, 1.0, 1.0)
-    assert prf["topic"] == (1.0, 1.0, 1.0)
+    for fold in PRF_FOLDS:
+        prf = fold(states, states)
+        assert prf["ruk"] == (1.0, 1.0, 1.0)
+        assert prf["topic"] == (1.0, 1.0, 1.0)
 
 
 def test_extended_prf_never_predicts_ruk():
     golds = [state_of(("restaurant", "ruk", "pizza hut"), topic=["favorite"])] * 3
     preds = [make_state([])] * 3
-    prf = extended_prf(preds, golds)
-    assert prf["ruk"] == (0.0, 0.0, 0.0)
-    assert prf["topic"] == (0.0, 0.0, 0.0)
+    for fold in PRF_FOLDS:
+        prf = fold(preds, golds)
+        assert prf["ruk"] == (0.0, 0.0, 0.0)
+        assert prf["topic"] == (0.0, 0.0, 0.0)
 
 
 def test_extended_prf_half_recall():
@@ -269,16 +285,21 @@ def test_extended_prf_half_recall():
     empty = make_state([])
     preds = [gold, gold, empty, empty]
     golds = [gold, gold, gold, gold]
-    prf = extended_prf(preds, golds)
-    assert prf["ruk"].precision == 1.0
-    assert prf["ruk"].recall == 0.5
-    assert prf["ruk"].f1 == pytest.approx(2 / 3)
+    for fold in PRF_FOLDS:
+        prf = fold(preds, golds)
+        assert prf["ruk"].precision == 1.0
+        assert prf["ruk"].recall == 0.5
+        assert prf["ruk"].f1 == pytest.approx(2 / 3)
+        assert prf["topic"] == prf["ruk"]
 
 
 def test_extended_prf_topic_set_equality():
     pred = state_of(("hotel", "ruk", "acorn"), topic=["parking", "breakfast"])
     gold = state_of(("hotel", "ruk", "acorn"), topic=["breakfast", "parking"])
-    assert extended_prf([pred], [gold])["topic"] == (1.0, 1.0, 1.0)
+    other = state_of(("hotel", "ruk", "acorn"), topic=["parking"])
+    for fold in PRF_FOLDS:
+        assert fold([pred], [gold])["topic"] == (1.0, 1.0, 1.0)
+        assert fold([other], [gold])["topic"] == (0.0, 0.0, 0.0)
 
 
 def test_extended_prf_alignment_error():
