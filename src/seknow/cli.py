@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from contextlib import nullcontext
 
@@ -27,19 +28,28 @@ from .knowops import (
     retrieve_document,
     structured_query,
 )
-from .text import open_output, sha256_file, stopwords_digest, stopwords_file
+from .text import normalize, open_output, sha256_file, stopwords_digest, stopwords_file
 
 
-def _parse_thresholds(pairs: list[str]) -> dict[str, float]:
+def _parse_thresholds(pairs: list[str], kb: kb_mod.KnowledgeBase) -> dict[str, float]:
+    """Defaults overridden by each ``domain=value``: a KB domain with documents, a finite value."""
+    indexed = {name for name, domain in kb.domains.items()
+               if any(ent.documents for ent in domain.entities)}
     thresholds = dict(topics.DEFAULT_THRESHOLDS)
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--threshold expects domain=value, got '{pair}'")
         domain, _, value = pair.partition("=")
+        if normalize(domain) not in indexed:
+            raise ConfigError(f"--threshold domain '{domain}' has no documents "
+                              "in the knowledge base")
         try:
-            thresholds[domain.strip()] = float(value)
+            threshold = float(value)
         except ValueError:
             raise ConfigError(f"--threshold value '{value}' is not a number") from None
+        if not math.isfinite(threshold):
+            raise ConfigError(f"--threshold value '{value}' is not finite")
+        thresholds[normalize(domain)] = threshold
     return thresholds
 
 
@@ -65,7 +75,7 @@ def _load(args):
 
 def cmd_build_index(args) -> int:
     kb, *_ = _load(args)
-    index = topics.build_topic_index(kb, _parse_thresholds(args.threshold))
+    index = topics.build_topic_index(kb, _parse_thresholds(args.threshold, kb))
     topics.write_index(index, args.out)
     print(f"indexed {len(index.entries)} documents -> {args.out}")
     return 0

@@ -19,14 +19,15 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
+from itertools import filterfalse
 from typing import TextIO
 
 from .errors import ConfigError, LoadError
 
 STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_MIN_TOKEN_LEN = 2
+# Maximal alphanumeric runs of two or more characters.
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 
 
 @contextmanager
@@ -97,8 +98,7 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """
     if stopwords is None:
         stopwords = load_stopwords()
-    tokens = _TOKEN_RE.findall(text.lower())
-    return [t for t in tokens if len(t) >= _MIN_TOKEN_LEN and t not in stopwords]
+    return list(filterfalse(stopwords.__contains__, _TOKEN_RE.findall(text.lower())))
 
 
 def sha256_file(path: str) -> str:

@@ -1,17 +1,18 @@
 """Topic index construction: TF-IDF candidates filtered by cumulative-average score.
 
 Each document gets one to three topic words that serve as its retrieval
-index. Per domain, the top three tokens by TF-IDF are taken as candidates;
-a candidate survives when its cumulative average score (the sum of its
-TF-IDF scores over every document where it is a candidate, divided by the
-number of entities in the domain) clears the domain threshold. Documents
-whose candidates are all filtered out keep their single best candidate so
-every document ends up with at least one topic word.
+index. Per domain, the top three tokens by TF-IDF are taken as candidates,
+ties going to the token that occurs first; a candidate survives when its
+cumulative average score (the sum of its TF-IDF scores over every document
+where it is a candidate, divided by the number of entities in the domain)
+clears the domain threshold. Documents whose candidates are all filtered out
+keep their single best candidate so every document ends up with at least one
+topic word.
 
 TF-IDF here is the unsmoothed textbook form: raw term count times
 ``ln(N / df)`` with ``N`` the number of documents in the domain and ``df``
-the number of those documents containing the token. Title tokens are
-prepended to the body's token stream.
+the number of those documents containing the token. A document's token
+stream is its title and body tokenized as one text, title first.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import math
 import os
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import mul, truediv
 
 from .errors import ConfigError, IndexingError, LoadError
 from .kb import KnowledgeBase, expect, read_json
@@ -86,33 +89,32 @@ def compute_tfidf(doc_tokens: Mapping) -> dict[object, dict[str, float]]:
     """Score every token of every document of one domain.
 
     ``doc_tokens`` maps an opaque document key to its token stream; the
-    result maps that key to ``{token: tf * ln(N / df)}`` with raw counts. A
-    token present in every document scores zero.
+    result maps that key to ``{token: tf * ln(N / df)}`` with raw counts,
+    tokens in first-occurrence order. A token present in every document
+    scores zero.
     """
-    n_docs = len(doc_tokens)
-    df = Counter(token for tokens in doc_tokens.values() for token in set(tokens))
-    return {key: {token: tf * math.log(n_docs / df[token])
-                  for token, tf in Counter(tokens).items()}
-            for key, tokens in doc_tokens.items()}
+    counts = [Counter(tokens) for tokens in doc_tokens.values()]
+    df = Counter(chain.from_iterable(counts))
+    idf = dict(zip(df, map(math.log, map(truediv, repeat(len(counts)), df.values()))))
+    return {key: dict(zip(tf, map(mul, tf.values(), map(idf.__getitem__, tf))))
+            for key, tf in zip(doc_tokens, counts)}
 
 
-def extract_candidates(tokens: Sequence[str], scores: Mapping[str, float]) -> list[TopicWord]:
-    """Top three tokens of one document by TF-IDF.
+def extract_candidates(tokens: Sequence[str],
+                       scores: Mapping[str, float]) -> list[tuple[str, float]]:
+    """Top three ``(token, tfidf)`` pairs of one document.
 
-    Ties break by earlier first occurrence in the token stream, then
-    lexicographically. Cumulative scores and the filter flag are filled in
-    later by :func:`build_topic_index`.
+    ``scores`` must score every token. Ties break by earlier first occurrence
+    in the token stream: the sort is stable and runs over the distinct tokens
+    in that order.
     """
     if not tokens:
         raise IndexingError("document has no usable tokens")
-    first_pos = {}
-    for pos, token in enumerate(tokens):
-        first_pos.setdefault(token, pos)
-    ranked = sorted(first_pos, key=lambda t: (-scores.get(t, 0.0), first_pos[t], t))
-    return [TopicWord(token=t, tfidf=scores.get(t, 0.0)) for t in ranked[:MAX_TOPICS]]
+    ranked = sorted(dict.fromkeys(tokens), key=scores.__getitem__, reverse=True)
+    return [(token, scores[token]) for token in ranked[:MAX_TOPICS]]
 
 
-def compute_ca_tfidf(candidates: Mapping[object, Sequence[TopicWord]],
+def compute_ca_tfidf(candidates: Mapping[object, Sequence[tuple[str, float]]],
                      entity_count: int) -> dict[str, float]:
     """Cumulative average score per candidate token of one domain.
 
@@ -124,8 +126,8 @@ def compute_ca_tfidf(candidates: Mapping[object, Sequence[TopicWord]],
         raise ConfigError("entity_count must be at least 1")
     totals: dict[str, float] = {}
     for words in candidates.values():
-        for tw in words:
-            totals[tw.token] = totals.get(tw.token, 0.0) + tw.tfidf
+        for token, tfidf in words:
+            totals[token] = totals.get(token, 0.0) + tfidf
     return {token: total / entity_count for token, total in totals.items()}
 
 
@@ -146,11 +148,8 @@ def build_topic_index(kb: KnowledgeBase,
                           f"in effect (sha256 {stopwords_digest()})")
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     for dom_name, domain in kb.domains.items():
-        doc_tokens: dict[tuple[str, str], list[str]] = {}
-        for ent in domain.entities:
-            for doc in ent.documents:
-                stream = tokenize(doc.title, in_effect) + tokenize(doc.body, in_effect)
-                doc_tokens[(ent.id, doc.doc_id)] = stream
+        doc_tokens = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}", in_effect)
+                      for ent in domain.entities for doc in ent.documents}
         if not doc_tokens:
             continue
         if dom_name not in thresholds:
@@ -158,7 +157,7 @@ def build_topic_index(kb: KnowledgeBase,
         threshold = thresholds[dom_name]
 
         scores = compute_tfidf(doc_tokens)
-        candidates: dict[tuple[str, str], list[TopicWord]] = {}
+        candidates: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for key, tokens in doc_tokens.items():
             try:
                 candidates[key] = extract_candidates(tokens, scores[key])
@@ -169,14 +168,12 @@ def build_topic_index(kb: KnowledgeBase,
         ca = compute_ca_tfidf(candidates, entity_count=len(domain.entities))
 
         for (entity_id, doc_id), words in candidates.items():
-            scored = [
-                replace(tw, ca_tfidf=ca[tw.token], survived_filter=ca[tw.token] >= threshold)
-                for tw in words
-            ]
-            kept = [tw for tw in scored if tw.survived_filter]
-            if not kept:
-                kept = [scored[0]]  # keep the best candidate so the doc stays indexed
-            entries[(dom_name, entity_id, doc_id)] = tuple(kept)
+            kept = tuple(TopicWord(token, tfidf, ca[token], True)
+                         for token, tfidf in words if ca[token] >= threshold)
+            if not kept:  # keep the best candidate so the doc stays indexed
+                token, tfidf = words[0]
+                kept = (TopicWord(token, tfidf, ca[token], False),)
+            entries[(dom_name, entity_id, doc_id)] = kept
 
     used = {dom: float(thresholds[dom]) for dom in sorted(
         {key[0] for key in entries})}
@@ -217,8 +214,10 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
     holds documents. Score provenance is not persisted, so loaded entries carry
     zero scores and an unset filter flag; only the topic tokens matter downstream.
     """
-    with_docs = kb is not None and any(
-        ent.documents for dom in kb.domains.values() for ent in dom.entities)
+    doc_ids = None if kb is None else {
+        (name, ent.id): {doc.doc_id for doc in ent.documents}
+        for name, dom in kb.domains.items() for ent in dom.entities}
+    with_docs = doc_ids is not None and any(doc_ids.values())
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -236,13 +235,12 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
             key = (parts[0], parts[1], parts[2])
             if key in entries:
                 raise LoadError(f"duplicate row ({', '.join(key)})", file=path, line=lineno)
-            if kb is not None:
-                domain, entity_id, doc_id = key
-                row = f"row ({domain}, {entity_id}, {doc_id})"
-                entity = kb.domains[domain].entity(entity_id) if domain in kb.domains else None
-                expect(entity is not None, f"{row} names no entity of the knowledge base",
+            if doc_ids is not None:
+                row = f"row ({', '.join(key)})"
+                ids = doc_ids.get(key[:2])
+                expect(ids is not None, f"{row} names no entity of the knowledge base",
                        path, lineno)
-                expect(not with_docs or any(doc.doc_id == doc_id for doc in entity.documents),
+                expect(not with_docs or key[2] in ids,
                        f"{row} names no document of that entity", path, lineno)
             entries[key] = topics
     thresholds: dict[str, float] = {}

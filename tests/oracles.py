@@ -58,14 +58,14 @@ def oracle_tokenize(text: str) -> list[str]:
     return out
 
 
-def oracle_topic_index(domains: dict) -> dict:
-    """Reference topic extraction.
+def oracle_topic_words(domains: dict) -> dict:
+    """Reference topic extraction, scores included.
 
-    ``domains`` maps a domain name to ``(entity_count, docs)`` where docs
-    maps ``(entity_id, doc_id)`` to ``(title, body)``. Returns
-    ``(domain, entity_id, doc_id) -> [topic words]`` by exhaustively
-    recomputing tf, df, idf, cumulative averages and the threshold filter
-    with its single-best fallback.
+    ``domains`` maps a domain name to ``(entity_count, docs, threshold)``
+    where docs maps ``(entity_id, doc_id)`` to ``(title, body)``. Returns
+    ``(domain, entity_id, doc_id) -> [(token, tfidf, ca_tfidf, survived)]``
+    for the kept words, by exhaustively recomputing tf, df, idf, cumulative
+    averages and the threshold filter with its single-best fallback.
     """
     result = {}
     for domain, (entity_count, docs, threshold) in domains.items():
@@ -91,11 +91,17 @@ def oracle_topic_index(domains: dict) -> dict:
                 cumulative[token] = cumulative.get(token, 0.0) + value
         averages = {token: total / entity_count for token, total in cumulative.items()}
         for (entity_id, doc_id), scored in candidates.items():
-            kept = [token for token, _ in scored if averages[token] >= threshold]
-            if not kept:
-                kept = [scored[0][0]]
-            result[(domain, entity_id, doc_id)] = kept
+            words = [(token, value, averages[token], averages[token] >= threshold)
+                     for token, value in scored]
+            kept = [word for word in words if word[3]]
+            result[(domain, entity_id, doc_id)] = kept or words[:1]
     return result
+
+
+def oracle_topic_index(domains: dict) -> dict:
+    """:func:`oracle_topic_words` as ``(domain, entity_id, doc_id) -> [topic words]``."""
+    return {key: [word[0] for word in words]
+            for key, words in oracle_topic_words(domains).items()}
 
 
 def oracle_filter_entities(entities: list, constraints: dict) -> list:

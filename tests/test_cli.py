@@ -31,6 +31,39 @@ def test_build_index_matches_golden(tmp_path, capsys):
     assert len(sidecar["stopwords_sha256"]) == 64
 
 
+def test_build_index_threshold_domain_is_normalized(tmp_path):
+    out = tmp_path / "index.tsv"
+    code = main(["build-index", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--out", str(out), "--threshold", "Restaurant=1.0", "--threshold", " HOTEL =1"])
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_INDEX_PATH.read_bytes()
+    sidecar = json.loads((tmp_path / "index.tsv.meta.json").read_text())
+    assert sidecar["thresholds"] == {"hotel": 1.0, "restaurant": 1.0, "taxi": 6.9, "train": 7.3}
+
+
+@pytest.mark.parametrize("flag, detail", [
+    ("restaurnat=0.5", "--threshold domain 'restaurnat' has no documents in the knowledge base"),
+    ("attraction=0.5", "--threshold domain 'attraction' has no documents in the knowledge base"),
+    ("taxi=1.0", "--threshold domain 'taxi' has no documents in the knowledge base"),
+    ("restaurant=nan", "--threshold value 'nan' is not finite"),
+    ("hotel=inf", "--threshold value 'inf' is not finite"),
+    ("hotel=-Infinity", "--threshold value '-Infinity' is not finite"),
+    ("hotel=x", "--threshold value 'x' is not a number"),
+])
+def test_build_index_refuses_bad_threshold(tmp_path, capsys, flag, detail):
+    docs = tmp_path / "docs.json"  # the toy documents, less the taxi domain's
+    docs.write_text(json.dumps([doc for doc in json.loads(DOCS_PATH.read_text("utf-8"))
+                                if doc["domain"] != "taxi"]), "utf-8")
+    out = tmp_path / "index.tsv"
+    code = main(["build-index", "--kb", str(DB_PATH), "--docs", str(docs), "--out", str(out),
+                 "--threshold", flag])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config: {detail}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_query_prints_span(capsys):
     code = main(["query", "--kb", str(DB_PATH),
                  "--belief", "restaurant { food = italian , area = center }"])

@@ -1,11 +1,15 @@
 import hashlib
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from oracles import oracle_docs_for_entity, oracle_topic_index
+from oracles import oracle_docs_for_entity, oracle_tokenize, oracle_topic_index, oracle_topic_words
+from seknow import topics
 from seknow.errors import ConfigError, IndexingError
-from seknow.kb import load_knowledge_base
+from seknow.kb import Document, Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.text import load_stopwords, tokenize
 from seknow.topics import (
     DEFAULT_THRESHOLDS,
@@ -34,6 +38,99 @@ def test_tokenize_all_stopwords():
     assert tokenize("a an the") == []
 
 
+# Pieces of random text: 1-char runs, digits, case, stopwords, non-ASCII letters
+# ("İ" lowercases to "i" plus a combining dot, the Kelvin sign U+212A to "k"), and
+# separators. Few distinct tokens, so TF-IDF scores tie often.
+TEXT_PIECES = ["aa", "bb", "cc", "Dd", "DD", "7", "42", "x", "e", "the", "AND", "of",
+               "İx", "\u212a9", "b\u212a", "bİ", "ΣΑΣ", "ß",
+               " ", " ", ", ", "-", "!", "\t", "'"]
+CONTENT_WORDS = ["aa", "bb", "cc", "dd", "42"]
+
+
+def random_text(rng: random.Random, pieces: int) -> str:
+    return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, pieces)))
+
+
+def test_tokenize_matches_oracle_on_random_text():
+    rng = random.Random(1401)
+    for _ in range(3000):
+        text = random_text(rng, 12)
+        assert tokenize(text) == oracle_tokenize(text), text
+
+
+def test_tokenize_of_title_and_body_joined_is_their_streams_joined():
+    rng = random.Random(1402)
+    for _ in range(3000):
+        title, body = random_text(rng, 6), random_text(rng, 12)
+        assert tokenize(f"{title} {body}") == tokenize(title) + tokenize(body), (title, body)
+
+
+def random_tie_kb(rng: random.Random) -> tuple[KnowledgeBase, dict[str, float], dict]:
+    """A KB of 1-3 domains over :data:`TEXT_PIECES`, its thresholds, and the oracle's
+    ``domains`` argument for it; some entities have no documents."""
+    domains, thresholds, oracle_domains = {}, {}, {}
+    for d in range(rng.randint(1, 3)):
+        name = f"dom{d}"
+        entities = tuple(
+            Entity(id=f"e{e}", name=f"e{e}", attributes={}, documents=tuple(
+                Document(f"d{k}", random_text(rng, 4),
+                         f"{random_text(rng, 10)} {rng.choice(CONTENT_WORDS)}")
+                for k in range(rng.randint(0, 4))))
+            for e in range(rng.randint(1, 5)))
+        domains[name] = Domain(name=name, slot_schema=frozenset(), entities=entities)
+        thresholds[name] = rng.choice([0.0, 0.2, 0.5, 1.0, 2.0])
+        docs = {(ent.id, doc.doc_id): (doc.title, doc.body)
+                for ent in entities for doc in ent.documents}
+        if docs:
+            oracle_domains[name] = (len(entities), docs, thresholds[name])
+    return KnowledgeBase(domains=domains), thresholds, oracle_domains
+
+
+def test_build_matches_oracle_scores_on_tie_heavy_kbs():
+    rng = random.Random(1403)
+    cut_ties = 0
+    for _ in range(150):
+        kb, thresholds, oracle_domains = random_tie_kb(rng)
+        index = build_topic_index(kb, thresholds)
+        got = {key: [(tw.token, tw.tfidf, tw.ca_tfidf, tw.survived_filter) for tw in words]
+               for key, words in index.entries.items()}
+        assert got == oracle_topic_words(oracle_domains)  # floats compared exactly
+        for name, domain in kb.domains.items():
+            streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}")
+                       for ent in domain.entities for doc in ent.documents}
+            for tokens in compute_tfidf(streams).values():
+                ranked = sorted(tokens.values(), reverse=True)
+                cut_ties += len(ranked) > 3 and ranked[2] == ranked[3]
+    assert cut_ties >= 100, cut_ties  # the first-occurrence tie-break decides often
+
+
+def test_build_runs_through_the_traced_seams(toy_kb, tmp_path):
+    """``benchmarks/tracer.py`` times the build by patching these ``topics`` names."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
+    try:
+        from tracer import NAME, PARENT, Tracer
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.pop(0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        topics.write_index(topics.build_topic_index(toy_kb, TOY_THRESHOLDS),
+                           str(tmp_path / "index.tsv"))
+    finally:
+        tracer.restore()
+    assert (tmp_path / "index.tsv").read_bytes() == GOLDEN_INDEX_PATH.read_bytes()
+    docs = sum(len(ent.documents) for dom in toy_kb.domains.values() for ent in dom.entities)
+    calls = {}
+    for rec in tracer.spans:
+        calls[rec[NAME]] = calls.get(rec[NAME], 0) + 1
+        if rec[NAME] not in ("topics.build", "topics.write"):
+            assert rec[PARENT][NAME] == "topics.build", rec[NAME]
+    assert calls == {"topics.build": 1, "text.tokenize": docs, "topics.tfidf": 4,
+                     "topics.candidates": docs, "topics.ca_tfidf": 4, "topics.write": 1}
+
+
 def test_tfidf_token_in_every_doc_scores_zero():
     scores = compute_tfidf({"a": ["pizza", "good"], "b": ["pizza", "bad"]})
     assert scores["a"]["pizza"] == 0.0
@@ -55,13 +152,13 @@ def test_tfidf_single_doc_domain_scores_zero():
 def test_extract_candidates_tie_break_by_occurrence():
     tokens = ["breakfast", "wifi", "pool", "bar", "breakfast"]
     scores = {"breakfast": 4.1, "wifi": 2.0, "pool": 2.0, "bar": 1.0}
-    picked = [tw.token for tw in extract_candidates(tokens, scores)]
-    assert picked == ["breakfast", "wifi", "pool"]
+    assert extract_candidates(tokens, scores) == [("breakfast", 4.1), ("wifi", 2.0),
+                                                  ("pool", 2.0)]
 
 
 def test_extract_candidates_fewer_than_three():
     picked = extract_candidates(["wifi", "pool"], {"wifi": 1.0, "pool": 0.5})
-    assert [tw.token for tw in picked] == ["wifi", "pool"]
+    assert picked == [("wifi", 1.0), ("pool", 0.5)]
 
 
 def test_extract_candidates_empty_stream():
@@ -71,14 +168,14 @@ def test_extract_candidates_empty_stream():
 
 def test_ca_tfidf_sums_and_divides_by_entities():
     candidates = {
-        "d1": [TopicWord("wifi", 2.0)],
-        "d2": [TopicWord("wifi", 4.0)],
+        "d1": [("wifi", 2.0)],
+        "d2": [("wifi", 4.0)],
     }
     assert compute_ca_tfidf(candidates, entity_count=3)["wifi"] == pytest.approx(2.0)
 
 
 def test_ca_tfidf_zero_score():
-    assert compute_ca_tfidf({"d": [TopicWord("wifi", 0.0)]}, 1)["wifi"] == 0.0
+    assert compute_ca_tfidf({"d": [("wifi", 0.0)]}, 1)["wifi"] == 0.0
 
 
 def test_default_thresholds_pinned():
