@@ -22,9 +22,8 @@ last occurrence.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import LabelError, ParseError
 from .text import normalize
@@ -234,19 +233,6 @@ def joint_goal_match(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> bo
     return pred.non_ruk_triples() == gold.non_ruk_triples()
 
 
-class PRF(NamedTuple):
-    precision: float
-    recall: float
-    f1: float
-
-
-def _prf(correct: int, predicted: int, gold: int) -> PRF:
-    p = correct / predicted if predicted else 0.0
-    r = correct / gold if gold else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f1)
-
-
 def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bool, ...]:
     """One turn's (correct, predicted, gold) counts of the ruk triple, then of the topic:
     a ruk is correct when its (domain, value) equals the gold one, a topic its token set."""
@@ -256,11 +242,6 @@ def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bo
     topic_correct = bool(pred.topic) and bool(gold.topic) and set(pred.topic) == set(gold.topic)
     return (ruk_correct, p_ruk is not None, g_ruk is not None,
             topic_correct, bool(pred.topic), bool(gold.topic))
-
-
-def prf_from_counts(counts: Sequence[int]) -> dict[str, PRF]:
-    """Ruk and topic P/R/F1 (fractions; undefined reports 0) from summed prf_counts."""
-    return {"ruk": _prf(*counts[:3]), "topic": _prf(*counts[3:])}
 
 
 @dataclass(frozen=True)

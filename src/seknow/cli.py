@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
                 fh.write("\t".join([
                     f"{dialog.dialog_id}:{k}",
                     serialize_belief(out.belief),
-                    out.query_span,
+                    format_query_span(out.query),
                     doc_id,
                     out.delexicalized_response,
                     out.lexicalized_response,
@@ -239,7 +239,7 @@ def cmd_chat(args) -> int:
             continue
         out = pipeline.run_turn(session, line, predictor, generator, kb, index)
         print(f"belief: {serialize_belief(out.belief)}", file=sys.stderr)
-        print(f"query : {out.query_span}", file=sys.stderr)
+        print(f"query : {format_query_span(out.query)}", file=sys.stderr)
         print(out.lexicalized_response)
     return 0
 

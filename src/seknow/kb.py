@@ -226,6 +226,11 @@ def _parse_docs(path: str) -> list[dict]:
         expect(isinstance(rec, dict), f"document #{k} must be an object", path)
         for key in ("domain", "entity_id", "doc_id", "title", "body"):
             expect(isinstance(rec.get(key), str), f"document #{k} missing '{key}'", path)
+        # an index row holds the doc_id between tabs, on one line
+        doc_id = rec["doc_id"] = rec["doc_id"].strip()
+        if not doc_id or "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
+            raise LoadError(f"document #{k} 'doc_id' is blank or holds a tab or line break",
+                            file=path)
         records.append(rec)
     return records
 
@@ -255,7 +260,7 @@ def _fuse(domains: dict[str, Domain], doc_source: str) -> dict[str, Domain]:
         if owner is None:
             orphans.append((dom_name, ref))
             continue
-        doc = Document(doc_id=rec["doc_id"].strip(), title=rec["title"], body=rec["body"])
+        doc = Document(doc_id=rec["doc_id"], title=rec["title"], body=rec["body"])
         attached.setdefault((dom_name, owner.id), []).append(doc)
     if orphans:
         listed = ", ".join(f"({d!r}, {e!r})" for d, e in orphans)

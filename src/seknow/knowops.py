@@ -39,7 +39,6 @@ MATCH_FLOOR = 0.6
 
 @dataclass(frozen=True)
 class DomainMatches:
-    count: int
     entity_ids: tuple[str, ...]
 
 
@@ -75,7 +74,7 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResu
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
         ids = tuple(e.id for e in domain.matching(constraints))
-        per_domain[dom_name] = DomainMatches(count=len(ids), entity_ids=ids)
+        per_domain[dom_name] = DomainMatches(entity_ids=ids)
     return QueryResult(per_domain=per_domain)
 
 
@@ -83,8 +82,8 @@ def format_query_span(result: QueryResult) -> str:
     """Render match counts as a text span, e.g. ``restaurant 2 match``."""
     parts = []
     for domain, matches in result.per_domain.items():
-        if matches.count > 0:
-            parts.append(f"{domain} {matches.count} match")
+        if matches.entity_ids:
+            parts.append(f"{domain} {len(matches.entity_ids)} match")
         else:
             parts.append(f"{domain} no match")
     return " , ".join(parts)

@@ -23,7 +23,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .belief import joint_goal_match, parse_belief_span, prf_counts, prf_from_counts
+from .belief import joint_goal_match, parse_belief_span, prf_counts
 from .corpus import Dialog, DialogCorpus, GoalSpec
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
@@ -54,6 +54,14 @@ class PrfReport:
     precision: float
     recall: float
     f1: float
+
+    @classmethod
+    def from_counts(cls, correct: int, predicted: int, gold: int) -> PrfReport:
+        """Percent P/R/F1 (undefined reports 0): the fractions, each times 100."""
+        p = correct / predicted if predicted else 0.0
+        r = correct / gold if gold else 0.0
+        f1 = 2 * p * r / (p + r) if p + r else 0.0
+        return cls(100.0 * p, 100.0 * r, 100.0 * f1)
 
 
 @dataclass(frozen=True)
@@ -382,7 +390,6 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
     n = len(judged)
     inform = 100.0 * sum(i for i, _ in judged) / n if n else 0.0
     success = 100.0 * sum(s for _, s in judged) / n if n else 0.0
-    scores = prf_from_counts(prf)
     return MetricsReport(
         joint_goal=joint,
         inform=inform,
@@ -393,7 +400,6 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
         combined=combined_score(inform, success, bleu_score),
         mrr_at_5=mrr5,
         r_at_1=r1,
-        extended_prf=ExtendedPrf(
-            ruk=PrfReport(*(100.0 * x for x in scores["ruk"])),
-            topic=PrfReport(*(100.0 * x for x in scores["topic"]))),
+        extended_prf=ExtendedPrf(ruk=PrfReport.from_counts(*prf[:3]),
+                                 topic=PrfReport.from_counts(*prf[3:])),
     )

@@ -34,7 +34,6 @@ from .kb import KnowledgeBase
 from .knowops import (
     QueryResult,
     RetrievedDocument,
-    format_query_span,
     knowledge_operation,
     structured_query,
 )
@@ -53,7 +52,6 @@ _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
 class TurnOutput:
     belief: ExtendedBeliefState
     query: QueryResult
-    query_span: str
     document: RetrievedDocument | None
     delexicalized_response: str
     lexicalized_response: str
@@ -146,8 +144,8 @@ def template_generate(belief: ExtendedBeliefState, query: QueryResult,
     if domain is None:
         return templates.get("general", "nomatch")
     matches = query.per_domain.get(domain)
-    if matches is not None and matches.count > 0:
-        return templates.get(domain, "offer").replace("{count}", str(matches.count))
+    if matches is not None and matches.entity_ids:
+        return templates.get(domain, "offer").replace("{count}", str(len(matches.entity_ids)))
     return templates.get(domain, "nomatch")
 
 
@@ -158,22 +156,17 @@ def make_template_generator(templates: TemplateSet | None = None) -> Generator:
         belief, query, document, templates)
 
 
-@dataclass(frozen=True)
-class LexicalizedResponse:
-    text: str
-    unresolved: tuple[str, ...] = ()
-
-
-def lexicalize(delex: str, query: QueryResult, kb: KnowledgeBase) -> LexicalizedResponse:
+def lexicalize(delex: str, query: QueryResult,
+               kb: KnowledgeBase) -> tuple[str, tuple[str, ...]]:
     """Fill ``[slot]`` placeholders from the first matched entity.
 
     The first matched entity is the first id of the first domain with a
-    positive count. Placeholders that cannot be resolved stay verbatim and
-    are reported.
+    match. Returns the text and the placeholders that could not be
+    resolved, which stay verbatim.
     """
     entity = None
     for domain, matches in query.per_domain.items():
-        if matches.count > 0:
+        if matches.entity_ids:
             entity = kb.entity(domain, matches.entity_ids[0])
             break
     unresolved = []
@@ -188,8 +181,7 @@ def lexicalize(delex: str, query: QueryResult, kb: KnowledgeBase) -> Lexicalized
         unresolved.append(slot)
         return match.group(0)
 
-    return LexicalizedResponse(text=_PLACEHOLDER_RE.sub(fill, delex),
-                               unresolved=tuple(unresolved))
+    return _PLACEHOLDER_RE.sub(fill, delex), tuple(unresolved)
 
 
 def run_turn(session: Session, user_utterance: str, predictor: Predictor,
@@ -209,18 +201,17 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
-    lexed = lexicalize(delex, query, kb)
-    session.utterances.append(("system", lexed.text))
+    text, unresolved = lexicalize(delex, query, kb)
+    session.utterances.append(("system", text))
     session.prev_belief = belief
     session.turn_index += 1
     return TurnOutput(
         belief=belief,
         query=query,
-        query_span=format_query_span(query),
         document=document,
         delexicalized_response=delex,
-        lexicalized_response=lexed.text,
-        unresolved_placeholders=lexed.unresolved,
+        lexicalized_response=text,
+        unresolved_placeholders=unresolved,
         ranking=ranking,
     )
 

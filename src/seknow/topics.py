@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -136,8 +137,8 @@ def build_topic_index(kb: KnowledgeBase,
                       stopwords: frozenset[str] | None = None) -> TopicIndex:
     """Index every document of the knowledge base with 1-3 topic words.
 
-    ``thresholds`` must cover every domain that has documents; it defaults
-    to :data:`DEFAULT_THRESHOLDS`. ``stopwords``, if given, must be the list
+    ``thresholds`` must give every domain that has documents a finite
+    value; it defaults to :data:`DEFAULT_THRESHOLDS`. ``stopwords``, if given, must be the list
     in effect.
     """
     if thresholds is None:
@@ -155,6 +156,9 @@ def build_topic_index(kb: KnowledgeBase,
         if dom_name not in thresholds:
             raise ConfigError(f"no topic threshold configured for domain '{dom_name}'")
         threshold = thresholds[dom_name]
+        if not abs(threshold) <= sys.float_info.max:  # NaN, the infinities, huge ints
+            raise ConfigError(f"topic threshold {threshold} for domain '{dom_name}' "
+                              "is not finite")
 
         scores = compute_tfidf(doc_tokens)
         candidates: dict[tuple[str, str], list[tuple[str, float]]] = {}
@@ -250,9 +254,11 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
         raw = read_json(meta)
         expect(isinstance(raw, dict), "sidecar must be a JSON object", meta)
         raw_thresholds = raw.get("thresholds", {})
+        # the bound refuses NaN, the infinities and ints too large for a float
         expect(isinstance(raw_thresholds, dict)
-               and all(type(v) in (int, float) for v in raw_thresholds.values()),
-               "'thresholds' must map domain names to numbers", meta)
+               and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                       for v in raw_thresholds.values()),
+               "'thresholds' must map domain names to finite numbers", meta)
         thresholds = {k: float(v) for k, v in raw_thresholds.items()}
         digest = raw.get("stopwords_sha256", "")
         expect(isinstance(digest, str), "'stopwords_sha256' must be a string", meta)

@@ -21,8 +21,9 @@ import re
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
-from seknow.belief import PRF, DsvTriple, ExtendedBeliefState
+from seknow.belief import DsvTriple, ExtendedBeliefState
 from seknow.errors import EvaluationError, ParseError
 
 STOPWORDS_PATH = Path(__file__).resolve().parent.parent / "src" / "seknow" / "data" / "stopwords.txt"
@@ -268,6 +269,12 @@ def oracle_inform_success(outs: list, goal, kb) -> tuple:
                        if active_domain(out.belief) == dom):
                 ok_success = False
     return ok_inform, ok_inform and ok_success
+
+
+class PRF(NamedTuple):
+    precision: float
+    recall: float
+    f1: float
 
 
 def extended_prf(preds: list, golds: list) -> dict:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -12,10 +13,10 @@ from seknow.belief import (
     make_state,
     parse_belief_span,
     prf_counts,
-    prf_from_counts,
     serialize_belief,
 )
 from seknow.errors import EvaluationError, LabelError, ParseError
+from seknow.metrics import PrfReport
 
 PAPER_SPAN = "restaurant { food = italian , area = center }"
 
@@ -251,15 +252,22 @@ def test_joint_goal_reflexive_symmetric():
 
 
 def shipped_prf(preds, golds):
-    """The fold evaluate_corpus runs: prf_from_counts of the summed per-turn prf_counts."""
+    """The fold evaluate_corpus runs: PrfReport.from_counts of the summed per-turn
+    prf_counts, as (precision, recall, f1) in percent."""
     counts = [0] * 6
     for pred, gold in zip(preds, golds, strict=True):
         counts = [a + b for a, b in zip(counts, prf_counts(pred, gold), strict=True)]
-    return prf_from_counts(counts)
+    return {"ruk": astuple(PrfReport.from_counts(*counts[:3])),
+            "topic": astuple(PrfReport.from_counts(*counts[3:]))}
+
+
+def oracle_prf(preds, golds):
+    """The oracle's extended_prf fractions, each times 100 as the report scales them."""
+    return {k: tuple(100.0 * x for x in v) for k, v in extended_prf(preds, golds).items()}
 
 
 # each case holds the shipped fold and the oracle's extended_prf to the same figures
-PRF_FOLDS = (shipped_prf, extended_prf)
+PRF_FOLDS = (shipped_prf, oracle_prf)
 
 
 def test_extended_prf_all_correct():
@@ -267,8 +275,8 @@ def test_extended_prf_all_correct():
               state_of(("hotel", "ruk", "acorn"), topic=["breakfast", "parking"])]
     for fold in PRF_FOLDS:
         prf = fold(states, states)
-        assert prf["ruk"] == (1.0, 1.0, 1.0)
-        assert prf["topic"] == (1.0, 1.0, 1.0)
+        assert prf["ruk"] == (100.0, 100.0, 100.0)
+        assert prf["topic"] == (100.0, 100.0, 100.0)
 
 
 def test_extended_prf_never_predicts_ruk():
@@ -287,9 +295,9 @@ def test_extended_prf_half_recall():
     golds = [gold, gold, gold, gold]
     for fold in PRF_FOLDS:
         prf = fold(preds, golds)
-        assert prf["ruk"].precision == 1.0
-        assert prf["ruk"].recall == 0.5
-        assert prf["ruk"].f1 == pytest.approx(2 / 3)
+        precision, recall, f1 = prf["ruk"]
+        assert (precision, recall) == (100.0, 50.0)
+        assert f1 == 100.0 * (2 / 3)
         assert prf["topic"] == prf["ruk"]
 
 
@@ -298,7 +306,7 @@ def test_extended_prf_topic_set_equality():
     gold = state_of(("hotel", "ruk", "acorn"), topic=["breakfast", "parking"])
     other = state_of(("hotel", "ruk", "acorn"), topic=["parking"])
     for fold in PRF_FOLDS:
-        assert fold([pred], [gold])["topic"] == (1.0, 1.0, 1.0)
+        assert fold([pred], [gold])["topic"] == (100.0, 100.0, 100.0)
         assert fold([other], [gold])["topic"] == (0.0, 0.0, 0.0)
 
 

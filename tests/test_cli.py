@@ -7,7 +7,8 @@ from seknow import metrics
 from seknow.cli import main
 from seknow.errors import QueryError
 
-from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, eval_argv
+from conftest import (DATA_DIR, DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH,
+                      eval_argv)
 
 TOY_THRESHOLD_FLAGS = ["--threshold", "restaurant=1.0", "--threshold", "hotel=1.0"]
 PACKAGED_TEMPLATES = resources.files("seknow.data").joinpath("templates.tsv")
@@ -49,6 +50,7 @@ def test_build_index_threshold_domain_is_normalized(tmp_path):
     ("hotel=inf", "--threshold value 'inf' is not finite"),
     ("hotel=-Infinity", "--threshold value '-Infinity' is not finite"),
     ("hotel=x", "--threshold value 'x' is not a number"),
+    ("hotel", "--threshold expects domain=value, got 'hotel'"),
 ])
 def test_build_index_refuses_bad_threshold(tmp_path, capsys, flag, detail):
     docs = tmp_path / "docs.json"  # the toy documents, less the taxi domain's
@@ -60,6 +62,23 @@ def test_build_index_refuses_bad_threshold(tmp_path, capsys, flag, detail):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: config: {detail}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc_id", ["   ", "d\t1"])
+def test_build_index_refuses_doc_id_blank_or_with_tab(tmp_path, capsys, doc_id):
+    docs = tmp_path / "docs.json"
+    records = json.loads(DOCS_PATH.read_text("utf-8"))
+    records[2]["doc_id"] = doc_id
+    docs.write_text(json.dumps(records), "utf-8")
+    out = tmp_path / "index.tsv"
+    code = main(["build-index", "--kb", str(DB_PATH), "--docs", str(docs), "--out", str(out),
+                 *TOY_THRESHOLD_FLAGS])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: load: {docs}: document #2 'doc_id' is blank or holds a tab or line break"]
     assert captured.out == ""
     assert not out.exists()
 
@@ -118,6 +137,34 @@ def test_retrieve_ranks_documents(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "1\t1.0000\trestaurant\tpizza hut\td1"
     assert lines[1].startswith("2\t")
+
+
+def test_retrieve_needs_ruk_and_topic(capsys):
+    code = main(["retrieve", "--kb", str(DB_PATH), "--index", str(GOLDEN_INDEX_PATH),
+                 "--belief", "restaurant { ruk = pizza hut }"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: config: the belief span needs a ruk triple and a '||' topic segment"]
+    assert captured.out == ""
+
+
+def test_retrieve_without_matched_entity(capsys):
+    code = main(["retrieve", "--kb", str(DB_PATH), "--index", str(GOLDEN_INDEX_PATH),
+                 "--belief", "restaurant { ruk = zzzz } || favorite"])
+    assert code == 0
+    assert capsys.readouterr().out == "no entity matched\n"
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_run_matches_golden(tmp_path, capsys, predictor):
+    out = tmp_path / "results.tsv"
+    code = main(["run", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
+                 "--predictor", predictor, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote 18 turns -> {out}\n"
+    assert out.read_bytes() == (DATA_DIR / f"golden_run_{predictor}.tsv").read_bytes()
 
 
 def test_run_writes_turn_lines(tmp_path, capsys):
@@ -428,6 +475,10 @@ BAD_FILES = {
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),
+    **{f"sidecar-threshold-{value.decode()}": _bad_input(
+        "sidecar", b'{"thresholds": {"hotel": %s}}' % value,
+        " 'thresholds' must map domain names to finite numbers")
+       for value in (b"NaN", b"Infinity", b"-Infinity")},
     **{f"{command}-out-in-missing-dir": _bad_output(command)
        for command in ("build-index", "run", "eval", "corrupt")},
 }

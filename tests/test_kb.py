@@ -97,6 +97,28 @@ def test_empty_attribute_is_refused_at_load(tmp_path, attributes, slot):
         f"{db}: domain 'restaurant': entity 'Pizza Hut' attribute '{slot}' is empty"
 
 
+@pytest.mark.parametrize("doc_id", ["", "   ", "d\t1", "d\n1", "d\r1"])
+def test_doc_id_blank_or_with_tab_or_line_break_is_refused(tmp_path, doc_id):
+    db = write_json(tmp_path / "db.json", {"hotel": {"slots": ["name"], "entities": [
+        {"id": "acorn", "name": "acorn", "attributes": {}}]}})
+    docs = write_json(tmp_path / "docs.json", [
+        {"domain": "hotel", "entity_id": "acorn", "doc_id": "d0", "title": "t", "body": "b"},
+        {"domain": "hotel", "entity_id": "acorn", "doc_id": doc_id, "title": "t", "body": "b"}])
+    with pytest.raises(LoadError) as err:
+        load_knowledge_base(db, docs)
+    assert str(err.value) == f"{docs}: document #1 'doc_id' is blank or holds a tab or line break"
+
+
+def test_doc_id_is_stripped(tmp_path):
+    db = write_json(tmp_path / "db.json", {"hotel": {"slots": ["name"], "entities": [
+        {"id": "acorn", "name": "acorn", "attributes": {}}]}})
+    docs = write_json(tmp_path / "docs.json", [
+        {"domain": "hotel", "entity_id": "acorn", "doc_id": "\t d 1 \n", "title": "t",
+         "body": "b"}])
+    assert [d.doc_id for d in load_knowledge_base(db, docs).entity("hotel", "acorn").documents] \
+        == ["d 1"]
+
+
 def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "db.json"
     path.write_text('{\n  "hotel": {\n', encoding="utf-8")

@@ -136,6 +136,18 @@ def test_bleu_empty_corpus_errors():
         bleu([], [])
 
 
+def test_bleu_misaligned_lists_error():
+    with pytest.raises(MetricError) as exc:
+        bleu([["a"], ["b"]], [["a"]])
+    assert exc.value.detail == "BLEU needs aligned hypothesis/reference lists"
+
+
+def test_meteor_empty_reference_errors():
+    with pytest.raises(MetricError) as exc:
+        meteor_simplified("a".split(), [])
+    assert exc.value.detail == "METEOR needs a nonempty reference"
+
+
 def test_rouge_identity():
     assert rouge_l("the cat sat".split(), "the cat sat".split()) == 100.0
 

@@ -9,7 +9,7 @@ from oracles import oracle_find_unclaimed, oracle_heuristic_constraints
 from seknow.belief import make_state, parse_belief_span, serialize_belief
 from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
 from seknow.kb import Domain, Entity, KnowledgeBase, load_knowledge_base
-from seknow.knowops import knowledge_operation, structured_query
+from seknow.knowops import format_query_span, knowledge_operation, structured_query
 from seknow.pipeline import (
     CorruptionSample,
     Session,
@@ -66,23 +66,18 @@ def test_template_missing_domain_errors(toy_kb):
 
 def test_lexicalize_name(toy_kb):
     query = query_for(toy_kb, ("hotel", "type", "guesthouse"), ("hotel", "area", "north"))
-    out = lexicalize("[name] is nice", query, toy_kb)
-    assert out.text == "acorn guest house is nice"
-    assert out.unresolved == ()
+    assert lexicalize("[name] is nice", query, toy_kb) == ("acorn guest house is nice", ())
 
 
 def test_lexicalize_zero_matches_reports(toy_kb):
     query = query_for(toy_kb, ("restaurant", "food", "korean"))
-    out = lexicalize("[name] is nice", query, toy_kb)
-    assert out.text == "[name] is nice"
-    assert out.unresolved == ("name",)
+    assert lexicalize("[name] is nice", query, toy_kb) == ("[name] is nice", ("name",))
 
 
 def test_lexicalize_two_placeholders(toy_kb):
     query = query_for(toy_kb, ("restaurant", "food", "chinese"))
-    out = lexicalize("[name] is at [address]", query, toy_kb)
-    assert out.text == "golden wok is at histon road"
-    assert out.unresolved == ()
+    assert lexicalize("[name] is at [address]", query, toy_kb) == (
+        "golden wok is at histon road", ())
 
 
 def test_run_turn_first_scenario(toy_kb, toy_index, templates):
@@ -96,7 +91,7 @@ def test_run_turn_first_scenario(toy_kb, toy_index, templates):
     generator = make_template_generator(templates)
     out1 = run_turn(session, "i want an italian place in the center",
                     predictor, generator, toy_kb, toy_index)
-    assert "restaurant 2 match" in out1.query_span
+    assert format_query_span(out1.query) == "restaurant 2 match"
     assert out1.document is None
     assert out1.lexicalized_response == "i found 2 options . pizza hut is a nice choice ."
 
@@ -380,6 +375,16 @@ def test_corrupt_missing_alternative_errors():
     base = [sample("restaurant { food = italian }", f"r{k}") for k in range(8)]
     with pytest.raises(CorruptionError, match="restaurant-food"):
         corrupt_samples(base, seed=0, ontology=ontology)
+
+
+def test_corrupt_refuses_to_value_corrupt_an_empty_span():
+    # seed 0 corrupts one of the two samples with replace_values, seed 1 with another kind
+    base = [sample("", "r0"), sample("", "r1")]
+    with pytest.raises(CorruptionError) as exc:
+        corrupt_samples(base, seed=0, ontology=ONTOLOGY)
+    assert exc.value.detail == "cannot value-corrupt a sample with an empty belief span"
+    out = corrupt_samples(base, seed=1, ontology=ONTOLOGY)
+    assert [s.corruption_type for s in out if s.y_c == 0] == ["replace_response"]
 
 
 def test_corrupt_replacements_come_from_other_samples():

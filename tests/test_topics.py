@@ -8,7 +8,7 @@ import pytest
 
 from oracles import oracle_docs_for_entity, oracle_tokenize, oracle_topic_index, oracle_topic_words
 from seknow import topics
-from seknow.errors import ConfigError, IndexingError
+from seknow.errors import ConfigError, IndexingError, LoadError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.text import load_stopwords, tokenize
 from seknow.topics import (
@@ -237,6 +237,39 @@ def test_build_deterministic_bytes(toy_kb, tmp_path):
 def test_missing_threshold_is_config_error(toy_kb):
     with pytest.raises(ConfigError, match="train"):
         build_topic_index(toy_kb, {"restaurant": 1.0, "hotel": 1.0, "taxi": 6.9})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-too-large-for-a-float"])
+def test_non_finite_threshold_is_config_error(toy_kb, value):
+    with pytest.raises(ConfigError) as exc:
+        build_topic_index(toy_kb, {**TOY_THRESHOLDS, "hotel": value})
+    assert exc.value.detail == f"topic threshold {value} for domain 'hotel' is not finite"
+
+
+def test_non_finite_threshold_of_a_domain_without_documents_is_unused():
+    kb = KnowledgeBase(domains={"hotel": Domain(name="hotel", slot_schema=frozenset(["name"]),
+                                                entities=(Entity("a", "a", {}),))})
+    assert build_topic_index(kb, {"hotel": math.nan}).thresholds == {}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400])
+def test_read_index_refuses_non_finite_sidecar_threshold(toy_index, tmp_path, value):
+    path = tmp_path / "index.tsv"
+    write_index(toy_index, str(path))
+    sidecar = tmp_path / "index.tsv.meta.json"
+    sidecar.write_text(f'{{"thresholds": {{"hotel": {value}}}}}', encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        read_index(str(path))
+    assert str(exc.value) == f"{sidecar}: 'thresholds' must map domain names to finite numbers"
+
+
+def test_read_index_refuses_four_topic_words(tmp_path):
+    path = tmp_path / "index.tsv"
+    path.write_text("hotel\tacorn\th1\tpool\nhotel\tacorn\th2\ta,b,c,d\n", encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        read_index(str(path))
+    assert str(exc.value) == f"{path}:2: 4 topic words (expected 1-3)"
 
 
 def test_all_stopword_document_is_indexing_error(tmp_path):
