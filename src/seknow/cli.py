@@ -66,7 +66,7 @@ def _load(args):
              len(entities), sum(len(ent.documents) for ent in entities), args.kb)
     index = topics.read_index(args.index, kb) if hasattr(args, "index") else None
     corpus = corpus_io.load_corpus(args.corpus, kb, index) if hasattr(args, "corpus") else None
-    goals = corpus_io.load_goals(args.goals, kb) if getattr(args, "goals", None) else None
+    goals = corpus_io.load_goals(args.goals, kb, corpus) if getattr(args, "goals", None) else None
     generator = None
     if hasattr(args, "templates"):
         generator = pipeline.make_template_generator(pipeline.load_templates(args.templates, kb))
@@ -114,13 +114,14 @@ def cmd_run(args) -> int:
             outputs = metrics_mod.run_dialog(dialog, factory, generator, kb, index)
             for k, out in enumerate(outputs):
                 doc_id = out.document.doc_id if out.document is not None else "-"
+                # a document body may hold tabs and line breaks; eval scores the same tokens
                 fh.write("\t".join([
                     f"{dialog.dialog_id}:{k}",
                     serialize_belief(out.belief),
                     format_query_span(out.query),
                     doc_id,
-                    out.delexicalized_response,
-                    out.lexicalized_response,
+                    " ".join(out.delexicalized_response.split()),
+                    " ".join(out.lexicalized_response.split()),
                 ]) + "\n")
             turns += len(outputs)
     if args.out:
@@ -168,9 +169,9 @@ def cmd_corrupt(args) -> int:
 
 def cmd_eval(args) -> int:
     kb, index, corpus, goals, generator = _load(args)
-    report = metrics_mod.evaluate_corpus(
-        corpus, kb, index,
-        predictor=args.predictor, generator=generator, goals=goals, workers=args.workers)
+    factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
+    report = metrics_mod.evaluate_corpus(corpus, kb, index, factory, generator,
+                                         goals=goals, workers=args.workers)
     payload = {
         "metrics": report.to_dict(),
         "metadata": {

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from .belief import RUK_SLOT, extend_gold_label, make_state, parse_belief_span, serialize_belief
 from .errors import GenerationError, LoadError
 from .kb import KnowledgeBase, expect, read_json
-from .pipeline import (Session, TemplateSet, make_oracle_predictor,
-                       make_template_generator, run_turn)
+from .pipeline import Session, make_oracle_predictor, make_template_generator, run_turn
 # Unused here; benchmarks/tracer.py patches these two names on this module.
 from .pipeline import lexicalize, template_generate  # noqa: F401
 from .text import normalize, open_input, open_output
@@ -109,12 +108,18 @@ def load_corpus(path: str, kb: KnowledgeBase | None = None,
     return DialogCorpus(dialogs=tuple(dialogs))
 
 
-def load_goals(path: str, kb: KnowledgeBase) -> dict[str, GoalSpec]:
-    """Load a goal file: a JSON object mapping dialog ids to goals over the checked ``kb``."""
+def load_goals(path: str, kb: KnowledgeBase, corpus: DialogCorpus) -> dict[str, GoalSpec]:
+    """Load a goal file: a JSON object mapping dialog ids of the checked ``corpus`` to
+    goals over the checked ``kb``. The corpus dialogs it leaves out are not judged."""
     raw = read_json(path)
     expect(isinstance(raw, dict), "goal file must be a JSON object keyed by dialog id", path)
-    return {dialog_id: parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
-            for dialog_id, goal in raw.items()}
+    ids = {dialog.dialog_id for dialog in corpus.dialogs}
+    goals = {}
+    for dialog_id, goal in raw.items():
+        expect(dialog_id in ids, f"goal for dialog '{dialog_id}' names no dialog of the "
+               "corpus", path)
+        goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
+    return goals
 
 
 def parse_goal(raw, where: str, path: str, lineno: int | None = None,
@@ -166,6 +171,10 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
     expect(isinstance(raw, dict), "dialog is not a JSON object", path, lineno)
     dialog_id = raw.get("dialog_id")
     expect(isinstance(dialog_id, str), "dialog missing 'dialog_id'", path, lineno)
+    # run writes the id in the first of its tab-separated fields, on one line
+    expect(bool(dialog_id.strip()) and "\t" not in dialog_id and "\n" not in dialog_id
+           and "\r" not in dialog_id, "'dialog_id' is blank or holds a tab or line break",
+           path, lineno)
     goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno, kb)
     raw_turns = raw.get("turns", [])
     expect(isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns),
@@ -268,8 +277,7 @@ def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
 
 
 def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
-                              spec: CorpusSpec, seed: int,
-                              templates: TemplateSet | None = None) -> DialogCorpus:
+                              spec: CorpusSpec, seed: int) -> DialogCorpus:
     """Build a deterministic desk-scale corpus over the knowledge base.
 
     Each dialog targets one entity that has indexed documents: first
@@ -277,10 +285,10 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
     attribute values (so the structured query always matches it), then
     inserted turns asking about distinct documents, with gold states
     extended via the document's index topics. Reference responses come from
-    replaying the gold states through :func:`run_turn` with the template
-    generator, so they match what a faithful system would produce.
+    replaying the gold states through :func:`run_turn` with the packaged
+    template generator, so they match what a faithful system would produce.
     """
-    generator = make_template_generator(templates)
+    generator = make_template_generator()
     rng = random.Random(seed)
     candidates = []
     for dom_name in sorted(kb.domains):

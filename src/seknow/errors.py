@@ -21,10 +21,8 @@ class LoadError(SeknowError):
 
     kind = "load"
 
-    def __init__(self, detail: str, *, file: str | None = None, line: int | None = None):
-        where = ""
-        if file is not None:
-            where = f"{file}:{line}: " if line is not None else f"{file}: "
+    def __init__(self, detail: str, *, file: str, line: int | None = None):
+        where = f"{file}:{line}: " if line is not None else f"{file}: "
         super().__init__(where + detail)
         self.file = file
         self.line = line

@@ -153,8 +153,6 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
-    entity_count: int = 0
-    document_count: int = 0
 
 
 def expect(cond: bool, detail: str, file: str, line: int | None = None):
@@ -298,10 +296,8 @@ def load_knowledge_base(db_source: str, doc_source: str | None = None) -> Knowle
 def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
     """Report every invariant violation; a valid KB yields an empty report."""
     violations = []
-    entity_count = doc_count = 0
     for name, domain in kb.domains.items():
         seen_ids = set()
-        entity_count += len(domain.entities)
         for ent in domain.entities:
             if ent.id in seen_ids:
                 violations.append(Violation(
@@ -319,7 +315,6 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
                     f"'{ent.attributes['name']}'"))
             seen_docs = set()
             for doc in ent.documents:
-                doc_count += 1
                 if not doc.body.strip():
                     violations.append(Violation(
                         "empty-body",
@@ -329,8 +324,4 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
                         "duplicate-doc-id",
                         f"domain '{name}': entity '{ent.id}' document '{doc.doc_id}'"))
                 seen_docs.add(doc.doc_id)
-    return ValidationReport(
-        violations=tuple(violations),
-        entity_count=entity_count,
-        document_count=doc_count,
-    )
+    return ValidationReport(violations=tuple(violations))

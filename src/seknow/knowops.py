@@ -129,12 +129,11 @@ def fuzzy_similarity(a: str, b: str) -> float:
     return _ratio(lcs_length(a, b), len(a) + len(b))
 
 
-def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
-                 floor: float = MATCH_FLOOR) -> Entity | None:
+def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | None:
     """Best fuzzy match of ``ruk_value`` against entity names and ids.
 
     Only the single best-matched entity is selected; ties break by ascending
-    id, and a best score below ``floor`` returns None. Only equal strings
+    id, and a best score below :data:`MATCH_FLOOR` returns None. Only equal strings
     score 1.0, so a query equal to some key takes the first entity in id
     order that has it (``Domain.first_by_key``) without a scan. Otherwise a
     key is skipped when its length bound ``2 * min / (len + len)``, which no
@@ -144,7 +143,7 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
     dom = kb.domain(domain)
     exact = dom.first_by_key.get(query)
     if exact is not None:
-        return exact if floor <= 1.0 else None
+        return exact
     n, masks = len(query), _lcs_masks(query)
     best: Entity | None = None
     best_score = -1.0
@@ -155,7 +154,7 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str,
         score = _ratio(_lcs_scan(masks, n, key), total)
         if score > best_score:
             best, best_score = ent, score
-    if best is None or best_score < floor:
+    if best is None or best_score < MATCH_FLOOR:
         return None
     return best
 

@@ -36,7 +36,6 @@ from .pipeline import (
     active_domain,
     make_heuristic_predictor,
     make_oracle_predictor,
-    make_template_generator,
     run_turn,
 )
 from .topics import TopicIndex
@@ -232,8 +231,7 @@ def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> fl
     return 100.0 * f_mean * (1.0 - penalty)
 
 
-def retrieval_metrics(rankings: Sequence[Sequence], golds: Sequence,
-                      cutoff: int = MRR_CUTOFF) -> tuple[float, float]:
+def retrieval_metrics(rankings: Sequence[Sequence], golds: Sequence) -> tuple[float, float]:
     """(MRR@5, R@1) over knowledge-seeking turns, x100.
 
     Each ranking is the ordered document keys a turn produced; its gold key
@@ -249,7 +247,7 @@ def retrieval_metrics(rankings: Sequence[Sequence], golds: Sequence,
     for ranking, gold in zip(rankings, golds):
         if ranking is None:
             raise EvaluationError("turn is missing its document ranking")
-        head = list(ranking)[:cutoff]
+        head = list(ranking)[:MRR_CUTOFF]
         if gold in head:
             rank = head.index(gold) + 1
             reciprocals.append(1.0 / rank)
@@ -263,10 +261,9 @@ def combined_score(inform: float, success: float, bleu_score: float) -> float:
     return (inform + success) * 0.5 + bleu_score
 
 
-def round_half_up(value: float, ndigits: int = 1) -> float:
-    """Decimal half-up rounding for reporting (0.05 rounds to 0.1)."""
-    exponent = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(str(value)).quantize(exponent, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """Decimal half-up rounding to one decimal, as reports print (0.05 rounds to 0.1)."""
+    return float(Decimal(str(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
@@ -330,26 +327,20 @@ def run_dialog(dialog: Dialog, factory: PredictorFactory, generator: Generator,
 
 
 def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
-                    predictor: str | PredictorFactory = "oracle",
-                    generator: Generator | None = None,
+                    predictor: PredictorFactory, generator: Generator,
                     goals: Mapping[str, GoalSpec] | None = None,
                     workers: int = 1) -> MetricsReport:
     """Run the full pipeline over a corpus and compute every metric.
 
     The corpus and ``goals`` must be as the loaders return them, checked
-    against ``kb`` and ``index``. ``predictor`` is a :data:`PREDICTORS` name
-    or a factory mapping a dialog to a per-turn predictor. Dialogs run in
-    corpus order in the calling thread. ``workers`` must be at least 1 and
-    changes nothing else; it is accepted so that existing callers keep working.
+    against ``kb`` and ``index``; without ``goals`` each dialog's own goal is
+    judged. ``predictor`` maps a dialog to a per-turn predictor, as a
+    :data:`PREDICTORS` entry builds it. Dialogs run in corpus order in the
+    calling thread. ``workers`` must be at least 1 and changes nothing else; it
+    is accepted so that existing callers keep working.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if isinstance(predictor, str):
-        if predictor not in PREDICTORS:
-            raise EvaluationError(f"unknown predictor '{predictor}'")
-        predictor = PREDICTORS[predictor](kb, index)
-    if generator is None:
-        generator = make_template_generator()
     if goals is None:
         goals = {d.dialog_id: d.goal for d in corpus.dialogs}
 

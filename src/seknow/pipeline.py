@@ -216,9 +216,9 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     )
 
 
-def make_oracle_predictor(golds: Sequence[ExtendedBeliefState | None]) -> Predictor:
-    """Predictor that replays per-turn gold states verbatim, with no query; a missing
-    state is an error."""
+def make_oracle_predictor(golds: Sequence[ExtendedBeliefState]) -> Predictor:
+    """Predictor that replays per-turn gold states verbatim, with no query; a turn
+    beyond the last state is an error."""
     cursor = iter(list(golds))
 
     def predict(context: DialogContext, prev: ExtendedBeliefState,
@@ -227,8 +227,6 @@ def make_oracle_predictor(golds: Sequence[ExtendedBeliefState | None]) -> Predic
             gold = next(cursor)
         except StopIteration:
             raise OracleError("more turns than gold annotations") from None
-        if gold is None:
-            raise OracleError("turn has no gold belief annotation")
         return gold, None
 
     return predict

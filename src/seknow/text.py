@@ -89,15 +89,13 @@ def stopwords_digest() -> str:
     return _read_stopwords(stopwords_file())[1]
 
 
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+def tokenize(text: str, stopwords: frozenset[str]) -> list[str]:
     """Split ``text`` into lowercase alphanumeric tokens.
 
-    Punctuation is dropped, stopwords and tokens shorter than two characters
-    are removed, and duplicates are kept (the result is a token stream, not a
-    vocabulary).
+    Punctuation is dropped, ``stopwords`` (the list in effect, from
+    :func:`load_stopwords`) and tokens shorter than two characters are removed,
+    and duplicates are kept (the result is a token stream, not a vocabulary).
     """
-    if stopwords is None:
-        stopwords = load_stopwords()
     return list(filterfalse(stopwords.__contains__, _TOKEN_RE.findall(text.lower())))
 
 

@@ -132,17 +132,14 @@ def compute_ca_tfidf(candidates: Mapping[object, Sequence[tuple[str, float]]],
     return {token: total / entity_count for token, total in totals.items()}
 
 
-def build_topic_index(kb: KnowledgeBase,
-                      thresholds: Mapping[str, float] | None = None,
+def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
                       stopwords: frozenset[str] | None = None) -> TopicIndex:
     """Index every document of the knowledge base with 1-3 topic words.
 
-    ``thresholds`` must give every domain that has documents a finite
-    value; it defaults to :data:`DEFAULT_THRESHOLDS`. ``stopwords``, if given, must be the list
-    in effect.
+    ``thresholds`` must give every domain that has documents a finite value
+    (the CLI starts from :data:`DEFAULT_THRESHOLDS`). ``stopwords``, if given,
+    must be the list in effect.
     """
-    if thresholds is None:
-        thresholds = DEFAULT_THRESHOLDS
     in_effect = load_stopwords()
     if stopwords is not None and stopwords != in_effect:
         raise ConfigError("stopwords passed to build_topic_index differ from the list "

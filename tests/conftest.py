@@ -9,6 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from seknow.kb import load_knowledge_base
+from seknow.metrics import PREDICTORS, evaluate_corpus
+from seknow.pipeline import make_template_generator
 from seknow.topics import build_topic_index, sidecar_path
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
@@ -21,6 +23,13 @@ GOLDEN_REPORT_PATH = DATA_DIR / "golden_heuristic_report.json"
 # Thresholds used for all toy-KB fixtures; the paper-scale defaults stay the
 # CLI defaults and are asserted separately.
 TOY_THRESHOLDS = {"restaurant": 1.0, "hotel": 1.0, "train": 7.3, "taxi": 6.9}
+
+
+def evaluate(corpus, kb, index, predictor: str, generator=None, **kwargs):
+    """`evaluate_corpus` with the named predictor built as `eval` builds it, over the
+    packaged templates unless ``generator`` is given."""
+    return evaluate_corpus(corpus, kb, index, PREDICTORS[predictor](kb, index),
+                           generator or make_template_generator(), **kwargs)
 
 
 @pytest.fixture(scope="session")

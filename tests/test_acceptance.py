@@ -34,7 +34,6 @@ from seknow.knowops import (
 from seknow.metrics import (
     bleu,
     combined_score,
-    evaluate_corpus,
     retrieval_metrics,
     rouge_l,
     round_half_up,
@@ -42,7 +41,7 @@ from seknow.metrics import (
 from seknow.pipeline import CorruptionSample, corrupt_samples
 from seknow.topics import DEFAULT_THRESHOLDS, TopicIndex, build_topic_index, write_index
 
-from conftest import DB_PATH, DOCS_PATH, TOY_THRESHOLDS
+from conftest import DB_PATH, DOCS_PATH, TOY_THRESHOLDS, evaluate
 from test_knowops import rand_kb
 
 
@@ -56,8 +55,8 @@ def test_criterion_1_combined_score_formula():
     second = combined_score(82.9, 68.7, 19.0)
     assert abs(first - 100.1) <= 0.05
     assert abs(second - 94.8) <= 0.05
-    assert round_half_up(first, 1) == 100.1
-    assert round_half_up(second, 1) == 94.8
+    assert round_half_up(first) == 100.1
+    assert round_half_up(second) == 94.8
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"100.1 and 94.8 reproduced, {elapsed:.3f}s")
@@ -191,7 +190,7 @@ def test_criterion_6_oracle_end_to_end(toy_kb, toy_index):
     corpus = generate_synthetic_corpus(
         toy_kb, toy_index, CorpusSpec(dialogs=50, original_turns=2, inserted_turns=1),
         seed=606)
-    clean = evaluate_corpus(corpus, toy_kb, toy_index, predictor="oracle")
+    clean = evaluate(corpus, toy_kb, toy_index, "oracle")
     assert clean.joint_goal == 100.0
     assert clean.r_at_1 == 100.0
     assert clean.mrr_at_5 == 100.0
@@ -213,8 +212,7 @@ def test_criterion_6_oracle_end_to_end(toy_kb, toy_index):
         entries[("restaurant", "pizza hut", "d1")]
     ambiguous_index = TopicIndex(entries=entries, thresholds=toy_index.thresholds,
                                  stopwords_sha256=toy_index.stopwords_sha256)
-    shadowed = evaluate_corpus(corpus, ambiguous_kb, ambiguous_index,
-                               predictor="oracle")
+    shadowed = evaluate(corpus, ambiguous_kb, ambiguous_index, "oracle")
     assert shadowed.r_at_1 < 100.0
     assert shadowed.mrr_at_5 >= shadowed.r_at_1
     elapsed = time.monotonic() - start
@@ -321,8 +319,9 @@ def test_criterion_10_real_corpus_statistics():
     assert stats.slot_values == 2426
     assert abs(stats.mean_turns - 8.93) <= 0.01
     kb = load_knowledge_base(REAL_DB, REAL_DOCS)
-    validation = validate_knowledge_base(kb)
-    assert validation.entity_count == 291
-    assert validation.document_count == 2882
+    assert not validate_knowledge_base(kb).violations
+    entities = [ent for domain in kb.domains.values() for ent in domain.entities]
+    assert len(entities) == 291
+    assert sum(len(ent.documents) for ent in entities) == 2882
     assert len(kb.domain("restaurant").id_order) == 110
     report(10, "real corpus statistics reproduced")

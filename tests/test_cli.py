@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -12,6 +13,7 @@ from conftest import (DATA_DIR, DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPU
 
 TOY_THRESHOLD_FLAGS = ["--threshold", "restaurant=1.0", "--threshold", "hotel=1.0"]
 PACKAGED_TEMPLATES = resources.files("seknow.data").joinpath("templates.tsv")
+PACKAGED_STOPWORDS = resources.files("seknow.data").joinpath("stopwords.txt")
 
 
 def build_index(tmp_path):
@@ -167,6 +169,43 @@ def test_run_matches_golden(tmp_path, capsys, predictor):
     assert out.read_bytes() == (DATA_DIR / f"golden_run_{predictor}.tsv").read_bytes()
 
 
+def test_run_collapses_whitespace_of_a_body_into_one_line_per_turn(tmp_path, capsys):
+    docs = tmp_path / "docs.json"
+    records = json.loads(DOCS_PATH.read_text("utf-8"))
+    d3 = next(rec for rec in records if rec["doc_id"] == "d3")
+    d3["body"] = d3["body"].replace(" ", "\n\t", 1)
+    docs.write_text(json.dumps(records), "utf-8")
+    index = tmp_path / "index.tsv"
+    assert main(["build-index", "--kb", str(DB_PATH), "--docs", str(docs),
+                 "--out", str(index), *TOY_THRESHOLD_FLAGS]) == 0
+    assert index.read_bytes() == GOLDEN_INDEX_PATH.read_bytes()
+    out = tmp_path / "results.tsv"
+    assert main(["run", "--kb", str(DB_PATH), "--docs", str(docs), "--index", str(index),
+                 "--corpus", str(TOY_CORPUS_PATH), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 18 turns -> {out}\n")
+    lines = out.read_text("utf-8").splitlines()
+    assert [len(line.split("\t")) for line in lines] == [6] * 18
+    assert out.read_bytes() == (DATA_DIR / "golden_run_oracle.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("dialog_id", ["dlg\t0", "", "  ", "dlg\n0", "dlg\r0"],
+                         ids=["tab", "empty", "blank", "line-break", "carriage-return"])
+def test_run_refuses_dialog_id_blank_or_with_tab(tmp_path, capsys, dialog_id):
+    dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
+    dialogs[1]["dialog_id"] = dialog_id
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    out = tmp_path / "results.tsv"
+    assert main(["run", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(corpus),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: load: {corpus}:2: 'dialog_id' is blank or holds a tab or line break"]
+    assert not out.exists()
+
+
 def test_run_writes_turn_lines(tmp_path, capsys):
     index = build_index(tmp_path)
     out = tmp_path / "results.tsv"
@@ -242,18 +281,49 @@ def test_eval_workers_byte_identical(tmp_path, capsys):
     index = build_index(tmp_path)
     r1, r8 = tmp_path / "r1.json", tmp_path / "r8.json"
     for workers, out in ((1, r1), (8, r8)):
-        code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+        code = main(["--seed", "7", "eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
                      "--index", str(index), "--corpus", str(TOY_CORPUS_PATH),
                      "--predictor", "heuristic", "--workers", str(workers),
                      "--out", str(out)])
         assert code == 0
     assert r1.read_bytes() == r8.read_bytes()
     payload = json.loads(r1.read_text())
-    assert "metrics" in payload and "metadata" in payload
-    for key in ("corpus_sha256", "index_sha256", "kb_sha256", "stopwords_sha256", "seed"):
-        assert key in payload["metadata"]
+    assert "metrics" in payload
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    assert payload["metadata"] == {
+        "corpus_sha256": sha256(TOY_CORPUS_PATH),
+        "index_sha256": sha256(index),
+        "kb_sha256": sha256(DB_PATH),
+        "stopwords_sha256": sha256(PACKAGED_STOPWORDS),
+        "predictor": "heuristic",
+        "seed": 7,
+    }
     table = capsys.readouterr().out
     assert "Joint Goal" in table and "Combined" in table
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_eval_table_matches_golden(capsys, predictor):
+    assert main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
+                 "--predictor", predictor]) == 0
+    golden = DATA_DIR / f"golden_eval_table_{predictor}.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_eval_refuses_goal_for_no_dialog_of_the_corpus(tmp_path, capsys, no_turn):
+    goals = tmp_path / "goals.json"
+    goals.write_text(json.dumps({"nope": {"restaurant": {"constraints": {"food": "italian"}}}}),
+                     encoding="utf-8")
+    assert main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),
+                 "--goals", str(goals)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: load: {goals}: goal for dialog 'nope' names no dialog of the corpus"]
 
 
 def test_eval_checks_goals_before_any_turn(tmp_path, capsys, no_turn):
@@ -472,6 +542,9 @@ BAD_FILES = {
     "index-duplicate-row": _bad_input(
         "index", GOLDEN_INDEX_PATH.read_bytes() + b"hotel\tacorn guest house\th1\tzzz\n",
         "10: duplicate row (hotel, acorn guest house, h1)"),
+    "goals-for-no-dialog": _bad_input(
+        "goals", b'{"nope": {"restaurant": {"constraints": {"food": "italian"}}}}',
+        " goal for dialog 'nope' names no dialog of the corpus"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),

@@ -131,8 +131,9 @@ def test_malformed_json_names_line(tmp_path):
 def test_validate_toy_kb_clean(toy_kb):
     report = validate_knowledge_base(toy_kb)
     assert not report.violations
-    assert report.entity_count == 7
-    assert report.document_count == 9
+    entities = [ent for domain in toy_kb.domains.values() for ent in domain.entities]
+    assert len(entities) == 7
+    assert sum(len(ent.documents) for ent in entities) == 9
 
 
 def test_validate_schema_foreign_attribute():

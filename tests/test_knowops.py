@@ -260,7 +260,7 @@ def test_match_entity_stability_under_irrelevant_alternative():
     for _ in range(50):
         kb = rand_kb(rng, rng.randint(2, 8))
         query = "e0" + rng.choice(["", "0", "x"])
-        winner = match_entity(kb, "restaurant", query, floor=0.0)
+        winner = match_entity(kb, "restaurant", query)  # every query clears MATCH_FLOOR
         domain = kb.domains["restaurant"]
         scores = {e.id: max(fuzzy_similarity(query, e.name), fuzzy_similarity(query, e.id))
                   for e in domain.entities}
@@ -271,7 +271,7 @@ def test_match_entity_stability_under_irrelevant_alternative():
             name="restaurant", slot_schema=domain.slot_schema,
             entities=domain.entities + (
                 Entity(id="zzz unrelated", name="zzz unrelated", attributes={}),))})
-        assert match_entity(bigger, "restaurant", query, floor=0.0).id == winner.id
+        assert match_entity(bigger, "restaurant", query).id == winner.id
 
 
 def test_match_entity_equals_bruteforce_with_distinct_ids():
@@ -290,13 +290,13 @@ def test_match_entity_equals_bruteforce_with_distinct_ids():
             entities.append(Entity(id=ent_id, name=name, attributes={}))
         source = rng.choice([rng.choice(entities).name, rng.choice(entities).id])
         query = "".join(c for c in source if rng.random() < 0.8)
-        floor = rng.choice([0.0, MATCH_FLOOR, 0.9])
         kb = KnowledgeBase(domains={"hotel": Domain(
             name="hotel", slot_schema=frozenset({"name"}), entities=tuple(entities))})
-        got = match_entity(kb, "hotel", query, floor=floor)
-        expected = oracle_match_entity(entities, query, floor)
+        got = match_entity(kb, "hotel", query)
+        expected = oracle_match_entity(entities, query, MATCH_FLOOR)
         assert (got.id if got else None) == expected, (query, entities)
-        decided_by_id += expected != oracle_match_entity(entities, query, floor, ("name",))
+        decided_by_id += expected != oracle_match_entity(entities, query, MATCH_FLOOR,
+                                                         ("name",))
     assert decided_by_id >= 10  # ids that outscore their names do change the winner
 
 
@@ -322,13 +322,12 @@ def test_match_entity_equals_bruteforce_on_unnormalized_keys():
             query = rng.choice(queries)
         kb = KnowledgeBase(domains={"hotel": Domain(
             name="hotel", slot_schema=frozenset({"name"}), entities=tuple(entities))})
-        for floor in (0.0, MATCH_FLOOR, 1.0, 1.5):
-            got = match_entity(kb, "hotel", query, floor=floor)
-            expected = oracle_match_entity(entities, query, floor)
-            assert (got.id if got else None) == expected, (query, floor, entities)
-            exact += floor == 1.0 and expected is not None
+        got = match_entity(kb, "hotel", query)
+        expected = oracle_match_entity(entities, query, MATCH_FLOOR)
+        assert (got.id if got else None) == expected, (query, entities)
         owners = {e.id for e in entities
                   if 1.0 in (lcs_ratio_oracle(query, e.name), lcs_ratio_oracle(query, e.id))}
+        exact += bool(owners)  # the query equals some key: the lookup decides, not the scan
         shared += len(owners) > 1  # an exact key that more than one entity has
     assert exact > 20
     assert shared > 10

@@ -30,7 +30,6 @@ from seknow.metrics import (
     _stem,
     bleu,
     combined_score,
-    evaluate_corpus,
     inform_success,
     meteor_simplified,
     oracle_factory,
@@ -42,7 +41,7 @@ from seknow.metrics import (
 from seknow.pipeline import TemplateSet, make_template_generator
 from seknow.topics import build_topic_index
 
-from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH
+from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH, evaluate
 
 VERBOSE_TEMPLATES = TemplateSet(entries={
     (domain, condition): text
@@ -285,9 +284,9 @@ def test_retrieval_metrics_missing_ranking_errors():
 
 
 def test_combined_score_table_values():
-    assert round_half_up(combined_score(93.6, 71.9, 17.3), 1) == 100.1
+    assert round_half_up(combined_score(93.6, 71.9, 17.3)) == 100.1
     assert abs(combined_score(93.6, 71.9, 17.3) - 100.1) <= 0.05
-    assert round_half_up(combined_score(82.9, 68.7, 19.0), 1) == 94.8
+    assert round_half_up(combined_score(82.9, 68.7, 19.0)) == 94.8
     assert abs(combined_score(82.9, 68.7, 19.0) - 94.8) <= 0.05
     assert combined_score(0, 0, 0) == 0.0
 
@@ -303,9 +302,10 @@ def test_inform_success_oracle_with_verbose_templates(toy_kb, toy_index):
         toy_kb, toy_index,
         CorpusSpec(dialogs=8, original_turns=2, inserted_turns=1,
                    requestables=("phone", "address")),
-        seed=5, templates=VERBOSE_TEMPLATES)
-    report = evaluate_corpus(corpus, toy_kb, toy_index, predictor="oracle",
-                             generator=make_template_generator(VERBOSE_TEMPLATES))
+        seed=5)
+    # only the verbose templates offer [phone] and [address]
+    report = evaluate(corpus, toy_kb, toy_index, "oracle",
+                      generator=make_template_generator(VERBOSE_TEMPLATES))
     assert report.inform == 100.0
     assert report.success == 100.0
 
@@ -322,7 +322,7 @@ def test_inform_zero_when_offers_never_satisfy(toy_kb, toy_index):
                d.turns)
         for d in corpus.dialogs
         if "area" in toy_kb.domain(next(iter(d.goal.domains))).slot_schema))
-    report = evaluate_corpus(twisted, toy_kb, toy_index, predictor="oracle")
+    report = evaluate(twisted, toy_kb, toy_index, "oracle")
     assert report.inform == 0.0
     assert report.success == 0.0
 
@@ -334,7 +334,7 @@ def test_informed_but_missing_requestable(toy_kb, toy_index):
                    requestables=("phone",)),
         seed=9)
     # default templates never emit [phone], so inform holds and success fails
-    report = evaluate_corpus(corpus, toy_kb, toy_index, predictor="oracle")
+    report = evaluate(corpus, toy_kb, toy_index, "oracle")
     assert report.inform == 100.0
     assert report.success == 0.0
     assert report.success <= report.inform
@@ -361,7 +361,7 @@ def test_goal_is_checked_before_any_turn(tmp_path, toy_kb, goal, detail):
     path = tmp_path / "goals.json"
     path.write_text(json.dumps({"dlg0005": goal}), encoding="utf-8")
     with pytest.raises(LoadError) as err:
-        load_goals(str(path), toy_kb)
+        load_goals(str(path), toy_kb, load_corpus(str(TOY_CORPUS_PATH)))
     assert str(err.value) == f"{path}: {detail}"
 
 
@@ -408,16 +408,16 @@ def test_goal_names_are_normalized_like_the_db(tmp_path, toy_kb, toy_index):
     original = load_corpus(str(TOY_CORPUS_PATH))
     recased = load_corpus(str(path))
     assert [d.goal for d in recased.dialogs] == [d.goal for d in original.dialogs]
-    report = evaluate_corpus(recased, toy_kb, toy_index, predictor="oracle")
+    report = evaluate(recased, toy_kb, toy_index, "oracle")
     assert (report.inform, report.success) == (100.0, 100.0)
-    assert report == evaluate_corpus(original, toy_kb, toy_index, predictor="oracle")
+    assert report == evaluate(original, toy_kb, toy_index, "oracle")
     assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == GoalSpec(
         domains={"hotel": DomainGoal(requestables=("phone",))})
 
 
 def test_evaluate_oracle_perfect_tracking(toy_kb, toy_index):
     corpus = load_corpus(str(TOY_CORPUS_PATH))
-    report = evaluate_corpus(corpus, toy_kb, toy_index, predictor="oracle")
+    report = evaluate(corpus, toy_kb, toy_index, "oracle")
     assert report.joint_goal == 100.0
     assert report.r_at_1 == 100.0
     assert report.mrr_at_5 == 100.0
@@ -427,7 +427,7 @@ def test_evaluate_oracle_perfect_tracking(toy_kb, toy_index):
 
 def test_evaluate_heuristic_matches_golden_report(toy_kb, toy_index):
     corpus = load_corpus(str(TOY_CORPUS_PATH))
-    report = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic")
+    report = evaluate(corpus, toy_kb, toy_index, "heuristic")
     golden = json.loads(GOLDEN_REPORT_PATH.read_text("utf-8"))
     assert report.to_dict() == golden
 
@@ -436,8 +436,8 @@ def test_evaluate_workers_equivalent(toy_kb, toy_index):
     corpus = generate_synthetic_corpus(
         toy_kb, toy_index, CorpusSpec(dialogs=12, original_turns=2, inserted_turns=1),
         seed=4)
-    one = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic", workers=1)
-    many = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic", workers=8)
+    one = evaluate(corpus, toy_kb, toy_index, "heuristic", workers=1)
+    many = evaluate(corpus, toy_kb, toy_index, "heuristic", workers=8)
     assert one == many
 
 
@@ -445,25 +445,27 @@ def test_evaluate_rejects_workers_below_one(toy_kb, toy_index):
     corpus = load_corpus(str(TOY_CORPUS_PATH))
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="workers must be at least 1"):
-            evaluate_corpus(corpus, toy_kb, toy_index, workers=workers)
+            evaluate(corpus, toy_kb, toy_index, "oracle", workers=workers)
 
 
 def test_evaluate_dialog_order_invariant(toy_kb, toy_index):
     corpus = load_corpus(str(TOY_CORPUS_PATH))
     reordered = DialogCorpus(dialogs=tuple(reversed(corpus.dialogs)))
-    a = evaluate_corpus(corpus, toy_kb, toy_index, predictor="heuristic")
-    b = evaluate_corpus(reordered, toy_kb, toy_index, predictor="heuristic")
+    a = evaluate(corpus, toy_kb, toy_index, "heuristic")
+    b = evaluate(reordered, toy_kb, toy_index, "heuristic")
     assert a == b
 
 
 def _fold_corpus(toy_kb, toy_index, seed):
-    """A seeded synthetic corpus of random size, with or without knowledge turns."""
+    """A seeded synthetic corpus of random size, with or without knowledge turns, and
+    the templates to evaluate it with: the packaged set, which wrote its references
+    (equal pairs under the oracle), or the verbose set (unequal pairs)."""
     rng = random.Random(seed)
     spec = CorpusSpec(dialogs=rng.randint(2, 12), original_turns=rng.randint(1, 3),
                       inserted_turns=rng.randint(0, 1),
                       requestables=("phone", "address")[:rng.randint(0, 2)])
-    templates = VERBOSE_TEMPLATES if rng.random() < 0.5 else None
-    return generate_synthetic_corpus(toy_kb, toy_index, spec, seed=seed, templates=templates)
+    templates = None if rng.random() < 0.5 else VERBOSE_TEMPLATES
+    return generate_synthetic_corpus(toy_kb, toy_index, spec, seed=seed), templates
 
 
 FOLD_CASES = [*(f"seed-{seed}" for seed in range(6)), "toy-corpus", "reversed",
@@ -471,27 +473,30 @@ FOLD_CASES = [*(f"seed-{seed}" for seed in range(6)), "toy-corpus", "reversed",
 
 
 def _fold_case(case, kb, index):
-    """(corpus, goals) of one fold-versus-reference case; goals None means embedded."""
+    """(corpus, goals, eval templates) of one fold-versus-reference case; goals None
+    means embedded, templates None the packaged set."""
     if case.startswith("seed-"):
-        return _fold_corpus(kb, index, int(case[len("seed-"):])), None
+        corpus, templates = _fold_corpus(kb, index, int(case[len("seed-"):]))
+        return corpus, None, templates
     if case == "toy-corpus":
-        return load_corpus(str(TOY_CORPUS_PATH)), None
+        return load_corpus(str(TOY_CORPUS_PATH)), None, VERBOSE_TEMPLATES
     if case == "reversed":
-        return DialogCorpus(dialogs=tuple(reversed(_fold_corpus(kb, index, 3).dialogs))), None
+        corpus, templates = _fold_corpus(kb, index, 3)
+        return DialogCorpus(dialogs=tuple(reversed(corpus.dialogs))), None, templates
     if case == "no-knowledge-turns":
         return generate_synthetic_corpus(
-            kb, index, CorpusSpec(dialogs=5, original_turns=2, inserted_turns=0), seed=1), None
-    corpus = _fold_corpus(kb, index, 4)
-    return corpus, {d.dialog_id: GoalSpec() for d in corpus.dialogs}
+            kb, index, CorpusSpec(dialogs=5, original_turns=2, inserted_turns=0), seed=1), \
+            None, VERBOSE_TEMPLATES
+    corpus, templates = _fold_corpus(kb, index, 4)
+    return corpus, {d.dialog_id: GoalSpec() for d in corpus.dialogs}, templates
 
 
 @pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_evaluate_matches_three_pass_oracle(toy_kb, toy_index, predictor, case):
-    corpus, goals = _fold_case(case, toy_kb, toy_index)
-    generator = make_template_generator(VERBOSE_TEMPLATES)
-    got = evaluate_corpus(corpus, toy_kb, toy_index, predictor=predictor,
-                          generator=generator, goals=goals)
+    corpus, goals, templates = _fold_case(case, toy_kb, toy_index)
+    generator = make_template_generator(templates)
+    got = evaluate(corpus, toy_kb, toy_index, predictor, generator=generator, goals=goals)
     assert got == oracle_evaluate(corpus, toy_kb, toy_index, predictor,
                                   generator=generator, goals=goals)
     if case == "no-knowledge-turns":
@@ -514,7 +519,7 @@ def test_evaluate_ranks_gold_down_to_five():
                              doc_annotation=("restaurant", "roma", f"d{k}"))
                   for k in range(1, 7))
     corpus = DialogCorpus(dialogs=(Dialog("d", GoalSpec(), turns),))
-    report = evaluate_corpus(corpus, kb, index, predictor="oracle")
+    report = evaluate(corpus, kb, index, "oracle")
     assert report == oracle_evaluate(corpus, kb, index, "oracle")
     assert report.mrr_at_5 == pytest.approx(100.0 * (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5) / 6)
     assert report.r_at_1 == pytest.approx(100.0 / 6)
@@ -524,7 +529,7 @@ def test_evaluate_ranks_gold_down_to_five():
 def test_evaluate_empty_corpus_is_metric_error(toy_kb, toy_index, predictor):
     empty = DialogCorpus(dialogs=())
     with pytest.raises(MetricError, match="at least one"):
-        evaluate_corpus(empty, toy_kb, toy_index, predictor=predictor)
+        evaluate(empty, toy_kb, toy_index, predictor)
     with pytest.raises(MetricError, match="at least one"):
         oracle_evaluate(empty, toy_kb, toy_index, predictor)
 
@@ -537,10 +542,10 @@ def test_evaluate_heap_stays_per_dialog(toy_kb, toy_index, predictor):
 
     def traced_peak(n):
         part = DialogCorpus(dialogs=corpus.dialogs[:n])
-        evaluate_corpus(part, toy_kb, toy_index, predictor=predictor)  # warm-up
+        evaluate(part, toy_kb, toy_index, predictor)  # warm-up
         tracemalloc.start()
         try:
-            evaluate_corpus(part, toy_kb, toy_index, predictor=predictor)
+            evaluate(part, toy_kb, toy_index, predictor)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

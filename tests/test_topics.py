@@ -27,15 +27,16 @@ from conftest import GOLDEN_INDEX_PATH, TOY_THRESHOLDS
 
 
 def test_tokenize_keeps_non_stopwords():
-    assert tokenize("Free WiFi, free parking!") == ["free", "wifi", "free", "parking"]
+    assert tokenize("Free WiFi, free parking!", load_stopwords()) == [
+        "free", "wifi", "free", "parking"]
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    assert tokenize("", load_stopwords()) == []
 
 
 def test_tokenize_all_stopwords():
-    assert tokenize("a an the") == []
+    assert tokenize("a an the", load_stopwords()) == []
 
 
 # Pieces of random text: 1-char runs, digits, case, stopwords, non-ASCII letters
@@ -55,14 +56,16 @@ def test_tokenize_matches_oracle_on_random_text():
     rng = random.Random(1401)
     for _ in range(3000):
         text = random_text(rng, 12)
-        assert tokenize(text) == oracle_tokenize(text), text
+        assert tokenize(text, load_stopwords()) == oracle_tokenize(text), text
 
 
 def test_tokenize_of_title_and_body_joined_is_their_streams_joined():
     rng = random.Random(1402)
+    stopwords = load_stopwords()
     for _ in range(3000):
         title, body = random_text(rng, 6), random_text(rng, 12)
-        assert tokenize(f"{title} {body}") == tokenize(title) + tokenize(body), (title, body)
+        assert tokenize(f"{title} {body}", stopwords) == \
+            tokenize(title, stopwords) + tokenize(body, stopwords), (title, body)
 
 
 def random_tie_kb(rng: random.Random) -> tuple[KnowledgeBase, dict[str, float], dict]:
@@ -96,7 +99,8 @@ def test_build_matches_oracle_scores_on_tie_heavy_kbs():
                for key, words in index.entries.items()}
         assert got == oracle_topic_words(oracle_domains)  # floats compared exactly
         for name, domain in kb.domains.items():
-            streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}")
+            streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}",
+                                                      load_stopwords())
                        for ent in domain.entities for doc in ent.documents}
             for tokens in compute_tfidf(streams).values():
                 ranked = sorted(tokens.values(), reverse=True)
@@ -316,9 +320,9 @@ def test_docs_for_entity_matches_scan(toy_kb, toy_index):
 
 
 def test_stopword_env_list_is_in_effect(toy_kb, env_stopwords):
-    assert tokenize("is it with the wifi") == ["is", "it", "with", "wifi"]
+    assert tokenize("is it with the wifi", load_stopwords()) == ["is", "it", "with", "wifi"]
     digest = hashlib.sha256(env_stopwords.read_bytes()).hexdigest()
-    assert build_topic_index(toy_kb).stopwords_sha256 == digest
+    assert build_topic_index(toy_kb, TOY_THRESHOLDS).stopwords_sha256 == digest
     assert build_topic_index(toy_kb, TOY_THRESHOLDS, load_stopwords()).stopwords_sha256 == digest
     with pytest.raises(ConfigError, match="differ from the list in effect"):
         build_topic_index(toy_kb, TOY_THRESHOLDS, frozenset({"x"}))
