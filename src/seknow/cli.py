@@ -33,14 +33,12 @@ from .text import normalize, open_output, sha256_file, stopwords_digest, stopwor
 
 def _parse_thresholds(pairs: list[str], kb: kb_mod.KnowledgeBase) -> dict[str, float]:
     """Defaults overridden by each ``domain=value``: a KB domain with documents, a finite value."""
-    indexed = {name for name, domain in kb.domains.items()
-               if any(ent.documents for ent in domain.entities)}
     thresholds = dict(topics.DEFAULT_THRESHOLDS)
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--threshold expects domain=value, got '{pair}'")
         domain, _, value = pair.partition("=")
-        if normalize(domain) not in indexed:
+        if normalize(domain) not in kb.document_domains:
             raise ConfigError(f"--threshold domain '{domain}' has no documents "
                               "in the knowledge base")
         try:

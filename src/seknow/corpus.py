@@ -24,7 +24,7 @@ from .kb import KnowledgeBase, expect, read_json
 from .pipeline import Session, make_oracle_predictor, make_template_generator, run_turn
 # Unused here; benchmarks/tracer.py patches these two names on this module.
 from .pipeline import lexicalize, template_generate  # noqa: F401
-from .text import normalize, open_input, open_output
+from .text import is_one_field, normalize, open_input, open_output
 from .topics import TopicIndex
 
 
@@ -32,11 +32,6 @@ from .topics import TopicIndex
 class DomainGoal:
     constraints: dict[str, str] = field(default_factory=dict)
     requestables: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class GoalSpec:
-    domains: dict[str, DomainGoal] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ class DialogTurn:
 @dataclass(frozen=True)
 class Dialog:
     dialog_id: str
-    goal: GoalSpec
+    goal: dict[str, DomainGoal]  # goal domain -> its goal
     turns: tuple[DialogTurn, ...]
 
 
@@ -108,7 +103,8 @@ def load_corpus(path: str, kb: KnowledgeBase | None = None,
     return DialogCorpus(dialogs=tuple(dialogs))
 
 
-def load_goals(path: str, kb: KnowledgeBase, corpus: DialogCorpus) -> dict[str, GoalSpec]:
+def load_goals(path: str, kb: KnowledgeBase,
+               corpus: DialogCorpus) -> dict[str, dict[str, DomainGoal]]:
     """Load a goal file: a JSON object mapping dialog ids of the checked ``corpus`` to
     goals over the checked ``kb``. The corpus dialogs it leaves out are not judged."""
     raw = read_json(path)
@@ -123,7 +119,7 @@ def load_goals(path: str, kb: KnowledgeBase, corpus: DialogCorpus) -> dict[str, 
 
 
 def parse_goal(raw, where: str, path: str, lineno: int | None = None,
-               kb: KnowledgeBase | None = None) -> GoalSpec:
+               kb: KnowledgeBase | None = None) -> dict[str, DomainGoal]:
     """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``.
 
     Domain, slot, value and requestable names are normalized as the db file's
@@ -163,7 +159,7 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
                 expect(slot in kb.domains[name].slot_schema, f"goal of {where} uses slot "
                        f"'{slot}' outside the schema of domain '{name}'", path, lineno)
         domains[name] = DomainGoal(constraints=normalized, requestables=requested)
-    return GoalSpec(domains=domains)
+    return domains
 
 
 def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
@@ -172,8 +168,7 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
     dialog_id = raw.get("dialog_id")
     expect(isinstance(dialog_id, str), "dialog missing 'dialog_id'", path, lineno)
     # run writes the id in the first of its tab-separated fields, on one line
-    expect(bool(dialog_id.strip()) and "\t" not in dialog_id and "\n" not in dialog_id
-           and "\r" not in dialog_id, "'dialog_id' is blank or holds a tab or line break",
+    expect(is_one_field(dialog_id), "'dialog_id' is blank or holds a tab or line break",
            path, lineno)
     goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno, kb)
     raw_turns = raw.get("turns", [])
@@ -237,7 +232,7 @@ def save_corpus(corpus: DialogCorpus, path: str):
 def _dialog_to_obj(dialog: Dialog) -> dict:
     goal = {dom: {"constraints": dict(g.constraints),
                   "requestables": list(g.requestables)}
-            for dom, g in dialog.goal.domains.items()}
+            for dom, g in dialog.goal.items()}
     turns = []
     for t in dialog.turns:
         obj = {"user": t.user, "response": t.response, "belief_span": t.gold_belief_span}
@@ -337,8 +332,7 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
                 delex_response=out.delexicalized_response,
             ))
         requestables = tuple(r for r in spec.requestables if r in entity.attributes)
-        goal = GoalSpec(domains={domain: DomainGoal(
-            constraints={s: v for _, s, v in accumulated},
-            requestables=requestables)})
+        goal = {domain: DomainGoal(constraints={s: v for _, s, v in accumulated},
+                                   requestables=requestables)}
         dialogs.append(Dialog(dialog_id=f"dlg{i:04d}", goal=goal, turns=tuple(turns)))
     return DialogCorpus(dialogs=tuple(dialogs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import DomainNotFoundError, LoadError
-from .text import normalize, open_input
+from .text import is_one_field, normalize, open_input
 
 _WORD_RE = re.compile(r"\w+")
 
@@ -113,6 +113,12 @@ class KnowledgeBase:
 
     def entity(self, domain: str, entity_id: str) -> Entity | None:
         return self.domain(domain).entity(entity_id)
+
+    @cached_property
+    def document_domains(self) -> frozenset[str]:
+        """Names of the domains where some entity has documents."""
+        return frozenset(name for name, domain in self.domains.items()
+                         if any(ent.documents for ent in domain.entities))
 
     @cached_property
     def _ontology(self) -> tuple[list, dict[str, list[int]]]:
@@ -226,9 +232,8 @@ def _parse_docs(path: str) -> list[dict]:
             expect(isinstance(rec.get(key), str), f"document #{k} missing '{key}'", path)
         # an index row holds the doc_id between tabs, on one line
         doc_id = rec["doc_id"] = rec["doc_id"].strip()
-        if not doc_id or "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
-            raise LoadError(f"document #{k} 'doc_id' is blank or holds a tab or line break",
-                            file=path)
+        expect(is_one_field(doc_id),
+               f"document #{k} 'doc_id' is blank or holds a tab or line break", path)
         records.append(rec)
     return records
 

@@ -25,7 +25,7 @@ space-joined topic words from :meth:`~seknow.topics.TopicIndex.entity_docs`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .belief import ExtendedBeliefState
 from .errors import QueryError
@@ -37,14 +37,8 @@ from .topics import TopicIndex
 MATCH_FLOOR = 0.6
 
 
-@dataclass(frozen=True)
-class DomainMatches:
-    entity_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    per_domain: dict[str, DomainMatches] = field(default_factory=dict)
+# Constrained domain -> ids of its matched entities, ascending; domains in first-mention order.
+EntityMatches = dict[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -60,30 +54,29 @@ class RetrievedDocument:
         return (self.domain, self.entity_id, self.doc_id)
 
 
-def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> QueryResult:
+def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> EntityMatches:
     """Match every constrained domain's entities against the belief state.
 
     Domains without constraints are omitted; matched entities are ordered
     ascending by id. A constraint on a slot outside the domain schema is a
     query error.
     """
-    per_domain: dict[str, DomainMatches] = {}
+    result: EntityMatches = {}
     for dom_name, constraints in state.constraints().items():
         domain = kb.domain(dom_name)
         for slot in constraints:
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
-        ids = tuple(e.id for e in domain.matching(constraints))
-        per_domain[dom_name] = DomainMatches(entity_ids=ids)
-    return QueryResult(per_domain=per_domain)
+        result[dom_name] = tuple(e.id for e in domain.matching(constraints))
+    return result
 
 
-def format_query_span(result: QueryResult) -> str:
+def format_query_span(result: EntityMatches) -> str:
     """Render match counts as a text span, e.g. ``restaurant 2 match``."""
     parts = []
-    for domain, matches in result.per_domain.items():
-        if matches.entity_ids:
-            parts.append(f"{domain} {len(matches.entity_ids)} match")
+    for domain, ids in result.items():
+        if ids:
+            parts.append(f"{domain} {len(ids)} match")
         else:
             parts.append(f"{domain} no match")
     return " , ".join(parts)
@@ -189,8 +182,8 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
 
 
 def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
-                        state: ExtendedBeliefState, query: QueryResult | None = None,
-                        ) -> tuple[QueryResult, RetrievedDocument | None,
+                        state: ExtendedBeliefState, query: EntityMatches | None = None,
+                        ) -> tuple[EntityMatches, RetrievedDocument | None,
                                    tuple[RetrievedDocument, ...]]:
     """Structured query plus document retrieval for one belief state.
 

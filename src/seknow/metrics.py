@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts
-from .corpus import Dialog, DialogCorpus, GoalSpec
+from .corpus import Dialog, DialogCorpus, DomainGoal
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
 from .knowops import lcs_length
@@ -266,7 +266,7 @@ def round_half_up(value: float) -> float:
     return float(Decimal(str(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
+def inform_success(outputs: Sequence[TurnOutput], goal: Mapping[str, DomainGoal],
                    kb: KnowledgeBase) -> tuple[bool, bool]:
     """Whether one dialog informs and succeeds on a goal already checked against the KB.
 
@@ -277,13 +277,12 @@ def inform_success(outputs: Sequence[TurnOutput], goal: GoalSpec,
     placeholder appears in some response attributed to that domain.
     """
     informed = succeeded = True
-    for dom_name, dgoal in goal.domains.items():
+    for dom_name, dgoal in goal.items():
         if dgoal.constraints:
             satisfying = {e.id for e in kb.domains[dom_name].matching(dgoal.constraints)}
             informed = informed and any(
                 "[name]" in out.delexicalized_response
-                and dom_name in out.query.per_domain
-                and set(out.query.per_domain[dom_name].entity_ids) & satisfying
+                and not satisfying.isdisjoint(out.query.get(dom_name, ()))
                 for out in outputs)
         domain_responses = [out.delexicalized_response for out in outputs
                             if active_domain(out.belief) == dom_name]
@@ -328,7 +327,7 @@ def run_dialog(dialog: Dialog, factory: PredictorFactory, generator: Generator,
 
 def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
                     predictor: PredictorFactory, generator: Generator,
-                    goals: Mapping[str, GoalSpec] | None = None,
+                    goals: Mapping[str, Mapping[str, DomainGoal]] | None = None,
                     workers: int = 1) -> MetricsReport:
     """Run the full pipeline over a corpus and compute every metric.
 
@@ -369,7 +368,7 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
             meteors.append(meteor_simplified(hyp, ref))
             rouges.append(rouge_l(hyp, ref))
         goal = goals.get(dialog.dialog_id)
-        if goal is not None and goal.domains:
+        if goal:
             judged.append(inform_success(outputs, goal, kb))
 
     bleu_score = _bleu_score(bleu_stats)

@@ -32,7 +32,7 @@ from .belief import (
 from .errors import CorruptionError, LoadError, OracleError, PipelineError, TemplateError
 from .kb import KnowledgeBase
 from .knowops import (
-    QueryResult,
+    EntityMatches,
     RetrievedDocument,
     knowledge_operation,
     structured_query,
@@ -42,8 +42,8 @@ from .topics import TopicIndex
 
 # (context, previous belief) -> (belief, its structured query or None to have it run)
 Predictor = Callable[[DialogContext, ExtendedBeliefState],
-                     tuple[ExtendedBeliefState, QueryResult | None]]
-Generator = Callable[[ExtendedBeliefState, QueryResult, RetrievedDocument | None], str]
+                     tuple[ExtendedBeliefState, EntityMatches | None]]
+Generator = Callable[[ExtendedBeliefState, EntityMatches, RetrievedDocument | None], str]
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
 
@@ -51,7 +51,7 @@ _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
 @dataclass(frozen=True)
 class TurnOutput:
     belief: ExtendedBeliefState
-    query: QueryResult
+    query: EntityMatches
     document: RetrievedDocument | None
     delexicalized_response: str
     lexicalized_response: str
@@ -121,16 +121,16 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
         entries[(parts[0], parts[1])] = parts[2]
     if kb is not None:
         needed = [("general", "nomatch")]
-        for name, domain in kb.domains.items():
+        for name in kb.domains:
             needed += [(name, "offer"), (name, "nomatch")]
-            needed += [(name, "doc")] if any(ent.documents for ent in domain.entities) else []
+            needed += [(name, "doc")] if name in kb.document_domains else []
         for domain, condition in needed:
             if (domain, condition) not in entries:
                 raise LoadError(f"no '{condition}' template for domain '{domain}'", file=path)
     return TemplateSet(entries=entries)
 
 
-def template_generate(belief: ExtendedBeliefState, query: QueryResult,
+def template_generate(belief: ExtendedBeliefState, query: EntityMatches,
                       document: RetrievedDocument | None,
                       templates: TemplateSet) -> str:
     """Pick and fill the delexicalized response template for this turn.
@@ -143,9 +143,9 @@ def template_generate(belief: ExtendedBeliefState, query: QueryResult,
     domain = active_domain(belief)
     if domain is None:
         return templates.get("general", "nomatch")
-    matches = query.per_domain.get(domain)
-    if matches is not None and matches.entity_ids:
-        return templates.get(domain, "offer").replace("{count}", str(len(matches.entity_ids)))
+    ids = query.get(domain)
+    if ids:
+        return templates.get(domain, "offer").replace("{count}", str(len(ids)))
     return templates.get(domain, "nomatch")
 
 
@@ -156,7 +156,7 @@ def make_template_generator(templates: TemplateSet | None = None) -> Generator:
         belief, query, document, templates)
 
 
-def lexicalize(delex: str, query: QueryResult,
+def lexicalize(delex: str, query: EntityMatches,
                kb: KnowledgeBase) -> tuple[str, tuple[str, ...]]:
     """Fill ``[slot]`` placeholders from the first matched entity.
 
@@ -165,9 +165,9 @@ def lexicalize(delex: str, query: QueryResult,
     resolved, which stay verbatim.
     """
     entity = None
-    for domain, matches in query.per_domain.items():
-        if matches.entity_ids:
-            entity = kb.entity(domain, matches.entity_ids[0])
+    for domain, ids in query.items():
+        if ids:
+            entity = kb.entity(domain, ids[0])
             break
     unresolved = []
 
@@ -253,7 +253,7 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     stopwords = load_stopwords()
 
     def predict(context: DialogContext, prev: ExtendedBeliefState,
-                ) -> tuple[ExtendedBeliefState, QueryResult]:
+                ) -> tuple[ExtendedBeliefState, EntityMatches]:
         utterance = normalize(context.latest_user())
         claimed: list[tuple[int, int]] = []
         latest = {(t.domain, t.slot): t.value for t in prev.triples}
@@ -293,12 +293,12 @@ def _find_unclaimed(utterance: str, value: str,
     return None
 
 
-def _topic_overlap(index: TopicIndex, query: QueryResult, tokens: set[str],
+def _topic_overlap(index: TopicIndex, query: EntityMatches, tokens: set[str],
                    ) -> tuple[str, str, tuple[str, ...]] | None:
     if not tokens:
         return None
-    for domain, matches in query.per_domain.items():
-        for entity_id in matches.entity_ids:
+    for domain, ids in query.items():
+        for entity_id in ids:
             docs = index.docs_for_entity(domain, entity_id)
             if not docs:
                 continue

@@ -57,6 +57,13 @@ def normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+def is_one_field(text: str) -> bool:
+    """Whether ``text`` is nonblank and holds no tab and no line break, where a line
+    break is any boundary :meth:`str.splitlines` splits at: it fits one field of a
+    tab-separated line."""
+    return bool(text.strip()) and "\t" not in text and text.splitlines() == [text]
+
+
 def stopwords_file() -> str | None:
     """Path of the stopword file named by the environment, if any."""
     return os.environ.get(STOPWORDS_ENV_VAR) or None

@@ -218,7 +218,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
     doc_ids = None if kb is None else {
         (name, ent.id): {doc.doc_id for doc in ent.documents}
         for name, dom in kb.domains.items() for ent in dom.entities}
-    with_docs = doc_ids is not None and any(doc_ids.values())
+    with_docs = kb is not None and bool(kb.document_domains)
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):

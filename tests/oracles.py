@@ -255,13 +255,13 @@ def oracle_inform_success(outs: list, goal, kb) -> tuple:
     from seknow.pipeline import active_domain
 
     ok_inform = ok_success = True
-    for dom, dgoal in goal.domains.items():
+    for dom, dgoal in goal.items():
         if dgoal.constraints:
             satisfying = set(oracle_filter_entities(kb.domains[dom].entities,
                                                     dgoal.constraints))
             offered = [out for out in outs if "[name]" in out.delexicalized_response
-                       and dom in out.query.per_domain]
-            if not any(set(out.query.per_domain[dom].entity_ids) & satisfying
+                       and dom in out.query]
+            if not any(set(out.query[dom]) & satisfying
                        for out in offered):
                 ok_inform = False
         for slot in dgoal.requestables:
@@ -342,7 +342,7 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
     informed = succeeded = judged = 0
     for dialog in corpus.dialogs:
         goal = goals.get(dialog.dialog_id)
-        if goal is None or not goal.domains:
+        if not goal:
             continue
         judged += 1
         ok_inform, ok_success = oracle_inform_success(outputs[dialog.dialog_id], goal, kb)

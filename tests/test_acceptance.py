@@ -120,7 +120,7 @@ def test_criterion_4_knowledge_operation(toy_kb, toy_index):
         constraints = {s: rng.choice(values)
                        for s in rng.sample(slots, rng.randint(1, 3))}
         state = make_state([("restaurant", s, v) for s, v in constraints.items()])
-        got = structured_query(kb, state).per_domain["restaurant"].entity_ids
+        got = structured_query(kb, state)["restaurant"]
         expected = oracle_filter_entities(kb.domains["restaurant"].entities, constraints)
         assert list(got) == expected
 

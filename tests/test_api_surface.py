@@ -1,5 +1,5 @@
 """Every public definition in ``src/seknow``, and every parameter default it offers,
-has a caller outside the tests.
+has a caller outside the tests; and no dataclass there merely wraps one field.
 
 The supported interface is the CLI plus what ``src/seknow`` and
 ``benchmarks/`` themselves use. A public definition is *used* where code in
@@ -8,10 +8,13 @@ outside every definition already found unused: a helper only a dead API calls
 is dead too. A reference is a name that is read or imported, an attribute, or
 a string equal to the name that is no key or index (the benchmark tracer
 patches names by string). A
-module-level function or class is referred to by its bare name or as an
+module-level function or class is referred to by its bare name, in its own
+module or in a file that imports it from that module (``from .metrics import
+bleu``, ``from seknow.metrics import bleu``); by a string anywhere; or as an
 attribute of its own module (``metrics.bleu``, ``metrics_mod.bleu``), never as
 an attribute of anything else: ``report.bleu`` reads a field that only shares
-its name. A method or property is referred to by any attribute of its name.
+its name, and a bare ``bleu`` elsewhere names some other module's ``bleu``. A
+method or property is referred to by any attribute of its name.
 The package ``__init__`` is not searched, because a re-export is not a caller.
 Dataclass fields are not checked: a search cannot tell the object a field
 belongs to from the attribute access that reads it.
@@ -21,6 +24,9 @@ A defaulted parameter of a public function, public method or ``__init__`` is
 parameter's own definition, passes it by keyword, by position or through a
 ``*``/``**`` argument. Calls resolve by name as references do; calling a class
 calls its ``__init__``. A default no caller overrides is a constant in disguise.
+
+A dataclass with one field and no method is that field under a second name:
+each reader unwraps it, and the field's own type says as much.
 """
 
 import ast
@@ -44,33 +50,47 @@ def _definitions(path: Path) -> list[tuple[str, str, int, int]]:
             for n, qual in found if not n.name.startswith("_")]
 
 
-def _modules(tree: ast.Module) -> dict[str, str]:
-    """Package module of each name in ``tree`` that may stand for one (aliases resolved)."""
+def _scope(path: Path, tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
+    """Package module of each name in ``tree`` that may stand for one, and
+    ``module.name`` of each bare name bound in it to a package module's ``name``
+    (aliases resolved); any other bare name is ``path``'s own."""
     modules = {p.stem: p.stem for p in PACKAGE.glob("*.py")}
+    own = path.stem if path.parent == PACKAGE else f"{path.parent.name}/{path.stem}"
+    bare: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in (None, "seknow"):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module in (None, "seknow"):
             modules.update((a.asname or a.name, a.name) for a in node.names)
-    return modules
+        elif node.level == 1 or node.module.startswith("seknow."):
+            source = node.module.removeprefix("seknow.")
+            bare.update((a.asname or a.name, f"{source}.{a.name}") for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            bare.setdefault(node.id, f"{own}.{node.id}")
+    return modules, bare
 
 
 def _references(path: Path) -> list[tuple[int, str]]:
-    """(line, reference) of each possible reference in ``path``: ``name`` for a name
-    read or imported or a string equal to it, ``module.name`` for an attribute of a
-    package module (aliases resolved), ``.name`` for an attribute of anything else."""
+    """(line, reference) of each possible reference in ``path``: ``module.name`` for a
+    name read or imported (resolved by :func:`_scope`) or an attribute of a package
+    module (aliases resolved), ``name`` for a string equal to it, ``.name`` for an
+    attribute of anything else."""
     tree = ast.parse(path.read_text("utf-8"))
-    modules = _modules(tree)
+    modules, bare = _scope(path, tree)
     keys = set()
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            refs += [(node.lineno, a.name) for a in node.names]
+            refs += [(node.lineno, bare[a.asname or a.name]) for a in node.names
+                     if (a.asname or a.name) in bare]
         elif isinstance(node, ast.Subscript):
             keys.add(id(node.slice))
         elif isinstance(node, ast.Dict):
             keys.update(map(id, node.keys))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.append((node.lineno, node.id))
+            refs.append((node.lineno, bare[node.id]))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier() and id(node) not in keys:
             refs.append((node.lineno, node.value))
@@ -163,11 +183,11 @@ def _defaulted(path: Path) -> list[tuple[str, str, int, int, list[tuple[str, int
 def _calls(path: Path) -> list[tuple[int, str, ast.Call]]:
     """(line, callee reference as :func:`_references` forms it, call) of each call in ``path``."""
     tree = ast.parse(path.read_text("utf-8"))
-    modules = _modules(tree)
+    modules, bare = _scope(path, tree)
     calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            calls.append((node.lineno, node.func.id, node))
+            calls.append((node.lineno, bare[node.func.id], node))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = node.func.value.id if isinstance(node.func.value, ast.Name) else None
             calls.append((node.lineno, f"{modules.get(owner, '')}.{node.func.attr}", node))
@@ -182,13 +202,6 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
                                      or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def defaulted_parameters() -> list[str]:
-    """``module.function(parameter)`` for each defaulted parameter in scope."""
-    return [f"{qual}({param})" for path in sorted(PACKAGE.glob("*.py"))
-            if path.name != "__init__.py"
-            for _, qual, _, _, params in _defaulted(path) for param, _ in params]
-
-
 def unset_parameters() -> list[str]:
     """Defaulted parameters that no call in ``src/seknow`` or ``benchmarks/`` passes,
     outside the parameter's own definition. Calls resolve by name as
@@ -201,7 +214,7 @@ def unset_parameters() -> list[str]:
             method = qual.count(".") == 2
             sites = [call for p, rows in calls.items() for i, ref, call in rows
                      if not (p == path and lo <= i <= hi)
-                     and (ref == name or ref == f"{path.stem}.{name}"
+                     and (ref == f"{path.stem}.{name}"
                           or (method and ref.endswith(f".{name}")))]
             unset += [f"{qual}({param})" for param, position in params
                       if not any(_passes(call, param, position) for call in sites)]
@@ -209,5 +222,33 @@ def unset_parameters() -> list[str]:
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
-    assert set(UNSET_ALLOWED) <= set(defaulted_parameters())
-    assert [p for p in unset_parameters() if p not in UNSET_ALLOWED] == []
+    assert unset_parameters() == sorted(UNSET_ALLOWED)
+
+
+# One-field records that benchmarks/workload.py uses, so they stay.
+ONE_FIELD_ALLOWED = (
+    "corpus.DialogCorpus",  # benchmarks/workload.py builds one and reads its dialogs
+    "kb.ValidationReport",  # benchmarks/workload.py reads its violations
+)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def one_field_records() -> list[str]:
+    """``module.Class`` of each ``@dataclass`` in ``src/seknow`` with exactly one
+    annotated field and no method, property or ``__post_init__``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)) \
+                    and sum(isinstance(s, ast.AnnAssign) for s in node.body) == 1 \
+                    and not any(isinstance(s, ast.FunctionDef) for s in node.body):
+                found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+def test_no_dataclass_only_wraps_one_field():
+    assert one_field_records() == sorted(ONE_FIELD_ALLOWED)

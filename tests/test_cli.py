@@ -68,7 +68,7 @@ def test_build_index_refuses_bad_threshold(tmp_path, capsys, flag, detail):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc_id", ["   ", "d\t1"])
+@pytest.mark.parametrize("doc_id", ["   ", "d\t1", "d\x0b1", "d\x851", "d\u20281"])
 def test_build_index_refuses_doc_id_blank_or_with_tab(tmp_path, capsys, doc_id):
     docs = tmp_path / "docs.json"
     records = json.loads(DOCS_PATH.read_text("utf-8"))
@@ -188,8 +188,11 @@ def test_run_collapses_whitespace_of_a_body_into_one_line_per_turn(tmp_path, cap
     assert out.read_bytes() == (DATA_DIR / "golden_run_oracle.tsv").read_bytes()
 
 
-@pytest.mark.parametrize("dialog_id", ["dlg\t0", "", "  ", "dlg\n0", "dlg\r0"],
-                         ids=["tab", "empty", "blank", "line-break", "carriage-return"])
+# str.splitlines, which reads the run file back, breaks at \v, \x85 and \u2028 too
+@pytest.mark.parametrize("dialog_id", ["dlg\t0", "", "  ", "dlg\n0", "dlg\r0", "dlg\x0b1",
+                                       "dlg\x851", "dlg\u20281"],
+                         ids=["tab", "empty", "blank", "line-break", "carriage-return",
+                              "vertical-tab", "next-line", "line-separator"])
 def test_run_refuses_dialog_id_blank_or_with_tab(tmp_path, capsys, dialog_id):
     dialogs = [json.loads(line) for line in TOY_CORPUS_PATH.read_text("utf-8").splitlines()]
     dialogs[1]["dialog_id"] = dialog_id

@@ -97,7 +97,8 @@ def test_empty_attribute_is_refused_at_load(tmp_path, attributes, slot):
         f"{db}: domain 'restaurant': entity 'Pizza Hut' attribute '{slot}' is empty"
 
 
-@pytest.mark.parametrize("doc_id", ["", "   ", "d\t1", "d\n1", "d\r1"])
+@pytest.mark.parametrize("doc_id", ["", "   ", "d\t1", "d\n1", "d\r1", "d\x0b1", "d\x851",
+                                    "d\u20281"])
 def test_doc_id_blank_or_with_tab_or_line_break_is_refused(tmp_path, doc_id):
     db = write_json(tmp_path / "db.json", {"hotel": {"slots": ["name"], "entities": [
         {"id": "acorn", "name": "acorn", "attributes": {}}]}})

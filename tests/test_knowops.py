@@ -10,13 +10,11 @@ from oracles import (
     oracle_match_entity,
 )
 from seknow.belief import make_state, parse_belief_span
-from seknow.corpus import DomainGoal, GoalSpec
+from seknow.corpus import DomainGoal
 from seknow.errors import DomainNotFoundError, QueryError
 from seknow.kb import Document, Domain, Entity, KnowledgeBase
 from seknow.knowops import (
     MATCH_FLOOR,
-    DomainMatches,
-    QueryResult,
     format_query_span,
     fuzzy_similarity,
     knowledge_operation,
@@ -51,17 +49,16 @@ def test_structured_query_two_matches(toy_kb):
     state = make_state([("restaurant", "food", "italian"),
                         ("restaurant", "area", "center")])
     result = structured_query(toy_kb, state)
-    matches = result.per_domain["restaurant"]
-    assert matches.entity_ids == ("pizza hut", "roma ristorante")
+    assert result["restaurant"] == ("pizza hut", "roma ristorante")
 
 
 def test_structured_query_empty_state(toy_kb):
-    assert structured_query(toy_kb, make_state([])).per_domain == {}
+    assert structured_query(toy_kb, make_state([])) == {}
 
 
 def test_structured_query_ruk_only_domain_is_omitted(toy_kb):
     state = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
-    assert structured_query(toy_kb, state).per_domain == {}
+    assert structured_query(toy_kb, state) == {}
 
 
 def test_structured_query_equals_bruteforce():
@@ -71,7 +68,7 @@ def test_structured_query_equals_bruteforce():
         slot = rng.choice(["food", "area", "pricerange"])
         value = rng.choice(["italian", "chinese", "north", "cheap"])
         state = make_state([("restaurant", slot, value)])
-        got = structured_query(kb, state).per_domain["restaurant"].entity_ids
+        got = structured_query(kb, state)["restaurant"]
         expected = oracle_filter_entities(kb.domains["restaurant"].entities,
                                           {slot: value})
         assert list(got) == expected
@@ -117,8 +114,7 @@ def test_structured_query_postings_equal_bruteforce():
         for dom, constraints in goals.items():
             entities = kb.domains[dom].entities
             expected = oracle_filter_entities(entities, constraints)
-            got = result.per_domain[dom]
-            assert list(got.entity_ids) == expected, (dom, constraints)
+            assert list(result[dom]) == expected, (dom, constraints)
             hits += bool(expected)
             past_word += len(entities) > 64 and bool(expected) and \
                 expected[-1] > kb.domains[dom].id_order[63].id
@@ -140,10 +136,10 @@ def test_inform_success_equals_oracle_on_postings_kbs():
             outputs.append(TurnOutput(belief=belief, query=query, document=None,
                                       delexicalized_response=rng.choice(responses),
                                       lexicalized_response=""))
-        goal = GoalSpec(domains={dom: DomainGoal(
+        goal = {dom: DomainGoal(
             constraints=rand_constraints(rng) if rng.random() < 0.8 else {},
             requestables=("phone",) if rng.random() < 0.5 else ())
-            for dom in rng.sample(sorted(kb.domains), rng.randint(1, 2))})
+            for dom in rng.sample(sorted(kb.domains), rng.randint(1, 2))}
         expected = oracle_inform_success(outputs, goal, kb)
         assert inform_success(outputs, goal, kb) == expected
         informed += expected[0]
@@ -170,12 +166,11 @@ def test_format_query_span_counts(toy_kb):
 
 
 def test_format_query_span_empty():
-    assert format_query_span(QueryResult()) == ""
+    assert format_query_span({}) == ""
 
 
 def test_format_query_span_single():
-    result = QueryResult(per_domain={"hotel": DomainMatches(("acorn",))})
-    assert format_query_span(result) == "hotel 1 match"
+    assert format_query_span({"hotel": ("acorn",)}) == "hotel 1 match"
 
 
 def test_lcs_length_matches_dp_reference():
@@ -375,7 +370,7 @@ def test_knowledge_operation_without_ruk(toy_kb, toy_index):
     state = make_state([("restaurant", "food", "italian")])
     result, document, _ = knowledge_operation(toy_kb, toy_index, state)
     assert document is None
-    assert len(result.per_domain["restaurant"].entity_ids) == 2
+    assert len(result["restaurant"]) == 2
 
 
 def test_knowledge_operation_ruk_without_topic(toy_kb, toy_index):
@@ -389,7 +384,7 @@ def test_knowledge_operation_full_scenario(toy_kb, toy_index):
                         ("restaurant", "area", "center"),
                         ("restaurant", "ruk", "pizza hut")], ["favorite"])
     result, document, _ = knowledge_operation(toy_kb, toy_index, state)
-    assert len(result.per_domain["restaurant"].entity_ids) == 2
+    assert len(result["restaurant"]) == 2
     assert document is not None
     assert (document.entity_id, document.doc_id) == ("pizza hut", "d1")
     assert document.score == 1.0

@@ -17,7 +17,6 @@ from seknow.corpus import (
     DialogCorpus,
     DialogTurn,
     DomainGoal,
-    GoalSpec,
     generate_synthetic_corpus,
     load_corpus,
     load_goals,
@@ -317,11 +316,11 @@ def test_inform_zero_when_offers_never_satisfy(toy_kb, toy_index):
     # rewrite goals so no offered entity can satisfy them
     twisted = DialogCorpus(dialogs=tuple(
         Dialog(d.dialog_id,
-               GoalSpec(domains={next(iter(d.goal.domains)): DomainGoal(
-                   constraints={"area": "nowhere"}, requestables=())}),
+               {next(iter(d.goal)): DomainGoal(constraints={"area": "nowhere"},
+                                               requestables=())},
                d.turns)
         for d in corpus.dialogs
-        if "area" in toy_kb.domain(next(iter(d.goal.domains))).slot_schema))
+        if "area" in toy_kb.domain(next(iter(d.goal))).slot_schema))
     report = evaluate(twisted, toy_kb, toy_index, "oracle")
     assert report.inform == 0.0
     assert report.success == 0.0
@@ -349,7 +348,7 @@ def test_inform_unknown_goal_domain_errors(tmp_path, toy_kb, toy_index):
         load_corpus(str(path), toy_kb, toy_index)
     assert str(err.value) == \
         f"{path}:1: goal of dialog 'dlg0000' references unknown domain 'moon'"
-    assert "moon" in load_corpus(str(path)).dialogs[0].goal.domains  # unchecked without a KB
+    assert "moon" in load_corpus(str(path)).dialogs[0].goal  # unchecked without a KB
 
 
 @pytest.mark.parametrize("goal, detail", [
@@ -388,8 +387,8 @@ def test_inform_success_judges_one_dialog(toy_kb, toy_index):
     dialog = corpus.dialogs[0]
     outputs = run_dialog(dialog, oracle_factory, make_template_generator(), toy_kb, toy_index)
     assert inform_success(outputs, dialog.goal, toy_kb) == (True, False)
-    no_requests = GoalSpec(domains={dom: DomainGoal(constraints=g.constraints)
-                                    for dom, g in dialog.goal.domains.items()})
+    no_requests = {dom: DomainGoal(constraints=g.constraints)
+                   for dom, g in dialog.goal.items()}
     assert inform_success(outputs, no_requests, toy_kb) == (True, True)
     assert inform_success([], no_requests, toy_kb) == (False, False)
 
@@ -411,8 +410,8 @@ def test_goal_names_are_normalized_like_the_db(tmp_path, toy_kb, toy_index):
     report = evaluate(recased, toy_kb, toy_index, "oracle")
     assert (report.inform, report.success) == (100.0, 100.0)
     assert report == evaluate(original, toy_kb, toy_index, "oracle")
-    assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == GoalSpec(
-        domains={"hotel": DomainGoal(requestables=("phone",))})
+    assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == {
+        "hotel": DomainGoal(requestables=("phone",))}
 
 
 def test_evaluate_oracle_perfect_tracking(toy_kb, toy_index):
@@ -488,7 +487,7 @@ def _fold_case(case, kb, index):
             kb, index, CorpusSpec(dialogs=5, original_turns=2, inserted_turns=0), seed=1), \
             None, VERBOSE_TEMPLATES
     corpus, templates = _fold_corpus(kb, index, 4)
-    return corpus, {d.dialog_id: GoalSpec() for d in corpus.dialogs}, templates
+    return corpus, {d.dialog_id: {} for d in corpus.dialogs}, templates
 
 
 @pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
@@ -518,7 +517,7 @@ def test_evaluate_ranks_gold_down_to_five():
                              gold_belief_span="restaurant { ruk = roma } || alpha",
                              doc_annotation=("restaurant", "roma", f"d{k}"))
                   for k in range(1, 7))
-    corpus = DialogCorpus(dialogs=(Dialog("d", GoalSpec(), turns),))
+    corpus = DialogCorpus(dialogs=(Dialog("d", {}, turns),))
     report = evaluate(corpus, kb, index, "oracle")
     assert report == oracle_evaluate(corpus, kb, index, "oracle")
     assert report.mrr_at_5 == pytest.approx(100.0 * (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5) / 6)
