@@ -67,9 +67,6 @@ class ExtendedBeliefState:
                 return t
         return None
 
-    def has_ruk(self) -> bool:
-        return self.ruk_triple() is not None
-
     def non_ruk_triples(self) -> frozenset[DsvTriple]:
         return frozenset(t for t in self.triples if t.slot != RUK_SLOT)
 
@@ -94,22 +91,29 @@ def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
         if not (domain and slot and value):
             raise ValueError("belief triples need nonempty domain, slot and value")
         latest[(domain, slot)] = value
-    return canonical_state(latest, filter(None, map(normalize, topic)))
+    topic = tuple(filter(None, map(normalize, topic)))
+    if topic and ruk_domain(latest) is None:
+        raise ValueError("a topic requires a ruk triple")
+    return canonical_state(latest, topic)
 
 
 def canonical_state(latest: dict[tuple[str, str], str],
                     topic: Iterable[str]) -> ExtendedBeliefState:
-    """:func:`make_state` for callers that guarantee, unchecked, normalized nonempty fields
-    and ``latest`` mapping each (domain, slot) to its value in mention order."""
+    """:func:`make_state` for callers that guarantee, unchecked, normalized nonempty fields,
+    ``latest`` mapping each (domain, slot) to its value in mention order, and a topic only
+    with a ruk key."""
     slots_of: dict[str, list[str]] = {}  # domains in first-mention order
     for domain, slot in latest:
         slots_of.setdefault(domain, []).append(slot)
     ordered = [DsvTriple(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
                for s in sorted(slots, key=lambda s: (s == RUK_SLOT, s))]
-    state = ExtendedBeliefState(triples=tuple(ordered), topic=tuple(topic))
-    if state.topic and not state.has_ruk():
-        raise ValueError("a topic requires a ruk triple")
-    return state
+    return ExtendedBeliefState(triples=tuple(ordered), topic=tuple(topic))
+
+
+def ruk_domain(latest: dict[tuple[str, str], str]) -> str | None:
+    """The domain of :meth:`ExtendedBeliefState.ruk_triple` of the state ``latest`` builds:
+    the first-mentioned domain with a ruk key, so the domain of the first key that has one."""
+    return next((domain for domain, _ in latest if (domain, RUK_SLOT) in latest), None)
 
 
 EMPTY_STATE = ExtendedBeliefState()
@@ -146,13 +150,20 @@ def _offset(text: str, k: int) -> int:
 
 
 def parse_belief_span(text: str) -> ExtendedBeliefState:
-    """Parse a belief span; inverse of :func:`serialize_belief` on its image.
+    """Parse a belief span; inverse of :func:`serialize_belief` on its image."""
+    return canonical_state(*span_fields(text))
+
+
+def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
+    """Check a belief span against the grammar and return its lowercased fields, unordered:
+    ``latest`` maps each (domain, slot) to its last value in mention order, and the topic
+    words follow in given order. :func:`canonical_state` orders them into the state.
 
     Tolerates repeated whitespace. Raises :class:`ParseError` with a byte
     offset on malformed input (unbalanced braces, missing ``=``, empty
-    values, stray tokens outside a ``||`` topic segment, text that is not
-    valid UTF-8). One pass over the whitespace tokens; the offset is only
-    computed for the error.
+    values, stray tokens outside a ``||`` topic segment, a topic without a
+    ruk triple, text that is not valid UTF-8). One pass over the whitespace
+    tokens; the offset is only computed for the error.
     """
     try:
         text.encode("utf-8")
@@ -201,10 +212,9 @@ def parse_belief_span(text: str) -> ExtendedBeliefState:
         for k, token in enumerate(topic, start=i + 2):
             if token in _RESERVED:
                 raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
-    try:
-        return canonical_state(latest, map(str.lower, topic))
-    except ValueError as exc:
-        raise ParseError(str(exc), len(text.encode("utf-8"))) from exc
+        if ruk_domain(latest) is None:
+            raise ParseError("a topic requires a ruk triple", len(text.encode("utf-8")))
+    return latest, [token.lower() for token in topic]
 
 
 def extend_gold_label(original: ExtendedBeliefState,

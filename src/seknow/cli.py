@@ -20,7 +20,7 @@ from . import corpus as corpus_io
 from . import kb as kb_mod
 from . import metrics as metrics_mod
 from . import pipeline, topics
-from .belief import parse_belief_span, serialize_belief
+from .belief import parse_belief_span, serialize_belief, span_fields
 from .errors import ConfigError, SeknowError
 from .knowops import (
     format_query_span,
@@ -143,9 +143,9 @@ def cmd_corrupt(args) -> int:
                 response=turn.response,
             ))
             context.append(("system", turn.response))
-            state = parse_belief_span(turn.gold_belief_span)
-            for t in state.triples:
-                ontology.setdefault((t.domain, t.slot), set()).add(t.value)
+            latest, _ = span_fields(turn.gold_belief_span)
+            for key, value in latest.items():
+                ontology.setdefault(key, set()).add(value)
     frozen = {key: tuple(sorted(vals)) for key, vals in ontology.items()}
     corrupted = pipeline.corrupt_samples(samples, args.seed, frozen)
     with open_output(args.out) as fh:

@@ -18,14 +18,17 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .belief import RUK_SLOT, extend_gold_label, make_state, parse_belief_span, serialize_belief
+from .belief import RUK_SLOT, extend_gold_label, make_state, ruk_domain, serialize_belief
+from .belief import span_fields
 from .errors import GenerationError, LoadError
-from .kb import KnowledgeBase, expect, read_json
+from .kb import KnowledgeBase, read_json
 from .pipeline import Session, make_oracle_predictor, make_template_generator, run_turn
-# Unused here; benchmarks/tracer.py patches these two names on this module.
-from .pipeline import lexicalize, template_generate  # noqa: F401
 from .text import is_one_field, normalize, open_input, open_output
 from .topics import TopicIndex
+
+# Unused here; benchmarks/tracer.py patches these three names on this module.
+from .belief import parse_belief_span  # noqa: F401
+from .pipeline import lexicalize, template_generate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,14 @@ class CorpusSpec:
 
 def load_corpus(path: str, kb: KnowledgeBase | None = None,
                 index: TopicIndex | None = None) -> DialogCorpus:
-    """Load a corpus file, parsing each belief span once. Dialog ids must be unique and
-    references nonempty; given the checked ``kb`` and ``index``, goals and spans must
-    fit the KB schema, and each ``doc`` annotation must name an index row."""
+    """Load a corpus file, checking each belief span against the grammar once.
+
+    Dialog ids must be unique and references nonempty, and a ``doc``
+    annotation needs a ruk triple in its domain. Given the checked ``kb`` and
+    ``index``, goals and spans must fit the KB schema, and each ``doc``
+    annotation must name an index row. Spans stay text: the states are built
+    where they are read (scoring, the oracle predictor).
+    """
     dialogs = []
     seen = set()
     with open_input(path) as fh:
@@ -96,8 +104,9 @@ def load_corpus(path: str, kb: KnowledgeBase | None = None,
             except json.JSONDecodeError as exc:
                 raise LoadError(exc.msg, file=path, line=lineno) from exc
             dialog = _parse_dialog(raw, path, lineno, kb, index)
-            expect(dialog.dialog_id not in seen,
-                   f"duplicate dialog id '{dialog.dialog_id}'", path, lineno)
+            if dialog.dialog_id in seen:
+                raise LoadError(f"duplicate dialog id '{dialog.dialog_id}'", file=path,
+                                line=lineno)
             seen.add(dialog.dialog_id)
             dialogs.append(dialog)
     return DialogCorpus(dialogs=tuple(dialogs))
@@ -108,12 +117,14 @@ def load_goals(path: str, kb: KnowledgeBase,
     """Load a goal file: a JSON object mapping dialog ids of the checked ``corpus`` to
     goals over the checked ``kb``. The corpus dialogs it leaves out are not judged."""
     raw = read_json(path)
-    expect(isinstance(raw, dict), "goal file must be a JSON object keyed by dialog id", path)
+    if not isinstance(raw, dict):
+        raise LoadError("goal file must be a JSON object keyed by dialog id", file=path)
     ids = {dialog.dialog_id for dialog in corpus.dialogs}
     goals = {}
     for dialog_id, goal in raw.items():
-        expect(dialog_id in ids, f"goal for dialog '{dialog_id}' names no dialog of the "
-               "corpus", path)
+        if dialog_id not in ids:
+            raise LoadError(f"goal for dialog '{dialog_id}' names no dialog of the corpus",
+                            file=path)
         goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
     return goals
 
@@ -127,97 +138,119 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
     like another of the goal, is refused; given the checked ``kb``, so is a
     domain or a constraint or requestable slot outside its schema.
     """
-    expect(isinstance(raw, dict), f"{where}: goal is not an object", path, lineno)
+    def refused(detail: str) -> LoadError:
+        return LoadError(detail, file=path, line=lineno)
+
+    if not isinstance(raw, dict):
+        raise refused(f"{where}: goal is not an object")
     domains = {}
     for dom, obj in raw.items():
-        expect(isinstance(obj, dict), f"{where}: goal domain '{dom}' is not an object",
-               path, lineno)
+        if not isinstance(obj, dict):
+            raise refused(f"{where}: goal domain '{dom}' is not an object")
         constraints = obj.get("constraints", {})
         requestables = obj.get("requestables", [])
-        expect(isinstance(constraints, dict) and isinstance(requestables, list)
-               and all(isinstance(v, str) for v in (*constraints.values(), *requestables)),
-               f"{where}: goal domain '{dom}' needs an object of string 'constraints' "
-               "and an array of string 'requestables'", path, lineno)
+        if not (isinstance(constraints, dict) and isinstance(requestables, list)
+                and all(isinstance(v, str) for v in (*constraints.values(), *requestables))):
+            raise refused(f"{where}: goal domain '{dom}' needs an object of string "
+                          "'constraints' and an array of string 'requestables'")
         name = normalize(dom)
-        expect(bool(name), f"{where}: empty goal domain name", path, lineno)
-        expect(name not in domains, f"{where}: duplicate goal domain '{name}'", path, lineno)
+        if not name:
+            raise refused(f"{where}: empty goal domain name")
+        if name in domains:
+            raise refused(f"{where}: duplicate goal domain '{name}'")
         normalized = {}
         for slot, value in constraints.items():
             key, value = normalize(slot), normalize(value)
-            expect(bool(key and value),
-                   f"{where}: goal domain '{name}': constraint '{slot}' is empty", path, lineno)
-            expect(key not in normalized,
-                   f"{where}: goal domain '{name}': duplicate constraint '{key}'", path, lineno)
+            if not (key and value):
+                raise refused(f"{where}: goal domain '{name}': constraint '{slot}' is empty")
+            if key in normalized:
+                raise refused(f"{where}: goal domain '{name}': duplicate constraint '{key}'")
             normalized[key] = value
         requested = tuple(normalize(slot) for slot in requestables)
-        expect(all(requested), f"{where}: goal domain '{name}': empty requestable",
-               path, lineno)
+        if not all(requested):
+            raise refused(f"{where}: goal domain '{name}': empty requestable")
         if kb is not None:
-            expect(name in kb.domains, f"goal of {where} references unknown domain '{name}'",
-                   path, lineno)
+            if name not in kb.domains:
+                raise refused(f"goal of {where} references unknown domain '{name}'")
             for slot in (*normalized, *requested):
-                expect(slot in kb.domains[name].slot_schema, f"goal of {where} uses slot "
-                       f"'{slot}' outside the schema of domain '{name}'", path, lineno)
+                if slot not in kb.domains[name].slot_schema:
+                    raise refused(f"goal of {where} uses slot '{slot}' outside the schema of "
+                                  f"domain '{name}'")
         domains[name] = DomainGoal(constraints=normalized, requestables=requested)
     return domains
 
 
 def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
                   index: TopicIndex | None) -> Dialog:
-    expect(isinstance(raw, dict), "dialog is not a JSON object", path, lineno)
+    if not isinstance(raw, dict):
+        raise LoadError("dialog is not a JSON object", file=path, line=lineno)
     dialog_id = raw.get("dialog_id")
-    expect(isinstance(dialog_id, str), "dialog missing 'dialog_id'", path, lineno)
+    if not isinstance(dialog_id, str):
+        raise LoadError("dialog missing 'dialog_id'", file=path, line=lineno)
     # run writes the id in the first of its tab-separated fields, on one line
-    expect(is_one_field(dialog_id), "'dialog_id' is blank or holds a tab or line break",
-           path, lineno)
-    goal = parse_goal(raw.get("goal", {}), f"dialog '{dialog_id}'", path, lineno, kb)
+    if not is_one_field(dialog_id):
+        raise LoadError("'dialog_id' is blank or holds a tab or line break", file=path,
+                        line=lineno)
+
+    where = f"dialog '{dialog_id}'"
+
+    def refused(detail: str, turn: int | None = None) -> LoadError:
+        at = where if turn is None else f"{where} turn {turn}"
+        return LoadError(f"{at}: {detail}", file=path, line=lineno)
+
+    goal = parse_goal(raw.get("goal", {}), where, path, lineno, kb)
     raw_turns = raw.get("turns", [])
-    expect(isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns),
-           f"dialog '{dialog_id}': 'turns' is not an array of objects", path, lineno)
+    if not (isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns)):
+        raise refused("'turns' is not an array of objects")
     turns = []
     for k, t in enumerate(raw_turns):
-        where = f"dialog '{dialog_id}' turn {k}"
-        delex = t.get("delex")
-        expect(isinstance(t.get("user", ""), str) and isinstance(t.get("response", ""), str)
-               and (delex is None or isinstance(delex, str)),
-               f"{where}: 'user', 'response' and 'delex' must be strings", path, lineno)
+        user, response, delex = t.get("user", ""), t.get("response", ""), t.get("delex")
+        if not (isinstance(user, str) and isinstance(response, str)
+                and (delex is None or isinstance(delex, str))):
+            raise refused("'user', 'response' and 'delex' must be strings", k)
         span = t.get("belief_span", "")
         try:
-            state = parse_belief_span(span)
+            latest, _ = span_fields(span)
         except Exception as exc:
-            raise LoadError(f"{where}: {exc}", file=path, line=lineno) from exc
+            raise refused(str(exc), k) from exc
         if kb is not None:
-            for triple in state.triples:
-                expect(triple.domain in kb.domains,
-                       f"{where}: unknown domain '{triple.domain}'", path, lineno)
-                expect(triple.slot == RUK_SLOT
-                       or triple.slot in kb.domains[triple.domain].slot_schema,
-                       f"{where}: slot '{triple.slot}' is not in the schema of domain "
-                       f"'{triple.domain}'", path, lineno)
+            fault = _schema_fault(latest, kb)
+            if fault is not None:
+                raise refused(fault, k)
         doc = t.get("doc")
         annotation = None
         if doc is not None:
             keys = ("domain", "entity_id", "doc_id")
-            expect(isinstance(doc, dict) and all(isinstance(doc.get(key), str) for key in keys),
-                   f"{where}: 'doc' needs string 'domain', 'entity_id' and 'doc_id'",
-                   path, lineno)
+            if not (isinstance(doc, dict) and all(isinstance(doc.get(key), str) for key in keys)):
+                raise refused("'doc' needs string 'domain', 'entity_id' and 'doc_id'", k)
             annotation = tuple(doc[key] for key in keys)
-            expect(state.has_ruk(), f"{where}: document annotation without a ruk triple "
-                   "in the belief span", path, lineno)
-            expect(index is None or annotation in index.entries,
-                   f"{where}: annotated document {annotation} is not in the index",
-                   path, lineno)
-        turn = DialogTurn(
-            user=t.get("user", ""),
-            response=t.get("response", ""),
-            gold_belief_span=span,
-            doc_annotation=annotation,
-            delex_response=delex,
-        )
-        expect(bool(turn.reference.strip()), f"{where}: empty reference response",
-               path, lineno)
+            domain = ruk_domain(latest)
+            if domain is None:
+                raise refused("document annotation without a ruk triple in the belief span", k)
+            if index is not None and annotation not in index.entries:
+                raise refused(f"annotated document {annotation} is not in the index", k)
+            if annotation[0] != domain:
+                raise refused(f"document annotation in domain '{annotation[0]}' but the ruk "
+                              f"triple is in domain '{domain}'", k)
+        turn = DialogTurn(user=user, response=response, gold_belief_span=span,
+                          doc_annotation=annotation, delex_response=delex)
+        if not turn.reference.strip():
+            raise refused("empty reference response", k)
         turns.append(turn)
     return Dialog(dialog_id=dialog_id, goal=goal, turns=tuple(turns))
+
+
+def _schema_fault(latest: dict[tuple[str, str], str], kb: KnowledgeBase) -> str | None:
+    """What is wrong with the first triple, in canonical order, outside ``kb``'s schema."""
+    outside = [(domain, slot) for domain, slot in latest if domain not in kb.domains
+               or slot != RUK_SLOT and slot not in kb.domains[domain].slot_schema]
+    if not outside:
+        return None
+    rank = {domain: r for r, domain in enumerate(dict.fromkeys(d for d, _ in latest))}
+    domain, slot = min(outside, key=lambda key: (rank[key[0]], key[1]))
+    if domain not in kb.domains:
+        return f"unknown domain '{domain}'"
+    return f"slot '{slot}' is not in the schema of domain '{domain}'"
 
 
 def save_corpus(corpus: DialogCorpus, path: str):
@@ -256,10 +289,11 @@ def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
         for turn in dialog.turns:
             turn_count += 1
             doc_turns += turn.doc_annotation is not None
-            state = parse_belief_span(turn.gold_belief_span)
-            for t in state.non_ruk_triples():
-                slots.add(t.slot)
-                values.add(t.value)
+            latest, _ = span_fields(turn.gold_belief_span)
+            for (_, slot), value in latest.items():
+                if slot != RUK_SLOT:
+                    slots.add(slot)
+                    values.add(value)
     n = len(corpus.dialogs)
     return CorpusStats(
         dialog_count=n,

@@ -1,4 +1,5 @@
-"""Seeded random generator of valid (canonical) belief states for property tests."""
+"""Seeded random generators for property tests: valid (canonical) belief states, and belief
+spans that are mostly well formed."""
 
 from __future__ import annotations
 
@@ -31,3 +32,35 @@ def random_state(rng: random.Random) -> ExtendedBeliefState:
         if rng.random() < 0.8:
             topic = rng.sample(TOPICS, rng.randint(1, 3))
     return make_state(triples, topic)
+
+
+# "ǅ", "ẞ" and "ΣΑΣ" change under lowercasing (title case, ß, final sigma); "RUK" is ruk
+PARSE_WORDS = ["restaurant", "hotel", "food", "area", "ruk", "pizza", "hut", "Área", "日本",
+               "İ", "x{", "a=b", "||x", "ǅ", "ẞ", "ΣΑΣ", "RUK"]
+PARSE_TOKENS = PARSE_WORDS + ["{", "}", ",", "=", "||"]
+PARSE_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\u00a0"]
+
+
+def random_span(rng: random.Random) -> str:
+    """A mostly well-formed span, mutated by 0-2 token edits and joined by mixed whitespace."""
+    def words():
+        return rng.choices(PARSE_WORDS, k=rng.randint(1, 2))
+
+    toks = []
+    for _ in range(rng.randint(0, 3)):
+        toks += [*words(), "{"]
+        for k in range(rng.randint(1, 3)):
+            toks += ([","] if k else []) + words() + ["="] + words()
+        toks.append("}")
+    if rng.random() < 0.4:
+        toks += ["||", *rng.choices(PARSE_WORDS, k=rng.randint(0, 3))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(toks) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            toks.insert(at, rng.choice(PARSE_TOKENS))
+        elif at < len(toks):
+            toks[at:at + 1] = [] if edit == 1 else [rng.choice(PARSE_TOKENS)]
+    gaps = [rng.choice(PARSE_SPACES) for _ in range(len(toks) + 1)]
+    gaps[0], gaps[-1] = rng.choice(("", *PARSE_SPACES)), rng.choice(("", *PARSE_SPACES))
+    return "".join(gap + tok for gap, tok in zip(gaps, toks)) + gaps[-1]

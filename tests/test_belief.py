@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import pytest
 
-from genstates import random_state
+from genstates import random_span, random_state
 from oracles import extended_prf, oracle_parse_belief_span
 from seknow.belief import (
     DialogContext,
@@ -13,7 +13,9 @@ from seknow.belief import (
     make_state,
     parse_belief_span,
     prf_counts,
+    ruk_domain,
     serialize_belief,
+    span_fields,
 )
 from seknow.errors import EvaluationError, LabelError, ParseError
 from seknow.metrics import PrfReport
@@ -102,6 +104,8 @@ def test_parse_topic_without_separator():
 def test_parse_topic_requires_ruk():
     with pytest.raises(ParseError, match="ruk"):
         parse_belief_span("restaurant { food = italian } || favorite")
+    with pytest.raises(ValueError, match="ruk"):
+        make_state([("restaurant", "food", "italian")], ["favorite"])
 
 
 def test_parse_empty_topic_segment():
@@ -116,38 +120,6 @@ def test_parse_refuses_text_that_is_not_utf8():
     assert err.value.offset == text.index("\udcff")
 
 
-# "ǅ", "ẞ" and "ΣΑΣ" change under lowercasing (title case, ß, final sigma); "RUK" is ruk
-PARSE_WORDS = ["restaurant", "hotel", "food", "area", "ruk", "pizza", "hut", "Área", "日本",
-               "İ", "x{", "a=b", "||x", "ǅ", "ẞ", "ΣΑΣ", "RUK"]
-PARSE_TOKENS = PARSE_WORDS + ["{", "}", ",", "=", "||"]
-PARSE_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\u00a0"]
-
-
-def _random_span(rng: random.Random) -> str:
-    """A mostly well-formed span, mutated by 0-2 token edits and joined by mixed whitespace."""
-    def words():
-        return rng.choices(PARSE_WORDS, k=rng.randint(1, 2))
-
-    toks = []
-    for _ in range(rng.randint(0, 3)):
-        toks += [*words(), "{"]
-        for k in range(rng.randint(1, 3)):
-            toks += ([","] if k else []) + words() + ["="] + words()
-        toks.append("}")
-    if rng.random() < 0.4:
-        toks += ["||", *rng.choices(PARSE_WORDS, k=rng.randint(0, 3))]
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        at = rng.randrange(len(toks) + 1)
-        edit = rng.randrange(3)
-        if edit == 0:
-            toks.insert(at, rng.choice(PARSE_TOKENS))
-        elif at < len(toks):
-            toks[at:at + 1] = [] if edit == 1 else [rng.choice(PARSE_TOKENS)]
-    gaps = [rng.choice(PARSE_SPACES) for _ in range(len(toks) + 1)]
-    gaps[0], gaps[-1] = rng.choice(("", *PARSE_SPACES)), rng.choice(("", *PARSE_SPACES))
-    return "".join(gap + tok for gap, tok in zip(gaps, toks)) + gaps[-1]
-
-
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -155,13 +127,34 @@ def _outcome(parse, text):
         return type(exc), str(exc), exc.offset
 
 
+def _fields_outcome(text):
+    """:func:`span_fields` of ``text``: each key's value, the domains in first-mention order,
+    the ruk domain and the topic; or the error."""
+    try:
+        latest, topic = span_fields(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+    return latest, list(dict.fromkeys(d for d, _ in latest)), ruk_domain(latest), tuple(topic)
+
+
+def _oracle_fields_outcome(text):
+    """The same fields, read from the reference parser's state."""
+    state = _outcome(oracle_parse_belief_span, text)
+    if isinstance(state, tuple):
+        return state
+    ruk = state.ruk_triple()
+    return ({(t.domain, t.slot): t.value for t in state.triples}, list(state.domains()),
+            ruk and ruk.domain, state.topic)
+
+
 def test_parse_matches_reference_parser():
     rng = random.Random(909)
     accepted = refused = 0
     for _ in range(20_000):
-        text = _random_span(rng)
+        text = random_span(rng)
         got = _outcome(parse_belief_span, text)
         assert got == _outcome(oracle_parse_belief_span, text), text
+        assert _fields_outcome(text) == _oracle_fields_outcome(text), text
         if isinstance(got, tuple):
             refused += 1
         else:

@@ -531,6 +531,14 @@ def _bad_output(command):
     return case
 
 
+def _doc_outside_ruk_domain() -> bytes:
+    """The toy corpus with its first knowledge turn's document moved to another domain."""
+    first, *rest = TOY_CORPUS_PATH.read_text("utf-8").splitlines()
+    dialog = json.loads(first)
+    dialog["turns"][2]["doc"] = {"domain": "restaurant", "entity_id": "pizza hut", "doc_id": "d1"}
+    return "\n".join([json.dumps(dialog), *rest, ""]).encode()
+
+
 NOT_UTF8 = b"\xff\xfe"
 # each case builds (argv, expected prefix of the one stderr line)
 BAD_FILES = {
@@ -548,6 +556,10 @@ BAD_FILES = {
     "goals-for-no-dialog": _bad_input(
         "goals", b'{"nope": {"restaurant": {"constraints": {"food": "italian"}}}}',
         " goal for dialog 'nope' names no dialog of the corpus"),
+    "corpus-doc-outside-ruk-domain": _bad_input(
+        "corpus", _doc_outside_ruk_domain(),
+        "1: dialog 'dlg0000' turn 2: document annotation in domain 'restaurant' but the ruk "
+        "triple is in domain 'hotel'"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),

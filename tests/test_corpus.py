@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+from genstates import random_span
+from seknow import belief
 from seknow.belief import parse_belief_span
 from seknow.corpus import (
     CorpusSpec,
@@ -10,7 +13,7 @@ from seknow.corpus import (
     load_corpus,
     save_corpus,
 )
-from seknow.errors import GenerationError, LoadError
+from seknow.errors import GenerationError, LoadError, ParseError
 
 from conftest import TOY_CORPUS_PATH
 
@@ -54,7 +57,7 @@ def test_generated_annotations_resolve_in_index(toy_kb, toy_index):
             assert toy_index.topics(domain, entity_id, doc_id) is not None
             assert toy_kb.entity(domain, entity_id) is not None
             state = parse_belief_span(turn.gold_belief_span)
-            assert state.has_ruk() and state.topic
+            assert state.ruk_triple() is not None and state.topic
 
 
 def test_generator_zero_inserted_turns(toy_kb, toy_index):
@@ -62,7 +65,7 @@ def test_generator_zero_inserted_turns(toy_kb, toy_index):
         toy_kb, toy_index, CorpusSpec(dialogs=8, inserted_turns=0), seed=1)
     for dialog in corpus.dialogs:
         for turn in dialog.turns:
-            assert not parse_belief_span(turn.gold_belief_span).has_ruk()
+            assert parse_belief_span(turn.gold_belief_span).ruk_triple() is None
 
 
 def test_generator_too_many_inserted_turns(toy_kb, toy_index):
@@ -112,6 +115,84 @@ def test_load_error_annotation_without_ruk(tmp_path):
     path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
     with pytest.raises(LoadError, match="without"):
         load_corpus(str(path))
+
+
+def _one_turn_corpus(path, span, doc=None, dialog_id="d"):
+    turn = {"user": "u", "response": "r", "belief_span": span}
+    if doc is not None:
+        turn["doc"] = dict(zip(("domain", "entity_id", "doc_id"), doc))
+    path.write_text(json.dumps({"dialog_id": dialog_id, "turns": [turn]}) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_load_refuses_exactly_the_spans_the_parser_refuses(tmp_path):
+    rng = random.Random(1818)
+    refused = 0
+    for n in range(300):
+        span = random_span(rng)
+        path = _one_turn_corpus(tmp_path / "one.jsonl", span, dialog_id=f"d{n}")
+        try:
+            parse_belief_span(span)
+        except ParseError as exc:
+            refused += 1
+            with pytest.raises(LoadError) as err:
+                load_corpus(path)
+            assert str(err.value) == f"{path}:1: dialog 'd{n}' turn 0: {exc}"
+        else:
+            (dialog,) = load_corpus(path).dialogs
+            assert dialog.turns[0].gold_belief_span == span
+    assert 50 <= refused <= 250, refused
+
+
+@pytest.mark.parametrize("span, detail", [
+    ("hotel { zeta = 1 , colour = red }", "slot 'colour' is not in the schema of domain 'hotel'"),
+    ("hotel { zeta = 1 } moon { a = b } hotel { colour = red }",
+     "slot 'colour' is not in the schema of domain 'hotel'"),
+    ("moon { a = b } hotel { colour = red }", "unknown domain 'moon'"),
+    ("hotel { stars = 4 , colour = red } moon { a = b }",
+     "slot 'colour' is not in the schema of domain 'hotel'"),
+    ("hotel { stars = 4 } moon { a = b } hotel { colour = red } sun { c = d }",
+     "slot 'colour' is not in the schema of domain 'hotel'"),
+    ("hotel { stars = 4 } sun { c = d } moon { a = b }", "unknown domain 'sun'"),
+])
+def test_load_names_the_first_triple_outside_the_schema_in_canonical_order(
+        tmp_path, toy_kb, toy_index, span, detail):
+    path = _one_turn_corpus(tmp_path / "one.jsonl", span)
+    with pytest.raises(LoadError) as err:
+        load_corpus(path, toy_kb, toy_index)
+    assert str(err.value) == f"{path}:1: dialog 'd' turn 0: {detail}"
+
+
+# ruk_triple() is hotel's: hotel is mentioned first, though restaurant's ruk key comes first
+TWO_RUK_SPAN = ("hotel { stars = 4 } restaurant { ruk = pizza hut } "
+                "hotel { ruk = acorn guest house } || breakfast")
+
+
+def test_doc_annotation_must_be_in_the_domain_of_the_ruk_triple(tmp_path):
+    assert parse_belief_span(TWO_RUK_SPAN).ruk_triple().domain == "hotel"
+    path = _one_turn_corpus(tmp_path / "one.jsonl", TWO_RUK_SPAN,
+                            ("restaurant", "pizza hut", "d1"))
+    with pytest.raises(LoadError) as err:
+        load_corpus(path)
+    assert str(err.value) == (f"{path}:1: dialog 'd' turn 0: document annotation in domain "
+                              "'restaurant' but the ruk triple is in domain 'hotel'")
+    path = _one_turn_corpus(tmp_path / "one.jsonl", TWO_RUK_SPAN,
+                            ("hotel", "acorn guest house", "h1"))
+    (dialog,) = load_corpus(path).dialogs
+    assert dialog.turns[0].doc_annotation == ("hotel", "acorn guest house", "h1")
+
+
+def test_load_builds_no_belief_state(monkeypatch, toy_kb, toy_index):
+    calls = []
+    canonical_state = belief.canonical_state
+    monkeypatch.setattr(belief, "canonical_state",
+                        lambda *args: calls.append(args) or canonical_state(*args))
+    assert len(load_corpus(str(TOY_CORPUS_PATH)).dialogs) == 6
+    assert len(load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index).dialogs) == 6
+    assert calls == []
+    parse_belief_span("hotel { stars = 4 }")  # the counter sees a state being built
+    assert len(calls) == 1
 
 
 def test_load_missing_file_is_load_error(tmp_path):
