@@ -24,6 +24,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import LabelError, ParseError
 from .text import normalize
@@ -35,48 +37,30 @@ TOPIC_SEPARATOR = "||"
 
 
 @dataclass(frozen=True)
-class DsvTriple:
-    domain: str
-    slot: str
-    value: str
-
-
-@dataclass(frozen=True)
 class ExtendedBeliefState:
-    triples: tuple[DsvTriple, ...] = ()
+    """Canonical (domain, slot, value) triples and the topic words."""
+
+    triples: tuple[tuple[str, str, str], ...] = ()
     topic: tuple[str, ...] = ()
 
     def domains(self) -> tuple[str, ...]:
-        seen = []
-        for t in self.triples:
-            if t.domain not in seen:
-                seen.append(t.domain)
-        return tuple(seen)
+        return tuple(dict.fromkeys(domain for domain, _, _ in self.triples))
 
     def constraints(self) -> dict[str, dict[str, str]]:
         """Non-ruk triples grouped by domain, in canonical order."""
         grouped: dict[str, dict[str, str]] = {}
-        for t in self.triples:
-            if t.slot != RUK_SLOT:
-                grouped.setdefault(t.domain, {})[t.slot] = t.value
+        for domain, slot, value in self.triples:
+            if slot != RUK_SLOT:
+                grouped.setdefault(domain, {})[slot] = value
         return grouped
 
-    def ruk_triple(self) -> DsvTriple | None:
-        for t in self.triples:
-            if t.slot == RUK_SLOT:
-                return t
-        return None
-
-    def non_ruk_triples(self) -> frozenset[DsvTriple]:
-        return frozenset(t for t in self.triples if t.slot != RUK_SLOT)
-
-    def without_extension(self) -> "ExtendedBeliefState":
-        """Drop the ruk triples and the topic, recovering the original state."""
-        return ExtendedBeliefState(
-            triples=tuple(t for t in self.triples if t.slot != RUK_SLOT), topic=())
+    def ruk(self) -> tuple[str, str] | None:
+        """(domain, entity) of the first ruk triple, or None."""
+        return next(((domain, value) for domain, slot, value in self.triples
+                     if slot == RUK_SLOT), None)
 
 
-def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
+def make_state(triples: Iterable[tuple[str, str, str]],
                topic: Iterable[str] = ()) -> ExtendedBeliefState:
     """Build a canonical state: normalized fields, deduplicated, ordered.
 
@@ -84,9 +68,7 @@ def make_state(triples: Iterable[DsvTriple | tuple[str, str, str]],
     requires a ruk triple.
     """
     latest: dict[tuple[str, str], str] = {}
-    for item in triples:
-        domain, slot, value = (item.domain, item.slot, item.value) \
-            if isinstance(item, DsvTriple) else item
+    for domain, slot, value in triples:
         domain, slot, value = normalize(domain), normalize(slot), normalize(value)
         if not (domain and slot and value):
             raise ValueError("belief triples need nonempty domain, slot and value")
@@ -105,40 +87,28 @@ def canonical_state(latest: dict[tuple[str, str], str],
     slots_of: dict[str, list[str]] = {}  # domains in first-mention order
     for domain, slot in latest:
         slots_of.setdefault(domain, []).append(slot)
-    ordered = [DsvTriple(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
+    ordered = [(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
                for s in sorted(slots, key=lambda s: (s == RUK_SLOT, s))]
     return ExtendedBeliefState(triples=tuple(ordered), topic=tuple(topic))
 
 
 def ruk_domain(latest: dict[tuple[str, str], str]) -> str | None:
-    """The domain of :meth:`ExtendedBeliefState.ruk_triple` of the state ``latest`` builds:
+    """The domain of :meth:`ExtendedBeliefState.ruk` of the state ``latest`` builds:
     the first-mentioned domain with a ruk key, so the domain of the first key that has one."""
     return next((domain for domain, _ in latest if (domain, RUK_SLOT) in latest), None)
-
-
-EMPTY_STATE = ExtendedBeliefState()
 
 
 def serialize_belief(state: ExtendedBeliefState) -> str:
     """Render a state as its canonical text span (empty state gives '')."""
     blocks = []
-    for domain, pairs in _grouped(state):
-        inner = " , ".join(f"{slot} = {value}" for slot, value in pairs)
+    for domain, group in groupby(state.triples, key=itemgetter(0)):
+        inner = " , ".join(f"{slot} = {value}" for _, slot, value in group)
         blocks.append(f"{domain} {{ {inner} }}")
     out = " ".join(blocks)
     if state.topic:
         out = f"{out} {TOPIC_SEPARATOR} {' '.join(state.topic)}" if out \
             else f"{TOPIC_SEPARATOR} {' '.join(state.topic)}"
     return out
-
-
-def _grouped(state: ExtendedBeliefState) -> list[tuple[str, list[tuple[str, str]]]]:
-    groups: list[tuple[str, list[tuple[str, str]]]] = []
-    for t in state.triples:
-        if not groups or groups[-1][0] != t.domain:
-            groups.append((t.domain, []))
-        groups[-1][1].append((t.slot, t.value))
-    return groups
 
 
 def _offset(text: str, k: int) -> int:
@@ -234,21 +204,20 @@ def extend_gold_label(original: ExtendedBeliefState,
     if topics is None:
         raise LabelError(
             f"annotated document ({domain!r}, {entity!r}, {doc_id!r}) is not in the index")
-    base = original.without_extension()
-    return make_state(base.triples + (DsvTriple(domain, RUK_SLOT, entity),), topics)
+    base = [t for t in original.triples if t[1] != RUK_SLOT]
+    return make_state([*base, (domain, RUK_SLOT, entity)], topics)
 
 
 def joint_goal_match(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> bool:
     """Exact match of the non-ruk triple sets; extension and topic ignored."""
-    return pred.non_ruk_triples() == gold.non_ruk_triples()
+    return pred.constraints() == gold.constraints()
 
 
 def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bool, ...]:
     """One turn's (correct, predicted, gold) counts of the ruk triple, then of the topic:
     a ruk is correct when its (domain, value) equals the gold one, a topic its token set."""
-    p_ruk, g_ruk = pred.ruk_triple(), gold.ruk_triple()
-    ruk_correct = p_ruk is not None and g_ruk is not None \
-        and (p_ruk.domain, p_ruk.value) == (g_ruk.domain, g_ruk.value)
+    p_ruk, g_ruk = pred.ruk(), gold.ruk()
+    ruk_correct = p_ruk is not None and p_ruk == g_ruk
     topic_correct = bool(pred.topic) and bool(gold.topic) and set(pred.topic) == set(gold.topic)
     return (ruk_correct, p_ruk is not None, g_ruk is not None,
             topic_correct, bool(pred.topic), bool(gold.topic))

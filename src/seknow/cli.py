@@ -89,15 +89,15 @@ def cmd_query(args) -> int:
 def cmd_retrieve(args) -> int:
     kb, index, *_ = _load(args)
     state = parse_belief_span(args.belief)
-    ruk = state.ruk_triple()
+    ruk = state.ruk()
     if ruk is None or not state.topic:
         raise ConfigError("the belief span needs a ruk triple and a '||' topic segment")
-    entity = match_entity(kb, ruk.domain, ruk.value)
+    domain, name = ruk
+    entity = match_entity(kb, domain, name)
     if entity is None:
         print("no entity matched")
         return 0
-    for rank, doc in enumerate(retrieve_document(index, ruk.domain, entity, state.topic),
-                               start=1):
+    for rank, doc in enumerate(retrieve_document(index, domain, entity, state.topic), start=1):
         print(f"{rank}\t{doc.score:.4f}\t{doc.domain}\t{doc.entity_id}\t{doc.doc_id}")
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .belief import RUK_SLOT, extend_gold_label, make_state, ruk_domain, serialize_belief
 from .belief import span_fields
-from .errors import GenerationError, LoadError
+from .errors import GenerationError, LoadError, ParseError
 from .kb import KnowledgeBase, read_json
 from .pipeline import Session, make_oracle_predictor, make_template_generator, run_turn
 from .text import is_one_field, normalize, open_input, open_output
@@ -209,9 +209,11 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
                 and (delex is None or isinstance(delex, str))):
             raise refused("'user', 'response' and 'delex' must be strings", k)
         span = t.get("belief_span", "")
+        if not isinstance(span, str):
+            raise refused("'belief_span' must be a string", k)
         try:
             latest, _ = span_fields(span)
-        except Exception as exc:
+        except ParseError as exc:
             raise refused(str(exc), k) from exc
         if kb is not None:
             fault = _schema_fault(latest, kb)

@@ -195,13 +195,14 @@ def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
     well.
     """
     result = structured_query(kb, state) if query is None else query
-    ruk = state.ruk_triple()
+    ruk = state.ruk()
     if ruk is None or not state.topic:
         return result, None, ()
-    entity = match_entity(kb, ruk.domain, ruk.value)
+    domain, name = ruk
+    entity = match_entity(kb, domain, name)
     if entity is None:
         return result, None, ()
-    ranking = tuple(retrieve_document(index, ruk.domain, entity, state.topic))
+    ranking = tuple(retrieve_document(index, domain, entity, state.topic))
     if not ranking or ranking[0].score < MATCH_FLOOR:
         return result, None, ranking
     return result, ranking[0], ranking

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .belief import (
-    EMPTY_STATE,
     RUK_SLOT,
     DialogContext,
-    DsvTriple,
     ExtendedBeliefState,
     canonical_state,
     make_state,
@@ -64,7 +62,7 @@ class Session:
     """Single-owner dialog state accumulator across turns."""
 
     utterances: list[tuple[str, str]] = field(default_factory=list)
-    prev_belief: ExtendedBeliefState = EMPTY_STATE
+    prev_belief: ExtendedBeliefState = ExtendedBeliefState()
     turn_index: int = 0
 
     def context(self) -> DialogContext:
@@ -73,9 +71,9 @@ class Session:
 
 def active_domain(state: ExtendedBeliefState) -> str | None:
     """The ruk triple's domain when present, else the last-mentioned domain."""
-    ruk = state.ruk_triple()
+    ruk = state.ruk()
     if ruk is not None:
-        return ruk.domain
+        return ruk[0]
     domains = state.domains()
     return domains[-1] if domains else None
 
@@ -256,7 +254,7 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
                 ) -> tuple[ExtendedBeliefState, EntityMatches]:
         utterance = normalize(context.latest_user())
         claimed: list[tuple[int, int]] = []
-        latest = {(t.domain, t.slot): t.value for t in prev.triples}
+        latest = {(domain, slot): value for domain, slot, value in prev.triples}
         for value, pairs in kb.ontology_candidates(utterance):
             span = _find_unclaimed(utterance, value, claimed)
             if span is None:
@@ -272,7 +270,7 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
             return state, query
         domain, entity_id, shared = hit
         # from state, not latest: a ruk-only domain of prev would reorder latest's domains
-        base = {(t.domain, t.slot): t.value for t in state.triples if t.slot != RUK_SLOT}
+        base = {(d, s): v for d, s, v in state.triples if s != RUK_SLOT}
         base[(domain, RUK_SLOT)] = entity_id
         return canonical_state(base, shared), query
 
@@ -373,10 +371,9 @@ def _swap_values(span: str, ontology: Mapping[tuple[str, str], Sequence[str]],
     if not state.triples:
         raise CorruptionError("cannot value-corrupt a sample with an empty belief span")
     swapped = []
-    for t in state.triples:
-        alternatives = [v for v in ontology.get((t.domain, t.slot), ()) if v != t.value]
+    for domain, slot, value in state.triples:
+        alternatives = [v for v in ontology.get((domain, slot), ()) if v != value]
         if not alternatives:
-            raise CorruptionError(
-                f"no alternative value for slot '{t.domain}-{t.slot}'")
-        swapped.append(DsvTriple(t.domain, t.slot, alternatives[rng.randrange(len(alternatives))]))
+            raise CorruptionError(f"no alternative value for slot '{domain}-{slot}'")
+        swapped.append((domain, slot, alternatives[rng.randrange(len(alternatives))]))
     return serialize_belief(make_state(swapped, state.topic))

@@ -233,6 +233,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
             if not 1 <= len(topics) <= MAX_TOPICS:
                 raise LoadError(f"{len(topics)} topic words (expected 1-{MAX_TOPICS})",
                                 file=path, line=lineno)
+            expect(all(tw.token.strip() for tw in topics), "empty topic word", path, lineno)
             key = (parts[0], parts[1], parts[2])
             if key in entries:
                 raise LoadError(f"duplicate row ({', '.join(key)})", file=path, line=lineno)

@@ -34,6 +34,30 @@ def random_state(rng: random.Random) -> ExtendedBeliefState:
     return make_state(triples, topic)
 
 
+def random_near_pair(rng: random.Random) -> tuple[ExtendedBeliefState, ExtendedBeliefState]:
+    """A random state and a copy with 0-2 edits (a new value, a dropped triple, an added
+    triple, a ruk set in a mentioned domain), in random order: most pairs share most
+    triples, and both joint goal and ruk outcomes are common."""
+    state = random_state(rng)
+    triples, topic = list(state.triples), list(state.topic)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        edit = rng.choice((0, 1, 2, 3, 3))
+        if edit == 0 and triples:
+            k = rng.randrange(len(triples))
+            triples[k] = (*triples[k][:2], rng.choice(WORDS))
+        elif edit == 1 and triples:
+            del triples[rng.randrange(len(triples))]
+        elif edit == 2:
+            triples.append((rng.choice(DOMAINS), rng.choice(SLOTS), rng.choice(WORDS)))
+        else:
+            domain = rng.choice([d for d, _, _ in triples] or DOMAINS)
+            triples.append((domain, "ruk", rng.choice(WORDS)))
+    if not any(slot == "ruk" for _, slot, _ in triples):
+        topic = []
+    pair = (state, make_state(triples, topic))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
 # "ǅ", "ẞ" and "ΣΑΣ" change under lowercasing (title case, ß, final sigma); "RUK" is ruk
 PARSE_WORDS = ["restaurant", "hotel", "food", "area", "ruk", "pizza", "hut", "Área", "日本",
                "İ", "x{", "a=b", "||x", "ǅ", "ẞ", "ΣΑΣ", "RUK"]

@@ -6,8 +6,9 @@ full-matrix LCS, an exhaustive fuzzy entity match, a from-scratch topic
 extraction pass, an exhaustive entity filter, a scan of every index entry
 per entity, a regex-only ontology value finder and the full ontology scan
 built on it, Inform and Success from their definition, a naive n-gram BLEU
-and its per-pair counts from slices, a two-pass greedy METEOR alignment, the
-belief-extension P/R/F1 over lists of states, and the token-cursor
+and its per-pair counts from slices, a two-pass greedy METEOR alignment, Joint
+Goal and the ruk triple from their definitions, the belief-extension P/R/F1
+over lists of states, and the token-cursor
 belief-span parser with eager byte offsets and its own canonical ordering.
 Slow is fine; these run on desk-scale inputs only. The one exception is
 ``oracle_evaluate``, which checks the single-pass evaluation driver against
@@ -23,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from seknow.belief import DsvTriple, ExtendedBeliefState
+from seknow.belief import ExtendedBeliefState
 from seknow.errors import EvaluationError, ParseError
 
 STOPWORDS_PATH = Path(__file__).resolve().parent.parent / "src" / "seknow" / "data" / "stopwords.txt"
@@ -271,6 +272,23 @@ def oracle_inform_success(outs: list, goal, kb) -> tuple:
     return ok_inform, ok_inform and ok_success
 
 
+def oracle_joint_goal(pred, gold) -> bool:
+    """Joint goal from its definition: the sets of non-ruk (domain, slot, value) triples
+    are equal."""
+    def goal(state):
+        return {(domain, slot, value) for domain, slot, value in state.triples if slot != "ruk"}
+    return goal(pred) == goal(gold)
+
+
+def oracle_ruk(state):
+    """The ruk triple from its definition: the first triple, in canonical order, whose
+    slot is ruk; None without one."""
+    for domain, slot, value in state.triples:
+        if slot == "ruk":
+            return domain, slot, value
+    return None
+
+
 class PRF(NamedTuple):
     precision: float
     recall: float
@@ -290,10 +308,10 @@ def extended_prf(preds: list, golds: list) -> dict:
         r = correct / gold if gold else 0.0
         return PRF(p, r, 2 * p * r / (p + r) if p + r else 0.0)
 
-    rukes = [(p.ruk_triple(), g.ruk_triple()) for p, g in zip(preds, golds)]
+    rukes = [(oracle_ruk(p), oracle_ruk(g)) for p, g in zip(preds, golds)]
     return {
         "ruk": prf(sum(p is not None and g is not None
-                       and (p.domain, p.value) == (g.domain, g.value) for p, g in rukes),
+                       and (p[0], p[2]) == (g[0], g[2]) for p, g in rukes),
                    sum(p is not None for p, _ in rukes), sum(g is not None for _, g in rukes)),
         "topic": prf(sum(bool(p.topic) and bool(g.topic) and set(p.topic) == set(g.topic)
                          for p, g in zip(preds, golds)),
@@ -306,8 +324,9 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
 
     Runs every dialog and keeps all outputs, builds corpus-wide lists of
     predictions, golds, rankings and token lists, scores them with the
-    list-based ``bleu``, :func:`extended_prf` and ``retrieval_metrics``, and walks
-    all outputs once more for Inform and Success, written from the definition.
+    list-based ``bleu``, :func:`extended_prf` and ``retrieval_metrics``, scores Joint Goal
+    with :func:`oracle_joint_goal`, and walks all outputs once more for Inform and
+    Success, written from the definition.
     """
     from seknow import belief, metrics
     from seknow.pipeline import make_template_generator
@@ -325,7 +344,7 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
             preds.append(out.belief)
             golds.append(gold)
             if turn.doc_annotation is None:
-                joint.append(belief.joint_goal_match(out.belief, gold))
+                joint.append(oracle_joint_goal(out.belief, gold))
             else:
                 rankings.append([doc.key for doc in out.ranking])
                 gold_docs.append(turn.doc_annotation)
@@ -447,7 +466,7 @@ def _oracle_canonical_state(triples: list, topic: list, end_offset: int):
     for domain in domains:
         values = {slot: value for d, slot, value in triples if d == domain}
         slots = sorted(s for s in values if s != "ruk") + (["ruk"] if "ruk" in values else [])
-        ordered += [DsvTriple(domain, slot, values[slot]) for slot in slots]
-    if topic and not any(t.slot == "ruk" for t in ordered):
+        ordered += [(domain, slot, values[slot]) for slot in slots]
+    if topic and not any(slot == "ruk" for _, slot, _ in ordered):
         raise ParseError("a topic requires a ruk triple", end_offset)
     return ExtendedBeliefState(tuple(ordered), tuple(map(_oracle_normalize, topic)))

@@ -132,7 +132,7 @@ def test_criterion_4_knowledge_operation(toy_kb, toy_index):
     checked = 0
     for _ in range(1_000):
         state = _random_toy_state(rng, toy_kb)
-        if state.ruk_triple() is not None and state.topic:
+        if state.ruk() is not None and state.topic:
             continue
         _, document, _ = knowledge_operation(toy_kb, toy_index, state)
         assert document is None

@@ -3,11 +3,10 @@ from dataclasses import astuple
 
 import pytest
 
-from genstates import random_span, random_state
-from oracles import extended_prf, oracle_parse_belief_span
+from genstates import random_near_pair, random_span, random_state
+from oracles import extended_prf, oracle_joint_goal, oracle_parse_belief_span, oracle_ruk
 from seknow.belief import (
     DialogContext,
-    DsvTriple,
     extend_gold_label,
     joint_goal_match,
     make_state,
@@ -59,8 +58,8 @@ def test_domains_keep_first_mention_order():
 
 def test_parse_paper_example_span():
     state = parse_belief_span(PAPER_SPAN)
-    assert set(state.triples) == {DsvTriple("restaurant", "food", "italian"),
-                                  DsvTriple("restaurant", "area", "center")}
+    assert set(state.triples) == {("restaurant", "food", "italian"),
+                                  ("restaurant", "area", "center")}
     assert state.topic == ()
 
 
@@ -76,7 +75,7 @@ def test_parse_whitespace_tolerant():
 
 def test_parse_duplicate_slot_keeps_last():
     state = parse_belief_span("restaurant { food = italian , food = chinese }")
-    assert state.triples == (DsvTriple("restaurant", "food", "chinese"),)
+    assert state.triples == (("restaurant", "food", "chinese"),)
 
 
 def test_parse_empty_value_reports_offset():
@@ -142,9 +141,9 @@ def _oracle_fields_outcome(text):
     state = _outcome(oracle_parse_belief_span, text)
     if isinstance(state, tuple):
         return state
-    ruk = state.ruk_triple()
-    return ({(t.domain, t.slot): t.value for t in state.triples}, list(state.domains()),
-            ruk and ruk.domain, state.topic)
+    ruk = state.ruk()
+    return ({(d, s): v for d, s, v in state.triples}, list(state.domains()),
+            ruk and ruk[0], state.topic)
 
 
 def test_parse_matches_reference_parser():
@@ -187,9 +186,9 @@ def test_serialize_idempotent_on_parse():
 def test_extend_gold_label_adds_ruk_and_topic(toy_index):
     original = state_of(("restaurant", "food", "italian"))
     extended = extend_gold_label(original, ("restaurant", "pizza hut", "d1"), toy_index)
-    assert extended.ruk_triple() == DsvTriple("restaurant", "ruk", "pizza hut")
+    assert extended.ruk() == ("restaurant", "pizza hut")
     assert extended.topic == ("favorite",)
-    assert extended.non_ruk_triples() == original.non_ruk_triples()
+    assert extended.constraints() == original.constraints()
 
 
 def test_extend_gold_label_without_annotation(toy_index):
@@ -242,6 +241,24 @@ def test_joint_goal_reflexive_symmetric():
         a, b = random_state(rng), random_state(rng)
         assert joint_goal_match(a, a)
         assert joint_goal_match(a, b) == joint_goal_match(b, a)
+
+
+def test_joint_goal_and_ruk_counts_match_their_definitions():
+    rng = random.Random(1901)
+    joint = ruk_correct = ruk_wrong = 0
+    for _ in range(3_000):
+        pred, gold = random_near_pair(rng)
+        assert joint_goal_match(pred, gold) == oracle_joint_goal(pred, gold), (pred, gold)
+        p, g = oracle_ruk(pred), oracle_ruk(gold)
+        correct = p is not None and g is not None and (p[0], p[2]) == (g[0], g[2])
+        topic = bool(pred.topic) and bool(gold.topic) and set(pred.topic) == set(gold.topic)
+        assert prf_counts(pred, gold) == (correct, p is not None, g is not None,
+                                          topic, bool(pred.topic), bool(gold.topic))
+        joint += oracle_joint_goal(pred, gold)
+        ruk_correct += correct
+        ruk_wrong += p is not None and g is not None and not correct
+    assert 900 <= joint <= 2_100 and ruk_correct >= 500 and ruk_wrong >= 200, \
+        (joint, ruk_correct, ruk_wrong)
 
 
 def shipped_prf(preds, golds):

@@ -476,6 +476,8 @@ MALFORMED_INPUTS = {
                                  "turn 0: slot 'colour' is not in the schema of domain 'hotel'"),
     "span-domain-unknown": ("corpus", _first_span("moon { area = dark }"),
                             "turn 0: unknown domain 'moon'"),
+    "span-not-string": ("corpus", _first_span(7), "turn 0: 'belief_span' must be a string"),
+    "span-null": ("corpus", _first_span(None), "turn 0: 'belief_span' must be a string"),
     "duplicate-dialog-id": ("corpus", lambda d: d, "duplicate dialog id 'dlg0000'"),
 }
 

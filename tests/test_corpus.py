@@ -57,7 +57,7 @@ def test_generated_annotations_resolve_in_index(toy_kb, toy_index):
             assert toy_index.topics(domain, entity_id, doc_id) is not None
             assert toy_kb.entity(domain, entity_id) is not None
             state = parse_belief_span(turn.gold_belief_span)
-            assert state.ruk_triple() is not None and state.topic
+            assert state.ruk() is not None and state.topic
 
 
 def test_generator_zero_inserted_turns(toy_kb, toy_index):
@@ -65,7 +65,7 @@ def test_generator_zero_inserted_turns(toy_kb, toy_index):
         toy_kb, toy_index, CorpusSpec(dialogs=8, inserted_turns=0), seed=1)
     for dialog in corpus.dialogs:
         for turn in dialog.turns:
-            assert parse_belief_span(turn.gold_belief_span).ruk_triple() is None
+            assert parse_belief_span(turn.gold_belief_span).ruk() is None
 
 
 def test_generator_too_many_inserted_turns(toy_kb, toy_index):
@@ -164,13 +164,13 @@ def test_load_names_the_first_triple_outside_the_schema_in_canonical_order(
     assert str(err.value) == f"{path}:1: dialog 'd' turn 0: {detail}"
 
 
-# ruk_triple() is hotel's: hotel is mentioned first, though restaurant's ruk key comes first
+# ruk() is hotel's: hotel is mentioned first, though restaurant's ruk key comes first
 TWO_RUK_SPAN = ("hotel { stars = 4 } restaurant { ruk = pizza hut } "
                 "hotel { ruk = acorn guest house } || breakfast")
 
 
-def test_doc_annotation_must_be_in_the_domain_of_the_ruk_triple(tmp_path):
-    assert parse_belief_span(TWO_RUK_SPAN).ruk_triple().domain == "hotel"
+def test_doc_annotation_must_be_in_the_ruk_domain(tmp_path):
+    assert parse_belief_span(TWO_RUK_SPAN).ruk() == ("hotel", "acorn guest house")
     path = _one_turn_corpus(tmp_path / "one.jsonl", TWO_RUK_SPAN,
                             ("restaurant", "pizza hut", "d1"))
     with pytest.raises(LoadError) as err:

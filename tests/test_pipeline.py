@@ -161,9 +161,7 @@ def test_heuristic_sets_ruk_on_topic_overlap(toy_kb, toy_index):
     session.utterances.append(("user", "do they serve breakfast ?"))
     state, query = predictor(session.context(), prev)
     assert query == structured_query(toy_kb, state)
-    ruk = state.ruk_triple()
-    assert ruk is not None
-    assert (ruk.domain, ruk.value) == ("hotel", "acorn guest house")
+    assert state.ruk() == ("hotel", "acorn guest house")
     assert state.topic == ("breakfast",)
 
 
@@ -290,7 +288,7 @@ def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
             rng.shuffle(words)
             out = run_turn(session, " ".join(words), checked, generator, kb, index)
             assert out.query == structured_query(kb, out.belief)
-    extended = sum((prev.ruk_triple(), prev.topic) != (state.ruk_triple(), state.topic)
+    extended = sum((prev.ruk(), prev.topic) != (state.ruk(), state.topic)
                    for prev, state in seen)
     return len(seen), extended
 
@@ -365,7 +363,7 @@ def test_corrupt_value_swap_differs_and_keeps_topic():
         state = parse_belief_span(s.belief_span)
         assert s.belief_span != spans[0]
         assert state.topic == ("favorite",)
-        assert state.ruk_triple().value != "pizza hut"
+        assert state.ruk()[1] != "pizza hut"
 
 
 def test_corrupt_missing_alternative_errors():

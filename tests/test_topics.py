@@ -276,6 +276,16 @@ def test_read_index_refuses_four_topic_words(tmp_path):
     assert str(exc.value) == f"{path}:2: 4 topic words (expected 1-3)"
 
 
+@pytest.mark.parametrize("words", ["breakfast,,", ",breakfast", "pool, ,parking"])
+def test_read_index_refuses_empty_topic_word(tmp_path, words):
+    path = tmp_path / "index.tsv"
+    path.write_text(f"hotel\tacorn\th1\tpool\nhotel\tacorn guest house\th1\t{words}\n",
+                    encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        read_index(str(path))
+    assert str(exc.value) == f"{path}:2: empty topic word"
+
+
 def test_all_stopword_document_is_indexing_error(tmp_path):
     import json
     db = {"hotel": {"slots": ["name"], "entities": [
