@@ -87,8 +87,13 @@ def canonical_state(latest: dict[tuple[str, str], str],
     slots_of: dict[str, list[str]] = {}  # domains in first-mention order
     for domain, slot in latest:
         slots_of.setdefault(domain, []).append(slot)
+    for slots in slots_of.values():
+        slots.sort()
+        if RUK_SLOT in slots:  # at most once per domain: the keys are distinct
+            slots.remove(RUK_SLOT)
+            slots.append(RUK_SLOT)
     ordered = [(domain, s, latest[(domain, s)]) for domain, slots in slots_of.items()
-               for s in sorted(slots, key=lambda s: (s == RUK_SLOT, s))]
+               for s in slots]
     return ExtendedBeliefState(triples=tuple(ordered), topic=tuple(topic))
 
 

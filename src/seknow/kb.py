@@ -3,7 +3,8 @@
 A knowledge base fuses two sources: a structured database of per-domain
 entity records, and a document base of free-text documents that each declare
 the domain and entity they describe. After loading, the knowledge base is
-immutable and safe to share across threads.
+immutable apart from each domain's last structured query, which is replaced
+whole by one assignment, and safe to share across threads.
 
 :func:`load_knowledge_base` refuses each fault of either file, up to the first
 invariant violation of the fused KB, as a load error naming the file it lies
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import DomainNotFoundError, LoadError
@@ -52,6 +53,8 @@ class Domain:
     name: str
     slot_schema: frozenset[str]
     entities: tuple[Entity, ...]  # file order
+    # (constraints, matched ids) of the last knowops.structured_query on this domain
+    last_query: tuple = field(default=(None, ()), init=False, compare=False, repr=False)
 
     @cached_property
     def id_order(self) -> tuple[Entity, ...]:

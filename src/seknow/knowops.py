@@ -14,8 +14,9 @@ each builds the query's LCS bit masks once per call.
 
 The steps read lookups built on first use. Each :class:`~seknow.kb.Domain`
 holds per-(slot, value) postings, bitmasks over the id order, which the query
-ANDs; and its pre-normalized names and ids, with a map from each to the first
-entity having it. The entity match takes a query equal to a key from that
+ANDs when the domain's constraints differ from its last query's; and its
+pre-normalized names and ids, with a map from each to the first entity
+having it. The entity match takes a query equal to a key from that
 map, since only equal strings score 1.0; otherwise it scans the keys and
 skips one whose length bound ``2 * min(len) / (len + len)`` cannot beat the
 best score so far. The document ranking reads each entity's normalized
@@ -59,7 +60,9 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> EntityMat
 
     Domains without constraints are omitted; matched entities are ordered
     ascending by id. A constraint on a slot outside the domain schema is a
-    query error.
+    query error. Each domain remembers its last constraints and their ids,
+    so a domain whose constraints did not change since its last query (the
+    usual next turn of a dialog) skips :meth:`~seknow.kb.Domain.matching`.
     """
     result: EntityMatches = {}
     for dom_name, constraints in state.constraints().items():
@@ -67,7 +70,12 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> EntityMat
         for slot in constraints:
             if slot not in domain.slot_schema:
                 raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
-        result[dom_name] = tuple(e.id for e in domain.matching(constraints))
+        last = domain.last_query
+        if last[0] != constraints:
+            last = (constraints, tuple(e.id for e in domain.matching(constraints)))
+            # one assignment: a thread sharing the KB sees the old pair or the new one
+            object.__setattr__(domain, "last_query", last)
+        result[dom_name] = last[1]
     return result
 
 

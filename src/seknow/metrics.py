@@ -22,6 +22,7 @@ from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import lru_cache
 
 from .belief import joint_goal_match, parse_belief_span, prf_counts
 from .corpus import Dialog, DialogCorpus, DomainGoal
@@ -172,7 +173,10 @@ def rouge_l(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     return 100.0 * (1 + beta_sq) * p * r / (r + beta_sq * p)
 
 
+@lru_cache(maxsize=1 << 16)
 def _stem(token: str) -> str:
+    """Strip the first of :data:`_STEM_SUFFIXES` the token ends with, keeping 3 characters;
+    memoized, so each distinct token of a vocabulary is stemmed once."""
     for suffix in _STEM_SUFFIXES:
         if token.endswith(suffix) and len(token) - len(suffix) >= 3:
             return token[: -len(suffix)]

@@ -16,6 +16,7 @@ import random
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 
 from .belief import (
@@ -90,15 +91,18 @@ class TemplateSet:
                 f"no '{condition}' template for domain '{domain}'") from None
 
 
+@cache
 def _packaged_templates() -> str:
+    """Path of the packaged ``templates.tsv``, resolved once per process."""
     return str(resources.files("seknow.data").joinpath("templates.tsv"))
 
 
 def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> TemplateSet:
     """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set).
 
-    A repeated (domain, condition) row is refused; given the checked ``kb``, so is
-    a set lacking a row some turn over it may need: general/nomatch, each domain's
+    The file is read on every call. A row with blank text or a repeated
+    (domain, condition) is refused; given the checked ``kb``, so is a set
+    lacking a row some turn over it may need: general/nomatch, each domain's
     offer and nomatch, and doc where the domain has documents.
     """
     if path is None:
@@ -116,6 +120,8 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
         if (parts[0], parts[1]) in entries:
             raise LoadError(f"duplicate '{parts[1]}' template for domain '{parts[0]}'",
                             file=path, line=lineno)
+        if not parts[2].strip():
+            raise LoadError("empty template text", file=path, line=lineno)
         entries[(parts[0], parts[1])] = parts[2]
     if kb is not None:
         needed = [("general", "nomatch")]

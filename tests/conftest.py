@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from seknow.kb import load_knowledge_base
+from seknow.kb import Domain, load_knowledge_base
 from seknow.metrics import PREDICTORS, evaluate_corpus
 from seknow.pipeline import make_template_generator
 from seknow.topics import build_topic_index, sidecar_path
@@ -40,6 +40,16 @@ def toy_kb():
 @pytest.fixture(scope="session")
 def toy_index(toy_kb):
     return build_topic_index(toy_kb, TOY_THRESHOLDS)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """The domain name of each Domain.matching call from here on, in call order."""
+    calls = []
+    matching = Domain.matching
+    monkeypatch.setattr(Domain, "matching", lambda self, constraints: calls.append(self.name)
+                        or matching(self, constraints))
+    return calls
 
 
 @pytest.fixture

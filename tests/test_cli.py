@@ -541,6 +541,14 @@ def _doc_outside_ruk_domain() -> bytes:
     return "\n".join([json.dumps(dialog), *rest, ""]).encode()
 
 
+def _blank_hotel_offer() -> bytes:
+    """The packaged templates with the hotel offer text (line 5) made two spaces."""
+    rows = PACKAGED_TEMPLATES.read_bytes().splitlines(keepends=True)
+    assert rows[4].startswith(b"hotel\toffer\t")
+    rows[4] = b"hotel\toffer\t  \n"
+    return b"".join(rows)
+
+
 NOT_UTF8 = b"\xff\xfe"
 # each case builds (argv, expected prefix of the one stderr line)
 BAD_FILES = {
@@ -552,6 +560,8 @@ BAD_FILES = {
     "templates-duplicate-row": _bad_input(
         "templates", PACKAGED_TEMPLATES.read_bytes() + b"hotel\toffer\tdup\n",
         "17: duplicate 'offer' template for domain 'hotel'"),
+    "templates-empty-text": _bad_input(
+        "templates", _blank_hotel_offer(), "5: empty template text"),
     "index-duplicate-row": _bad_input(
         "index", GOLDEN_INDEX_PATH.read_bytes() + b"hotel\tacorn guest house\th1\tzzz\n",
         "10: duplicate row (hotel, acorn guest house, h1)"),

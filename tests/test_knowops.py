@@ -12,7 +12,7 @@ from oracles import (
 from seknow.belief import make_state, parse_belief_span
 from seknow.corpus import DomainGoal
 from seknow.errors import DomainNotFoundError, QueryError
-from seknow.kb import Document, Domain, Entity, KnowledgeBase
+from seknow.kb import Document, Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.knowops import (
     MATCH_FLOOR,
     format_query_span,
@@ -27,7 +27,7 @@ from seknow.metrics import inform_success
 from seknow.pipeline import TurnOutput
 from seknow.topics import TopicIndex, TopicWord, read_index
 
-from conftest import GOLDEN_INDEX_PATH
+from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH
 
 
 def rand_kb(rng: random.Random, n_entities: int, domain: str = "restaurant"):
@@ -119,6 +119,56 @@ def test_structured_query_postings_equal_bruteforce():
             past_word += len(entities) > 64 and bool(expected) and \
                 expected[-1] > kb.domains[dom].id_order[63].id
     assert hits > 80 and past_word > 20
+
+
+def test_structured_query_memo_equals_bruteforce_over_a_state_sequence(matching_calls):
+    # A state repeats the last call, repeats one of the last three, or is new; so a domain
+    # keeps its constraints, skips calls and comes back, or changes back to an earlier
+    # value. Each result is the exhaustive filter, and Domain.matching runs exactly for
+    # the domains whose constraints differ from their own last query's.
+    kb = load_knowledge_base(str(DB_PATH), str(DOCS_PATH))
+    values: dict[tuple[str, str], set[str]] = {}
+    for name, dom in kb.domains.items():
+        for ent in dom.entities:
+            for slot, value in ent.attributes.items():
+                values.setdefault((name, slot), set()).add(value)
+    slots_of = {name: sorted(s for d, s in values if d == name) for name in kb.domains}
+    rng = random.Random(2020)
+    history: list[dict] = []
+    last: dict[str, dict] = {}
+    earlier: dict[str, list[dict]] = {name: [] for name in kb.domains}
+    kept = came_back = changed_back = 0
+    for _ in range(600):
+        draw = rng.random()
+        if history and draw < 0.25:
+            goals = history[-1]
+        elif history and draw < 0.5:
+            goals = rng.choice(history[-3:])
+        else:
+            goals = {}
+            for dom in rng.sample(sorted(kb.domains), rng.randint(1, 2)):
+                chosen = rng.sample(slots_of[dom], rng.randint(1, min(2, len(slots_of[dom]))))
+                goals[dom] = {s: rng.choice(sorted(values[(dom, s)]) + ["nowhere"])
+                              for s in chosen}
+        state = make_state([(d, s, v) for d, c in goals.items() for s, v in c.items()])
+        matching_calls.clear()
+        result = structured_query(kb, state)
+        assert list(result) == list(goals)
+        expected_calls = []
+        for dom, constraints in goals.items():
+            assert list(result[dom]) == oracle_filter_entities(
+                kb.domains[dom].entities, constraints), (dom, constraints)
+            if last.get(dom) == constraints:
+                kept += 1
+                came_back += bool(history) and dom not in history[-1]
+            else:
+                expected_calls.append(dom)
+                changed_back += constraints in earlier[dom]
+            last[dom] = constraints
+            earlier[dom].append(constraints)
+        assert matching_calls == expected_calls
+        history.append(goals)
+    assert kept > 300 and came_back > 40 and changed_back > 200
 
 
 def test_inform_success_equals_oracle_on_postings_kbs():

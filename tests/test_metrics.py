@@ -11,6 +11,7 @@ from oracles import (
     oracle_lcs_length,
     oracle_meteor,
 )
+from seknow import knowops
 from seknow.corpus import (
     CorpusSpec,
     Dialog,
@@ -238,6 +239,37 @@ def test_meteor_leftmost_free_alignment_matches_reference():
     assert min(merged.values()) > 30
 
 
+def test_meteor_matches_reference_over_a_large_vocabulary():
+    # A real export has thousands of distinct tokens, not the ~150 of the templates; the
+    # memoized stem pass must score as the definition does on such a vocabulary too.
+    # Each 40-word hypothesis mixes reference tokens, other forms of their stems and
+    # random words from 5,000 (1,000 stems in five forms).
+    rng = random.Random(2020)
+    stems = set()
+    while len(stems) < 1000:
+        stems.add("".join(rng.choices("abcdefghijklmnop", k=rng.randint(3, 6))))
+    suffixes = ("", "s", "ed", "ing", "ly")
+    forms = {stem: [stem + suffix for suffix in suffixes] for stem in sorted(stems)}
+    vocab = sorted({form for group in forms.values() for form in group})
+    stem_of = {form: stem for stem, group in forms.items() for form in group}
+    assert len(vocab) >= 5000
+    seen: set[str] = set()
+    stem_only = 0
+    for _ in range(200):
+        ref = rng.choices(vocab, k=40)
+        hyp = []
+        for _ in range(40):
+            token, draw = rng.choice(ref), rng.random()
+            hyp.append(token if draw < 0.3 else rng.choice(forms[stem_of[token]])
+                       if draw < 0.6 else rng.choice(vocab))
+        assert meteor_simplified(hyp, ref) == oracle_meteor(hyp, ref), (hyp, ref)
+        seen.update(hyp, ref)
+        ref_stems = set(map(_stem, ref))
+        stem_only += sum(t not in ref and _stem(t) in ref_stems for t in hyp)
+    assert len(seen) > 4000 and stem_only > 1500  # distinct tokens; tokens only a stem matches
+    assert _stem.cache_info().maxsize is not None
+
+
 def test_retrieval_metrics_all_rank_one():
     rankings = [("g1", "x"), ("g2",), ("g3", "y", "z")]
     golds = ["g1", "g2", "g3"]
@@ -324,6 +356,28 @@ def test_inform_zero_when_offers_never_satisfy(toy_kb, toy_index):
     report = evaluate(twisted, toy_kb, toy_index, "oracle")
     assert report.inform == 0.0
     assert report.success == 0.0
+
+
+def test_unchanged_constraints_skip_matching_in_oracle_eval(monkeypatch, matching_calls,
+                                                            toy_kb, toy_index):
+    # each domain keeps its last query, so a turn whose constraints equal the previous
+    # turn's runs no Domain.matching at all
+    turns = []  # (constraints, matching calls) per structured query
+    query = knowops.structured_query
+
+    def counted(kb, state):
+        before = len(matching_calls)
+        result = query(kb, state)
+        turns.append((state.constraints(), len(matching_calls) - before))
+        return result
+
+    monkeypatch.setattr(knowops, "structured_query", counted)
+    corpus = load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)
+    evaluate(corpus, toy_kb, toy_index, "oracle")
+    assert len(turns) == sum(len(d.turns) for d in corpus.dialogs)
+    unchanged = [n for (now, n), (before, _) in zip(turns[1:], turns) if now and now == before]
+    assert len(unchanged) >= 3 and not any(unchanged)
+    assert any(n for _, n in turns)
 
 
 def test_informed_but_missing_requestable(toy_kb, toy_index):

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from seknow.pipeline import (
     Session,
     TemplateSet,
     _find_unclaimed,
+    _packaged_templates,
     corrupt_samples,
     lexicalize,
     load_templates,
@@ -62,6 +64,27 @@ def test_template_missing_domain_errors(toy_kb):
     state = make_state([("restaurant", "food", "italian")])
     with pytest.raises(TemplateError):
         template_generate(state, structured_query(toy_kb, state), None, bare)
+
+
+def test_packaged_template_path_resolves_once(monkeypatch):
+    files = resources.files
+    packages = []
+    monkeypatch.setattr(resources, "files", lambda package: packages.append(package)
+                        or files(package))
+    _packaged_templates.cache_clear()
+    first, second = make_template_generator(), make_template_generator()
+    assert packages == ["seknow.data"]
+    state = make_state([("hotel", "area", "north")])
+    assert first(state, {}, None) == second(state, {}, None) == "sorry , no match found ."
+
+
+def test_user_template_file_is_read_on_every_call(tmp_path, templates):
+    path = tmp_path / "templates.tsv"
+    rows = "".join(f"{d}\t{c}\t{text}\n" for (d, c), text in templates.entries.items())
+    path.write_text(rows, encoding="utf-8")
+    assert load_templates(str(path)) == templates
+    path.write_text(rows.replace("sorry , no match found .", "no luck ."), encoding="utf-8")
+    assert load_templates(str(path)).get("general", "nomatch") == "no luck ."
 
 
 def test_lexicalize_name(toy_kb):
