@@ -189,20 +189,19 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     return scored
 
 
-def knowledge_operation(kb: KnowledgeBase, index: TopicIndex,
-                        state: ExtendedBeliefState, query: EntityMatches | None = None,
+def knowledge_operation(kb: KnowledgeBase, index: TopicIndex, state: ExtendedBeliefState,
                         ) -> tuple[EntityMatches, RetrievedDocument | None,
                                    tuple[RetrievedDocument, ...]]:
     """Structured query plus document retrieval for one belief state.
 
     Returns the query result, the retrieved document and the full document
-    ranking. ``query``, when given, must be ``structured_query(kb, state)``
-    and is used as is; otherwise the query runs here. The document is none
-    unless the state has both a ruk triple and a topic, an entity clears
-    :data:`MATCH_FLOOR`, and the best-ranked document's score clears it as
-    well.
+    ranking. The query always runs here; a domain that a predictor already
+    queried with the same constraints answers from its query memo. The
+    document is none unless the state has both a ruk triple and a topic, an
+    entity clears :data:`MATCH_FLOOR`, and the best-ranked document's score
+    clears it as well.
     """
-    result = structured_query(kb, state) if query is None else query
+    result = structured_query(kb, state)
     ruk = state.ruk()
     if ruk is None or not state.topic:
         return result, None, ()

@@ -39,9 +39,8 @@ from .knowops import (
 from .text import load_stopwords, normalize, open_input, tokenize
 from .topics import TopicIndex
 
-# (context, previous belief) -> (belief, its structured query or None to have it run)
-Predictor = Callable[[DialogContext, ExtendedBeliefState],
-                     tuple[ExtendedBeliefState, EntityMatches | None]]
+# (context, previous belief) -> belief; the knowledge operation runs on the belief alone
+Predictor = Callable[[DialogContext, ExtendedBeliefState], ExtendedBeliefState]
 Generator = Callable[[ExtendedBeliefState, EntityMatches, RetrievedDocument | None], str]
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
@@ -92,21 +91,13 @@ class TemplateSet:
 
 
 @cache
-def _packaged_templates() -> str:
-    """Path of the packaged ``templates.tsv``, resolved once per process."""
-    return str(resources.files("seknow.data").joinpath("templates.tsv"))
+def _packaged_templates() -> tuple[str, dict[tuple[str, str], str]]:
+    """Path and entries of the packaged ``templates.tsv``, read once per process."""
+    path = str(resources.files("seknow.data").joinpath("templates.tsv"))
+    return path, _read_templates(path)
 
 
-def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> TemplateSet:
-    """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set).
-
-    The file is read on every call. A row with blank text or a repeated
-    (domain, condition) is refused; given the checked ``kb``, so is a set
-    lacking a row some turn over it may need: general/nomatch, each domain's
-    offer and nomatch, and doc where the domain has documents.
-    """
-    if path is None:
-        path = _packaged_templates()
+def _read_templates(path: str) -> dict[tuple[str, str], str]:
     with open_input(path) as fh:
         text = fh.read()
     entries = {}
@@ -123,6 +114,19 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
         if not parts[2].strip():
             raise LoadError("empty template text", file=path, line=lineno)
         entries[(parts[0], parts[1])] = parts[2]
+    return entries
+
+
+def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> TemplateSet:
+    """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set).
+
+    A ``path`` is read on every call; the packaged set is read once per
+    process. A row with blank text or a repeated (domain, condition) is
+    refused; given the checked ``kb``, so is a set lacking a row some turn
+    over it may need: general/nomatch, each domain's offer and nomatch, and
+    doc where the domain has documents.
+    """
+    path, entries = _packaged_templates() if path is None else (path, _read_templates(path))
     if kb is not None:
         needed = [("general", "nomatch")]
         for name in kb.domains:
@@ -193,15 +197,13 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     """Process one dialog turn and advance the session.
 
     Gold annotations are only reachable through the predictor; the knowledge
-    operation and the generator see nothing but its output. A query the
-    predictor hands back must be ``structured_query(kb, belief)``; the
-    knowledge operation then reuses it instead of querying again.
+    operation and the generator see nothing but the belief state it returns.
     """
     session.utterances.append(("user", user_utterance))
     turn = session.turn_index
     try:
-        belief, query = predictor(session.context(), session.prev_belief)
-        query, document, ranking = knowledge_operation(kb, index, belief, query)
+        belief = predictor(session.context(), session.prev_belief)
+        query, document, ranking = knowledge_operation(kb, index, belief)
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
@@ -221,17 +223,16 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
 
 
 def make_oracle_predictor(golds: Sequence[ExtendedBeliefState]) -> Predictor:
-    """Predictor that replays per-turn gold states verbatim, with no query; a turn
-    beyond the last state is an error."""
+    """Predictor that replays per-turn gold states verbatim; a turn beyond the
+    last state is an error."""
     cursor = iter(list(golds))
 
-    def predict(context: DialogContext, prev: ExtendedBeliefState,
-                ) -> tuple[ExtendedBeliefState, None]:
+    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
         try:
             gold = next(cursor)
         except StopIteration:
             raise OracleError("more turns than gold annotations") from None
-        return gold, None
+        return gold
 
     return predict
 
@@ -248,16 +249,15 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     Extension: the single best-matching entity of the current structured
     query is checked for documents whose index topics share a token with the
     utterance; the first overlap sets the ruk triple and the shared topic
-    words. The query is handed back, since the extension changes no
-    constraint.
+    words. The extension changes no constraint, so the turn's knowledge
+    operation finds this query in each domain's query memo.
 
     Every field is canonical already (``prev``, the KB's and the index's
     words), so states are built without normalizing again.
     """
     stopwords = load_stopwords()
 
-    def predict(context: DialogContext, prev: ExtendedBeliefState,
-                ) -> tuple[ExtendedBeliefState, EntityMatches]:
+    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
         utterance = normalize(context.latest_user())
         claimed: list[tuple[int, int]] = []
         latest = {(domain, slot): value for domain, slot, value in prev.triples}
@@ -269,16 +269,16 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
             for pair in pairs:
                 latest[pair] = value
         state = canonical_state(latest, prev.topic)
-        query = structured_query(kb, state)
 
-        hit = _topic_overlap(index, query, set(tokenize(utterance, stopwords)))
+        hit = _topic_overlap(index, structured_query(kb, state),
+                             set(tokenize(utterance, stopwords)))
         if hit is None:
-            return state, query
+            return state
         domain, entity_id, shared = hit
         # from state, not latest: a ruk-only domain of prev would reorder latest's domains
         base = {(d, s): v for d, s, v in state.triples if s != RUK_SLOT}
         base[(domain, RUK_SLOT)] = entity_id
-        return canonical_state(base, shared), query
+        return canonical_state(base, shared)
 
     return predict
 

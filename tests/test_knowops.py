@@ -295,6 +295,41 @@ def test_match_entity_below_floor(toy_kb):
     assert match_entity(toy_kb, "restaurant", "zzzz") is None
 
 
+def floor_kb_and_index():
+    """One entity "abcde" with one document whose index topic is "abcde" too."""
+    entity = Entity(id="abcde", name="abcde", attributes={"name": "abcde"},
+                    documents=(Document("d0", "t", "body"),))
+    kb = KnowledgeBase(domains={"restaurant": Domain(
+        name="restaurant", slot_schema=frozenset({"name"}), entities=(entity,))})
+    index = TopicIndex(entries={("restaurant", "abcde", "d0"): (TopicWord("abcde", 1.0),)},
+                       thresholds={"restaurant": 1.0})
+    return kb, index
+
+
+def test_match_entity_at_the_floor():
+    # LCS("abcxy", "abcde") = 3, so the ratio is 2 * 3 / 10, exactly the floor
+    kb, _ = floor_kb_and_index()
+    assert fuzzy_similarity("abcxy", "abcde") == MATCH_FLOOR
+    assert match_entity(kb, "restaurant", "abcxy").id == "abcde"
+    assert match_entity(kb, "restaurant", "abxyz") is None  # 2 * 2 / 10
+
+
+def test_knowledge_operation_returns_a_document_at_the_floor():
+    kb, index = floor_kb_and_index()
+    state = make_state([("restaurant", "ruk", "abcde")], ["abcxy"])
+    _, document, ranking = knowledge_operation(kb, index, state)
+    assert document is not None and document.score == MATCH_FLOOR
+    assert ranking == (document,)
+
+
+def test_knowledge_operation_keeps_the_ranking_below_the_floor():
+    kb, index = floor_kb_and_index()
+    state = make_state([("restaurant", "ruk", "abcde")], ["abxyz"])
+    _, document, ranking = knowledge_operation(kb, index, state)
+    assert document is None
+    assert [(d.doc_id, d.score) for d in ranking] == [("d0", 0.4)]
+
+
 def test_match_entity_unknown_domain(toy_kb):
     with pytest.raises(DomainNotFoundError):
         match_entity(toy_kb, "moon", "crater")

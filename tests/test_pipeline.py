@@ -6,16 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from oracles import oracle_find_unclaimed, oracle_heuristic_constraints
+from oracles import oracle_filter_entities, oracle_find_unclaimed, oracle_heuristic_constraints
 from seknow.belief import make_state, parse_belief_span, serialize_belief
-from seknow.errors import CorruptionError, OracleError, PipelineError, TemplateError
+from seknow import pipeline
+from seknow.corpus import load_corpus
+from seknow.errors import CorruptionError, LoadError, OracleError, PipelineError, TemplateError
 from seknow.kb import Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.knowops import format_query_span, knowledge_operation, structured_query
+from seknow.metrics import PREDICTORS, run_dialog
 from seknow.pipeline import (
     CorruptionSample,
     Session,
     TemplateSet,
     _find_unclaimed,
+    _other_index,
     _packaged_templates,
     corrupt_samples,
     lexicalize,
@@ -26,7 +30,10 @@ from seknow.pipeline import (
     run_turn,
     template_generate,
 )
+from seknow.text import open_input
 from seknow.topics import TopicIndex, build_topic_index
+
+from conftest import TOY_CORPUS_PATH
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +73,22 @@ def test_template_missing_domain_errors(toy_kb):
         template_generate(state, structured_query(toy_kb, state), None, bare)
 
 
-def test_packaged_template_path_resolves_once(monkeypatch):
-    files = resources.files
-    packages = []
-    monkeypatch.setattr(resources, "files", lambda package: packages.append(package)
-                        or files(package))
+def test_packaged_template_file_is_read_once(monkeypatch):
+    opened = []
+    monkeypatch.setattr(pipeline, "open_input", lambda path: opened.append(path)
+                        or open_input(path))
     _packaged_templates.cache_clear()
     first, second = make_template_generator(), make_template_generator()
-    assert packages == ["seknow.data"]
+    assert opened == [str(resources.files("seknow.data").joinpath("templates.tsv"))]
     state = make_state([("hotel", "area", "north")])
     assert first(state, {}, None) == second(state, {}, None) == "sorry , no match found ."
+    # the KB check is not cached with the rows: it runs on every call given a KB
+    museum = KnowledgeBase(domains={"museum": Domain(
+        name="museum", slot_schema=frozenset({"name"}), entities=())})
+    for _ in range(2):
+        with pytest.raises(LoadError, match="no 'offer' template for domain 'museum'"):
+            load_templates(kb=museum)
+    assert len(opened) == 1
 
 
 def test_user_template_file_is_read_on_every_call(tmp_path, templates):
@@ -132,7 +145,7 @@ def test_run_turn_passes_utterance_unchanged(toy_kb, toy_index, templates):
 
     def spy(context, prev):
         seen.append(context.latest_user())
-        return prev, None
+        return prev
 
     session = Session()
     run_turn(session, "", spy, make_template_generator(templates), toy_kb, toy_index)
@@ -153,15 +166,13 @@ def test_oracle_predictor_verbatim():
     extended = make_state([("restaurant", "ruk", "pizza hut")], ["favorite"])
     predictor = make_oracle_predictor([gold, extended])
     for prev, expected in ((make_state([]), gold), (gold, extended)):
-        belief, query = predictor(None, prev)
-        assert belief is expected and query is None
+        assert predictor(None, prev) is expected
 
 
 def test_oracle_predictor_missing_annotation():
     gold = make_state([("restaurant", "food", "italian")])
     predictor = make_oracle_predictor([gold])
-    belief, query = predictor(None, make_state([]))
-    assert belief is gold and query is None
+    assert predictor(None, make_state([])) is gold
     with pytest.raises(OracleError, match="more turns than gold annotations"):
         predictor(None, gold)
 
@@ -170,8 +181,7 @@ def test_heuristic_adds_verbatim_ontology_values(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     session = Session()
     session.utterances.append(("user", "looking for italian food in the center"))
-    state, query = predictor(session.context(), make_state([]))
-    assert query == structured_query(toy_kb, state)
+    state = predictor(session.context(), make_state([]))
     constraints = state.constraints()["restaurant"]
     assert constraints["food"] == "italian"
     assert constraints["area"] == "center"
@@ -182,8 +192,7 @@ def test_heuristic_sets_ruk_on_topic_overlap(toy_kb, toy_index):
     prev = make_state([("hotel", "area", "north")])
     session = Session()
     session.utterances.append(("user", "do they serve breakfast ?"))
-    state, query = predictor(session.context(), prev)
-    assert query == structured_query(toy_kb, state)
+    state = predictor(session.context(), prev)
     assert state.ruk() == ("hotel", "acorn guest house")
     assert state.topic == ("breakfast",)
 
@@ -193,7 +202,7 @@ def test_heuristic_no_hits_returns_prev(toy_kb, toy_index):
     prev = make_state([("restaurant", "pricerange", "cheap")])
     session = Session()
     session.utterances.append(("user", "thanks, goodbye!"))
-    assert predictor(session.context(), prev) == (prev, structured_query(toy_kb, prev))
+    assert predictor(session.context(), prev) == prev
 
 
 def test_heuristic_longest_match_first(toy_kb, toy_index):
@@ -201,9 +210,26 @@ def test_heuristic_longest_match_first(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     session = Session()
     session.utterances.append(("user", "is acorn guest house in the north ?"))
-    state, query = predictor(session.context(), make_state([]))
-    assert query == structured_query(toy_kb, state)
+    state = predictor(session.context(), make_state([]))
     assert state.constraints()["hotel"]["name"] == "acorn guest house"
+
+
+def test_every_turn_queries_the_belief_it_returns(toy_kb, toy_index):
+    # a predictor returns only the belief state; the turn's query is that state's query
+    corpus = load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)
+    generator = make_template_generator()
+    for name, build in PREDICTORS.items():
+        factory = build(toy_kb, toy_index)
+        turns = extended = 0
+        for dialog in corpus.dialogs:
+            for out in run_dialog(dialog, factory, generator, toy_kb, toy_index):
+                assert out.query == structured_query(toy_kb, out.belief), (name, out.belief)
+                for dom, constraints in out.belief.constraints().items():
+                    assert list(out.query[dom]) == oracle_filter_entities(
+                        toy_kb.domains[dom].entities, constraints)
+                turns += 1
+                extended += out.belief.ruk() is not None
+        assert turns >= 15 and extended >= 3, (name, turns, extended)
 
 
 # regex metacharacters, non-word edges, values that prefix others, and ""
@@ -270,9 +296,8 @@ def test_heuristic_first_word_index_equals_full_scan():
         session = Session()
         session.utterances.append(("user", utterance))
         expected = oracle_heuristic_constraints(kb, " ".join(utterance.lower().split()))
-        state, query = predictor(session.context(), make_state([]))
+        state = predictor(session.context(), make_state([]))
         assert state == make_state(expected), utterance
-        assert query == structured_query(kb, state), utterance
         found += bool(expected)
         non_word_start += any(v[:1] in ("-", "(", "£") for _, _, v in expected)
     assert found > 1000 and non_word_start > 20
@@ -293,11 +318,10 @@ def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
     seen = []
 
     def checked(context, prev):
-        state, query = predictor(context, prev)
-        assert query == structured_query(kb, state)
+        state = predictor(context, prev)
         assert state == make_state(state.triples, state.topic)
         seen.append((prev, state))
-        return state, query
+        return state
 
     generator = make_template_generator()
     for _ in range(dialogs):
@@ -316,12 +340,12 @@ def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
     return len(seen), extended
 
 
-def test_heuristic_hands_back_its_query_and_canonical_state_on_toy_kb(toy_kb, toy_index):
+def test_heuristic_turn_query_and_canonical_state_on_toy_kb(toy_kb, toy_index):
     turns, extended = _heuristic_dialogs(toy_kb, toy_index, seed=1303, dialogs=60)
     assert turns >= 240 and extended >= turns // 10, (turns, extended)
 
 
-def test_heuristic_hands_back_its_query_and_canonical_state_on_generated_kb(tmp_path):
+def test_heuristic_turn_query_and_canonical_state_on_generated_kb(tmp_path):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
     sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
     try:
@@ -418,6 +442,14 @@ def test_corrupt_replacements_come_from_other_samples():
         elif corrupted.corruption_type == "replace_response":
             assert corrupted.response in responses
             assert corrupted.belief_span == original.belief_span
+
+
+def test_other_index_never_picks_the_sample_itself():
+    rng = random.Random(2021)
+    for n in range(2, 7):
+        for i in range(n):
+            donors = {_other_index(rng, n, i) for _ in range(200)}
+            assert donors == set(range(n)) - {i}, (n, i)
 
 
 def test_corrupt_needs_two_samples():
