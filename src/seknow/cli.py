@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from . import corpus as corpus_io
 from . import kb as kb_mod
@@ -51,17 +51,11 @@ def _parse_thresholds(pairs: list[str], kb: kb_mod.KnowledgeBase) -> dict[str, f
     return thresholds
 
 
-log = logging.getLogger("seknow")
-
-
 def _load(args):
     """(kb, index, corpus, goals, generator) from the files the subcommand's arguments
     name, None for a file it takes none of; the generator is over ``--templates``. Each
     loader checks its file against those loaded before it, before the first turn."""
     kb = kb_mod.load_knowledge_base(args.kb, getattr(args, "docs", None))
-    entities = [ent for domain in kb.domains.values() for ent in domain.entities]
-    log.info("loaded %d entities, %d documents from %s",
-             len(entities), sum(len(ent.documents) for ent in entities), args.kb)
     index = topics.read_index(args.index, kb) if hasattr(args, "index") else None
     corpus = corpus_io.load_corpus(args.corpus, kb, index) if hasattr(args, "corpus") else None
     goals = corpus_io.load_goals(args.goals, kb, corpus) if getattr(args, "goals", None) else None
@@ -150,16 +144,7 @@ def cmd_corrupt(args) -> int:
     corrupted = pipeline.corrupt_samples(samples, args.seed, frozen)
     with open_output(args.out) as fh:
         for sample in corrupted:
-            fh.write(json.dumps({
-                "context": [list(u) for u in sample.context],
-                "belief_span": sample.belief_span,
-                "query_span": sample.query_span,
-                "document": sample.document,
-                "response": sample.response,
-                "y_c": sample.y_c,
-                "corruption_type": sample.corruption_type,
-            }, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            fh.write(json.dumps(asdict(sample), ensure_ascii=False, sort_keys=True) + "\n")
     n_corrupted = sum(1 for s in corrupted if s.y_c == 0)
     print(f"wrote {len(corrupted)} samples ({n_corrupted} corrupted) -> {args.out}")
     return 0
@@ -168,8 +153,7 @@ def cmd_corrupt(args) -> int:
 def cmd_eval(args) -> int:
     kb, index, corpus, goals, generator = _load(args)
     factory = metrics_mod.PREDICTORS[args.predictor](kb, index)
-    report = metrics_mod.evaluate_corpus(corpus, kb, index, factory, generator,
-                                         goals=goals, workers=args.workers)
+    report = metrics_mod.evaluate_corpus(corpus, kb, index, factory, generator, goals=goals)
     payload = {
         "metrics": report.to_dict(),
         "metadata": {
@@ -215,15 +199,9 @@ def _print_report_table(report: metrics_mod.MetricsReport):
 
 
 def cmd_stats(args) -> int:
-    stats = corpus_io.corpus_stats(corpus_io.load_corpus(args.corpus))
-    print(json.dumps({
-        "dialogs": stats.dialog_count,
-        "turns": stats.turn_count,
-        "mean_turns": round(stats.mean_turns, 4),
-        "slot_types": stats.slot_types,
-        "slot_values": stats.slot_values,
-        "doc_turn_fraction": round(stats.doc_turn_fraction, 4),
-    }, indent=2, sort_keys=True))
+    stats = asdict(corpus_io.corpus_stats(corpus_io.load_corpus(args.corpus)))
+    print(json.dumps({key: round(value, 4) for key, value in stats.items()},
+                     indent=2, sort_keys=True))
     return 0
 
 
@@ -248,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seknow",
         description="Semi-structured knowledge management engine for task-oriented dialog")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-index", help="build the document topic index")
@@ -295,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goals", help="optional goal file overriding embedded goals")
     p.add_argument("--predictor", choices=tuple(metrics_mod.PREDICTORS), default="oracle")
     p.add_argument("--templates")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
@@ -314,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         if stopwords_file():
             print(f"stopwords: {stopwords_file()} (sha256 {stopwords_digest()[:12]})",

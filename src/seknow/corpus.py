@@ -65,8 +65,8 @@ class DialogCorpus:
 
 @dataclass(frozen=True)
 class CorpusStats:
-    dialog_count: int
-    turn_count: int
+    dialogs: int
+    turns: int
     mean_turns: float
     slot_types: int  # distinct (slot) names excluding ruk
     slot_values: int  # distinct values over non-ruk triples
@@ -298,8 +298,8 @@ def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
                     values.add(value)
     n = len(corpus.dialogs)
     return CorpusStats(
-        dialog_count=n,
-        turn_count=turn_count,
+        dialogs=n,
+        turns=turn_count,
         mean_turns=turn_count / n if n else 0.0,
         slot_types=len(slots),
         slot_values=len(values),

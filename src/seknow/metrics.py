@@ -339,8 +339,8 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
     against ``kb`` and ``index``; without ``goals`` each dialog's own goal is
     judged. ``predictor`` maps a dialog to a per-turn predictor, as a
     :data:`PREDICTORS` entry builds it. Dialogs run in corpus order in the
-    calling thread. ``workers`` must be at least 1 and changes nothing else; it
-    is accepted so that existing callers keep working.
+    calling thread. ``workers`` must be at least 1 and changes nothing else;
+    only ``benchmarks/workload.py`` passes it.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")

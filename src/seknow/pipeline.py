@@ -2,7 +2,7 @@
 
 Per turn: predict the extended belief state from the dialog context, run the
 knowledge operation, render a delexicalized response from the committed
-template set, then lexicalize it against the first matched entity. Belief
+template set, then lexicalize it against the entity it offers. Belief
 prediction is an injected callable so that learned models can replace the
 built-in oracle and heuristic without touching any knowledge logic.
 
@@ -164,19 +164,17 @@ def make_template_generator(templates: TemplateSet | None = None) -> Generator:
         belief, query, document, templates)
 
 
-def lexicalize(delex: str, query: EntityMatches,
+def lexicalize(delex: str, belief: ExtendedBeliefState, query: EntityMatches,
                kb: KnowledgeBase) -> tuple[str, tuple[str, ...]]:
-    """Fill ``[slot]`` placeholders from the first matched entity.
+    """Fill ``[slot]`` placeholders from the active domain's first matched entity.
 
-    The first matched entity is the first id of the first domain with a
-    match. Returns the text and the placeholders that could not be
-    resolved, which stay verbatim.
+    That is the domain whose match count the offer template states. Returns
+    the text and the placeholders that could not be resolved, which stay
+    verbatim.
     """
-    entity = None
-    for domain, ids in query.items():
-        if ids:
-            entity = kb.entity(domain, ids[0])
-            break
+    domain = active_domain(belief)
+    ids = query.get(domain)
+    entity = kb.entity(domain, ids[0]) if ids else None
     unresolved = []
 
     def fill(match: re.Match) -> str:
@@ -207,7 +205,7 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
-    text, unresolved = lexicalize(delex, query, kb)
+    text, unresolved = lexicalize(delex, belief, query, kb)
     session.utterances.append(("system", text))
     session.prev_belief = belief
     session.turn_index += 1

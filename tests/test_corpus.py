@@ -23,7 +23,7 @@ def test_load_committed_corpus():
     assert len(corpus.dialogs) == 6
     stats = corpus_stats(corpus)
     assert stats.mean_turns == pytest.approx(3.0)
-    assert stats.turn_count == 18
+    assert stats.turns == 18
 
 
 def test_committed_corpus_matches_generator(toy_kb, toy_index, tmp_path):
@@ -202,7 +202,7 @@ def test_load_missing_file_is_load_error(tmp_path):
 
 def test_corpus_stats_committed_values():
     stats = corpus_stats(load_corpus(str(TOY_CORPUS_PATH)))
-    assert stats.dialog_count == 6
+    assert stats.dialogs == 6
     assert stats.slot_types == 7  # stars/type/parking/area/food/phone/pricerange
     assert stats.slot_values == 10
     assert stats.doc_turn_fraction == pytest.approx(6 / 18)
@@ -212,5 +212,5 @@ def test_corpus_stats_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     stats = corpus_stats(load_corpus(str(path)))
-    assert (stats.dialog_count, stats.turn_count, stats.mean_turns) == (0, 0, 0.0)
+    assert (stats.dialogs, stats.turns, stats.mean_turns) == (0, 0, 0.0)
     assert (stats.slot_types, stats.slot_values, stats.doc_turn_fraction) == (0, 0, 0.0)

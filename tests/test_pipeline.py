@@ -100,20 +100,34 @@ def test_user_template_file_is_read_on_every_call(tmp_path, templates):
     assert load_templates(str(path)).get("general", "nomatch") == "no luck ."
 
 
+def lexicalized(toy_kb, delex, *triples):
+    state = make_state(triples)
+    return lexicalize(delex, state, structured_query(toy_kb, state), toy_kb)
+
+
 def test_lexicalize_name(toy_kb):
-    query = query_for(toy_kb, ("hotel", "type", "guesthouse"), ("hotel", "area", "north"))
-    assert lexicalize("[name] is nice", query, toy_kb) == ("acorn guest house is nice", ())
+    assert lexicalized(toy_kb, "[name] is nice", ("hotel", "type", "guesthouse"),
+                       ("hotel", "area", "north")) == ("acorn guest house is nice", ())
 
 
 def test_lexicalize_zero_matches_reports(toy_kb):
-    query = query_for(toy_kb, ("restaurant", "food", "korean"))
-    assert lexicalize("[name] is nice", query, toy_kb) == ("[name] is nice", ("name",))
+    assert lexicalized(toy_kb, "[name] is nice", ("restaurant", "food", "korean")) == (
+        "[name] is nice", ("name",))
 
 
 def test_lexicalize_two_placeholders(toy_kb):
-    query = query_for(toy_kb, ("restaurant", "food", "chinese"))
-    assert lexicalize("[name] is at [address]", query, toy_kb) == (
+    assert lexicalized(toy_kb, "[name] is at [address]", ("restaurant", "food", "chinese")) == (
         "golden wok is at histon road", ())
+
+
+def test_offer_names_an_entity_of_the_domain_it_counts(toy_kb, toy_index, templates):
+    # both domains match; the offer counts the last-mentioned one, so it names its entity
+    state = make_state([("hotel", "stars", "4"), ("restaurant", "food", "chinese")])
+    out = run_turn(Session(), "a chinese place too", make_oracle_predictor([state]),
+                   make_template_generator(templates), toy_kb, toy_index)
+    assert out.query == {"hotel": ("acorn guest house",), "restaurant": ("golden wok",)}
+    assert out.delexicalized_response == "i found 1 options . [name] is a nice choice ."
+    assert out.lexicalized_response == "i found 1 options . golden wok is a nice choice ."
 
 
 def test_run_turn_first_scenario(toy_kb, toy_index, templates):
