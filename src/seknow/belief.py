@@ -1,9 +1,10 @@
-"""Extended belief state: data model, text-span grammar, gold-label extension.
+"""Extended belief state: data model, text-span grammar, ruk extension.
 
 A belief state is a set of domain-slot-value triples plus an optional topic
 word sequence. The reserved slot ``ruk`` marks a turn that needs free-text
 knowledge; its value names the entity of interest, and the topic words
-abstract what the user asked about.
+abstract what the user asked about. :func:`extend_state` builds that
+extension, for gold labels and predictions alike.
 
 Span grammar (normative for corpus files and CLI I/O)::
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import LabelError, ParseError
+from .errors import ParseError
 from .text import normalize
 
 RUK_SLOT = "ruk"
@@ -192,25 +193,14 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
     return latest, [token.lower() for token in topic]
 
 
-def extend_gold_label(original: ExtendedBeliefState,
-                      doc_annotation: tuple[str, str, str] | None,
-                      index) -> ExtendedBeliefState:
-    """Extend a gold state with the annotated document's entity and topics.
-
-    Adds the ``(domain, ruk, entity)`` triple and sets the topic to the
-    document's indexed topic words; the original triples are untouched. A
-    missing annotation returns the state unchanged; replaces any previous
-    extension, so the operation is idempotent for a fixed annotation.
-    """
-    if doc_annotation is None:
-        return original
-    domain, entity, doc_id = doc_annotation
-    topics = index.topics(domain, entity, doc_id)
-    if topics is None:
-        raise LabelError(
-            f"annotated document ({domain!r}, {entity!r}, {doc_id!r}) is not in the index")
-    base = [t for t in original.triples if t[1] != RUK_SLOT]
-    return make_state([*base, (domain, RUK_SLOT, entity)], topics)
+def extend_state(state: ExtendedBeliefState, domain: str, entity_id: str,
+                 topic: Iterable[str]) -> ExtendedBeliefState:
+    """``state`` with every ruk triple dropped, ``(domain, ruk, entity_id)`` added and the
+    topic set to ``topic``; the constraints are kept, so it is idempotent. As for
+    :func:`canonical_state`, the fields must be normalized and nonempty already."""
+    latest = {(d, s): v for d, s, v in state.triples if s != RUK_SLOT}
+    latest[(domain, RUK_SLOT)] = entity_id
+    return canonical_state(latest, topic)
 
 
 def joint_goal_match(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> bool:

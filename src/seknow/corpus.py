@@ -8,8 +8,8 @@ A corpus file holds one dialog per line as a JSON object::
      "delex"?: ...}]}
 
 Gold belief spans are stored already extended: turns annotated with a
-document carry the ruk triple and topic; the raw original state is
-recoverable by dropping the extension.
+document carry the ruk triple and topic; the state's ``constraints()`` are
+the original state without the extension.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .belief import RUK_SLOT, extend_gold_label, make_state, ruk_domain, serialize_belief
+from .belief import RUK_SLOT, extend_state, make_state, ruk_domain, serialize_belief
 from .belief import span_fields
 from .errors import GenerationError, LoadError, ParseError
 from .kb import KnowledgeBase, read_json
@@ -352,9 +352,9 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
             plan.append((user, make_state(accumulated), None))
         base_state = make_state(accumulated)
         for doc_id, topics in docs[: spec.inserted_turns]:
-            annotation = (domain, entity.id, doc_id)
             plan.append((f"what about the {' '.join(topics)} ?",
-                         extend_gold_label(base_state, annotation, index), annotation))
+                         extend_state(base_state, domain, entity.id, topics),
+                         (domain, entity.id, doc_id)))
         session = Session()
         predictor = make_oracle_predictor([state for _, state, _ in plan])
         turns = []

@@ -52,10 +52,6 @@ class ParseError(SeknowError):
         self.offset = offset
 
 
-class LabelError(SeknowError):
-    kind = "label"
-
-
 class QueryError(SeknowError):
     kind = "query"
 

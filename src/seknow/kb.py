@@ -13,7 +13,8 @@ in. A loaded KB therefore has unique entity ids per domain.
 File formats (committed toy example under ``data/toy/``):
 
 * db file: JSON object mapping domain name to ``{"slots": [...],
-  "entities": [{"id", "name", "bookable", "attributes"}, ...]}``.
+  "entities": [{"id", "name", "bookable", "attributes"}, ...]}``. The slot
+  name ``ruk`` is reserved for the belief-state extension.
 * doc-base file: JSON array of ``{"domain", "entity_id", "doc_id", "title",
   "body"}`` records. ``entity_id`` may also hold an entity name; name lookup
   is case-insensitive and must be unambiguous.
@@ -26,6 +27,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .belief import RUK_SLOT
 from .errors import DomainNotFoundError, LoadError
 from .text import is_one_field, normalize, open_input
 
@@ -193,6 +195,8 @@ def _parse_db(path: str) -> dict[str, Domain]:
                f"domain '{name}': 'slots' must be an array of strings", path)
         expect(isinstance(ents, list), f"domain '{name}': 'entities' must be an array", path)
         schema = frozenset(normalize(s) for s in slots)
+        expect(RUK_SLOT not in schema, f"domain '{name}': slot '{RUK_SLOT}' is reserved for "
+               "the belief-state extension", path)
         entities = []
         for k, ent in enumerate(ents):
             expect(isinstance(ent, dict), f"domain '{name}': entity #{k} must be an object", path)

@@ -20,10 +20,10 @@ from functools import cache
 from importlib import resources
 
 from .belief import (
-    RUK_SLOT,
     DialogContext,
     ExtendedBeliefState,
     canonical_state,
+    extend_state,
     make_state,
     parse_belief_span,
     serialize_belief,
@@ -272,11 +272,8 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
                              set(tokenize(utterance, stopwords)))
         if hit is None:
             return state
-        domain, entity_id, shared = hit
         # from state, not latest: a ruk-only domain of prev would reorder latest's domains
-        base = {(d, s): v for d, s, v in state.triples if s != RUK_SLOT}
-        base[(domain, RUK_SLOT)] = entity_id
-        return canonical_state(base, shared)
+        return extend_state(state, *hit)
 
     return predict
 

@@ -62,12 +62,6 @@ class TopicIndex:
     thresholds: dict[str, float]
     stopwords_sha256: str = ""
 
-    def topics(self, domain: str, entity_id: str, doc_id: str) -> tuple[str, ...] | None:
-        entry = self.entries.get((domain, entity_id, doc_id))
-        if entry is None:
-            return None
-        return tuple(tw.token for tw in entry)
-
     @cached_property
     def _entity_docs(self) -> dict[tuple[str, str], tuple[EntityDoc, ...]]:
         grouped: dict[tuple[str, str], list[EntityDoc]] = {}

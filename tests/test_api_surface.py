@@ -27,6 +27,9 @@ calls its ``__init__``. A default no caller overrides is a constant in disguise.
 
 A dataclass with one field and no method is that field under a second name:
 each reader unwraps it, and the field's own type says as much.
+
+A name that an import in ``src/seknow`` binds is read somewhere in that module,
+unless the benchmark tracer patches it there.
 """
 
 import ast
@@ -266,3 +269,35 @@ def one_field_records() -> list[str]:
 
 def test_no_dataclass_only_wraps_one_field():
     assert one_field_records() == sorted(ONE_FIELD_ALLOWED)
+
+
+# Imports their module never reads: benchmarks/tracer.py patches each on ``corpus`` by
+# name, to time the layer named in its comment, so each must stay a module global there.
+TRACER_SEAMS = (
+    "corpus.lexicalize",  # timed as pipeline.lexicalize
+    "corpus.parse_belief_span",  # timed as belief.parse
+    "corpus.template_generate",  # timed as pipeline.generate
+)
+
+
+def unread_imports() -> list[str]:
+    """``module.name`` of each name an import in ``src/seknow`` binds (``__future__``
+    aside) that its module never reads."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return sorted(found)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == sorted(TRACER_SEAMS)

@@ -7,7 +7,7 @@ from genstates import random_near_pair, random_span, random_state
 from oracles import extended_prf, oracle_joint_goal, oracle_parse_belief_span, oracle_ruk
 from seknow.belief import (
     DialogContext,
-    extend_gold_label,
+    extend_state,
     joint_goal_match,
     make_state,
     parse_belief_span,
@@ -16,7 +16,7 @@ from seknow.belief import (
     serialize_belief,
     span_fields,
 )
-from seknow.errors import EvaluationError, LabelError, ParseError
+from seknow.errors import EvaluationError, ParseError
 from seknow.metrics import PrfReport
 
 PAPER_SPAN = "restaurant { food = italian , area = center }"
@@ -183,36 +183,44 @@ def test_serialize_idempotent_on_parse():
         assert serialize_belief(parse_belief_span(text)) == text
 
 
-def test_extend_gold_label_adds_ruk_and_topic(toy_index):
+def index_topics(index, domain, entity_id, doc_id):
+    """The topic words of one index row, in the index's order."""
+    return tuple(tw.token for tw in index.entries[(domain, entity_id, doc_id)])
+
+
+def test_extend_state_adds_ruk_and_topic(toy_index):
     original = state_of(("restaurant", "food", "italian"))
-    extended = extend_gold_label(original, ("restaurant", "pizza hut", "d1"), toy_index)
+    extended = extend_state(original, "restaurant", "pizza hut",
+                            index_topics(toy_index, "restaurant", "pizza hut", "d1"))
     assert extended.ruk() == ("restaurant", "pizza hut")
     assert extended.topic == ("favorite",)
     assert extended.constraints() == original.constraints()
 
 
-def test_extend_gold_label_without_annotation(toy_index):
-    original = state_of(("restaurant", "food", "italian"))
-    assert extend_gold_label(original, None, toy_index) is original
-
-
-def test_extend_gold_label_two_topics_keep_index_order(toy_index):
-    extended = extend_gold_label(make_state([]),
-                                 ("restaurant", "roma ristorante", "d3"), toy_index)
+def test_extend_state_two_topics_keep_index_order(toy_index):
+    topics = index_topics(toy_index, "restaurant", "roma ristorante", "d3")
+    extended = extend_state(make_state([]), "restaurant", "roma ristorante", topics)
     assert extended.topic == ("romantic", "dinner")
+    assert serialize_belief(extended) == "restaurant { ruk = roma ristorante } || romantic dinner"
 
 
-def test_extend_gold_label_missing_doc(toy_index):
-    with pytest.raises(LabelError):
-        extend_gold_label(make_state([]), ("restaurant", "pizza hut", "nope"), toy_index)
-
-
-def test_extend_gold_label_idempotent(toy_index):
+def test_extend_state_idempotent(toy_index):
     original = state_of(("restaurant", "area", "center"))
-    annotation = ("restaurant", "pizza hut", "d2")
-    once = extend_gold_label(original, annotation, toy_index)
-    twice = extend_gold_label(once, annotation, toy_index)
+    topics = index_topics(toy_index, "restaurant", "pizza hut", "d2")
+    once = extend_state(original, "restaurant", "pizza hut", topics)
+    twice = extend_state(once, "restaurant", "pizza hut", topics)
     assert once == twice
+
+
+def test_extend_state_drops_a_ruk_only_domain():
+    # The heuristic's case: the previous turn's extension was the restaurant's only
+    # triple, and this turn's is in the hotel domain mentioned after it.
+    prev = state_of(("restaurant", "ruk", "pizza hut"), ("hotel", "area", "north"),
+                    topic=("favorite",))
+    extended = extend_state(prev, "hotel", "acorn guest house", ("parking",))
+    assert extended.domains() == ("hotel",)
+    assert serialize_belief(extended) == \
+        "hotel { area = north , ruk = acorn guest house } || parking"
 
 
 def test_joint_goal_identical():

@@ -564,11 +564,22 @@ def _blank_hotel_offer() -> bytes:
     return b"".join(rows)
 
 
+def _db_with_ruk_slot() -> bytes:
+    """The toy db with a restaurant slot 'ruk', set on the first restaurant."""
+    db = json.loads(DB_PATH.read_text("utf-8"))
+    db["restaurant"]["slots"].append("ruk")
+    db["restaurant"]["entities"][0]["attributes"]["ruk"] = "abc"
+    return json.dumps(db).encode()
+
+
 NOT_UTF8 = b"\xff\xfe"
 # each case builds (argv, expected prefix of the one stderr line)
 BAD_FILES = {
     **{f"{target}-not-utf8": _bad_input(target, NOT_UTF8)
        for target in ("db", "docs", "corpus", "goals", "index", "templates")},
+    "db-slot-ruk": _bad_input(
+        "db", _db_with_ruk_slot(),
+        " domain 'restaurant': slot 'ruk' is reserved for the belief-state extension"),
     "index-missing": _bad_input("index", None),
     "templates-missing": _bad_input("templates", None),
     "templates-row-not-3-fields": _bad_input("templates", b"general\tnomatch\n"),

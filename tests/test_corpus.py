@@ -49,15 +49,20 @@ def test_generator_deterministic(toy_kb, toy_index, tmp_path):
 def test_generated_annotations_resolve_in_index(toy_kb, toy_index):
     corpus = generate_synthetic_corpus(
         toy_kb, toy_index, CorpusSpec(dialogs=14, inserted_turns=1), seed=3)
+    knowledge_turns = 0
     for dialog in corpus.dialogs:
-        for turn in dialog.turns:
+        states = [parse_belief_span(turn.gold_belief_span) for turn in dialog.turns]
+        for k, turn in enumerate(dialog.turns):
             if turn.doc_annotation is None:
                 continue
-            domain, entity_id, doc_id = turn.doc_annotation
-            assert toy_index.topics(domain, entity_id, doc_id) is not None
+            knowledge_turns += 1
+            domain, entity_id, _ = turn.doc_annotation
             assert toy_kb.entity(domain, entity_id) is not None
-            state = parse_belief_span(turn.gold_belief_span)
-            assert state.ruk() is not None and state.topic
+            assert states[k].ruk() == (domain, entity_id)
+            assert states[k].topic == tuple(tw.token for tw in toy_index.entries[
+                turn.doc_annotation])
+            assert k > 0 and states[k].constraints() == states[k - 1].constraints()
+    assert knowledge_turns == len(corpus.dialogs)
 
 
 def test_generator_zero_inserted_turns(toy_kb, toy_index):

@@ -203,7 +203,7 @@ def test_build_matches_bruteforce_oracle(toy_kb):
         if docs:
             domains[name] = (len(dom.entities), docs, TOY_THRESHOLDS[name])
     expected = oracle_topic_index(domains)
-    got = {key: list(index.topics(*key)) for key in index.entries}
+    got = {key: [tw.token for tw in words] for key, words in index.entries.items()}
     assert got == expected
 
 
@@ -304,8 +304,8 @@ def test_write_read_roundtrip(toy_index, tmp_path):
     write_index(toy_index, str(path))
     loaded = read_index(str(path))
     assert set(loaded.entries) == set(toy_index.entries)
-    for key in toy_index.entries:
-        assert loaded.topics(*key) == toy_index.topics(*key)
+    for key, words in toy_index.entries.items():
+        assert [tw.token for tw in loaded.entries[key]] == [tw.token for tw in words]
     assert loaded.thresholds == toy_index.thresholds
     assert loaded.stopwords_sha256 == toy_index.stopwords_sha256
 
