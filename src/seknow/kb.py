@@ -14,7 +14,8 @@ File formats (committed toy example under ``data/toy/``):
 
 * db file: JSON object mapping domain name to ``{"slots": [...],
   "entities": [{"id", "name", "bookable", "attributes"}, ...]}``. The slot
-  name ``ruk`` is reserved for the belief-state extension.
+  name ``ruk`` is reserved for the belief-state extension. ``bookable``, if
+  present, must be a boolean; nothing reads it.
 * doc-base file: JSON array of ``{"domain", "entity_id", "doc_id", "title",
   "body"}`` records. ``entity_id`` may also hold an entity name; name lookup
   is case-insensitive and must be unambiguous.
@@ -46,7 +47,6 @@ class Entity:
     id: str
     name: str
     attributes: dict[str, str]
-    bookable: bool = False
     documents: tuple[Document, ...] = ()
 
 
@@ -216,14 +216,12 @@ def _parse_db(path: str) -> dict[str, Domain]:
                     raise LoadError(f"domain '{name}': entity '{ent['id']}' attribute "
                                     f"'{slot}' is empty", file=path)
                 attributes[key] = value
-            bookable = ent.get("bookable", False)
-            expect(isinstance(bookable, bool),
+            expect(isinstance(ent.get("bookable", False), bool),
                    f"domain '{name}': entity '{ent['id']}' 'bookable' must be a boolean", path)
             entities.append(Entity(
                 id=normalize(ent["id"]),
                 name=normalize(ent["name"]),
                 attributes=attributes,
-                bookable=bookable,
             ))
         domains[name] = Domain(name=name, slot_schema=schema, entities=tuple(entities))
     return domains

@@ -53,7 +53,6 @@ class TurnOutput:
     document: RetrievedDocument | None
     delexicalized_response: str
     lexicalized_response: str
-    unresolved_placeholders: tuple[str, ...] = ()
     ranking: tuple[RetrievedDocument, ...] = ()
 
 
@@ -165,17 +164,15 @@ def make_template_generator(templates: TemplateSet | None = None) -> Generator:
 
 
 def lexicalize(delex: str, belief: ExtendedBeliefState, query: EntityMatches,
-               kb: KnowledgeBase) -> tuple[str, tuple[str, ...]]:
+               kb: KnowledgeBase) -> str:
     """Fill ``[slot]`` placeholders from the active domain's first matched entity.
 
-    That is the domain whose match count the offer template states. Returns
-    the text and the placeholders that could not be resolved, which stay
-    verbatim.
+    That is the domain whose match count the offer template states. A
+    placeholder that cannot be resolved stays verbatim.
     """
     domain = active_domain(belief)
     ids = query.get(domain)
     entity = kb.entity(domain, ids[0]) if ids else None
-    unresolved = []
 
     def fill(match: re.Match) -> str:
         slot = match.group(1)
@@ -184,10 +181,9 @@ def lexicalize(delex: str, belief: ExtendedBeliefState, query: EntityMatches,
                 return entity.name
             if slot in entity.attributes:
                 return entity.attributes[slot]
-        unresolved.append(slot)
         return match.group(0)
 
-    return _PLACEHOLDER_RE.sub(fill, delex), tuple(unresolved)
+    return _PLACEHOLDER_RE.sub(fill, delex)
 
 
 def run_turn(session: Session, user_utterance: str, predictor: Predictor,
@@ -205,7 +201,7 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
         delex = generator(belief, query, document)
     except Exception as exc:
         raise PipelineError(f"turn {turn}: {exc}") from exc
-    text, unresolved = lexicalize(delex, belief, query, kb)
+    text = lexicalize(delex, belief, query, kb)
     session.utterances.append(("system", text))
     session.prev_belief = belief
     session.turn_index += 1
@@ -215,7 +211,6 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
         document=document,
         delexicalized_response=delex,
         lexicalized_response=text,
-        unresolved_placeholders=unresolved,
         ranking=ranking,
     )
 
@@ -329,9 +324,12 @@ def corrupt_samples(samples: Sequence[CorruptionSample], seed: int,
     """Label-corrupt exactly half of the samples, three types equally likely.
 
     A seeded shuffle picks ``n // 2`` samples; each gets one of: its belief
-    span wholly replaced by another sample's, every slot value replaced by a
-    different ontology value (topic kept intact), or its response replaced
-    by another sample's. The same seed reproduces the output byte for byte.
+    span wholly replaced by another sample's, each slot value that has an
+    alternative replaced by a different ontology value (topic kept intact),
+    or its response replaced by another sample's. A donor is drawn again
+    until its field differs, so no corrupted sample equals its original;
+    that kind is refused only when every sample has the same one. The same
+    seed reproduces the output byte for byte.
     """
     n = len(samples)
     if n < 2:
@@ -340,6 +338,8 @@ def corrupt_samples(samples: Sequence[CorruptionSample], seed: int,
     order = list(range(n))
     rng.shuffle(order)
     chosen = set(order[: n // 2])
+    distinct = {name: len({getattr(s, name) for s in samples})
+                for name in ("belief_span", "response")}
 
     out: list[CorruptionSample] = []
     for i, sample in enumerate(samples):
@@ -347,17 +347,17 @@ def corrupt_samples(samples: Sequence[CorruptionSample], seed: int,
             out.append(replace(sample, y_c=1, corruption_type="none"))
             continue
         kind = ("replace_state", "replace_values", "replace_response")[rng.randrange(3)]
-        if kind == "replace_state":
-            donor = _other_index(rng, n, i)
-            out.append(replace(sample, belief_span=samples[donor].belief_span,
-                               y_c=0, corruption_type=kind))
-        elif kind == "replace_values":
-            out.append(replace(sample, belief_span=_swap_values(
-                sample.belief_span, ontology, rng), y_c=0, corruption_type=kind))
+        name = "response" if kind == "replace_response" else "belief_span"
+        if kind == "replace_values":
+            value = _swap_values(sample.belief_span, ontology, rng)
+        elif distinct[name] < 2:
+            raise CorruptionError(f"{kind} needs a sample whose {name} differs, "
+                                  f"but every sample has the same {name}")
         else:
-            donor = _other_index(rng, n, i)
-            out.append(replace(sample, response=samples[donor].response,
-                               y_c=0, corruption_type=kind))
+            value = getattr(sample, name)
+            while value == getattr(sample, name):
+                value = getattr(samples[_other_index(rng, n, i)], name)
+        out.append(replace(sample, **{name: value}, y_c=0, corruption_type=kind))
     return out
 
 
@@ -374,7 +374,9 @@ def _swap_values(span: str, ontology: Mapping[tuple[str, str], Sequence[str]],
     swapped = []
     for domain, slot, value in state.triples:
         alternatives = [v for v in ontology.get((domain, slot), ()) if v != value]
-        if not alternatives:
-            raise CorruptionError(f"no alternative value for slot '{domain}-{slot}'")
-        swapped.append((domain, slot, alternatives[rng.randrange(len(alternatives))]))
+        if alternatives:
+            value = alternatives[rng.randrange(len(alternatives))]
+        swapped.append((domain, slot, value))
+    if swapped == list(state.triples):
+        raise CorruptionError(f"no slot of belief span '{span}' has an alternative value")
     return serialize_belief(make_state(swapped, state.topic))

@@ -51,9 +51,6 @@ EntityDoc = tuple[str, tuple[str, ...], str]
 @dataclass(frozen=True)
 class TopicWord:
     token: str
-    tfidf: float
-    ca_tfidf: float = 0.0
-    survived_filter: bool = False
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,10 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
         ca = compute_ca_tfidf(candidates, entity_count=len(domain.entities))
 
         for (entity_id, doc_id), words in candidates.items():
-            kept = tuple(TopicWord(token, tfidf, ca[token], True)
-                         for token, tfidf in words if ca[token] >= threshold)
+            kept = [token for token, _ in words if ca[token] >= threshold]
             if not kept:  # keep the best candidate so the doc stays indexed
-                token, tfidf = words[0]
-                kept = (TopicWord(token, tfidf, ca[token], False),)
-            entries[(dom_name, entity_id, doc_id)] = kept
+                kept = [words[0][0]]
+            entries[(dom_name, entity_id, doc_id)] = tuple(map(TopicWord, kept))
 
     used = {dom: float(thresholds[dom]) for dom in sorted(
         {key[0] for key in entries})}
@@ -206,8 +201,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
 
     A repeated (domain, entity, doc) row is refused; given the checked ``kb``, so
     is a row naming no entity of it, or no document of that entity when the KB
-    holds documents. Score provenance is not persisted, so loaded entries carry
-    zero scores and an unset filter flag; only the topic tokens matter downstream.
+    holds documents.
     """
     doc_ids = None if kb is None else {
         (name, ent.id): {doc.doc_id for doc in ent.documents}
@@ -223,7 +217,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
             if len(parts) != 4 or not parts[3]:
                 raise LoadError("expected 'domain\\tentity\\tdoc\\ttopics'",
                                 file=path, line=lineno)
-            topics = tuple(TopicWord(token=t, tfidf=0.0) for t in parts[3].split(","))
+            topics = tuple(map(TopicWord, parts[3].split(",")))
             if not 1 <= len(topics) <= MAX_TOPICS:
                 raise LoadError(f"{len(topics)} topic words (expected 1-{MAX_TOPICS})",
                                 file=path, line=lineno)

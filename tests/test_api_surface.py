@@ -16,8 +16,6 @@ an attribute of anything else: ``report.bleu`` reads a field that only shares
 its name, and a bare ``bleu`` elsewhere names some other module's ``bleu``. A
 method or property is referred to by any attribute of its name.
 The package ``__init__`` is not searched, because a re-export is not a caller.
-Dataclass fields are not checked: a search cannot tell the object a field
-belongs to from the attribute access that reads it.
 
 A defaulted parameter of a public function, public method or ``__init__`` is
 *set* where a call in ``src/seknow`` or ``benchmarks/``, outside the
@@ -27,6 +25,12 @@ calls its ``__init__``. A default no caller overrides is a constant in disguise.
 
 A dataclass with one field and no method is that field under a second name:
 each reader unwraps it, and the field's own type says as much.
+
+A dataclass field in ``src/seknow`` is read where code in ``src/seknow`` or
+``benchmarks/`` loads an attribute of its name, or where its whole record is
+printed through ``asdict``. The search matches by name alone, since it cannot
+tell the object an attribute belongs to: a field counts as read when any
+attribute read anywhere uses its name.
 
 A name that an import in ``src/seknow`` binds is read somewhere in that module,
 unless the benchmark tracer patches it there.
@@ -242,10 +246,11 @@ def test_benchmark_only_parameters_are_listed():
     assert sorted(only) == sorted(BENCHMARK_ONLY_PARAMETERS)
 
 
-# One-field records that benchmarks/workload.py uses, so they stay.
+# One-field records that benchmarks/ uses, so they stay.
 ONE_FIELD_ALLOWED = (
     "corpus.DialogCorpus",  # benchmarks/workload.py builds one and reads its dialogs
     "kb.ValidationReport",  # benchmarks/workload.py reads its violations
+    "topics.TopicWord",  # benchmarks/run.py reads tw.token
 )
 
 
@@ -301,3 +306,34 @@ def unread_imports() -> list[str]:
 
 def test_every_import_is_read():
     assert unread_imports() == sorted(TRACER_SEAMS)
+
+
+# Records that cli prints whole with ``asdict``, so every field of each is read.
+SERIALIZED = (
+    "corpus.CorpusStats",
+    "pipeline.CorruptionSample",
+)
+
+
+def unread_fields(serialized: tuple[str, ...] = SERIALIZED) -> list[str]:
+    """``module.Class.field`` of each ``@dataclass`` field in ``src/seknow`` whose name no
+    attribute load in ``src/seknow`` or ``benchmarks/`` reads, outside the classes in
+    ``serialized``."""
+    searched = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    read = {node.attr for path in searched for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if not (isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+                    and f"{path.stem}.{node.name}" not in serialized):
+                continue
+            found += [f"{path.stem}.{node.name}.{s.target.id}" for s in node.body
+                      if isinstance(s, ast.AnnAssign) and s.target.id not in read]
+    return sorted(found)
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
+    only_serialized = {name.rpartition(".")[0] for name in unread_fields(serialized=())}
+    assert sorted(only_serialized) == sorted(SERIALIZED)  # no stale entry

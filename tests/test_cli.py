@@ -1,12 +1,17 @@
 import hashlib
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from seknow import metrics
 from seknow.cli import main
+from seknow.corpus import CorpusSpec, generate_synthetic_corpus, save_corpus
 from seknow.errors import QueryError
+from seknow.kb import load_knowledge_base
+from seknow.topics import build_topic_index
 
 from conftest import (DATA_DIR, DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH,
                       eval_argv)
@@ -290,12 +295,49 @@ def test_corrupt_matches_golden(tmp_path):
 
 
 def test_corrupt_single_valued_slot_errors(tmp_path, capsys):
-    # seed 0 assigns a value corruption to a taxi turn; its only ontology
+    # seed 3 assigns a value corruption to a taxi turn; its only ontology
     # value has no alternative, which must surface as a corruption error
-    code = main(["--seed", "0", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
+    code = main(["--seed", "3", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
                  "--out", str(tmp_path / "c.jsonl")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: corruption: ")
+    assert capsys.readouterr().err == ("error: corruption: no slot of belief span "
+                                       "'taxi { type = car }' has an alternative value\n")
+
+
+def test_no_corrupted_sample_equals_its_original(tmp_path):
+    # the generated corpus is over a benchmark KB: the toy KB's single-valued
+    # slots leave most seeds nothing to swap there
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
+    try:
+        import inputs
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.pop(0)
+    db, docs = inputs.make_kb(7, {"restaurant": 12, "hotel": 6, "attraction": 6}, 4)
+    (tmp_path / "db.json").write_text(json.dumps(db), "utf-8")
+    (tmp_path / "docs.json").write_text(json.dumps(docs), "utf-8")
+    kb = load_knowledge_base(str(tmp_path / "db.json"), str(tmp_path / "docs.json"))
+    generated = tmp_path / "generated.jsonl"
+    save_corpus(generate_synthetic_corpus(kb, build_topic_index(kb, inputs.THRESHOLDS),
+                                          CorpusSpec(dialogs=20), seed=24), str(generated))
+    for corpus, seeds in ((TOY_CORPUS_PATH, range(100)), (generated, range(20))):
+        originals = [(turn["belief_span"], turn["response"])
+                     for line in corpus.read_text("utf-8").splitlines()
+                     for turn in json.loads(line)["turns"]]
+        succeeded = 0
+        for seed in seeds:
+            out = tmp_path / "c.jsonl"
+            if main(["--seed", str(seed), "corrupt", "--corpus", str(corpus),
+                     "--out", str(out)]) != 0:
+                continue
+            succeeded += 1
+            records = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+            for record, original in zip(records, originals, strict=True):
+                if record["y_c"] == 0:
+                    assert (record["belief_span"], record["response"]) != original, \
+                        (corpus.name, seed, record)
+        assert succeeded >= 5, (corpus.name, succeeded)
 
 
 def test_eval_out_records_its_inputs(tmp_path, capsys):
@@ -572,6 +614,13 @@ def _db_with_ruk_slot() -> bytes:
     return json.dumps(db).encode()
 
 
+def _db_with_string_bookable() -> bytes:
+    """The toy db with the first restaurant's 'bookable' the string "yes"."""
+    db = json.loads(DB_PATH.read_text("utf-8"))
+    db["restaurant"]["entities"][0]["bookable"] = "yes"
+    return json.dumps(db).encode()
+
+
 NOT_UTF8 = b"\xff\xfe"
 # each case builds (argv, expected prefix of the one stderr line)
 BAD_FILES = {
@@ -580,6 +629,9 @@ BAD_FILES = {
     "db-slot-ruk": _bad_input(
         "db", _db_with_ruk_slot(),
         " domain 'restaurant': slot 'ruk' is reserved for the belief-state extension"),
+    "db-bookable-not-bool": _bad_input(
+        "db", _db_with_string_bookable(),
+        " domain 'restaurant': entity 'pizza hut' 'bookable' must be a boolean"),
     "index-missing": _bad_input("index", None),
     "templates-missing": _bad_input("templates", None),
     "templates-row-not-3-fields": _bad_input("templates", b"general\tnomatch\n"),

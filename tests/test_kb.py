@@ -40,7 +40,6 @@ def test_direct_fusion_single_entity(tmp_path):
     kb = load_knowledge_base(db, docs)
     entity = kb.entity("restaurant", "pizza hut")
     assert len(entity.documents) == 2
-    assert entity.bookable is False  # default when the key is absent
 
 
 def test_fusion_by_name_fallback(tmp_path):

@@ -38,8 +38,7 @@ def rand_kb(rng: random.Random, n_entities: int, domain: str = "restaurant"):
     entities = []
     for k in range(n_entities):
         attrs = {s: rng.choice(values[s]) for s in slots if rng.random() < 0.8}
-        entities.append(Entity(id=f"e{k:02d}", name=f"e{k:02d}", attributes=attrs,
-                               bookable=rng.random() < 0.5))
+        entities.append(Entity(id=f"e{k:02d}", name=f"e{k:02d}", attributes=attrs))
     dom = Domain(name=domain, slot_schema=frozenset(slots + ["name"]),
                  entities=tuple(entities))
     return KnowledgeBase(domains={domain: dom})
@@ -88,8 +87,7 @@ def rand_postings_kb(rng: random.Random) -> KnowledgeBase:
             ent_id = f"e{rng.randrange(120):03d}"
             attrs = {s: rng.choice(POSTING_VALUES[s]) for s in POSTING_SLOTS
                      if rng.random() < 0.85}
-            entities.append(Entity(id=ent_id, name=ent_id, attributes=attrs,
-                                   bookable=rng.random() < 0.5))
+            entities.append(Entity(id=ent_id, name=ent_id, attributes=attrs))
         domains[dom] = Domain(name=dom, slot_schema=frozenset(POSTING_SLOTS + ["stars"]),
                               entities=tuple(entities))
     return KnowledgeBase(domains=domains)
@@ -301,7 +299,7 @@ def floor_kb_and_index():
                     documents=(Document("d0", "t", "body"),))
     kb = KnowledgeBase(domains={"restaurant": Domain(
         name="restaurant", slot_schema=frozenset({"name"}), entities=(entity,))})
-    index = TopicIndex(entries={("restaurant", "abcde", "d0"): (TopicWord("abcde", 1.0),)},
+    index = TopicIndex(entries={("restaurant", "abcde", "d0"): (TopicWord("abcde"),)},
                        thresholds={"restaurant": 1.0})
     return kb, index
 
@@ -436,7 +434,7 @@ def test_retrieve_document_matches_exhaustive_sort():
     docs = {("restaurant", "e", f"d{k}"): topics for k, topics in enumerate([
         ("breakfast",), ("breakfast", "parking"), ("vegetarian",), ("parking",)])}
     index = TopicIndex(
-        entries={key: tuple(TopicWord(t, 1.0) for t in topics)
+        entries={key: tuple(map(TopicWord, topics))
                  for key, topics in docs.items()},
         thresholds={"restaurant": 1.0})
     entity = Entity(id="e", name="e", attributes={}, documents=tuple(

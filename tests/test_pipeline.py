@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -107,17 +108,18 @@ def lexicalized(toy_kb, delex, *triples):
 
 def test_lexicalize_name(toy_kb):
     assert lexicalized(toy_kb, "[name] is nice", ("hotel", "type", "guesthouse"),
-                       ("hotel", "area", "north")) == ("acorn guest house is nice", ())
+                       ("hotel", "area", "north")) == "acorn guest house is nice"
 
 
 def test_lexicalize_zero_matches_reports(toy_kb):
-    assert lexicalized(toy_kb, "[name] is nice", ("restaurant", "food", "korean")) == (
-        "[name] is nice", ("name",))
+    # an unresolved placeholder stays verbatim
+    assert lexicalized(toy_kb, "[name] is nice", ("restaurant", "food", "korean")) == \
+        "[name] is nice"
 
 
 def test_lexicalize_two_placeholders(toy_kb):
-    assert lexicalized(toy_kb, "[name] is at [address]", ("restaurant", "food", "chinese")) == (
-        "golden wok is at histon road", ())
+    assert lexicalized(toy_kb, "[name] is at [address]", ("restaurant", "food", "chinese")) == \
+        "golden wok is at histon road"
 
 
 def test_offer_names_an_entity_of_the_domain_it_counts(toy_kb, toy_index, templates):
@@ -401,37 +403,64 @@ def test_corrupt_deterministic():
 
 
 def test_corrupt_value_swap_is_forced_alternative():
-    ontology = {("restaurant", "food"): ("chinese", "italian")}
-    base = [sample("restaurant { food = italian }", f"r{k}") for k in range(12)]
+    # a second span, so that a state replacement has a donor that differs
+    ontology = {("restaurant", "food"): ("chinese", "italian"),
+                ("restaurant", "area"): ("north",)}
+    spans = ["restaurant { food = italian }", "restaurant { area = north , food = italian }"]
+    base = [sample(spans[k % 2], f"r{k}") for k in range(20)]
     out = corrupt_samples(base, seed=3, ontology=ontology)
-    swapped = [s for s in out if s.corruption_type == "replace_values"]
-    assert swapped, "at least one value corruption expected at this size"
-    for s in swapped:
-        assert s.belief_span == "restaurant { food = chinese }"
+    swapped = [(a, s) for a, s in zip(base, out) if s.corruption_type == "replace_values"]
+    assert {a.belief_span for a, _ in swapped} == set(spans), \
+        "a value corruption of each span expected at this size"
+    for original, s in swapped:
+        assert s.belief_span == original.belief_span.replace("italian", "chinese")
 
 
 def test_corrupt_value_swap_differs_and_keeps_topic():
     ontology = {("restaurant", "food"): ("chinese", "italian"),
                 ("restaurant", "ruk"): ("golden wok", "pizza hut", "roma ristorante")}
+    # a second span, so that a state replacement has a donor that differs
     spans = [serialize_belief(make_state(
-        [("restaurant", "food", "italian"), ("restaurant", "ruk", "pizza hut")],
-        ["favorite"]))] * 20
-    out = corrupt_samples([sample(s, f"r{k}") for k, s in enumerate(spans)],
-                          seed=1, ontology=ontology)
-    for s in out:
-        if s.corruption_type != "replace_values":
-            continue
+        [("restaurant", "food", food), ("restaurant", "ruk", ruk)], ["favorite"]))
+        for food, ruk in [("italian", "pizza hut"), ("chinese", "golden wok")]] * 10
+    base = [sample(s, f"r{k}") for k, s in enumerate(spans)]
+    out = corrupt_samples(base, seed=1, ontology=ontology)
+    swapped = [(a, s) for a, s in zip(base, out) if s.corruption_type == "replace_values"]
+    assert swapped, "at least one value corruption expected at this size"
+    for original, s in swapped:
         state = parse_belief_span(s.belief_span)
-        assert s.belief_span != spans[0]
+        assert s.belief_span != original.belief_span
         assert state.topic == ("favorite",)
-        assert state.ruk()[1] != "pizza hut"
+        assert state.ruk()[1] != parse_belief_span(original.belief_span).ruk()[1]
 
 
 def test_corrupt_missing_alternative_errors():
     ontology = {("restaurant", "food"): ("italian",)}
     base = [sample("restaurant { food = italian }", f"r{k}") for k in range(8)]
-    with pytest.raises(CorruptionError, match="restaurant-food"):
+    with pytest.raises(CorruptionError) as exc:
         corrupt_samples(base, seed=0, ontology=ontology)
+    assert exc.value.detail == ("no slot of belief span 'restaurant { food = italian }' "
+                                "has an alternative value")
+
+
+@pytest.mark.parametrize("kind, name", [("replace_state", "belief_span"),
+                                        ("replace_response", "response")])
+def test_corrupt_refuses_a_donor_kind_only_when_every_sample_has_the_same(kind, name):
+    spans = ["restaurant { food = italian }", "restaurant { food = chinese }"]
+    base = [sample(spans[k % 2], f"r{k}") for k in range(8)]
+    same = [replace(s, **{name: getattr(base[0], name)}) for s in base]
+    refused = 0
+    for seed in range(20):
+        corrupt_samples(base, seed, ONTOLOGY)  # a field that varies is never refused
+        try:
+            out = corrupt_samples(same, seed, ONTOLOGY)
+        except CorruptionError as exc:
+            assert exc.detail == (f"{kind} needs a sample whose {name} differs, "
+                                  f"but every sample has the same {name}")
+            refused += 1
+        else:
+            assert kind not in {s.corruption_type for s in out}
+    assert refused >= 5, refused
 
 
 def test_corrupt_refuses_to_value_corrupt_an_empty_span():

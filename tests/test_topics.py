@@ -89,22 +89,37 @@ def random_tie_kb(rng: random.Random) -> tuple[KnowledgeBase, dict[str, float], 
     return KnowledgeBase(domains=domains), thresholds, oracle_domains
 
 
+def kernel_scores(domain: Domain) -> tuple[dict, dict, dict[str, float]]:
+    """The kernels the build calls, on one domain: each document's TF-IDF scores and
+    candidates, keyed by (entity_id, doc_id), and each candidate's cumulative average."""
+    streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}", load_stopwords())
+               for ent in domain.entities for doc in ent.documents}
+    tfidf = compute_tfidf(streams)
+    candidates = {key: extract_candidates(tokens, tfidf[key]) for key, tokens in streams.items()}
+    return tfidf, candidates, compute_ca_tfidf(candidates, len(domain.entities))
+
+
 def test_build_matches_oracle_scores_on_tie_heavy_kbs():
+    """The kernels the build calls give the oracle's scores, floats compared exactly,
+    and the build keeps the oracle's topic words."""
     rng = random.Random(1403)
     cut_ties = 0
     for _ in range(150):
         kb, thresholds, oracle_domains = random_tie_kb(rng)
-        index = build_topic_index(kb, thresholds)
-        got = {key: [(tw.token, tw.tfidf, tw.ca_tfidf, tw.survived_filter) for tw in words]
-               for key, words in index.entries.items()}
-        assert got == oracle_topic_words(oracle_domains)  # floats compared exactly
+        scored = {}
         for name, domain in kb.domains.items():
-            streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}",
-                                                      load_stopwords())
-                       for ent in domain.entities for doc in ent.documents}
-            for tokens in compute_tfidf(streams).values():
+            tfidf, candidates, ca = kernel_scores(domain)
+            for (entity_id, doc_id), words in candidates.items():
+                words = [(token, score, ca[token], ca[token] >= thresholds[name])
+                         for token, score in words]
+                scored[(name, entity_id, doc_id)] = [w for w in words if w[3]] or words[:1]
+            for tokens in tfidf.values():
                 ranked = sorted(tokens.values(), reverse=True)
                 cut_ties += len(ranked) > 3 and ranked[2] == ranked[3]
+        assert scored == oracle_topic_words(oracle_domains)  # floats compared exactly
+        index = build_topic_index(kb, thresholds)
+        assert {key: [tw.token for tw in words] for key, words in index.entries.items()} \
+            == oracle_topic_index(oracle_domains)
     assert cut_ties >= 100, cut_ties  # the first-occurrence tie-break decides often
 
 
@@ -212,23 +227,22 @@ def test_every_document_has_one_to_three_topics(toy_index):
         assert 1 <= len(words) <= 3
 
 
-def test_fallback_keeps_single_best(toy_index):
+def test_fallback_keeps_single_best(toy_kb, toy_index):
     words = toy_index.entries[("restaurant", "golden wok", "d4")]
-    assert len(words) == 1
-    assert words[0].survived_filter is False
-    assert words[0].token == "takeaway"
+    assert [tw.token for tw in words] == ["takeaway"]
+    _, candidates, ca = kernel_scores(toy_kb.domains["restaurant"])
+    assert candidates[("golden wok", "d4")][0][0] == "takeaway"
+    # no candidate clears the threshold, so the best one is kept
+    assert all(ca[token] < TOY_THRESHOLDS["restaurant"]
+               for token, _ in candidates[("golden wok", "d4")])
 
 
 def test_threshold_monotonicity(toy_kb):
-    low = build_topic_index(toy_kb, TOY_THRESHOLDS)
-    raised = dict(TOY_THRESHOLDS, restaurant=2.0)
-    high = build_topic_index(toy_kb, raised)
-    for key, words in high.entries.items():
-        if key[0] != "restaurant":
-            continue
-        survivors_high = sum(tw.survived_filter for tw in words)
-        survivors_low = sum(tw.survived_filter for tw in low.entries[key])
-        assert survivors_high <= survivors_low
+    _, candidates, ca = kernel_scores(toy_kb.domains["restaurant"])
+    for words in candidates.values():
+        survivors = [sum(ca[token] >= threshold for token, _ in words)
+                     for threshold in (TOY_THRESHOLDS["restaurant"], 2.0)]
+        assert survivors[1] <= survivors[0]
 
 
 def test_build_deterministic_bytes(toy_kb, tmp_path):
@@ -302,20 +316,22 @@ def test_all_stopword_document_is_indexing_error(tmp_path):
 def test_write_read_roundtrip(toy_index, tmp_path):
     path = tmp_path / "index.tsv"
     write_index(toy_index, str(path))
-    loaded = read_index(str(path))
-    assert set(loaded.entries) == set(toy_index.entries)
-    for key, words in toy_index.entries.items():
-        assert [tw.token for tw in loaded.entries[key]] == [tw.token for tw in words]
-    assert loaded.thresholds == toy_index.thresholds
-    assert loaded.stopwords_sha256 == toy_index.stopwords_sha256
+    assert read_index(str(path)) == toy_index
+
+
+def test_read_index_equals_the_built_index(toy_kb, tmp_path):
+    index = build_topic_index(toy_kb, TOY_THRESHOLDS)
+    path = tmp_path / "index.tsv"
+    write_index(index, str(path))
+    assert read_index(str(path), toy_kb) == index
 
 
 def test_docs_for_entity_matches_scan(toy_kb, toy_index):
     hand_made = TopicIndex(entries={
-        ("hotel", "a", "d2"): (TopicWord("pool", 1.0),),
-        ("hotel", "a", "d10"): (TopicWord("wifi", 1.0), TopicWord("desk", 0.5)),
-        ("hotel", "b", "d0"): (TopicWord("bar", 1.0),),
-        ("taxi", "a", "d1"): (TopicWord("car", 1.0),),
+        ("hotel", "a", "d2"): (TopicWord("pool"),),
+        ("hotel", "a", "d10"): (TopicWord("wifi"), TopicWord("desk")),
+        ("hotel", "b", "d0"): (TopicWord("bar"),),
+        ("taxi", "a", "d1"): (TopicWord("car"),),
     }, thresholds={})
     for index in (toy_index, hand_made):
         keys = {key[:2] for key in index.entries} | {("hotel", "nowhere")} | {
