@@ -160,9 +160,12 @@ def cmd_eval(args) -> int:
             "predictor": args.predictor,
             "seed": args.seed,
             "corpus_sha256": sha256_file(args.corpus),
+            "docs_sha256": sha256_file(args.docs),
+            "goals_sha256": sha256_file(args.goals) if args.goals else None,
             "index_sha256": sha256_file(args.index),
             "kb_sha256": sha256_file(args.kb),
             "stopwords_sha256": stopwords_digest(),
+            "templates_sha256": sha256_file(args.templates or pipeline.PACKAGED_TEMPLATES),
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

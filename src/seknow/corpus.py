@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .belief import RUK_SLOT, extend_state, make_state, ruk_domain, serialize_belief
 from .belief import span_fields
 from .errors import GenerationError, LoadError, ParseError
-from .kb import KnowledgeBase, read_json
+from .kb import KnowledgeBase, parse_json, read_json
 from .pipeline import Session, make_oracle_predictor, make_template_generator, run_turn
 from .text import is_one_field, normalize, open_input, open_output
 from .topics import TopicIndex
@@ -99,11 +99,7 @@ def load_corpus(path: str, kb: KnowledgeBase | None = None,
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(exc.msg, file=path, line=lineno) from exc
-            dialog = _parse_dialog(raw, path, lineno, kb, index)
+            dialog = _parse_dialog(parse_json(line, path, lineno), path, lineno, kb, index)
             if dialog.dialog_id in seen:
                 raise LoadError(f"duplicate dialog id '{dialog.dialog_id}'", file=path,
                                 line=lineno)

@@ -33,6 +33,8 @@ from .errors import DomainNotFoundError, LoadError
 from .text import is_one_field, normalize, open_input
 
 _WORD_RE = re.compile(r"\w+")
+# A JSON escape of a surrogate code point; a valid pair of them decodes to one code point.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,36 @@ def expect(cond: bool, detail: str, file: str, line: int | None = None):
         raise LoadError(detail, file=file, line=line)
 
 
-def read_json(path: str):
+def _lone_surrogate(value) -> str | None:
+    """The first lone surrogate in a string or key of the parsed JSON ``value``."""
+    if isinstance(value, str):
+        return next((c for c in value if "\ud800" <= c <= "\udfff"), None)
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return next(filter(None, map(_lone_surrogate, value)), None)
+    return None
+
+
+def parse_json(text: str, file: str, line: int | None = None):
+    """The JSON value of ``text``, all of ``file`` or its ``line``. Malformed JSON, and a
+    string or key holding a lone surrogate escape, which no UTF-8 output can hold, are
+    load errors. The value is walked only when the text holds a surrogate escape."""
     try:
-        with open_input(path) as fh:
-            return json.load(fh)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise LoadError(exc.msg, file=path, line=exc.lineno) from exc
+        raise LoadError(exc.msg, file=file, line=exc.lineno if line is None else line) from exc
+    if _SURROGATE_ESCAPE.search(text):
+        surrogate = _lone_surrogate(value)
+        if surrogate is not None:
+            raise LoadError(f"the lone surrogate escape \\u{ord(surrogate):04x} "
+                            "is not valid Unicode text", file=file, line=line)
+    return value
+
+
+def read_json(path: str):
+    with open_input(path) as fh:
+        return parse_json(fh.read(), path)
 
 
 def _parse_db(path: str) -> dict[str, Domain]:

@@ -89,11 +89,14 @@ class TemplateSet:
                 f"no '{condition}' template for domain '{domain}'") from None
 
 
+# The template set read when no file is named.
+PACKAGED_TEMPLATES = str(resources.files("seknow.data").joinpath("templates.tsv"))
+
+
 @cache
-def _packaged_templates() -> tuple[str, dict[tuple[str, str], str]]:
-    """Path and entries of the packaged ``templates.tsv``, read once per process."""
-    path = str(resources.files("seknow.data").joinpath("templates.tsv"))
-    return path, _read_templates(path)
+def _packaged_templates() -> dict[tuple[str, str], str]:
+    """Entries of the packaged ``templates.tsv``, read once per process."""
+    return _read_templates(PACKAGED_TEMPLATES)
 
 
 def _read_templates(path: str) -> dict[tuple[str, str], str]:
@@ -125,7 +128,10 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
     over it may need: general/nomatch, each domain's offer and nomatch, and
     doc where the domain has documents.
     """
-    path, entries = _packaged_templates() if path is None else (path, _read_templates(path))
+    if path is None:
+        path, entries = PACKAGED_TEMPLATES, _packaged_templates()
+    else:
+        entries = _read_templates(path)
     if kb is not None:
         needed = [("general", "nomatch")]
         for name in kb.domains:

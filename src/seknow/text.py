@@ -2,6 +2,12 @@
 
 Every text file read or written opens through :func:`open_input`/:func:`open_output`.
 
+A token is a maximal run of ASCII ``a-z0-9`` in the lowercased text, at least two
+characters long and not a stopword. :func:`tokenize` finds the runs in byte-level
+passes: the lowercased text is encoded as UTF-8, where every other character,
+surrogates included, becomes bytes outside ``a-z0-9``, and each such byte becomes a
+space.
+
 The stopword list is part of the package's external interface: it ships as a
 plain-text data file, one word per line, and its SHA-256 digest is recorded in
 index sidecar files so that two indexes are only comparable when they were
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import lru_cache
@@ -26,8 +31,9 @@ from .errors import ConfigError, LoadError
 
 STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 
-# Maximal alphanumeric runs of two or more characters.
-_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
+# Every byte but ASCII a-z and 0-9 maps to a space.
+_SEPARATE = bytes(b if 0x61 <= b <= 0x7A or 0x30 <= b <= 0x39 else 0x20 for b in range(256))
+_ONE_CHAR = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
 
 @contextmanager
@@ -97,13 +103,15 @@ def stopwords_digest() -> str:
 
 
 def tokenize(text: str, stopwords: frozenset[str]) -> list[str]:
-    """Split ``text`` into lowercase alphanumeric tokens.
+    """Split ``text`` into its tokens, in order, duplicates kept (a token stream, not a
+    vocabulary); ``stopwords`` is the list in effect, from :func:`load_stopwords`.
 
-    Punctuation is dropped, ``stopwords`` (the list in effect, from
-    :func:`load_stopwords`) and tokens shorter than two characters are removed,
-    and duplicates are kept (the result is a token stream, not a vocabulary).
+    A lone surrogate, as ``surrogateescape`` decodes an undecodable input byte to,
+    separates tokens like any other character outside ``a-z0-9``.
     """
-    return list(filterfalse(stopwords.__contains__, _TOKEN_RE.findall(text.lower())))
+    runs = text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).decode("ascii")
+    return list(filterfalse(stopwords.__contains__,
+                            filterfalse(_ONE_CHAR.__contains__, runs.split())))
 
 
 def sha256_file(path: str) -> str:

@@ -28,6 +28,7 @@ from seknow.belief import ExtendedBeliefState
 from seknow.errors import EvaluationError, ParseError
 
 STOPWORDS_PATH = Path(__file__).resolve().parent.parent / "src" / "seknow" / "data" / "stopwords.txt"
+ORACLE_STOPWORDS = frozenset(STOPWORDS_PATH.read_text("utf-8").split())
 
 
 def lcs_ratio_oracle(a: str, b: str) -> float:
@@ -52,10 +53,9 @@ def lcs_ratio_oracle(a: str, b: str) -> float:
 
 
 def oracle_tokenize(text: str) -> list[str]:
-    stopwords = set(STOPWORDS_PATH.read_text("utf-8").split())
     out = []
     for raw in re.split(r"[^A-Za-z0-9]+", text.lower()):
-        if len(raw) >= 2 and raw not in stopwords:
+        if len(raw) >= 2 and raw not in ORACLE_STOPWORDS:
             out.append(raw)
     return out
 

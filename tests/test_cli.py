@@ -354,14 +354,33 @@ def test_eval_out_records_its_inputs(tmp_path, capsys):
         return hashlib.sha256(path.read_bytes()).hexdigest()
     assert payload["metadata"] == {
         "corpus_sha256": sha256(TOY_CORPUS_PATH),
+        "docs_sha256": sha256(DOCS_PATH),
+        "goals_sha256": None,
         "index_sha256": sha256(index),
         "kb_sha256": sha256(DB_PATH),
         "stopwords_sha256": sha256(PACKAGED_STOPWORDS),
+        "templates_sha256": sha256(PACKAGED_TEMPLATES),
         "predictor": "heuristic",
         "seed": 7,
     }
     table = capsys.readouterr().out
     assert "Joint Goal" in table and "Combined" in table
+
+
+@pytest.mark.parametrize("target", ["docs", "templates", "goals"])
+def test_eval_out_hash_follows_each_input_edit(tmp_path, capsys, eval_files, target):
+    out = tmp_path / "r.json"
+
+    def metadata():
+        assert main([*eval_argv(eval_files), "--out", str(out)]) == 0
+        return json.loads(out.read_text("utf-8"))["metadata"]
+    before = metadata()
+    assert before[f"{target}_sha256"] == \
+        hashlib.sha256(eval_files[target].read_bytes()).hexdigest()
+    with eval_files[target].open("a", encoding="utf-8") as fh:
+        fh.write("\n")  # a blank line: the same content, other bytes
+    after = metadata()
+    assert {key for key in before if before[key] != after[key]} == {f"{target}_sha256"}
 
 
 @pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
@@ -621,6 +640,21 @@ def _db_with_string_bookable() -> bytes:
     return json.dumps(db).encode()
 
 
+def _with_escape(source: Path, mutate) -> bytes:
+    """The JSON file at ``source`` after ``mutate``, written with ASCII escapes."""
+    value = json.loads(source.read_text("utf-8"))
+    mutate(value)
+    return json.dumps(value).encode()
+
+
+def _corpus_with_escape(escape: str) -> bytes:
+    """The toy corpus with ``escape`` in the second dialog's first user turn."""
+    first, second, *rest = TOY_CORPUS_PATH.read_text("utf-8").splitlines()
+    second = second.replace('"user": "', f'"user": "{escape}', 1)
+    return "\n".join([first, second, *rest, ""]).encode()
+
+
+LONE_SURROGATE = "is not valid Unicode text"
 NOT_UTF8 = b"\xff\xfe"
 # each case builds (argv, expected prefix of the one stderr line)
 BAD_FILES = {
@@ -650,6 +684,22 @@ BAD_FILES = {
         "corpus", _doc_outside_ruk_domain(),
         "1: dialog 'dlg0000' turn 2: document annotation in domain 'restaurant' but the ruk "
         "triple is in domain 'hotel'"),
+    "db-lone-surrogate": _bad_input(
+        "db", _with_escape(
+            DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"].update(food="\ud800")),
+        f" the lone surrogate escape \\ud800 {LONE_SURROGATE}"),
+    "docs-lone-surrogate": _bad_input(
+        "docs", _with_escape(DOCS_PATH, lambda docs: docs[0].update(body="\udc80")),
+        f" the lone surrogate escape \\udc80 {LONE_SURROGATE}"),
+    "corpus-lone-surrogate": _bad_input(
+        "corpus", _corpus_with_escape("\\uDFFF"),
+        f"2: the lone surrogate escape \\udfff {LONE_SURROGATE}"),
+    "goals-key-lone-surrogate": _bad_input(
+        "goals", b'{"dlg0000": {"hotel\\ud83d": {}}}',
+        f" the lone surrogate escape \\ud83d {LONE_SURROGATE}"),
+    "sidecar-lone-surrogate": _bad_input(
+        "sidecar", b'{"thresholds": {"\\udbff": 1.0}}',
+        f" the lone surrogate escape \\udbff {LONE_SURROGATE}"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
     "sidecar-array": _bad_input("sidecar", b"[]"),
     "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),
@@ -671,6 +721,16 @@ def test_bad_file_is_one_error_line(tmp_path, capsys, eval_files, case):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(prefix)
+
+
+def test_escaped_surrogate_pair_loads(capsys, eval_files):
+    # a valid pair decodes to one code point; ensure_ascii writes the emoji as one
+    eval_files["docs"].write_bytes(_with_escape(
+        DOCS_PATH, lambda docs: docs[0].update(body=docs[0]["body"] + " \U0001F600")))
+    eval_files["corpus"].write_bytes(_corpus_with_escape("\\ud83d\\ude00 "))
+    assert b"\\ud83d\\ude00" in eval_files["docs"].read_bytes()
+    assert main(eval_argv(eval_files)) == 0
+    assert "Joint Goal" in capsys.readouterr().out
 
 
 UNKNOWN_ENTITY = "restaurant\tpizza palace\td1\tpizza"
@@ -722,6 +782,18 @@ def test_chat_reads_stdin(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "i found 2 options ." in captured.out
     assert "restaurant 2 match" in captured.err
+
+
+def test_chat_reads_an_undecodable_stdin_byte(capsys, monkeypatch):
+    import io
+    # a surrogateescape stdin passes b"\xff" on as the lone surrogate "\udcff"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"i want a hotel \xff in the north\n"), encoding="utf-8",
+        errors="surrogateescape"))
+    code = main(["chat", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH)])
+    assert code == 0
+    assert capsys.readouterr().out == "i found 1 options . golden wok is a nice choice .\n"
 
 
 def test_stopword_override_env(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,14 @@ from seknow.topics import (
 
 from conftest import GOLDEN_INDEX_PATH, TOY_THRESHOLDS
 
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH))
+sys.dont_write_bytecode, _write_bytecode = True, sys.dont_write_bytecode  # no __pycache__ there
+
+import inputs  # noqa: E402
+
+sys.dont_write_bytecode = _write_bytecode
+
 
 def test_tokenize_keeps_non_stopwords():
     assert tokenize("Free WiFi, free parking!", load_stopwords()) == [
@@ -57,6 +65,33 @@ def test_tokenize_matches_oracle_on_random_text():
     for _ in range(3000):
         text = random_text(rng, 12)
         assert tokenize(text, load_stopwords()) == oracle_tokenize(text), text
+
+
+def test_tokenize_matches_oracle_around_every_bmp_code_point():
+    stopwords = load_stopwords()
+    for c in range(0x10000):  # surrogates included
+        text = "ab" + chr(c) + "cd"
+        assert tokenize(text, stopwords) == oracle_tokenize(text), hex(c)
+
+
+def test_tokenize_matches_oracle_on_every_benchmark_document():
+    stopwords = load_stopwords()
+    _, docs = inputs.make_kb(1)
+    assert len(docs) == 2910
+    for doc in docs:
+        text = f"{doc['title']} {doc['body']}"
+        assert tokenize(text, stopwords) == oracle_tokenize(text), doc["doc_id"]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("ab\ud800cd", ["ab", "cd"]),  # a lone surrogate, as surrogateescape decodes to, separates
+    ("ab\udcffcd", ["ab", "cd"]),
+    ("K9", ["k9"]),
+    ("\u212a9 x 7 42", ["k9", "42"]),  # the Kelvin sign lowercases to ASCII k
+    ("caf\u00e9s na\u00efve", ["caf", "na", "ve"]),
+])
+def test_tokenize_named_cases(text, tokens):
+    assert tokenize(text, load_stopwords()) == tokens
 
 
 def test_tokenize_of_title_and_body_joined_is_their_streams_joined():
