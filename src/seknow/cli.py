@@ -3,13 +3,14 @@
 Subcommands: build-index, query, retrieve, run, corrupt, eval, stats, chat.
 Exit status is 0 on success, 1 on domain errors (reported as a machine
 parsable ``error: <kind>: <detail>`` line on stderr), and 2 on usage errors.
-All randomness flows from ``--seed``; identical invocations produce
-byte-identical outputs.
+Only ``corrupt`` draws at random, from its ``--seed``; identical invocations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -158,7 +159,6 @@ def cmd_eval(args) -> int:
         "metrics": report.to_dict(),
         "metadata": {
             "predictor": args.predictor,
-            "seed": args.seed,
             "corpus_sha256": sha256_file(args.corpus),
             "docs_sha256": sha256_file(args.docs),
             "goals_sha256": sha256_file(args.goals) if args.goals else None,
@@ -213,6 +213,9 @@ def cmd_chat(args) -> int:
     predictor = pipeline.make_heuristic_predictor(kb, index)
     session = pipeline.Session()
     print("type a message (ctrl-d to quit)", file=sys.stderr)
+    # UTF-8 whatever the locale; a byte that is not UTF-8 reaches tokenize as a lone surrogate
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -228,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seknow",
         description="Semi-structured knowledge management engine for task-oriented dialog")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-index", help="build the document topic index")
@@ -263,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("corrupt", help="build consistency-detection samples")
+    p.add_argument("--seed", type=int, default=0, help="seed of the corruption draws")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_corrupt)

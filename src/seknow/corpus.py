@@ -228,7 +228,7 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
             if index is not None and annotation not in index.entries:
                 raise refused(f"annotated document {annotation} is not in the index", k)
             if annotation[0] != domain:
-                raise refused(f"document annotation in domain '{annotation[0]}' but the ruk "
+                raise refused(f"document annotation in domain {annotation[0]!r} but the ruk "
                               f"triple is in domain '{domain}'", k)
         turn = DialogTurn(user=user, response=response, gold_belief_span=span,
                           doc_annotation=annotation, delex_response=delex)

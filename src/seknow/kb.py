@@ -6,9 +6,12 @@ the domain and entity they describe. After loading, the knowledge base is
 immutable apart from each domain's last structured query, which is replaced
 whole by one assignment, and safe to share across threads.
 
-:func:`load_knowledge_base` refuses each fault of either file, up to the first
-invariant violation of the fused KB, as a load error naming the file it lies
-in. A loaded KB therefore has unique entity ids per domain.
+:func:`load_knowledge_base` refuses the first fault it meets as a load error
+naming the file it lies in, raised where the check is made. It reads the db
+file in file order, then walks the doc-base file once, checking each record
+and attaching it to its entity; documents naming no entity are listed
+together after that walk, and the first invariant violation of the fused KB
+comes last. A loaded KB therefore has unique entity ids per domain.
 
 File formats (committed toy example under ``data/toy/``):
 
@@ -168,12 +171,6 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
-def expect(cond: bool, detail: str, file: str, line: int | None = None):
-    """Raise a :class:`LoadError` at ``file`` (and ``line``) unless ``cond`` holds."""
-    if not cond:
-        raise LoadError(detail, file=file, line=line)
-
-
 def _lone_surrogate(value) -> str | None:
     """The first lone surrogate in a string or key of the parsed JSON ``value``."""
     if isinstance(value, str):
@@ -208,33 +205,39 @@ def read_json(path: str):
 
 def _parse_db(path: str) -> dict[str, Domain]:
     raw = read_json(path)
-    expect(isinstance(raw, dict), "db file must be a JSON object keyed by domain", path)
+    if not isinstance(raw, dict):
+        raise LoadError("db file must be a JSON object keyed by domain", file=path)
     domains: dict[str, Domain] = {}
     for dom_name, dom_obj in raw.items():
         name = normalize(dom_name)
-        expect(bool(name), "empty domain name", path)
-        expect(name not in domains, f"duplicate domain '{name}'", path)
-        expect(isinstance(dom_obj, dict), f"domain '{name}' must be an object", path)
+        if not name:
+            raise LoadError("empty domain name", file=path)
+        if name in domains:
+            raise LoadError(f"duplicate domain '{name}'", file=path)
+        if not isinstance(dom_obj, dict):
+            raise LoadError(f"domain '{name}' must be an object", file=path)
         slots = dom_obj.get("slots")
         ents = dom_obj.get("entities")
-        expect(isinstance(slots, list) and all(isinstance(s, str) for s in slots),
-               f"domain '{name}': 'slots' must be an array of strings", path)
-        expect(isinstance(ents, list), f"domain '{name}': 'entities' must be an array", path)
+        if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)):
+            raise LoadError(f"domain '{name}': 'slots' must be an array of strings", file=path)
+        if not isinstance(ents, list):
+            raise LoadError(f"domain '{name}': 'entities' must be an array", file=path)
         schema = frozenset(normalize(s) for s in slots)
-        expect(RUK_SLOT not in schema, f"domain '{name}': slot '{RUK_SLOT}' is reserved for "
-               "the belief-state extension", path)
+        if RUK_SLOT in schema:
+            raise LoadError(f"domain '{name}': slot '{RUK_SLOT}' is reserved for the "
+                            "belief-state extension", file=path)
         entities = []
         for k, ent in enumerate(ents):
-            expect(isinstance(ent, dict), f"domain '{name}': entity #{k} must be an object", path)
-            expect(isinstance(ent.get("id"), str) and ent["id"].strip(),
-                   f"domain '{name}': entity #{k} missing 'id'", path)
-            expect(isinstance(ent.get("name"), str) and ent["name"].strip(),
-                   f"domain '{name}': entity #{k} missing 'name'", path)
+            if not isinstance(ent, dict):
+                raise LoadError(f"domain '{name}': entity #{k} must be an object", file=path)
+            for key in ("id", "name"):
+                if not (isinstance(ent.get(key), str) and ent[key].strip()):
+                    raise LoadError(f"domain '{name}': entity #{k} missing '{key}'", file=path)
             attrs = ent.get("attributes", {})
-            expect(isinstance(attrs, dict) and all(
-                isinstance(s, str) and isinstance(v, str) for s, v in attrs.items()),
-                f"domain '{name}': entity '{ent['id']}' attributes must map strings to strings",
-                path)
+            if not (isinstance(attrs, dict) and all(
+                    isinstance(s, str) and isinstance(v, str) for s, v in attrs.items())):
+                raise LoadError(f"domain '{name}': entity '{ent['id']}' attributes must map "
+                                "strings to strings", file=path)
             attributes = {}
             for slot, value in attrs.items():
                 key, value = normalize(slot), normalize(value)
@@ -242,8 +245,9 @@ def _parse_db(path: str) -> dict[str, Domain]:
                     raise LoadError(f"domain '{name}': entity '{ent['id']}' attribute "
                                     f"'{slot}' is empty", file=path)
                 attributes[key] = value
-            expect(isinstance(ent.get("bookable", False), bool),
-                   f"domain '{name}': entity '{ent['id']}' 'bookable' must be a boolean", path)
+            if not isinstance(ent.get("bookable", False), bool):
+                raise LoadError(f"domain '{name}': entity '{ent['id']}' 'bookable' must be a "
+                                "boolean", file=path)
             entities.append(Entity(
                 id=normalize(ent["id"]),
                 name=normalize(ent["name"]),
@@ -251,22 +255,6 @@ def _parse_db(path: str) -> dict[str, Domain]:
             ))
         domains[name] = Domain(name=name, slot_schema=schema, entities=tuple(entities))
     return domains
-
-
-def _parse_docs(path: str) -> list[dict]:
-    raw = read_json(path)
-    expect(isinstance(raw, list), "doc-base file must be a JSON array", path)
-    records = []
-    for k, rec in enumerate(raw):
-        expect(isinstance(rec, dict), f"document #{k} must be an object", path)
-        for key in ("domain", "entity_id", "doc_id", "title", "body"):
-            expect(isinstance(rec.get(key), str), f"document #{k} missing '{key}'", path)
-        # an index row holds the doc_id between tabs, on one line
-        doc_id = rec["doc_id"] = rec["doc_id"].strip()
-        expect(is_one_field(doc_id),
-               f"document #{k} 'doc_id' is blank or holds a tab or line break", path)
-        records.append(rec)
-    return records
 
 
 def _locate_owner(domain: Domain, ref: str, record_no: int, path: str) -> Entity | None:
@@ -283,18 +271,31 @@ def _locate_owner(domain: Domain, ref: str, record_no: int, path: str) -> Entity
 
 
 def _fuse(domains: dict[str, Domain], doc_source: str) -> dict[str, Domain]:
-    """``domains`` with every document of ``doc_source`` attached to its entity."""
+    """``domains`` with every document of ``doc_source`` attached to its entity, each
+    record checked, resolved and attached in one walk of the file."""
+    raw = read_json(doc_source)
+    if not isinstance(raw, list):
+        raise LoadError("doc-base file must be a JSON array", file=doc_source)
     attached: dict[tuple[str, str], list[Document]] = {}
     orphans = []
-    for k, rec in enumerate(_parse_docs(doc_source)):
-        dom_name = normalize(rec["domain"])
-        ref = normalize(rec["entity_id"])
+    for k, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise LoadError(f"document #{k} must be an object", file=doc_source)
+        for key in ("domain", "entity_id", "doc_id", "title", "body"):
+            if not isinstance(rec.get(key), str):
+                raise LoadError(f"document #{k} missing '{key}'", file=doc_source)
+        # an index row holds the doc_id between tabs, on one line
+        doc_id = rec["doc_id"].strip()
+        if not is_one_field(doc_id):
+            raise LoadError(f"document #{k} 'doc_id' is blank or holds a tab or line break",
+                            file=doc_source)
+        dom_name, ref = normalize(rec["domain"]), normalize(rec["entity_id"])
         domain = domains.get(dom_name)
         owner = _locate_owner(domain, ref, k, doc_source) if domain is not None else None
         if owner is None:
             orphans.append((dom_name, ref))
             continue
-        doc = Document(doc_id=rec["doc_id"], title=rec["title"], body=rec["body"])
+        doc = Document(doc_id=doc_id, title=rec["title"], body=rec["body"])
         attached.setdefault((dom_name, owner.id), []).append(doc)
     if orphans:
         listed = ", ".join(f"({d!r}, {e!r})" for d, e in orphans)

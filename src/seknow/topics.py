@@ -29,7 +29,7 @@ from itertools import chain, repeat
 from operator import mul, truediv
 
 from .errors import ConfigError, IndexingError, LoadError
-from .kb import KnowledgeBase, expect, read_json
+from .kb import KnowledgeBase, read_json
 from .text import (load_stopwords, normalize, open_input, open_output, stopwords_digest,
                    tokenize)
 
@@ -221,33 +221,37 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
             if not 1 <= len(topics) <= MAX_TOPICS:
                 raise LoadError(f"{len(topics)} topic words (expected 1-{MAX_TOPICS})",
                                 file=path, line=lineno)
-            expect(all(tw.token.strip() for tw in topics), "empty topic word", path, lineno)
+            if not all(tw.token.strip() for tw in topics):
+                raise LoadError("empty topic word", file=path, line=lineno)
             key = (parts[0], parts[1], parts[2])
             if key in entries:
                 raise LoadError(f"duplicate row ({', '.join(key)})", file=path, line=lineno)
             if doc_ids is not None:
-                row = f"row ({', '.join(key)})"
                 ids = doc_ids.get(key[:2])
-                expect(ids is not None, f"{row} names no entity of the knowledge base",
-                       path, lineno)
-                expect(not with_docs or key[2] in ids,
-                       f"{row} names no document of that entity", path, lineno)
+                if ids is None:
+                    raise LoadError(f"row ({', '.join(key)}) names no entity of the knowledge "
+                                    "base", file=path, line=lineno)
+                if with_docs and key[2] not in ids:
+                    raise LoadError(f"row ({', '.join(key)}) names no document of that entity",
+                                    file=path, line=lineno)
             entries[key] = topics
     thresholds: dict[str, float] = {}
     digest = ""
     meta = sidecar_path(path)
     if os.path.exists(meta):
         raw = read_json(meta)
-        expect(isinstance(raw, dict), "sidecar must be a JSON object", meta)
+        if not isinstance(raw, dict):
+            raise LoadError("sidecar must be a JSON object", file=meta)
         raw_thresholds = raw.get("thresholds", {})
         # the bound refuses NaN, the infinities and ints too large for a float
-        expect(isinstance(raw_thresholds, dict)
-               and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                       for v in raw_thresholds.values()),
-               "'thresholds' must map domain names to finite numbers", meta)
+        if not (isinstance(raw_thresholds, dict)
+                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                        for v in raw_thresholds.values())):
+            raise LoadError("'thresholds' must map domain names to finite numbers", file=meta)
         thresholds = {k: float(v) for k, v in raw_thresholds.items()}
         digest = raw.get("stopwords_sha256", "")
-        expect(isinstance(digest, str), "'stopwords_sha256' must be a string", meta)
+        if not isinstance(digest, str):
+            raise LoadError("'stopwords_sha256' must be a string", file=meta)
         if digest and digest != stopwords_digest():
             raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest}, "
                               f"but the list in effect has {stopwords_digest()}")

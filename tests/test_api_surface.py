@@ -337,3 +337,27 @@ def test_every_field_is_read():
     assert unread_fields() == []
     only_serialized = {name.rpartition(".")[0] for name in unread_fields(serialized=())}
     assert sorted(only_serialized) == sorted(SERIALIZED)  # no stale entry
+
+
+def raise_unless_wrappers() -> list[str]:
+    """``module.function`` of each function in ``src/seknow`` whose body, after its
+    docstring, is one ``if`` on its arguments, with no ``else``, that only raises. Such a
+    wrapper formats its caller's message before the check runs; the caller raises where it
+    checks. A record's ``__post_init__`` checks only ``self``, so it is no such wrapper."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body[ast.get_docstring(node) is not None:]
+            if not (len(body) == 1 and isinstance(body[0], ast.If) and not body[0].orelse
+                    and all(isinstance(s, ast.Raise) for s in body[0].body)):
+                continue
+            params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} - {"self"}
+            if any(isinstance(n, ast.Name) and n.id in params for n in ast.walk(body[0].test)):
+                found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+def test_no_function_only_raises_unless_a_check_holds():
+    assert raise_unless_wrappers() == []

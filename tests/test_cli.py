@@ -133,7 +133,9 @@ def test_unknown_flag_is_usage_error():
     ["-v", "stats", "--corpus", str(TOY_CORPUS_PATH)],
     ["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH), "--index", str(GOLDEN_INDEX_PATH),
      "--corpus", str(TOY_CORPUS_PATH), "--workers", "1"],
-], ids=["verbose", "workers"])
+    ["--seed", "7", "eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+     "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH)],
+], ids=["verbose", "workers", "global-seed"])
 def test_retired_option_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -273,7 +275,7 @@ def test_corrupt_deterministic_bytes(tmp_path):
     # exercised below)
     out1, out2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
     for out in (out1, out2):
-        code = main(["--seed", "10", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
+        code = main(["corrupt", "--seed", "10", "--corpus", str(TOY_CORPUS_PATH),
                      "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -281,7 +283,7 @@ def test_corrupt_deterministic_bytes(tmp_path):
     assert len(records) == 18
     assert sum(1 for r in records if r["y_c"] == 0) == 9
     out3 = tmp_path / "c3.jsonl"
-    code = main(["--seed", "12", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
+    code = main(["corrupt", "--seed", "12", "--corpus", str(TOY_CORPUS_PATH),
                  "--out", str(out3)])
     assert code == 0
     assert out3.read_bytes() != out1.read_bytes()
@@ -289,7 +291,7 @@ def test_corrupt_deterministic_bytes(tmp_path):
 
 def test_corrupt_matches_golden(tmp_path):
     out = tmp_path / "c.jsonl"
-    assert main(["--seed", "10", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
+    assert main(["corrupt", "--seed", "10", "--corpus", str(TOY_CORPUS_PATH),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "golden_corrupt.jsonl").read_bytes()
 
@@ -297,7 +299,7 @@ def test_corrupt_matches_golden(tmp_path):
 def test_corrupt_single_valued_slot_errors(tmp_path, capsys):
     # seed 3 assigns a value corruption to a taxi turn; its only ontology
     # value has no alternative, which must surface as a corruption error
-    code = main(["--seed", "3", "corrupt", "--corpus", str(TOY_CORPUS_PATH),
+    code = main(["corrupt", "--seed", "3", "--corpus", str(TOY_CORPUS_PATH),
                  "--out", str(tmp_path / "c.jsonl")])
     assert code == 1
     assert capsys.readouterr().err == ("error: corruption: no slot of belief span "
@@ -328,7 +330,7 @@ def test_no_corrupted_sample_equals_its_original(tmp_path):
         succeeded = 0
         for seed in seeds:
             out = tmp_path / "c.jsonl"
-            if main(["--seed", str(seed), "corrupt", "--corpus", str(corpus),
+            if main(["corrupt", "--seed", str(seed), "--corpus", str(corpus),
                      "--out", str(out)]) != 0:
                 continue
             succeeded += 1
@@ -343,7 +345,7 @@ def test_no_corrupted_sample_equals_its_original(tmp_path):
 def test_eval_out_records_its_inputs(tmp_path, capsys):
     index = build_index(tmp_path)
     out = tmp_path / "r.json"
-    code = main(["--seed", "7", "eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+    code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
                  "--index", str(index), "--corpus", str(TOY_CORPUS_PATH),
                  "--predictor", "heuristic", "--out", str(out)])
     assert code == 0
@@ -361,7 +363,6 @@ def test_eval_out_records_its_inputs(tmp_path, capsys):
         "stopwords_sha256": sha256(PACKAGED_STOPWORDS),
         "templates_sha256": sha256(PACKAGED_TEMPLATES),
         "predictor": "heuristic",
-        "seed": 7,
     }
     table = capsys.readouterr().out
     assert "Joint Goal" in table and "Combined" in table
@@ -595,6 +596,11 @@ def _bad_input(target, content, detail=""):
     return case
 
 
+def _refused(target, content, detail):
+    """As :func:`_bad_input`, with ``detail`` the whole rest of the error line."""
+    return _bad_input(target, content, f" {detail}\n")
+
+
 def _bad_output(command):
     """Point one subcommand's --out into a directory that does not exist."""
     def case(files, tmp_path):
@@ -604,16 +610,16 @@ def _bad_output(command):
         argv = {"build-index": ["build-index", *kb, *TOY_THRESHOLD_FLAGS],
                 "run": ["run", *kb, "--index", str(GOLDEN_INDEX_PATH), *corpus],
                 "eval": eval_argv(files),
-                "corrupt": ["--seed", "10", "corrupt", *corpus]}[command]
+                "corrupt": ["corrupt", "--seed", "10", *corpus]}[command]
         return [*argv, "--out", str(out)], f"error: config: {out}: "
     return case
 
 
-def _doc_outside_ruk_domain() -> bytes:
-    """The toy corpus with its first knowledge turn's document moved to another domain."""
+def _doc_outside_ruk_domain(domain: str) -> bytes:
+    """The toy corpus with its first knowledge turn's document moved to ``domain``."""
     first, *rest = TOY_CORPUS_PATH.read_text("utf-8").splitlines()
     dialog = json.loads(first)
-    dialog["turns"][2]["doc"] = {"domain": "restaurant", "entity_id": "pizza hut", "doc_id": "d1"}
+    dialog["turns"][2]["doc"] = {"domain": domain, "entity_id": "pizza hut", "doc_id": "d1"}
     return "\n".join([json.dumps(dialog), *rest, ""]).encode()
 
 
@@ -640,7 +646,7 @@ def _db_with_string_bookable() -> bytes:
     return json.dumps(db).encode()
 
 
-def _with_escape(source: Path, mutate) -> bytes:
+def _json_edit(source: Path, mutate) -> bytes:
     """The JSON file at ``source`` after ``mutate``, written with ASCII escapes."""
     value = json.loads(source.read_text("utf-8"))
     mutate(value)
@@ -656,7 +662,7 @@ def _corpus_with_escape(escape: str) -> bytes:
 
 LONE_SURROGATE = "is not valid Unicode text"
 NOT_UTF8 = b"\xff\xfe"
-# each case builds (argv, expected prefix of the one stderr line)
+# each case builds (argv, expected prefix of stderr, which is one line)
 BAD_FILES = {
     **{f"{target}-not-utf8": _bad_input(target, NOT_UTF8)
        for target in ("db", "docs", "corpus", "goals", "index", "templates")},
@@ -681,15 +687,15 @@ BAD_FILES = {
         "goals", b'{"nope": {"restaurant": {"constraints": {"food": "italian"}}}}',
         " goal for dialog 'nope' names no dialog of the corpus"),
     "corpus-doc-outside-ruk-domain": _bad_input(
-        "corpus", _doc_outside_ruk_domain(),
+        "corpus", _doc_outside_ruk_domain("restaurant"),
         "1: dialog 'dlg0000' turn 2: document annotation in domain 'restaurant' but the ruk "
         "triple is in domain 'hotel'"),
     "db-lone-surrogate": _bad_input(
-        "db", _with_escape(
-            DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"].update(food="\ud800")),
+        "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"]
+                         .update(food="\ud800")),
         f" the lone surrogate escape \\ud800 {LONE_SURROGATE}"),
     "docs-lone-surrogate": _bad_input(
-        "docs", _with_escape(DOCS_PATH, lambda docs: docs[0].update(body="\udc80")),
+        "docs", _json_edit(DOCS_PATH, lambda docs: docs[0].update(body="\udc80")),
         f" the lone surrogate escape \\udc80 {LONE_SURROGATE}"),
     "corpus-lone-surrogate": _bad_input(
         "corpus", _corpus_with_escape("\\uDFFF"),
@@ -701,8 +707,47 @@ BAD_FILES = {
         "sidecar", b'{"thresholds": {"\\udbff": 1.0}}',
         f" the lone surrogate escape \\udbff {LONE_SURROGATE}"),
     "sidecar-broken-json": _bad_input("sidecar", b"{"),
-    "sidecar-array": _bad_input("sidecar", b"[]"),
-    "sidecar-threshold-not-number": _bad_input("sidecar", b'{"thresholds": {"hotel": "x"}}'),
+    "sidecar-array": _refused("sidecar", b"[]", "sidecar must be a JSON object"),
+    "sidecar-threshold-not-number": _refused(
+        "sidecar", b'{"thresholds": {"hotel": "x"}}',
+        "'thresholds' must map domain names to finite numbers"),
+    "sidecar-digest-not-string": _refused(
+        "sidecar", b'{"stopwords_sha256": 7}', "'stopwords_sha256' must be a string"),
+    "db-not-object": _refused("db", b"[]", "db file must be a JSON object keyed by domain"),
+    "db-empty-domain-name": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db.update({" ": {}})), "empty domain name"),
+    "db-duplicate-domain": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db.update({" Hotel ": {}})),
+        "duplicate domain 'hotel'"),
+    "db-domain-not-object": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db.update(attraction=[])),
+        "domain 'attraction' must be an object"),
+    "db-slots-not-strings": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["hotel"].update(slots=["area", 7])),
+        "domain 'hotel': 'slots' must be an array of strings"),
+    "db-entities-not-array": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["train"].update(entities={})),
+        "domain 'train': 'entities' must be an array"),
+    "db-entity-not-object": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["taxi"]["entities"].insert(0, "cab")),
+        "domain 'taxi': entity #0 must be an object"),
+    "db-entity-blank-id": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["hotel"]["entities"][1].update(id=" ")),
+        "domain 'hotel': entity #1 missing 'id'"),
+    "db-entity-without-name": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][2].pop("name")),
+        "domain 'restaurant': entity #2 missing 'name'"),
+    "db-attribute-not-string": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"]
+                         .update(stars=4)),
+        "domain 'restaurant': entity 'pizza hut' attributes must map strings to strings"),
+    "docs-not-array": _refused("docs", b"{}", "doc-base file must be a JSON array"),
+    "docs-record-not-object": _refused(
+        "docs", _json_edit(DOCS_PATH, lambda docs: docs.insert(1, 7)),
+        "document #1 must be an object"),
+    "docs-record-without-title": _refused(
+        "docs", _json_edit(DOCS_PATH, lambda docs: docs[3].pop("title")),
+        "document #3 missing 'title'"),
     **{f"sidecar-threshold-{value.decode()}": _bad_input(
         "sidecar", b'{"thresholds": {"hotel": %s}}' % value,
         " 'thresholds' must map domain names to finite numbers")
@@ -720,12 +765,23 @@ def test_bad_file_is_one_error_line(tmp_path, capsys, eval_files, case):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(prefix)
+    assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", ["stats", "corrupt"])
+def test_annotation_domain_with_a_line_break_is_one_error_line(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(_doc_outside_ruk_domain("a\nb"))
+    out = ["--out", str(tmp_path / "c.jsonl")] if command == "corrupt" else []
+    assert main([command, "--corpus", str(corpus), *out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: load: {corpus}:1: dialog 'dlg0000' turn 2: document annotation in domain "
+        "'a\\nb' but the ruk triple is in domain 'hotel'"]
 
 
 def test_escaped_surrogate_pair_loads(capsys, eval_files):
     # a valid pair decodes to one code point; ensure_ascii writes the emoji as one
-    eval_files["docs"].write_bytes(_with_escape(
+    eval_files["docs"].write_bytes(_json_edit(
         DOCS_PATH, lambda docs: docs[0].update(body=docs[0]["body"] + " \U0001F600")))
     eval_files["corpus"].write_bytes(_corpus_with_escape("\\ud83d\\ude00 "))
     assert b"\\ud83d\\ude00" in eval_files["docs"].read_bytes()
@@ -790,6 +846,17 @@ def test_chat_reads_an_undecodable_stdin_byte(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
         io.BytesIO(b"i want a hotel \xff in the north\n"), encoding="utf-8",
         errors="surrogateescape"))
+    code = main(["chat", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH)])
+    assert code == 0
+    assert capsys.readouterr().out == "i found 1 options . golden wok is a nice choice .\n"
+
+
+def test_chat_reads_an_undecodable_stdin_byte_from_a_strict_stdin(capsys, monkeypatch):
+    import io
+    # outside the C and POSIX locales stdin decodes strictly, and b"\xff" would raise
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"i want a hotel \xff in the north\n"), encoding="utf-8", errors="strict"))
     code = main(["chat", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
                  "--index", str(GOLDEN_INDEX_PATH)])
     assert code == 0

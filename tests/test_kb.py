@@ -78,6 +78,22 @@ def test_fusion_ambiguous_name(tmp_path):
     assert err.value.file == docs
 
 
+def test_ambiguous_reference_is_refused_at_its_record(tmp_path):
+    # the doc base is walked once, so a later record's fault is never reached
+    db = write_json(tmp_path / "db.json", {
+        "hotel": {"slots": ["name"], "entities": [
+            {"id": "h1", "name": "twin lodge", "attributes": {}},
+            {"id": "h2", "name": "twin lodge", "attributes": {}}]}})
+    docs = write_json(tmp_path / "docs.json", [
+        {"domain": "hotel", "entity_id": "h1", "doc_id": "a", "title": "t", "body": "b"},
+        {"domain": "hotel", "entity_id": "Twin Lodge", "doc_id": "b", "title": "t", "body": "b"},
+        {"domain": "hotel", "entity_id": "h2", "doc_id": "c", "body": "b"}])
+    with pytest.raises(LoadError) as err:
+        load_knowledge_base(db, docs)
+    assert str(err.value) == (f"{docs}: document #1: entity reference 'twin lodge' is ambiguous "
+                              "in domain 'hotel' (2 entities share that name)")
+
+
 def test_schema_violation_names_file(tmp_path):
     db = write_json(tmp_path / "db.json", {"hotel": {"slots": "oops", "entities": []}})
     with pytest.raises(LoadError) as err:
