@@ -185,7 +185,7 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
     if toks[i] == TOPIC_SEPARATOR:
         if not topic:
             raise ParseError("empty topic segment", _offset(text, i + 1))
-        for k, token in enumerate(topic, start=i + 2):
+        for k, token in enumerate(topic, start=i + 1):
             if token in _RESERVED:
                 raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
         if ruk_domain(latest) is None:

@@ -110,6 +110,14 @@ class Domain:
             first.setdefault(key, ent)
         return first
 
+    @cached_property
+    def keys_by_length(self) -> dict[int, list[tuple[int, str, Entity]]]:
+        """Key length -> its :attr:`match_keys` entries, each with its position there."""
+        groups: dict[int, list[tuple[int, str, Entity]]] = {}
+        for pos, (key, ent) in enumerate(self.match_keys):
+            groups.setdefault(len(key), []).append((pos, key, ent))
+        return groups
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:

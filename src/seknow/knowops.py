@@ -16,10 +16,11 @@ The steps read lookups built on first use. Each :class:`~seknow.kb.Domain`
 holds per-(slot, value) postings, bitmasks over the id order, which the query
 ANDs when the domain's constraints differ from its last query's; and its
 pre-normalized names and ids, with a map from each to the first entity
-having it. The entity match takes a query equal to a key from that
-map, since only equal strings score 1.0; otherwise it scans the keys and
-skips one whose length bound ``2 * min(len) / (len + len)`` cannot beat the
-best score so far. The document ranking reads each entity's normalized
+having it, and the keys grouped by length. The entity match takes a query
+equal to a key from that map, since only equal strings score 1.0; otherwise
+it scans one key length at a time, by non-increasing bound ``2 * min(len) /
+(len + len)``, until a bound cannot reach the best score (Ukkonen 1992's
+length filter). The document ranking reads each entity's normalized
 space-joined topic words from :meth:`~seknow.topics.TopicIndex.entity_docs`.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .belief import ExtendedBeliefState
 from .errors import QueryError
@@ -136,9 +138,10 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | Non
     Only the single best-matched entity is selected; ties break by ascending
     id, and a best score below :data:`MATCH_FLOOR` returns None. Only equal strings
     score 1.0, so a query equal to some key takes the first entity in id
-    order that has it (``Domain.first_by_key``) without a scan. Otherwise a
-    key is skipped when its length bound ``2 * min / (len + len)``, which no
-    LCS ratio exceeds, cannot beat the best score so far.
+    order that has it (``Domain.first_by_key``) without a scan. Otherwise key
+    lengths ``L`` are scanned by non-increasing bound ``2 * min(n, L) / (n + L)``
+    until one is below the best score; an equal bound can only tie, so only
+    its keys before the best one in ``Domain.match_keys`` are scanned.
     """
     query = normalize(ruk_value)
     dom = kb.domain(domain)
@@ -147,14 +150,18 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | Non
         return exact
     n, masks = len(query), _lcs_masks(query)
     best: Entity | None = None
-    best_score = -1.0
-    for key, ent in dom.match_keys:
-        total = n + len(key)
-        if _ratio(min(n, len(key)), total) <= best_score:
-            continue
-        score = _ratio(_lcs_scan(masks, n, key), total)
-        if score > best_score:
-            best, best_score = ent, score
+    best_score, best_pos = -1.0, 0
+    for bound, total, keys in sorted(((_ratio(min(n, length), n + length), n + length, keys)
+                                      for length, keys in dom.keys_by_length.items()),
+                                     key=itemgetter(0), reverse=True):
+        if bound < best_score:
+            break
+        for pos, key, ent in keys:
+            if bound == best_score and pos > best_pos:
+                break
+            score = _ratio(_lcs_scan(masks, n, key), total)
+            if score > best_score or score == best_score and pos < best_pos:
+                best, best_score, best_pos = ent, score, pos
     if best is None or best_score < MATCH_FLOOR:
         return None
     return best
@@ -185,7 +192,7 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
         scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
                                         doc_id=doc_id, body=bodies.get(doc_id, ""),
                                         score=score))
-    scored.sort(key=lambda d: (-d.score, d.doc_id))
+    scored.sort(key=attrgetter("score"), reverse=True)  # stable: entity_docs is in doc_id order
     return scored
 
 

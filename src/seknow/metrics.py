@@ -12,7 +12,8 @@ score is ``(inform + success) * 0.5 + bleu``.
 :func:`evaluate_corpus` takes a corpus and goals the loaders have checked
 against the knowledge base and index (:func:`seknow.corpus.load_corpus`). It
 scores each dialog as it finishes and keeps only per-metric counts and scores
-(per-turn METEOR and ROUGE-L), not turn outputs.
+(per-turn METEOR and ROUGE-L), not turn outputs. An oracle eval parses each
+gold span once: its predictor and the scoring share the last dialog's states.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 
-from .belief import joint_goal_match, parse_belief_span, prf_counts
+from .belief import ExtendedBeliefState, joint_goal_match, parse_belief_span, prf_counts
 from .corpus import Dialog, DialogCorpus, DomainGoal
 from .errors import ConfigError, EvaluationError, MetricError
 from .kb import KnowledgeBase
@@ -297,10 +298,21 @@ def inform_success(outputs: Sequence[TurnOutput], goal: Mapping[str, DomainGoal]
 
 PredictorFactory = Callable[[Dialog], Predictor]
 
+_last_gold: tuple = (None, ())  # (dialog, its gold states), replaced whole by one assignment
+
+
+def _gold_states(dialog: Dialog) -> tuple[ExtendedBeliefState, ...]:
+    """Parsed gold states of ``dialog``; the last dialog's are kept, matched by identity."""
+    global _last_gold
+    last = _last_gold
+    if last[0] is not dialog:
+        _last_gold = last = (dialog, tuple(parse_belief_span(t.gold_belief_span)
+                                           for t in dialog.turns))
+    return last[1]
+
 
 def oracle_factory(dialog: Dialog) -> Predictor:
-    golds = [parse_belief_span(t.gold_belief_span) for t in dialog.turns]
-    return make_oracle_predictor(golds)
+    return make_oracle_predictor(_gold_states(dialog))
 
 
 def heuristic_factory(kb: KnowledgeBase, index: TopicIndex) -> PredictorFactory:
@@ -357,8 +369,7 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
     judged: list[tuple[bool, bool]] = []
     for dialog in corpus.dialogs:
         outputs = run_dialog(dialog, predictor, generator, kb, index)
-        for turn, out in zip(dialog.turns, outputs):
-            gold = parse_belief_span(turn.gold_belief_span)
+        for turn, out, gold in zip(dialog.turns, outputs, _gold_states(dialog)):
             prf = [a + b for a, b in zip(prf, prf_counts(out.belief, gold), strict=True)]
             if turn.doc_annotation is None:
                 joint_turns += 1

@@ -443,10 +443,9 @@ def oracle_parse_belief_span(text: str):
         if toks.peek() is None:
             raise ParseError("empty topic segment", toks.offset())
         while toks.peek() is not None:
-            token = toks.take()
-            if token in _RESERVED:
-                raise ParseError(f"reserved token '{token}' in topic", toks.offset())
-            topic.append(token)
+            if toks.peek() in _RESERVED:
+                raise ParseError(f"reserved token '{toks.peek()}' in topic", toks.offset())
+            topic.append(toks.take())
     return _oracle_canonical_state(triples, topic, toks.end_offset)
 
 

@@ -112,6 +112,14 @@ def test_parse_empty_topic_segment():
         parse_belief_span("restaurant { ruk = pizza hut } ||")
 
 
+def test_parse_reserved_token_in_topic_reports_its_own_offset():
+    text = "hotel { ruk = acorn } || a { b"
+    for parse in (parse_belief_span, oracle_parse_belief_span):
+        with pytest.raises(ParseError, match="reserved token '{' in topic") as err:
+            parse(text)
+        assert err.value.offset == text.index("{", 20)
+
+
 def test_parse_refuses_text_that_is_not_utf8():
     text = "restaurant { area = \udcff }"
     with pytest.raises(ParseError, match="not valid UTF-8") as err:

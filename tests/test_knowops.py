@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from oracles import (
     oracle_lcs_length,
     oracle_match_entity,
 )
+from seknow import knowops
 from seknow.belief import make_state, parse_belief_span
 from seknow.corpus import DomainGoal
 from seknow.errors import DomainNotFoundError, QueryError
@@ -28,6 +32,13 @@ from seknow.pipeline import TurnOutput
 from seknow.topics import TopicIndex, TopicWord, read_index
 
 from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+sys.dont_write_bytecode, _write_bytecode = True, sys.dont_write_bytecode  # no __pycache__ there
+
+import inputs  # noqa: E402
+
+sys.dont_write_bytecode = _write_bytecode
 
 
 def rand_kb(rng: random.Random, n_entities: int, domain: str = "restaurant"):
@@ -411,6 +422,81 @@ def test_match_entity_equals_bruteforce_on_unnormalized_keys():
     assert shared > 10
 
 
+def _edit(rng: random.Random, key: str) -> str:
+    """``key`` with one to three seeded deletions, insertions or substitutions."""
+    chars = list(key)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.choice(["delete", "insert", "substitute"] if i < len(chars) else ["insert"])
+        if op == "delete":
+            del chars[i]
+        elif op == "insert":
+            chars.insert(i, rng.choice("abcdefghijklmnopqrstuvwxyz "))
+        else:
+            chars[i] = rng.choice("abcdefghijklmnopqrstuvwxyz ")
+    return "".join(chars)
+
+
+def test_match_entity_equals_bruteforce_on_edited_benchmark_names(tmp_path):
+    db, docs = inputs.make_kb(7, {"restaurant": 12, "hotel": 6, "attraction": 6}, 4)
+    (tmp_path / "db.json").write_text(json.dumps(db), encoding="utf-8")
+    (tmp_path / "docs.json").write_text(json.dumps(docs), encoding="utf-8")
+    kb = load_knowledge_base(str(tmp_path / "db.json"), str(tmp_path / "docs.json"))
+    rng = random.Random(2705)
+    inexact = matched = 0
+    for name, domain in kb.domains.items():
+        entities = list(domain.entities)
+        for ent in entities:
+            for key in (ent.name, ent.id):
+                for _ in range(8):
+                    query = _edit(rng, key)
+                    got = match_entity(kb, name, query)
+                    expected = oracle_match_entity(entities, query, MATCH_FLOOR)
+                    assert (got.id if got else None) == expected, (name, query)
+                    inexact += " ".join(query.split()) not in domain.first_by_key
+                    matched += expected is not None
+    assert inexact > 350 and matched > 300, (inexact, matched)
+
+
+def test_match_entity_tie_across_lengths_goes_to_the_earlier_key():
+    # 2 * 5 / (6 + 9) == 2 * 4 / (6 + 6): the length-6 key is scanned first (bound 1.0,
+    # against 0.8 for length 9), yet the length-9 key comes first in id order and wins
+    longer = Entity(id="abcdexyzw", name="abcdexyzw", attributes={})
+    shorter = Entity(id="abcdzz", name="abcdzz", attributes={})
+    kb = KnowledgeBase(domains={"hotel": Domain(
+        name="hotel", slot_schema=frozenset({"name"}), entities=(shorter, longer))})
+    assert fuzzy_similarity("abcdef", longer.id) == fuzzy_similarity("abcdef", shorter.id)
+    assert fuzzy_similarity("abcdef", longer.id) == 2 / 3
+    assert match_entity(kb, "hotel", "abcdef") is longer
+    assert oracle_match_entity([shorter, longer], "abcdef", MATCH_FLOOR) == longer.id
+
+
+def test_match_entity_scans_an_equal_bound_length_up_to_the_best_key():
+    # "bcde" (length 4) and "abcdefxyz" (length 9) both score 0.8, their lengths' shared
+    # bound; length 4 is scanned first, but the length-9 key is earlier in id order
+    keys = ("0zzz", "abcdefxyz", "bcde")
+    kb = KnowledgeBase(domains={"hotel": Domain(
+        name="hotel", slot_schema=frozenset({"name"}),
+        entities=tuple(Entity(id=key, name=key, attributes={}) for key in keys))})
+    assert list(kb.domains["hotel"].keys_by_length) == [4, 9]
+    assert fuzzy_similarity("abcdef", "bcde") == fuzzy_similarity("abcdef", "abcdefxyz") == 0.8
+    assert match_entity(kb, "hotel", "abcdef").id == "abcdefxyz"
+
+
+def test_match_entity_stops_at_the_first_length_that_cannot_reach_the_best(monkeypatch):
+    keys = ("abc", "abcdef", "abcdefghi", "abcdefghijkl", "xbcdef", "abcdefghijklmnopqrst")
+    kb = KnowledgeBase(domains={"hotel": Domain(
+        name="hotel", slot_schema=frozenset({"name"}),
+        entities=tuple(Entity(id=key, name=key, attributes={}) for key in keys))})
+    scanned = []
+    scan = knowops._lcs_scan
+    monkeypatch.setattr(knowops, "_lcs_scan",
+                        lambda masks, n, key: scanned.append(key) or scan(masks, n, key))
+    # "abcdef" scores 2 * 5 / 12 > 0.8, the bound of every other length: only length 6 is scanned
+    assert match_entity(kb, "hotel", "abcdeg").id == "abcdef"
+    assert scanned == ["abcdef", "xbcdef"]
+
+
 def test_retrieve_document_ranks_exact_topic_first(toy_kb, toy_index):
     entity = toy_kb.entity("restaurant", "pizza hut")
     ranked = retrieve_document(toy_index, "restaurant", entity, ["favorite"])
@@ -447,6 +533,20 @@ def test_retrieve_document_matches_exhaustive_sort():
             key=lambda pair: (-pair[1], pair[0]))
         assert [(d.doc_id, pytest.approx(d.score)) for d in ranked] == expected
         assert ranked[0].score == max(d.score for d in ranked)
+
+
+def test_retrieve_document_breaks_score_ties_by_doc_id():
+    # entries inserted out of doc_id order; d1 and d3 share their topic words
+    index = TopicIndex(entries={("restaurant", "e", doc_id): tuple(map(TopicWord, words))
+                                for doc_id, words in (("d3", ("free", "parking")),
+                                                      ("d2", ("wifi",)),
+                                                      ("d1", ("free", "parking")))},
+                       thresholds={"restaurant": 1.0})
+    entity = Entity(id="e", name="e", attributes={}, documents=tuple(
+        Document(f"d{k}", "t", "body") for k in (3, 1, 2)))
+    ranked = retrieve_document(index, "restaurant", entity, ["parking"])
+    assert [d.doc_id for d in ranked] == ["d1", "d3", "d2"]
+    assert ranked[0].score == ranked[1].score > ranked[2].score
 
 
 def test_knowledge_operation_without_ruk(toy_kb, toy_index):

@@ -11,7 +11,7 @@ from oracles import (
     oracle_lcs_length,
     oracle_meteor,
 )
-from seknow import knowops
+from seknow import knowops, metrics
 from seknow.corpus import (
     CorpusSpec,
     Dialog,
@@ -378,6 +378,17 @@ def test_unchanged_constraints_skip_matching_in_oracle_eval(monkeypatch, matchin
     unchanged = [n for (now, n), (before, _) in zip(turns[1:], turns) if now and now == before]
     assert len(unchanged) >= 3 and not any(unchanged)
     assert any(n for _, n in turns)
+
+
+def test_oracle_eval_parses_each_gold_span_once(monkeypatch, toy_kb, toy_index):
+    corpus = load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)  # new dialogs: no memo hit
+    calls = []
+    parse = metrics.parse_belief_span
+    monkeypatch.setattr(metrics, "parse_belief_span",
+                        lambda text: calls.append(text) or parse(text))
+    evaluate(corpus, toy_kb, toy_index, "oracle")
+    assert len(calls) == sum(len(d.turns) for d in corpus.dialogs)
+    assert calls == [t.gold_belief_span for d in corpus.dialogs for t in d.turns]
 
 
 def test_informed_but_missing_requestable(toy_kb, toy_index):
