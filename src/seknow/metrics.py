@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 
@@ -85,16 +85,12 @@ class MetricsReport:
     extended_prf: ExtendedPrf
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        return _round_floats(data)
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 4)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    return obj
+        """Every field by name, in field order, each number rounded to 4 places."""
+        data = {name: round(value, 4) for name, value in vars(self).items()
+                if name != "extended_prf"}
+        data["extended_prf"] = {name: {k: round(v, 4) for k, v in vars(prf).items()}
+                                for name, prf in vars(self.extended_prf).items()}
+        return data
 
 
 def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[int]:

@@ -12,7 +12,9 @@ topic word.
 TF-IDF here is the unsmoothed textbook form: raw term count times
 ``ln(N / df)`` with ``N`` the number of documents in the domain and ``df``
 the number of those documents containing the token. A document's token
-stream is its title and body tokenized as one text, title first.
+stream is its title and body tokenized as one text, title first; it is
+scored once, as its distinct tokens in first-occurrence order with aligned
+scores, and one stable sort of their positions by score ranks the candidates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import mul, truediv
 
@@ -77,33 +79,33 @@ class TopicIndex:
         return [(doc_id, topics) for doc_id, topics, _ in self.entity_docs(domain, entity_id)]
 
 
-def compute_tfidf(doc_tokens: Mapping) -> dict[object, dict[str, float]]:
+def compute_tfidf(doc_tokens: Mapping) -> dict[object, tuple[tuple[str, ...], list[float]]]:
     """Score every token of every document of one domain.
 
     ``doc_tokens`` maps an opaque document key to its token stream; the
-    result maps that key to ``{token: tf * ln(N / df)}`` with raw counts,
-    tokens in first-occurrence order. A token present in every document
-    scores zero.
+    result maps that key to two aligned sequences: the document's distinct
+    tokens in first-occurrence order, and each one's ``tf * ln(N / df)`` with
+    raw counts. A token present in every document scores zero.
     """
     counts = [Counter(tokens) for tokens in doc_tokens.values()]
     df = Counter(chain.from_iterable(counts))
     idf = dict(zip(df, map(math.log, map(truediv, repeat(len(counts)), df.values()))))
-    return {key: dict(zip(tf, map(mul, tf.values(), map(idf.__getitem__, tf))))
+    return {key: (tuple(tf), list(map(mul, tf.values(), map(idf.__getitem__, tf))))
             for key, tf in zip(doc_tokens, counts)}
 
 
 def extract_candidates(tokens: Sequence[str],
-                       scores: Mapping[str, float]) -> list[tuple[str, float]]:
+                       scores: Sequence[float]) -> list[tuple[str, float]]:
     """Top three ``(token, tfidf)`` pairs of one document.
 
-    ``scores`` must score every token. Ties break by earlier first occurrence
-    in the token stream: the sort is stable and runs over the distinct tokens
-    in that order.
+    ``tokens`` and ``scores`` are one document's aligned sequences from
+    :func:`compute_tfidf`. Ties break by earlier first occurrence: the stable
+    sort ranks positions, which follow that order.
     """
     if not tokens:
         raise IndexingError("document has no usable tokens")
-    ranked = sorted(dict.fromkeys(tokens), key=scores.__getitem__, reverse=True)
-    return [(token, scores[token]) for token in ranked[:MAX_TOPICS]]
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:MAX_TOPICS]
+    return [(tokens[i], scores[i]) for i in ranked]
 
 
 def compute_ca_tfidf(candidates: Mapping[object, Sequence[tuple[str, float]]],
@@ -136,6 +138,7 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
         raise ConfigError("stopwords passed to build_topic_index differ from the list "
                           f"in effect (sha256 {stopwords_digest()})")
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
+    topic_word = cache(TopicWord)  # one instance per distinct token
     for dom_name, domain in kb.domains.items():
         doc_tokens = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}", in_effect)
                       for ent in domain.entities for doc in ent.documents}
@@ -150,9 +153,9 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
 
         scores = compute_tfidf(doc_tokens)
         candidates: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        for key, tokens in doc_tokens.items():
+        for key, (tokens, tfidf) in scores.items():
             try:
-                candidates[key] = extract_candidates(tokens, scores[key])
+                candidates[key] = extract_candidates(tokens, tfidf)
             except IndexingError as exc:
                 raise IndexingError(
                     f"domain '{dom_name}' entity '{key[0]}' document '{key[1]}': "
@@ -163,7 +166,7 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
             kept = [token for token, _ in words if ca[token] >= threshold]
             if not kept:  # keep the best candidate so the doc stays indexed
                 kept = [words[0][0]]
-            entries[(dom_name, entity_id, doc_id)] = tuple(map(TopicWord, kept))
+            entries[(dom_name, entity_id, doc_id)] = tuple(map(topic_word, kept))
 
     used = {dom: float(thresholds[dom]) for dom in sorted(
         {key[0] for key in entries})}
@@ -208,6 +211,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
         for name, dom in kb.domains.items() for ent in dom.entities}
     with_docs = kb is not None and bool(kb.document_domains)
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
+    topic_word = cache(TopicWord)  # one instance per distinct token
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -217,7 +221,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
             if len(parts) != 4 or not parts[3]:
                 raise LoadError("expected 'domain\\tentity\\tdoc\\ttopics'",
                                 file=path, line=lineno)
-            topics = tuple(map(TopicWord, parts[3].split(",")))
+            topics = tuple(map(topic_word, parts[3].split(",")))
             if not 1 <= len(topics) <= MAX_TOPICS:
                 raise LoadError(f"{len(topics)} topic words (expected 1-{MAX_TOPICS})",
                                 file=path, line=lineno)
@@ -225,14 +229,14 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
                 raise LoadError("empty topic word", file=path, line=lineno)
             key = (parts[0], parts[1], parts[2])
             if key in entries:
-                raise LoadError(f"duplicate row ({', '.join(key)})", file=path, line=lineno)
+                raise LoadError(f"duplicate row {key}", file=path, line=lineno)
             if doc_ids is not None:
                 ids = doc_ids.get(key[:2])
                 if ids is None:
-                    raise LoadError(f"row ({', '.join(key)}) names no entity of the knowledge "
-                                    "base", file=path, line=lineno)
+                    raise LoadError(f"row {key} names no entity of the knowledge base",
+                                    file=path, line=lineno)
                 if with_docs and key[2] not in ids:
-                    raise LoadError(f"row ({', '.join(key)}) names no document of that entity",
+                    raise LoadError(f"row {key} names no document of that entity",
                                     file=path, line=lineno)
             entries[key] = topics
     thresholds: dict[str, float] = {}

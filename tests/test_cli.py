@@ -601,6 +601,12 @@ def _refused(target, content, detail):
     return _bad_input(target, content, f" {detail}\n")
 
 
+def _index_entity_edit(suffix: str) -> bytes:
+    """The golden index with ``suffix`` appended to the entity field of line 1."""
+    return GOLDEN_INDEX_PATH.read_bytes().replace(
+        b"acorn guest house\th1", f"acorn guest house{suffix}\th1".encode(), 1)
+
+
 def _bad_output(command):
     """Point one subcommand's --out into a directory that does not exist."""
     def case(files, tmp_path):
@@ -682,7 +688,14 @@ BAD_FILES = {
         "templates", _blank_hotel_offer(), "5: empty template text"),
     "index-duplicate-row": _bad_input(
         "index", GOLDEN_INDEX_PATH.read_bytes() + b"hotel\tacorn guest house\th1\tzzz\n",
-        "10: duplicate row (hotel, acorn guest house, h1)"),
+        "10: duplicate row ('hotel', 'acorn guest house', 'h1')"),
+    # str.splitlines breaks at \u2028 and \x85, so the row key is quoted as a repr
+    "index-entity-with-a-line-separator": _bad_input(
+        "index", _index_entity_edit("\u2028x"), "1: row ('hotel', 'acorn guest "
+        "house\\u2028x', 'h1') names no entity of the knowledge base\n"),
+    "index-entity-with-a-next-line": _bad_input(
+        "index", _index_entity_edit("\x85x"), "1: row ('hotel', 'acorn guest "
+        "house\\x85x', 'h1') names no entity of the knowledge base\n"),
     "goals-for-no-dialog": _bad_input(
         "goals", b'{"nope": {"restaurant": {"constraints": {"food": "italian"}}}}',
         " goal for dialog 'nope' names no dialog of the corpus"),
@@ -795,10 +808,11 @@ UNKNOWN_DOCUMENT = "restaurant\tpizza hut\td9\tpizza,menu"
 
 @pytest.mark.parametrize("row, docs, detail", [
     (UNKNOWN_ENTITY, True,
-     "row (restaurant, pizza palace, d1) names no entity of the knowledge base"),
+     "row ('restaurant', 'pizza palace', 'd1') names no entity of the knowledge base"),
     (UNKNOWN_ENTITY, False,
-     "row (restaurant, pizza palace, d1) names no entity of the knowledge base"),
-    (UNKNOWN_DOCUMENT, True, "row (restaurant, pizza hut, d9) names no document of that entity"),
+     "row ('restaurant', 'pizza palace', 'd1') names no entity of the knowledge base"),
+    (UNKNOWN_DOCUMENT, True,
+     "row ('restaurant', 'pizza hut', 'd9') names no document of that entity"),
     (UNKNOWN_DOCUMENT, False, None),  # a KB without documents leaves doc ids unchecked
 ], ids=["entity-with-docs", "entity-without-docs", "document-with-docs",
         "document-without-docs"])

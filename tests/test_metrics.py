@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -493,7 +494,12 @@ def test_evaluate_heuristic_matches_golden_report(toy_kb, toy_index):
     corpus = load_corpus(str(TOY_CORPUS_PATH))
     report = evaluate(corpus, toy_kb, toy_index, "heuristic")
     golden = json.loads(GOLDEN_REPORT_PATH.read_text("utf-8"))
-    assert report.to_dict() == golden
+    data = report.to_dict()
+    assert data == golden
+    assert list(data) == [f.name for f in fields(report)]  # keys in field order
+    assert [list(prf) for prf in data["extended_prf"].values()] == [
+        ["precision", "recall", "f1"]] * 2
+    assert list(data["extended_prf"]) == ["ruk", "topic"]
 
 
 def test_evaluate_workers_equivalent(toy_kb, toy_index):

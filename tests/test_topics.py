@@ -125,12 +125,13 @@ def random_tie_kb(rng: random.Random) -> tuple[KnowledgeBase, dict[str, float], 
 
 
 def kernel_scores(domain: Domain) -> tuple[dict, dict, dict[str, float]]:
-    """The kernels the build calls, on one domain: each document's TF-IDF scores and
-    candidates, keyed by (entity_id, doc_id), and each candidate's cumulative average."""
+    """The kernels the build calls, on one domain: each document's distinct tokens with
+    their TF-IDF scores and its candidates, keyed by (entity_id, doc_id), and each
+    candidate's cumulative average."""
     streams = {(ent.id, doc.doc_id): tokenize(f"{doc.title} {doc.body}", load_stopwords())
                for ent in domain.entities for doc in ent.documents}
     tfidf = compute_tfidf(streams)
-    candidates = {key: extract_candidates(tokens, tfidf[key]) for key, tokens in streams.items()}
+    candidates = {key: extract_candidates(*vectors) for key, vectors in tfidf.items()}
     return tfidf, candidates, compute_ca_tfidf(candidates, len(domain.entities))
 
 
@@ -148,8 +149,8 @@ def test_build_matches_oracle_scores_on_tie_heavy_kbs():
                 words = [(token, score, ca[token], ca[token] >= thresholds[name])
                          for token, score in words]
                 scored[(name, entity_id, doc_id)] = [w for w in words if w[3]] or words[:1]
-            for tokens in tfidf.values():
-                ranked = sorted(tokens.values(), reverse=True)
+            for _, scores in tfidf.values():
+                ranked = sorted(scores, reverse=True)
                 cut_ties += len(ranked) > 3 and ranked[2] == ranked[3]
         assert scored == oracle_topic_words(oracle_domains)  # floats compared exactly
         index = build_topic_index(kb, thresholds)
@@ -187,37 +188,61 @@ def test_build_runs_through_the_traced_seams(toy_kb, tmp_path):
 
 def test_tfidf_token_in_every_doc_scores_zero():
     scores = compute_tfidf({"a": ["pizza", "good"], "b": ["pizza", "bad"]})
-    assert scores["a"]["pizza"] == 0.0
-    assert scores["b"]["pizza"] == 0.0
+    assert scores["a"] == (("pizza", "good"), [0.0, math.log(2)])
+    assert scores["b"] == (("pizza", "bad"), [0.0, math.log(2)])
 
 
 def test_tfidf_three_occurrences_one_doc():
     scores = compute_tfidf({"a": ["wifi", "wifi", "wifi", "desk"], "b": ["desk"]})
     expected = 3 * math.log(2)  # tf=3, idf=ln(2/1)
-    assert scores["a"]["wifi"] == pytest.approx(expected)
-    assert scores["a"]["wifi"] == pytest.approx(2.0794415416798357)
+    assert scores["a"] == (("wifi", "desk"), [expected, 0.0])
+    assert scores["a"][1][0] == pytest.approx(2.0794415416798357)
 
 
 def test_tfidf_single_doc_domain_scores_zero():
     scores = compute_tfidf({"only": ["wifi", "pool", "wifi"]})
-    assert scores["only"] == {"wifi": 0.0, "pool": 0.0}
+    assert scores["only"] == (("wifi", "pool"), [0.0, 0.0])
+
+
+def test_tfidf_vector_keeps_first_occurrence_and_the_earlier_tie():
+    """Each document's distinct tokens come in first-occurrence order with aligned
+    scores, and a tie across the third/fourth boundary keeps the earlier token."""
+    scores = compute_tfidf({"a": ["pool", "wifi", "bar", "wifi", "desk", "pool", "spa"],
+                            "b": ["spa", "gym"]})
+    ln2 = math.log(2)
+    assert scores["a"] == (("pool", "wifi", "bar", "desk", "spa"),
+                           [2 * ln2, 2 * ln2, ln2, ln2, 0.0])
+    assert scores["b"] == (("spa", "gym"), [0.0, ln2])
+    assert extract_candidates(*scores["a"]) == [("pool", 2 * ln2), ("wifi", 2 * ln2),
+                                                ("bar", ln2)]
 
 
 def test_extract_candidates_tie_break_by_occurrence():
-    tokens = ["breakfast", "wifi", "pool", "bar", "breakfast"]
-    scores = {"breakfast": 4.1, "wifi": 2.0, "pool": 2.0, "bar": 1.0}
-    assert extract_candidates(tokens, scores) == [("breakfast", 4.1), ("wifi", 2.0),
-                                                  ("pool", 2.0)]
+    tokens = ("breakfast", "wifi", "pool", "bar")
+    assert extract_candidates(tokens, [4.1, 2.0, 2.0, 1.0]) == [
+        ("breakfast", 4.1), ("wifi", 2.0), ("pool", 2.0)]
+    assert extract_candidates(tokens, [1.0, 2.0, 4.1, 2.0]) == [
+        ("pool", 4.1), ("wifi", 2.0), ("bar", 2.0)]
 
 
 def test_extract_candidates_fewer_than_three():
-    picked = extract_candidates(["wifi", "pool"], {"wifi": 1.0, "pool": 0.5})
-    assert picked == [("wifi", 1.0), ("pool", 0.5)]
+    picked = extract_candidates(("wifi", "pool"), [0.5, 1.0])
+    assert picked == [("pool", 1.0), ("wifi", 0.5)]
 
 
 def test_extract_candidates_empty_stream():
-    with pytest.raises(IndexingError):
-        extract_candidates([], {})
+    with pytest.raises(IndexingError, match="document has no usable tokens"):
+        extract_candidates((), [])
+
+
+def test_build_names_the_document_with_no_usable_tokens():
+    docs = (Document("d1", "pool", "wifi"), Document("d2", "the", "a"))
+    kb = KnowledgeBase(domains={"hotel": Domain(name="hotel", slot_schema=frozenset(), entities=(
+        Entity(id="e1", name="e1", attributes={}, documents=docs),))})
+    with pytest.raises(IndexingError) as err:
+        build_topic_index(kb, {"hotel": 1.0})
+    assert err.value.detail == ("domain 'hotel' entity 'e1' document 'd2': "
+                                "document has no usable tokens")
 
 
 def test_ca_tfidf_sums_and_divides_by_entities():
@@ -358,7 +383,11 @@ def test_read_index_equals_the_built_index(toy_kb, tmp_path):
     index = build_topic_index(toy_kb, TOY_THRESHOLDS)
     path = tmp_path / "index.tsv"
     write_index(index, str(path))
-    assert read_index(str(path), toy_kb) == index
+    read = read_index(str(path), toy_kb)
+    assert read == index
+    for built in (index, read):  # one TopicWord instance per distinct topic word
+        words = [tw for tws in built.entries.values() for tw in tws]
+        assert len({id(tw) for tw in words}) == len({tw.token for tw in words}) < len(words)
 
 
 def test_docs_for_entity_matches_scan(toy_kb, toy_index):
