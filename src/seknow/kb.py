@@ -2,9 +2,11 @@
 
 A knowledge base fuses two sources: a structured database of per-domain
 entity records, and a document base of free-text documents that each declare
-the domain and entity they describe. After loading, the knowledge base is
-immutable apart from each domain's last structured query, which is replaced
-whole by one assignment, and safe to share across threads.
+the domain and entity they describe. After loading, its records do not
+change and it is safe to share across threads; what it gains later changes
+no result: each domain's last structured query, replaced whole by one
+assignment, and lookups built on first use, never at load (``cached_property``:
+postings, match keys and their LCS packs, each entity's ``{doc_id: body}``).
 
 :func:`load_knowledge_base` refuses the first fault it meets as a load error
 naming the file it lies in, raised where the check is made. It reads the db
@@ -33,7 +35,7 @@ from functools import cached_property
 
 from .belief import RUK_SLOT
 from .errors import DomainNotFoundError, LoadError
-from .text import is_one_field, normalize, open_input
+from .text import KeyPack, is_one_field, normalize, open_input, pack_keys
 
 _WORD_RE = re.compile(r"\w+")
 # A JSON escape of a surrogate code point; a valid pair of them decodes to one code point.
@@ -53,6 +55,11 @@ class Entity:
     name: str
     attributes: dict[str, str]
     documents: tuple[Document, ...] = ()
+
+    @cached_property
+    def bodies(self) -> dict[str, str]:
+        """doc_id -> body of each document."""
+        return {doc.doc_id: doc.body for doc in self.documents}
 
 
 @dataclass(frozen=True)
@@ -111,12 +118,15 @@ class Domain:
         return first
 
     @cached_property
-    def keys_by_length(self) -> dict[int, list[tuple[int, str, Entity]]]:
-        """Key length -> its :attr:`match_keys` entries, each with its position there."""
+    def keys_by_length(self) -> dict[int, tuple[tuple[tuple[int, Entity], ...], KeyPack]]:
+        """Key length -> (position in :attr:`match_keys`, entity) of each key that long,
+        in that order, and the :func:`~seknow.text.pack_keys` pack of those keys."""
         groups: dict[int, list[tuple[int, str, Entity]]] = {}
         for pos, (key, ent) in enumerate(self.match_keys):
             groups.setdefault(len(key), []).append((pos, key, ent))
-        return groups
+        return {length: (tuple((pos, ent) for pos, _, ent in group),
+                         pack_keys(key for _, key, _ in group))
+                for length, group in groups.items()}
 
 
 @dataclass(frozen=True)

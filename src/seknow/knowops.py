@@ -9,19 +9,23 @@ entity's documents; otherwise the retrieved document is none.
 Fuzzy similarity is the character-level longest-common-subsequence ratio
 ``2 * LCS(a, b) / (len(a) + len(b))`` after lowercasing and whitespace
 collapsing, giving scores in [0, 1] with 1 exactly on equal strings. The
-entity match and the document ranking score one query against many keys, so
-each builds the query's LCS bit masks once per call.
+entity match and the document ranking score one query against many keys:
+each makes one bit-parallel pass over the query per packed key set
+(:func:`~seknow.text.packed_lcs`), which gives every key's LCS at once.
 
 The steps read lookups built on first use. Each :class:`~seknow.kb.Domain`
 holds per-(slot, value) postings, bitmasks over the id order, which the query
 ANDs when the domain's constraints differ from its last query's; and its
 pre-normalized names and ids, with a map from each to the first entity
-having it, and the keys grouped by length. The entity match takes a query
-equal to a key from that map, since only equal strings score 1.0; otherwise
-it scans one key length at a time, by non-increasing bound ``2 * min(len) /
-(len + len)``, until a bound cannot reach the best score (Ukkonen 1992's
-length filter). The document ranking reads each entity's normalized
-space-joined topic words from :meth:`~seknow.topics.TopicIndex.entity_docs`.
+having it, and the keys grouped by length, each group packed. The entity
+match takes a query equal to a key from that map, since only equal strings
+score 1.0; otherwise it makes one pass per key length, by non-increasing
+bound ``2 * min(len) / (len + len)``, until a bound cannot reach the best
+score (Ukkonen 1992's length filter). The document ranking makes one pass
+over the pack of the entity's normalized space-joined topic words
+(:meth:`~seknow.topics.TopicIndex.entity_pack`, aligned with
+:meth:`~seknow.topics.TopicIndex.entity_docs`), and reads the entity's
+``{doc_id: body}`` map (:attr:`~seknow.kb.Entity.bodies`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from operator import attrgetter, itemgetter
 from .belief import ExtendedBeliefState
 from .errors import QueryError
 from .kb import Entity, KnowledgeBase
-from .text import normalize
+from .text import normalize, pack_keys, packed_lcs
 from .topics import TopicIndex
 
 # Fuzzy scores below this floor are treated as no match at all.
@@ -92,33 +96,10 @@ def format_query_span(result: EntityMatches) -> str:
     return " , ".join(parts)
 
 
-def _lcs_masks(a: Sequence) -> dict:
-    """Bit ``i`` of ``masks[x]`` is set where ``a[i] == x``."""
-    masks: dict = {}
-    for i, x in enumerate(a):
-        masks[x] = masks.get(x, 0) | 1 << i
-    return masks
-
-
-def _lcs_scan(masks: dict, n: int, b: Sequence) -> int:
-    """LCS length of ``b`` and the length-``n`` sequence whose :func:`_lcs_masks` is ``masks``."""
-    full = v = (1 << n) - 1
-    for y in b:
-        if y in masks:
-            u = v & masks[y]
-            v = ((v + u) | (v - u)) & full
-    return n - v.bit_count()
-
-
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Longest-common-subsequence length of two strings or token sequences.
-
-    Bit-vector LCS (Allison & Dix 1986; Crochemore, Iliopoulos, Pinzon & Reid
-    2001): one pass over ``b`` updates the row vector ``v`` from the
-    per-symbol masks of ``a``, and its cleared bits count the LCS. Python
-    ints are unbounded, so no 64-symbol blocking is needed.
-    """
-    return _lcs_scan(_lcs_masks(a), len(a), b)
+    """Longest-common-subsequence length of two strings or token sequences: the
+    one-key case of :func:`~seknow.text.packed_lcs`."""
+    return packed_lcs(pack_keys((a,)), b)[0]
 
 
 def _ratio(common: int, total: int) -> float:
@@ -139,29 +120,34 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | Non
     id, and a best score below :data:`MATCH_FLOOR` returns None. Only equal strings
     score 1.0, so a query equal to some key takes the first entity in id
     order that has it (``Domain.first_by_key``) without a scan. Otherwise key
-    lengths ``L`` are scanned by non-increasing bound ``2 * min(n, L) / (n + L)``
-    until one is below the best score; an equal bound can only tie, so only
-    its keys before the best one in ``Domain.match_keys`` are scanned.
+    lengths ``L`` are scanned, one packed pass each, by non-increasing bound
+    ``2 * min(n, L) / (n + L)`` until one is below the best score; an equal
+    bound can only tie, so its length is scanned only when it has a key
+    before the best one in ``Domain.match_keys``. A length's best key is its
+    first of greatest LCS.
     """
     query = normalize(ruk_value)
     dom = kb.domain(domain)
     exact = dom.first_by_key.get(query)
     if exact is not None:
         return exact
-    n, masks = len(query), _lcs_masks(query)
+    n = len(query)
     best: Entity | None = None
     best_score, best_pos = -1.0, 0
-    for bound, total, keys in sorted(((_ratio(min(n, length), n + length), n + length, keys)
-                                      for length, keys in dom.keys_by_length.items()),
-                                     key=itemgetter(0), reverse=True):
+    for bound, total, entries, pack in sorted(
+            ((_ratio(min(n, length), n + length), n + length, *bucket)
+             for length, bucket in dom.keys_by_length.items()),
+            key=itemgetter(0), reverse=True):
         if bound < best_score:
             break
-        for pos, key, ent in keys:
-            if bound == best_score and pos > best_pos:
-                break
-            score = _ratio(_lcs_scan(masks, n, key), total)
-            if score > best_score or score == best_score and pos < best_pos:
-                best, best_score, best_pos = ent, score, pos
+        if bound == best_score and entries[0][0] > best_pos:
+            continue
+        common = packed_lcs(pack, query)
+        top = max(common)
+        pos, ent = entries[common.index(top)]
+        score = _ratio(top, total)
+        if score > best_score or score == best_score and pos < best_pos:
+            best, best_score, best_pos = ent, score, pos
     if best is None or best_score < MATCH_FLOOR:
         return None
     return best
@@ -181,14 +167,15 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     if not topic:
         raise QueryError("document retrieval needs a nonempty topic")
     query = normalize(" ".join(topic))
-    n, masks = len(query), _lcs_masks(query)
-    bodies = {doc.doc_id: doc.body for doc in entity.documents}
+    n = len(query)
+    bodies = entity.bodies
+    lcs = packed_lcs(index.entity_pack(domain, entity.id), query)
     scored = []
-    for doc_id, _, key in index.entity_docs(domain, entity.id):
+    for (doc_id, _, key), common in zip(index.entity_docs(domain, entity.id), lcs):
         if bodies and doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")
-        score = _ratio(_lcs_scan(masks, n, key), n + len(key))
+        score = _ratio(common, n + len(key))
         scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
                                         doc_id=doc_id, body=bodies.get(doc_id, ""),
                                         score=score))

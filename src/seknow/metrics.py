@@ -9,6 +9,9 @@ MRR@5 and R@1 over knowledge-seeking turns, and P/R/F1 of the belief state
 extension. Everything is reported on the 0-100 percent scale; the combined
 score is ``(inform + success) * 0.5 + bleu``.
 
+The three generation metrics of a pair are one pass over one coding of its
+tokens (:func:`_pair_scores`); nothing is kept from one pair to the next.
+
 :func:`evaluate_corpus` takes a corpus and goals the loaders have checked
 against the knowledge base and index (:func:`seknow.corpus.load_corpus`). It
 scores each dialog as it finishes and keeps only per-metric counts and scores
@@ -24,6 +27,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
+from operator import add
 
 from .belief import ExtendedBeliefState, joint_goal_match, parse_belief_span, prf_counts
 from .corpus import Dialog, DialogCorpus, DomainGoal
@@ -93,27 +97,69 @@ class MetricsReport:
         return data
 
 
-def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[int]:
-    """One pair's BLEU statistics: pairs (1), clipped and total 1..4-gram
-    counts, hypothesis and reference lengths. Corpus BLEU pools their sums.
+@lru_cache(maxsize=1 << 16)
+def _stem(token: str) -> str:
+    """Strip the first of :data:`_STEM_SUFFIXES` the token ends with, keeping 3 characters;
+    memoized, so each distinct token of a vocabulary is stemmed once."""
+    for suffix in _STEM_SUFFIXES:
+        if token.endswith(suffix) and len(token) - len(suffix) >= 3:
+            return token[: -len(suffix)]
+    return token
 
-    The pair's tokens are coded once as small ints, so each n-gram is one int
-    ``prev * vocab + id``. An order's clipped count is the size of the
-    hypothesis/reference gram-set intersection, plus ``min(counts) - 1`` for
-    each shared gram repeated on both sides; the ``Counter``s for that
-    correction are built only when both sides repeat some gram of the order.
-    An order with no shared gram ends the count: every longer gram contains one.
+
+def _pair_scores(hypothesis: Sequence[str],
+                 reference: Sequence[str]) -> tuple[list[int], float, float]:
+    """One pair's BLEU statistics, METEOR and ROUGE-L, all read from one coding of
+    its tokens as small ints; an empty reference scores METEOR and ROUGE-L 0.
+
+    BLEU statistics: pairs (1), clipped and total 1..4-gram counts, hypothesis
+    and reference lengths; corpus BLEU pools their sums. METEOR pairs each
+    hypothesis token, left to right, with the leftmost free reference token
+    equal to it (one stack of free positions per code), then each one left
+    over with the leftmost free one of equal stem, stemming only tokens still
+    free. That exact pass pairs ``min(h_x, r_x)`` of each token ``x``: BLEU's
+    clipped unigram count. A longer order's clipped count is the size of the
+    gram-set intersection (an n-gram is one int ``prev * vocab + code``), plus
+    ``min(counts) - 1`` for each shared gram repeated on both sides, counted
+    only when both sides repeat some gram; an order with no shared gram ends
+    the count, since every longer gram contains one. ROUGE-L reads the LCS of
+    the two code lists.
     """
     codes: dict[str, int] = {}
     hyp = [codes.setdefault(t, len(codes)) for t in hypothesis]
     ref = [codes.setdefault(t, len(codes)) for t in reference]
-    vocab = len(codes)
-    clipped = [0] * 4
+    vocab, hyp_len, ref_len = len(codes), len(hyp), len(ref)
+
+    free: list[list[int]] = [[] for _ in range(vocab)]
+    for j in range(ref_len - 1, -1, -1):
+        free[ref[j]].append(j)
+    pairs, unaligned = [], []
+    for i, code in enumerate(hyp):
+        stack = free[code]
+        if stack:
+            pairs.append((i, stack.pop()))
+        else:
+            unaligned.append(i)
+    exact = len(pairs)
+    if unaligned and exact < ref_len:
+        tokens = list(codes)
+        by_stem: dict[str, list[int]] = {}
+        for token, stack in zip(tokens, free):
+            if stack:
+                by_stem.setdefault(_stem(token), []).extend(stack)
+        for stack in by_stem.values():
+            stack.sort(reverse=True)
+        for i in unaligned:
+            stack = by_stem.get(_stem(tokens[hyp[i]]))
+            if stack:
+                pairs.append((i, stack.pop()))
+        pairs.sort()
+
+    clipped = [exact, 0, 0, 0]
     hyp_grams, ref_grams = hyp, ref
-    for n in range(4):
-        if n:
-            hyp_grams = [g * vocab + t for g, t in zip(hyp_grams, hyp[n:])]
-            ref_grams = [g * vocab + t for g, t in zip(ref_grams, ref[n:])]
+    for n in range(1, 4 if exact else 1):
+        hyp_grams = [g * vocab + t for g, t in zip(hyp_grams, hyp[n:])]
+        ref_grams = [g * vocab + t for g, t in zip(ref_grams, ref[n:])]
         hyp_set, ref_set = set(hyp_grams), set(ref_grams)
         common = hyp_set & ref_set
         if not common:
@@ -125,12 +171,28 @@ def _bleu_counts(hypothesis: Sequence[str], reference: Sequence[str]) -> list[in
                 h, r = hyp_count[g], ref_count[g]
                 if h > 1 and r > 1:
                     clipped[n] += min(h, r) - 1
-    totals = [max(len(hypothesis) - n, 0) for n in range(4)]
-    return [1, *clipped, *totals, len(hypothesis), len(reference)]
+    stats = [1, *clipped, *(max(hyp_len - n, 0) for n in range(4)), hyp_len, ref_len]
+
+    meteor = rouge = 0.0
+    m = len(pairs)
+    if m:
+        p, r = m / hyp_len, m / ref_len
+        f_mean = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
+        chunks = 1
+        for (h0, r0), (h1, r1) in zip(pairs, pairs[1:]):
+            if h1 != h0 + 1 or r1 != r0 + 1:
+                chunks += 1
+        meteor = 100.0 * f_mean * (1.0 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
+    if exact:  # a common token, so a nonzero LCS
+        lcs = lcs_length(hyp, ref)
+        p, r = lcs / hyp_len, lcs / ref_len
+        beta_sq = ROUGE_BETA ** 2
+        rouge = 100.0 * (1 + beta_sq) * p * r / (r + beta_sq * p)
+    return stats, meteor, rouge
 
 
 def _bleu_score(stats: Sequence[int]) -> float:
-    """Corpus BLEU-4 from summed :func:`_bleu_counts`."""
+    """Corpus BLEU-4 from the summed statistics of :func:`_pair_scores`."""
     if not stats[0]:
         raise MetricError("BLEU needs at least one hypothesis/reference pair")
     clipped, totals, (hyp_len, ref_len) = stats[1:5], stats[5:9], stats[9:]
@@ -153,7 +215,7 @@ def bleu(hypotheses: Sequence[Sequence[str]],
         raise MetricError("BLEU needs aligned hypothesis/reference lists")
     stats = [0] * 11
     for hyp, ref in zip(hypotheses, references):
-        stats = [a + b for a, b in zip(stats, _bleu_counts(hyp, ref), strict=True)]
+        stats = [a + b for a, b in zip(stats, _pair_scores(hyp, ref)[0], strict=True)]
     return _bleu_score(stats)
 
 
@@ -161,23 +223,7 @@ def rouge_l(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
     """Sentence-level ROUGE-L F-measure (recall-weighted, beta = 1.2), x100."""
     if not reference:
         raise MetricError("ROUGE-L needs a nonempty reference")
-    lcs = lcs_length(hypothesis, reference)
-    if lcs == 0:
-        return 0.0
-    p = lcs / len(hypothesis)
-    r = lcs / len(reference)
-    beta_sq = ROUGE_BETA ** 2
-    return 100.0 * (1 + beta_sq) * p * r / (r + beta_sq * p)
-
-
-@lru_cache(maxsize=1 << 16)
-def _stem(token: str) -> str:
-    """Strip the first of :data:`_STEM_SUFFIXES` the token ends with, keeping 3 characters;
-    memoized, so each distinct token of a vocabulary is stemmed once."""
-    for suffix in _STEM_SUFFIXES:
-        if token.endswith(suffix) and len(token) - len(suffix) >= 3:
-            return token[: -len(suffix)]
-    return token
+    return _pair_scores(hypothesis, reference)[2]
 
 
 def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
@@ -185,51 +231,12 @@ def meteor_simplified(hypothesis: Sequence[str], reference: Sequence[str]) -> fl
 
     ``F_mean = P * R / (alpha * P + (1 - alpha) * R)`` and the fragmentation
     penalty is ``gamma * (chunks / matches) ** beta``; chunks are maximal
-    runs of matches contiguous in both sentences.
-
-    Each pass pairs each unaligned hypothesis token, left to right, with the
-    leftmost free reference token equal to it (stem pass: with equal stem).
-    Free positions sit on one stack per token; the stem pass regroups the
-    stacks the exact pass left by stem, stemming only tokens still free.
+    runs of matches contiguous in both sentences. The alignment is
+    :func:`_pair_scores`'s.
     """
     if not reference:
         raise MetricError("METEOR needs a nonempty reference")
-    if not hypothesis:
-        return 0.0
-    free: dict[str, list[int]] = {}
-    for j in range(len(reference) - 1, -1, -1):
-        free.setdefault(reference[j], []).append(j)
-    pairs, unaligned = [], []
-    for i, h in enumerate(hypothesis):
-        stack = free.get(h)
-        if stack:
-            pairs.append((i, stack.pop()))
-        else:
-            unaligned.append(i)
-    if unaligned and len(pairs) < len(reference):
-        by_stem: dict[str, list[int]] = {}
-        for token, stack in free.items():
-            if stack:
-                by_stem.setdefault(_stem(token), []).extend(stack)
-        for stack in by_stem.values():
-            stack.sort(reverse=True)
-        for i in unaligned:
-            stack = by_stem.get(_stem(hypothesis[i]))
-            if stack:
-                pairs.append((i, stack.pop()))
-    m = len(pairs)
-    if m == 0:
-        return 0.0
-    p = m / len(hypothesis)
-    r = m / len(reference)
-    f_mean = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
-    pairs.sort()
-    chunks = 1
-    for (h0, r0), (h1, r1) in zip(pairs, pairs[1:]):
-        if h1 != h0 + 1 or r1 != r0 + 1:
-            chunks += 1
-    penalty = METEOR_GAMMA * (chunks / m) ** METEOR_BETA
-    return 100.0 * f_mean * (1.0 - penalty)
+    return _pair_scores(hypothesis, reference)[1]
 
 
 def retrieval_metrics(rankings: Sequence[Sequence], golds: Sequence) -> tuple[float, float]:
@@ -366,18 +373,20 @@ def evaluate_corpus(corpus: DialogCorpus, kb: KnowledgeBase, index: TopicIndex,
     for dialog in corpus.dialogs:
         outputs = run_dialog(dialog, predictor, generator, kb, index)
         for turn, out, gold in zip(dialog.turns, outputs, _gold_states(dialog)):
-            prf = [a + b for a, b in zip(prf, prf_counts(out.belief, gold), strict=True)]
+            prf[:] = map(add, prf, prf_counts(out.belief, gold))
             if turn.doc_annotation is None:
                 joint_turns += 1
                 joint_hits += joint_goal_match(out.belief, gold)
             else:
                 rankings.append(tuple(doc.key for doc in out.ranking[:MRR_CUTOFF]))
                 gold_docs.append(turn.doc_annotation)
-            hyp = out.delexicalized_response.split()
             ref = turn.reference.split()
-            bleu_stats = [a + b for a, b in zip(bleu_stats, _bleu_counts(hyp, ref), strict=True)]
-            meteors.append(meteor_simplified(hyp, ref))
-            rouges.append(rouge_l(hyp, ref))
+            if not ref:
+                raise MetricError("METEOR needs a nonempty reference")
+            stats, meteor, rouge = _pair_scores(out.delexicalized_response.split(), ref)
+            bleu_stats[:] = map(add, bleu_stats, stats)
+            meteors.append(meteor)
+            rouges.append(rouge)
         goal = goals.get(dialog.dialog_id)
         if goal:
             judged.append(inform_success(outputs, goal, kb))

@@ -1,4 +1,5 @@
-"""Shared text plumbing: file I/O, normalization, tokenization and the stopword list.
+"""Shared text plumbing: file I/O, normalization, tokenization, the stopword list and
+the bit-parallel LCS kernel.
 
 Every text file read or written opens through :func:`open_input`/:func:`open_output`.
 
@@ -14,13 +15,20 @@ index sidecar files so that two indexes are only comparable when they were
 built with the same list. The ``SEKNOW_STOPWORDS`` environment variable may
 point to an alternative file; the list in effect is read once per path and
 serves tokenizing, index building and every recorded digest alike.
+
+The LCS kernel is bit-vector LCS (Allison & Dix 1986; Crochemore, Iliopoulos,
+Pinzon & Reid 2001) over a set of keys at once (Hyyrö 2004; Hyyrö, Fredriksson
+& Navarro 2005). :func:`pack_keys` lays the keys end to end in one Python int,
+with a zero guard bit after each; :func:`packed_lcs` makes one pass over a
+query and gives every key's LCS length with it. The knowledge base and the
+topic index keep the packs of their match keys, built on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
@@ -34,6 +42,10 @@ STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 # Every byte but ASCII a-z and 0-9 maps to a space.
 _SEPARATE = bytes(b if 0x61 <= b <= 0x7A or 0x30 <= b <= 0x39 else 0x20 for b in range(256))
 _ONE_CHAR = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+
+# (symbol -> its bits over the packed keys, every key bit, (offset, ones of the key's
+# length) per key in order)
+KeyPack = tuple[dict, int, tuple[tuple[int, int], ...]]
 
 
 @contextmanager
@@ -121,3 +133,35 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def pack_keys(keys: Iterable[Sequence]) -> KeyPack:
+    """Strings or token sequences laid end to end for :func:`packed_lcs`: key ``k``'s
+    symbol ``i`` is bit ``offset_k + i``, and the bit after each key is its guard."""
+    masks: dict = {}
+    spans = []
+    offset = 0
+    for key in keys:
+        for bit, x in enumerate(key, offset):
+            masks[x] = masks.get(x, 0) | 1 << bit
+        spans.append((offset, (1 << len(key)) - 1))
+        offset += len(key) + 1
+    return masks, sum(ones << offset for offset, ones in spans), tuple(spans)
+
+
+def packed_lcs(pack: KeyPack, query: Sequence) -> list[int]:
+    """Longest-common-subsequence length of ``query`` and each packed key, in key order.
+
+    One pass over ``query`` updates the row vector ``v`` of every key at once;
+    a key's cleared bits count its LCS. ``v - u`` never borrows, since ``u``
+    is a subset of ``v``; the carry out of a key's ``v + u`` stops in its
+    guard bit, which ``& full`` clears before the next symbol.
+    """
+    masks, full, spans = pack
+    v = full
+    for m in map(masks.get, query):
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    v ^= full
+    return [(v >> offset & ones).bit_count() for offset, ones in spans]

@@ -15,6 +15,12 @@ the number of those documents containing the token. A document's token
 stream is its title and body tokenized as one text, title first; it is
 scored once, as its distinct tokens in first-occurrence order with aligned
 scores, and one stable sort of their positions by score ranks the candidates.
+
+An index groups its rows by entity on first use, not at load: each entity's
+documents in doc_id order, with their topic words normalized and
+space-joined. Document retrieval scores an entity's keys in one pass over
+their LCS pack (:func:`~seknow.text.pack_keys`), built on that entity's
+first retrieval.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from operator import mul, truediv
 
 from .errors import ConfigError, IndexingError, LoadError
 from .kb import KnowledgeBase, read_json
-from .text import (load_stopwords, normalize, open_input, open_output, stopwords_digest,
-                   tokenize)
+from .text import (KeyPack, load_stopwords, normalize, open_input, open_output, pack_keys,
+                   stopwords_digest, tokenize)
 
 # Per-domain filter thresholds: restaurant, hotel, taxi, train.
 DEFAULT_THRESHOLDS: dict[str, float] = {
@@ -73,6 +79,20 @@ class TopicIndex:
     def entity_docs(self, domain: str, entity_id: str) -> tuple[EntityDoc, ...]:
         """One entity's documents, ascending by doc_id; built once per index, on first use."""
         return self._entity_docs.get((domain, entity_id), ())
+
+    @cached_property
+    def _entity_packs(self) -> dict[tuple[str, str], KeyPack]:
+        return {}
+
+    def entity_pack(self, domain: str, entity_id: str) -> KeyPack:
+        """The :func:`~seknow.text.pack_keys` pack of one entity's normalized keys, in
+        :meth:`entity_docs` order; built on first use of that entity."""
+        packs = self._entity_packs
+        pack = packs.get((domain, entity_id))
+        if pack is None:
+            pack = packs[domain, entity_id] = pack_keys(
+                key for _, _, key in self.entity_docs(domain, entity_id))
+        return pack
 
     def docs_for_entity(self, domain: str, entity_id: str) -> list[tuple[str, tuple[str, ...]]]:
         """(doc_id, topic words) pairs for one entity, ascending by doc_id."""

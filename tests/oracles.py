@@ -10,9 +10,11 @@ and its per-pair counts from slices, a two-pass greedy METEOR alignment, Joint
 Goal and the ruk triple from their definitions, the belief-extension P/R/F1
 over lists of states, and the token-cursor
 belief-span parser with eager byte offsets and its own canonical ordering.
-Slow is fine; these run on desk-scale inputs only. The one exception is
-``oracle_evaluate``, which checks the single-pass evaluation driver against
-the list-based metric functions it folds.
+Slow is fine; these run on desk-scale inputs only. ``oracle_evaluate``
+checks the single-pass evaluation driver with these references too: BLEU
+from the summed per-pair counts through the production closed form
+(``metrics._bleu_score``), METEOR from the greedy alignment, and ROUGE-L
+from the full-matrix LCS.
 """
 
 from __future__ import annotations
@@ -234,6 +236,16 @@ def oracle_lcs_length(a, b) -> int:
     return table[len(a)][len(b)]
 
 
+def oracle_rouge_l(hypothesis: list, reference: list) -> float:
+    """Sentence-level ROUGE-L x100 (beta 1.2) from the full-matrix LCS."""
+    lcs = oracle_lcs_length(hypothesis, reference)
+    if lcs == 0:
+        return 0.0
+    p, r = lcs / len(hypothesis), lcs / len(reference)
+    beta_sq = 1.2 ** 2
+    return 100.0 * (1 + beta_sq) * p * r / (r + beta_sq * p)
+
+
 def oracle_match_entity(entities: list, ruk_value: str, floor: float,
                         fields: tuple = ("name", "id")) -> str | None:
     """Id of the entity whose best ``fields`` score against ``ruk_value`` is highest.
@@ -323,10 +335,11 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
     """Three-pass reference for ``evaluate_corpus``.
 
     Runs every dialog and keeps all outputs, builds corpus-wide lists of
-    predictions, golds, rankings and token lists, scores them with the
-    list-based ``bleu``, :func:`extended_prf` and ``retrieval_metrics``, scores Joint Goal
-    with :func:`oracle_joint_goal`, and walks all outputs once more for Inform and
-    Success, written from the definition.
+    predictions, golds, rankings and token lists, scores BLEU from the summed
+    :func:`oracle_bleu_counts`, METEOR with :func:`oracle_meteor`, ROUGE-L with
+    :func:`oracle_rouge_l`, P/R/F1 with :func:`extended_prf` and retrieval with
+    ``retrieval_metrics``, scores Joint Goal with :func:`oracle_joint_goal`, and
+    walks all outputs once more for Inform and Success, written from the definition.
     """
     from seknow import belief, metrics
     from seknow.pipeline import make_template_generator
@@ -351,10 +364,13 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
             hyps.append(out.delexicalized_response.split())
             refs.append((turn.response if turn.delex_response is None
                          else turn.delex_response).split())
-    bleu = metrics.bleu(hyps, refs)
     pairs = list(zip(hyps, refs))
-    meteor = math.fsum(metrics.meteor_simplified(h, r) for h, r in pairs) / len(pairs)
-    rouge = math.fsum(metrics.rouge_l(h, r) for h, r in pairs) / len(pairs)
+    stats = [0] * 11
+    for h, r in pairs:
+        stats = [a + b for a, b in zip(stats, oracle_bleu_counts(h, r))]
+    bleu = metrics._bleu_score(stats)
+    meteor = math.fsum(oracle_meteor(h, r) for h, r in pairs) / len(pairs)
+    rouge = math.fsum(oracle_rouge_l(h, r) for h, r in pairs) / len(pairs)
     mrr5, r1 = metrics.retrieval_metrics(rankings, gold_docs) if rankings else (0.0, 0.0)
     prf = extended_prf(preds, golds)
 

@@ -145,6 +145,8 @@ BENCHMARK_ONLY = (
     "corpus.save_corpus",
     "knowops.fuzzy_similarity",
     "metrics.bleu",
+    "metrics.meteor_simplified",
+    "metrics.rouge_l",
 )
 
 

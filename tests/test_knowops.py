@@ -29,6 +29,7 @@ from seknow.knowops import (
 )
 from seknow.metrics import inform_success
 from seknow.pipeline import TurnOutput
+from seknow.text import pack_keys, packed_lcs
 from seknow.topics import TopicIndex, TopicWord, read_index
 
 from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH
@@ -250,6 +251,45 @@ def test_lcs_length_matches_dp_reference():
         expected = oracle_lcs_length(a, b)
         assert lcs_length(a, b) == expected, (a, b)
         assert lcs_length(b, a) == expected, (b, a)
+
+
+def test_packed_lcs_matches_dp_reference_on_random_key_sets():
+    # each key's carry stops in its guard bit: a nonempty key equal to the query carries
+    # out of its top bit at the query's first symbol; one-character and empty keys sit
+    # between guards, and repeated symbols, non-ASCII text and token sequences share packs
+    rng = random.Random(2901)
+    alphabets = ["a", "ab", "acgt ", "aé日 ", "abcdefghijklmnopqrstuvwxyz "]
+    vocab = ["the", "a", "café", "日本", "house", "guest"]
+    full_carry = 0
+    for case in range(300):
+        tokens = case % 3 == 2
+        symbols = vocab[:rng.randint(1, len(vocab))] if tokens else rng.choice(alphabets)
+
+        def draw(n):
+            seq = rng.choices(symbols, k=n)
+            return seq if tokens else "".join(seq)
+
+        query = draw(rng.randint(0, 40))
+        keys = [draw(rng.choice((0, 1, 1, 2, rng.randint(3, 70))))
+                for _ in range(rng.randint(1, 12))]
+        keys.insert(rng.randint(0, len(keys)), query)
+        keys.append(draw(1))
+        got = packed_lcs(pack_keys(keys), query)
+        assert got == [oracle_lcs_length(key, query) for key in keys], (keys, query)
+        full_carry += len(query) > 0  # the key equal to the query carries into its guard
+    assert full_carry > 250
+
+
+def test_packs_are_built_on_first_use():
+    kb = load_knowledge_base(str(DB_PATH), str(DOCS_PATH))
+    index = read_index(str(GOLDEN_INDEX_PATH))
+    domain = kb.domain("restaurant")
+    assert "keys_by_length" not in vars(domain) and "_entity_packs" not in vars(index)
+    entity = match_entity(kb, "restaurant", "pizza hutt")
+    assert entity.id == "pizza hut" and "keys_by_length" in vars(domain)
+    assert retrieve_document(index, "restaurant", entity, ["favorite"])[0].doc_id == "d1"
+    assert list(vars(index)["_entity_packs"]) == [("restaurant", "pizza hut")]
+    assert "bodies" in vars(entity)
 
 
 def test_fuzzy_identity():
@@ -488,13 +528,16 @@ def test_match_entity_stops_at_the_first_length_that_cannot_reach_the_best(monke
     kb = KnowledgeBase(domains={"hotel": Domain(
         name="hotel", slot_schema=frozenset({"name"}),
         entities=tuple(Entity(id=key, name=key, attributes={}) for key in keys))})
-    scanned = []
-    scan = knowops._lcs_scan
-    monkeypatch.setattr(knowops, "_lcs_scan",
-                        lambda masks, n, key: scanned.append(key) or scan(masks, n, key))
-    # "abcdef" scores 2 * 5 / 12 > 0.8, the bound of every other length: only length 6 is scanned
+    passes = []
+    scan = knowops.packed_lcs
+    monkeypatch.setattr(knowops, "packed_lcs",
+                        lambda pack, query: passes.append(pack) or scan(pack, query))
+    # "abcdef" scores 2 * 5 / 12 > 0.8, the bound of every other length: one pass, over
+    # the two length-6 keys
     assert match_entity(kb, "hotel", "abcdeg").id == "abcdef"
-    assert scanned == ["abcdef", "xbcdef"]
+    by_length = kb.domains["hotel"].keys_by_length
+    assert passes == [by_length[6][1]]
+    assert [ent.id for _, ent in by_length[6][0]] == ["abcdef", "xbcdef"]
 
 
 def test_retrieve_document_ranks_exact_topic_first(toy_kb, toy_index):

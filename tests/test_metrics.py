@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from oracles import (
     oracle_evaluate,
     oracle_lcs_length,
     oracle_meteor,
+    oracle_rouge_l,
 )
 from seknow import knowops, metrics
 from seknow.corpus import (
@@ -25,9 +28,9 @@ from seknow.corpus import (
     parse_goal,
 )
 from seknow.errors import ConfigError, EvaluationError, LoadError, MetricError
-from seknow.kb import Document, Domain, Entity, KnowledgeBase
+from seknow.kb import Document, Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.metrics import (
-    _bleu_counts,
+    _pair_scores,
     _stem,
     bleu,
     combined_score,
@@ -123,7 +126,7 @@ def test_bleu_counts_equal_reference_counts():
             hyp = rng.choices(vocab, k=rng.randint(0, longest))
             ref = rng.choices(vocab, k=rng.randint(0, longest))
             expected = oracle_bleu_counts(hyp, ref)
-            assert _bleu_counts(hyp, ref) == expected, (hyp, ref)
+            assert _pair_scores(hyp, ref)[0] == expected, (hyp, ref)
             clipped_pairs += expected[1] < sum(tok in ref for tok in hyp)
             # the count correction for a gram repeated on both sides, beyond unigrams
             corrected_pairs += any(repeated_on_both_sides(hyp, ref, n) for n in (2, 3, 4))
@@ -269,6 +272,69 @@ def test_meteor_matches_reference_over_a_large_vocabulary():
         stem_only += sum(t not in ref and _stem(t) in ref_stems for t in hyp)
     assert len(seen) > 4000 and stem_only > 1500  # distinct tokens; tokens only a stem matches
     assert _stem.cache_info().maxsize is not None
+
+
+def _zipf_vocabulary(rng):
+    """5,000 words, 1,000 stems in five forms, in a random rank order, and each word's
+    Zipf weight 1 / rank."""
+    stems = set()
+    while len(stems) < 1000:
+        stems.add("".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 7))))
+    vocab = [stem + suffix for stem in sorted(stems) for suffix in ("", "s", "ed", "ing", "ly")]
+    rng.shuffle(vocab)
+    return vocab, [1 / rank for rank in range(1, len(vocab) + 1)]
+
+
+def _reword(rng, tokens, vocab, weights):
+    """``tokens`` with about 10% dropped, 15% replaced by a Zipf draw, 5% given a suffix
+    (another form of the same stem), and a Zipf draw inserted after about 10%."""
+    out = []
+    for token in tokens:
+        draw = rng.random()
+        if draw < 0.25:
+            out += rng.choices(vocab, weights) if draw >= 0.1 else []
+        elif draw < 0.3 and len(token) >= 3:
+            out.append(token + rng.choice(("s", "ed", "ing")))
+        else:
+            out.append(token)
+        if rng.random() < 0.1:
+            out += rng.choices(vocab, weights)
+    return out or tokens[:1]
+
+
+def test_pair_scores_match_oracles_on_reworded_pairs(tmp_path):
+    # Benchmark references equal their hypotheses on most pairs. Here each hypothesis is
+    # a template response over a benchmark KB and its reference that response reworded
+    # from a Zipf vocabulary of 5,000 words, so nearly every pair differs; BLEU counts,
+    # METEOR and ROUGE-L must still equal the references from their definitions.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
+    try:
+        import inputs
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.pop(0)
+    db, docs = inputs.make_kb(29, {"restaurant": 12, "hotel": 6, "attraction": 6}, 4)
+    (tmp_path / "db.json").write_text(json.dumps(db), "utf-8")
+    (tmp_path / "docs.json").write_text(json.dumps(docs), "utf-8")
+    kb = load_knowledge_base(str(tmp_path / "db.json"), str(tmp_path / "docs.json"))
+    corpus = generate_synthetic_corpus(kb, build_topic_index(kb, inputs.THRESHOLDS), CorpusSpec(
+        dialogs=40, original_turns=2, inserted_turns=3, requestables=("phone",)), seed=29)
+    hyps = [turn.reference.split() for dialog in corpus.dialogs for turn in dialog.turns]
+    rng = random.Random(2902)
+    vocab, weights = _zipf_vocabulary(rng)
+    differ = stem_only = corrected = 0
+    for hyp in hyps:
+        ref = _reword(rng, hyp, vocab, weights)
+        assert _pair_scores(hyp, ref) == (oracle_bleu_counts(hyp, ref), oracle_meteor(hyp, ref),
+                                          oracle_rouge_l(hyp, ref)), (hyp, ref)
+        differ += hyp != ref
+        ref_stems = set(map(_stem, ref))
+        stem_only += any(t not in ref and _stem(t) in ref_stems for t in hyp)
+        corrected += any(repeated_on_both_sides(hyp, ref, n) for n in (2, 3, 4))
+    assert len(hyps) == 200
+    assert differ >= 0.95 * len(hyps)
+    assert stem_only > 50 and corrected > 25, (stem_only, corrected)
 
 
 def test_retrieval_metrics_all_rank_one():
