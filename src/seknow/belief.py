@@ -4,7 +4,9 @@ A belief state is a set of domain-slot-value triples plus an optional topic
 word sequence. The reserved slot ``ruk`` marks a turn that needs free-text
 knowledge; its value names the entity of interest, and the topic words
 abstract what the user asked about. :func:`extend_state` builds that
-extension, for gold labels and predictions alike.
+extension, for gold labels and predictions alike. A state's views (its
+domains, its constraints grouped by domain and its ruk) are derived from the
+triples once, on first use, and shared by every reader.
 
 Span grammar (normative for corpus files and CLI I/O)::
 
@@ -39,26 +41,44 @@ TOPIC_SEPARATOR = "||"
 
 @dataclass(frozen=True)
 class ExtendedBeliefState:
-    """Canonical (domain, slot, value) triples and the topic words."""
+    """Canonical (domain, slot, value) triples and the topic words.
+
+    The views :meth:`domains`, :meth:`constraints` and :meth:`ruk` are derived
+    from the triples once, on first use, and every call returns the same
+    objects: callers must not mutate them.
+    """
 
     triples: tuple[tuple[str, str, str], ...] = ()
     topic: tuple[str, ...] = ()
 
+    _views = None  # (domains, constraints, ruk) once derived; not a field
+
+    def _derive(self) -> tuple[tuple[str, ...], dict[str, dict[str, str]],
+                               tuple[str, str] | None]:
+        domains: dict[str, None] = {}
+        grouped: dict[str, dict[str, str]] = {}
+        ruk = None
+        for domain, slot, value in self.triples:
+            domains[domain] = None
+            if slot != RUK_SLOT:
+                grouped.setdefault(domain, {})[slot] = value
+            elif ruk is None:
+                ruk = (domain, value)
+        views = (tuple(domains), grouped, ruk)
+        object.__setattr__(self, "_views", views)
+        return views
+
     def domains(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(domain for domain, _, _ in self.triples))
+        """Domains in first-mention order."""
+        return (self._views or self._derive())[0]
 
     def constraints(self) -> dict[str, dict[str, str]]:
         """Non-ruk triples grouped by domain, in canonical order."""
-        grouped: dict[str, dict[str, str]] = {}
-        for domain, slot, value in self.triples:
-            if slot != RUK_SLOT:
-                grouped.setdefault(domain, {})[slot] = value
-        return grouped
+        return (self._views or self._derive())[1]
 
     def ruk(self) -> tuple[str, str] | None:
         """(domain, entity) of the first ruk triple, or None."""
-        return next(((domain, value) for domain, slot, value in self.triples
-                     if slot == RUK_SLOT), None)
+        return (self._views or self._derive())[2]
 
 
 def make_state(triples: Iterable[tuple[str, str, str]],

@@ -48,7 +48,7 @@ MATCH_FLOOR = 0.6
 EntityMatches = dict[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievedDocument:
     domain: str
     entity_id: str
@@ -175,10 +175,8 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
         if bodies and doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")
-        score = _ratio(common, n + len(key))
-        scored.append(RetrievedDocument(domain=domain, entity_id=entity.id,
-                                        doc_id=doc_id, body=bodies.get(doc_id, ""),
-                                        score=score))
+        scored.append(RetrievedDocument(domain, entity.id, doc_id, bodies.get(doc_id, ""),
+                                        _ratio(common, n + len(key))))
     scored.sort(key=attrgetter("score"), reverse=True)  # stable: entity_docs is in doc_id order
     return scored
 

@@ -11,6 +11,9 @@ score is ``(inform + success) * 0.5 + bleu``.
 
 The three generation metrics of a pair are one pass over one coding of its
 tokens (:func:`_pair_scores`); nothing is kept from one pair to the next.
+ROUGE-L's LCS is bounded by METEOR's exact pair count; when those pairs are
+in order in both sentences they are a common subsequence, so the LCS is that
+count, and only otherwise does the packed LCS pass run.
 
 :func:`evaluate_corpus` takes a corpus and goals the loaders have checked
 against the knowledge base and index (:func:`seknow.corpus.load_corpus`). It
@@ -122,8 +125,14 @@ def _pair_scores(hypothesis: Sequence[str],
     gram-set intersection (an n-gram is one int ``prev * vocab + code``), plus
     ``min(counts) - 1`` for each shared gram repeated on both sides, counted
     only when both sides repeat some gram; an order with no shared gram ends
-    the count, since every longer gram contains one. ROUGE-L reads the LCS of
-    the two code lists.
+    the count, since every longer gram contains one.
+
+    ROUGE-L's LCS (Lin 2004) is a chain of pairs of equal tokens, increasing in
+    both sentences (Hunt & Szymanski 1977), so it uses token ``x`` at most
+    ``min(h_x, r_x)`` times: the exact pair count bounds it. The exact pass
+    tracks whether its reference positions increase; if they do, its pairs are
+    such a chain and the LCS is the count. Otherwise the LCS is one packed pass
+    over the two code lists (:func:`~seknow.knowops.lcs_length`).
     """
     codes: dict[str, int] = {}
     hyp = [codes.setdefault(t, len(codes)) for t in hypothesis]
@@ -134,10 +143,13 @@ def _pair_scores(hypothesis: Sequence[str],
     for j in range(ref_len - 1, -1, -1):
         free[ref[j]].append(j)
     pairs, unaligned = [], []
+    last = -1  # the last exact pair's reference position; ref_len once one decreases
     for i, code in enumerate(hyp):
         stack = free[code]
         if stack:
-            pairs.append((i, stack.pop()))
+            j = stack.pop()
+            pairs.append((i, j))
+            last = j if j > last else ref_len
         else:
             unaligned.append(i)
     exact = len(pairs)
@@ -184,7 +196,7 @@ def _pair_scores(hypothesis: Sequence[str],
                 chunks += 1
         meteor = 100.0 * f_mean * (1.0 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
     if exact:  # a common token, so a nonzero LCS
-        lcs = lcs_length(hyp, ref)
+        lcs = exact if last < ref_len else lcs_length(hyp, ref)
         p, r = lcs / hyp_len, lcs / ref_len
         beta_sq = ROUGE_BETA ** 2
         rouge = 100.0 * (1 + beta_sq) * p * r / (r + beta_sq * p)

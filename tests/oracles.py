@@ -301,6 +301,23 @@ def oracle_ruk(state):
     return None
 
 
+def oracle_domains(state) -> list:
+    """Each domain of a triple, once, in order of its first triple."""
+    domains = []
+    for domain, _, _ in state.triples:
+        if domain not in domains:
+            domains.append(domain)
+    return domains
+
+
+def oracle_constraints(state) -> list:
+    """The non-ruk triples grouped from their definition: (domain, [(slot, value), ...])
+    for each domain with a non-ruk triple, domains and slots in triple order."""
+    return [(domain, [(s, v) for d, s, v in state.triples if d == domain and s != "ruk"])
+            for domain in oracle_domains(state)
+            if any(d == domain and s != "ruk" for d, s, _ in state.triples)]
+
+
 class PRF(NamedTuple):
     precision: float
     recall: float

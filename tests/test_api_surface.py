@@ -363,3 +363,27 @@ def raise_unless_wrappers() -> list[str]:
 
 def test_no_function_only_raises_unless_a_check_holds():
     assert raise_unless_wrappers() == []
+
+
+def _bit_parallel_update(node: ast.AST) -> bool:
+    """Whether ``node`` is ``(v + u) | (v - u)`` for some ``v`` and ``u``, either side first."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)):
+        return False
+    sides = {type(side.op): (ast.dump(side.left), ast.dump(side.right))
+             for side in (node.left, node.right) if isinstance(side, ast.BinOp)}
+    return ast.Add in sides and sides[ast.Add] == sides.get(ast.Sub)
+
+
+def lcs_kernels() -> list[str]:
+    """``module.function`` of each function in ``src/seknow`` whose body holds the
+    bit-parallel LCS update ``(v + u) | (v - u)`` (Hyyrö 2004)."""
+    return sorted(f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                  if isinstance(node, ast.FunctionDef) and any(map(_bit_parallel_update,
+                                                                   ast.walk(node))))
+
+
+def test_one_lcs_kernel():
+    assert lcs_kernels() == ["text.packed_lcs"]
+    assert _bit_parallel_update(ast.parse("(x - y) | (x + y)", mode="eval").body)
+    assert not _bit_parallel_update(ast.parse("(x + y) | (y - x)", mode="eval").body)

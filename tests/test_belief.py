@@ -4,9 +4,17 @@ from dataclasses import astuple
 import pytest
 
 from genstates import random_near_pair, random_span, random_state
-from oracles import extended_prf, oracle_joint_goal, oracle_parse_belief_span, oracle_ruk
+from oracles import (
+    extended_prf,
+    oracle_constraints,
+    oracle_domains,
+    oracle_joint_goal,
+    oracle_parse_belief_span,
+    oracle_ruk,
+)
 from seknow.belief import (
     DialogContext,
+    ExtendedBeliefState,
     extend_state,
     joint_goal_match,
     make_state,
@@ -175,6 +183,29 @@ def test_no_code_point_lowercases_into_whitespace():
         char = chr(cp)
         if not char.isspace():
             assert len(char.lower().split()) == 1, hex(cp)
+
+
+def test_state_views_equal_their_definitions_and_are_derived_once():
+    rng = random.Random(3002)
+    states = [ExtendedBeliefState(),
+              ExtendedBeliefState(triples=(("hotel", "ruk", "acorn"), ("hotel", "area", "north")))]
+    for _ in range(400):
+        state = random_state(rng)
+        states.append(state)
+        # a ruk in a domain with no constraint: in domains() but not in constraints()
+        states.append(extend_state(state, "police", rng.choice(["a", "b c"]), ("wifi",)))
+    ruk_only = 0
+    for state in states:
+        views = state.domains(), state.constraints(), state.ruk()
+        assert list(views[0]) == oracle_domains(state)
+        assert [(d, list(slots.items())) for d, slots in views[1].items()] == \
+            oracle_constraints(state)
+        ruk = oracle_ruk(state)
+        assert views[2] == (None if ruk is None else (ruk[0], ruk[2]))
+        for again, view in zip((state.domains(), state.constraints(), state.ruk()), views):
+            assert again is view
+        ruk_only += len(views[0]) > len(views[1])
+    assert ruk_only > 300
 
 
 def test_roundtrip_random_states():

@@ -302,11 +302,10 @@ def _reword(rng, tokens, vocab, weights):
     return out or tokens[:1]
 
 
-def test_pair_scores_match_oracles_on_reworded_pairs(tmp_path):
-    # Benchmark references equal their hypotheses on most pairs. Here each hypothesis is
-    # a template response over a benchmark KB and its reference that response reworded
-    # from a Zipf vocabulary of 5,000 words, so nearly every pair differs; BLEU counts,
-    # METEOR and ROUGE-L must still equal the references from their definitions.
+def _reworded_pairs(tmp_path):
+    """200 (hypothesis, reference) pairs: each hypothesis a template response over a
+    benchmark KB, and its reference that response reworded from a Zipf vocabulary of
+    5,000 words."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
     sys.dont_write_bytecode, write_bytecode = True, sys.dont_write_bytecode
     try:
@@ -323,18 +322,88 @@ def test_pair_scores_match_oracles_on_reworded_pairs(tmp_path):
     hyps = [turn.reference.split() for dialog in corpus.dialogs for turn in dialog.turns]
     rng = random.Random(2902)
     vocab, weights = _zipf_vocabulary(rng)
+    return [(hyp, _reword(rng, hyp, vocab, weights)) for hyp in hyps]
+
+
+def test_pair_scores_match_oracles_on_reworded_pairs(tmp_path):
+    # Benchmark references equal their hypotheses on most pairs. Here nearly every pair
+    # differs; BLEU counts, METEOR and ROUGE-L must still equal the references from their
+    # definitions.
+    pairs = _reworded_pairs(tmp_path)
     differ = stem_only = corrected = 0
-    for hyp in hyps:
-        ref = _reword(rng, hyp, vocab, weights)
+    for hyp, ref in pairs:
         assert _pair_scores(hyp, ref) == (oracle_bleu_counts(hyp, ref), oracle_meteor(hyp, ref),
                                           oracle_rouge_l(hyp, ref)), (hyp, ref)
         differ += hyp != ref
         ref_stems = set(map(_stem, ref))
         stem_only += any(t not in ref and _stem(t) in ref_stems for t in hyp)
         corrected += any(repeated_on_both_sides(hyp, ref, n) for n in (2, 3, 4))
-    assert len(hyps) == 200
-    assert differ >= 0.95 * len(hyps)
+    assert len(pairs) == 200
+    assert differ >= 0.95 * len(pairs)
     assert stem_only > 50 and corrected > 25, (stem_only, corrected)
+
+
+def _ordered_edit(rng, ref, vocab):
+    """``ref`` with some positions dropped or substituted by a word it lacks, and words
+    it lacks inserted. Once an occurrence of a token goes, so do its later ones, so the
+    hypothesis keeps each token's first occurrences: the exact pass pairs them in order."""
+    novel = [t for t in vocab if t not in ref]
+    gone: set[str] = set()
+    hyp = []
+    for token in ref:
+        draw = rng.random()
+        if token in gone or draw < 0.3:
+            gone.add(token)
+            hyp += [rng.choice(novel)] if draw < 0.15 else []
+        else:
+            hyp.append(token)
+        if rng.random() < 0.1:
+            hyp.append(rng.choice(novel))
+    return hyp
+
+
+def test_rouge_lcs_is_the_exact_pair_count_only_when_those_pairs_are_in_order(monkeypatch,
+                                                                              tmp_path):
+    # The exact pass pairs min(h_x, r_x) of each token x, which bounds the LCS. When the
+    # pairs' reference positions increase, they are a common subsequence and the LCS
+    # equals that count, so the packed pass must not run; when the LCS is below it (the
+    # pairs cross), the packed pass must run. Every score equals its oracle either way.
+    calls = []
+    monkeypatch.setattr(metrics, "lcs_length",
+                        lambda a, b: calls.append(1) or knowops.lcs_length(a, b))
+
+    def scored(hyp, ref):
+        calls.clear()
+        assert _pair_scores(hyp, ref) == (oracle_bleu_counts(hyp, ref), oracle_meteor(hyp, ref),
+                                          oracle_rouge_l(hyp, ref)), (hyp, ref)
+        return len(calls)
+
+    rng = random.Random(3001)
+    vocab = KERNEL_VOCABS[1] + ["a", "b", "c", "the", "is"]
+    repeated = 0
+    for _ in range(600):
+        ref = rng.choices(vocab[:rng.choice((6, 20, len(vocab)))], k=rng.randint(1, 25))
+        hyp = _ordered_edit(rng, ref, vocab)
+        if hyp == ref:
+            continue
+        exact = oracle_bleu_counts(hyp, ref)[1]
+        assert oracle_lcs_length(hyp, ref) == exact
+        assert scored(hyp, ref) == 0, (hyp, ref)
+        repeated += exact > len(set(hyp) & set(ref))
+    assert repeated > 300
+
+    crossing = 0
+    assert scored("a b".split(), "b a".split()) == 1
+    for _ in range(3000):
+        hyp = rng.choices(vocab[:rng.choice((3, 6, 12))], k=rng.randint(2, 12))
+        ref = rng.choices(vocab[:rng.choice((3, 6, 12))], k=rng.randint(2, 12))
+        if oracle_lcs_length(hyp, ref) < oracle_bleu_counts(hyp, ref)[1]:
+            crossing += 1
+            assert scored(hyp, ref) == 1, (hyp, ref)
+    assert crossing > 700
+
+    fired = [scored(hyp, ref) == 0 for hyp, ref in _reworded_pairs(tmp_path)]
+    assert 0 < sum(fired) < len(fired)
 
 
 def test_retrieval_metrics_all_rank_one():
