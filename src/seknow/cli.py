@@ -37,17 +37,17 @@ def _parse_thresholds(pairs: list[str], kb: kb_mod.KnowledgeBase) -> dict[str, f
     thresholds = dict(topics.DEFAULT_THRESHOLDS)
     for pair in pairs:
         if "=" not in pair:
-            raise ConfigError(f"--threshold expects domain=value, got '{pair}'")
+            raise ConfigError(f"--threshold expects domain=value, got {pair!r}")
         domain, _, value = pair.partition("=")
         if normalize(domain) not in kb.document_domains:
-            raise ConfigError(f"--threshold domain '{domain}' has no documents "
+            raise ConfigError(f"--threshold domain {domain!r} has no documents "
                               "in the knowledge base")
         try:
             threshold = float(value)
         except ValueError:
-            raise ConfigError(f"--threshold value '{value}' is not a number") from None
+            raise ConfigError(f"--threshold value {value!r} is not a number") from None
         if not math.isfinite(threshold):
-            raise ConfigError(f"--threshold value '{value}' is not finite")
+            raise ConfigError(f"--threshold value {value!r} is not finite")
         thresholds[normalize(domain)] = threshold
     return thresholds
 

@@ -119,7 +119,7 @@ def load_goals(path: str, kb: KnowledgeBase,
     goals = {}
     for dialog_id, goal in raw.items():
         if dialog_id not in ids:
-            raise LoadError(f"goal for dialog '{dialog_id}' names no dialog of the corpus",
+            raise LoadError(f"goal for dialog {dialog_id!r} names no dialog of the corpus",
                             file=path)
         goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
     return goals
@@ -142,12 +142,12 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
     domains = {}
     for dom, obj in raw.items():
         if not isinstance(obj, dict):
-            raise refused(f"{where}: goal domain '{dom}' is not an object")
+            raise refused(f"{where}: goal domain {dom!r} is not an object")
         constraints = obj.get("constraints", {})
         requestables = obj.get("requestables", [])
         if not (isinstance(constraints, dict) and isinstance(requestables, list)
                 and all(isinstance(v, str) for v in (*constraints.values(), *requestables))):
-            raise refused(f"{where}: goal domain '{dom}' needs an object of string "
+            raise refused(f"{where}: goal domain {dom!r} needs an object of string "
                           "'constraints' and an array of string 'requestables'")
         name = normalize(dom)
         if not name:
@@ -158,7 +158,7 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
         for slot, value in constraints.items():
             key, value = normalize(slot), normalize(value)
             if not (key and value):
-                raise refused(f"{where}: goal domain '{name}': constraint '{slot}' is empty")
+                raise refused(f"{where}: goal domain '{name}': constraint {slot!r} is empty")
             if key in normalized:
                 raise refused(f"{where}: goal domain '{name}': duplicate constraint '{key}'")
             normalized[key] = value

@@ -6,7 +6,8 @@ the domain and entity they describe. After loading, its records do not
 change and it is safe to share across threads; what it gains later changes
 no result: each domain's last structured query, replaced whole by one
 assignment, and lookups built on first use, never at load (``cached_property``:
-postings, match keys and their LCS packs, each entity's ``{doc_id: body}``).
+postings, the match table of keys with their LCS packs, each entity's
+``{doc_id: body}``).
 
 :func:`load_knowledge_base` refuses the first fault it meets as a load error
 naming the file it lies in, raised where the check is made. It reads the db
@@ -104,29 +105,22 @@ class Domain:
         return matched
 
     @cached_property
-    def match_keys(self) -> tuple[tuple[str, Entity], ...]:
-        """(key, entity) in ``id_order``: each normalized name, then the id where it differs."""
-        return tuple((key, ent) for ent in self.id_order
-                     for key in dict.fromkeys((normalize(ent.name), normalize(ent.id))))
-
-    @cached_property
-    def first_by_key(self) -> dict[str, Entity]:
-        """Each :attr:`match_keys` key -> the first entity in ``id_order`` that has it."""
+    def match_table(self) -> tuple[dict[str, Entity],
+                                   dict[int, tuple[tuple[tuple[int, Entity], ...], KeyPack]]]:
+        """The entity-match keys, walked once: each normalized name, then the id where it
+        differs, of each entity in ``id_order``. Gives each key -> the first entity that
+        has it, and key length -> (position in that walk, entity) of each key that long,
+        in walk order, with the :func:`~seknow.text.pack_keys` pack of those keys."""
         first: dict[str, Entity] = {}
-        for key, ent in self.match_keys:
-            first.setdefault(key, ent)
-        return first
-
-    @cached_property
-    def keys_by_length(self) -> dict[int, tuple[tuple[tuple[int, Entity], ...], KeyPack]]:
-        """Key length -> (position in :attr:`match_keys`, entity) of each key that long,
-        in that order, and the :func:`~seknow.text.pack_keys` pack of those keys."""
         groups: dict[int, list[tuple[int, str, Entity]]] = {}
-        for pos, (key, ent) in enumerate(self.match_keys):
+        keys = ((key, ent) for ent in self.id_order
+                for key in dict.fromkeys((normalize(ent.name), normalize(ent.id))))
+        for pos, (key, ent) in enumerate(keys):
+            first.setdefault(key, ent)
             groups.setdefault(len(key), []).append((pos, key, ent))
-        return {length: (tuple((pos, ent) for pos, _, ent in group),
-                         pack_keys(key for _, key, _ in group))
-                for length, group in groups.items()}
+        return first, {length: (tuple((pos, ent) for pos, _, ent in group),
+                                pack_keys(key for _, key, _ in group))
+                       for length, group in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -254,17 +248,20 @@ def _parse_db(path: str) -> dict[str, Domain]:
             attrs = ent.get("attributes", {})
             if not (isinstance(attrs, dict) and all(
                     isinstance(s, str) and isinstance(v, str) for s, v in attrs.items())):
-                raise LoadError(f"domain '{name}': entity '{ent['id']}' attributes must map "
+                raise LoadError(f"domain '{name}': entity {ent['id']!r} attributes must map "
                                 "strings to strings", file=path)
             attributes = {}
             for slot, value in attrs.items():
                 key, value = normalize(slot), normalize(value)
                 if not (key and value):
-                    raise LoadError(f"domain '{name}': entity '{ent['id']}' attribute "
-                                    f"'{slot}' is empty", file=path)
+                    raise LoadError(f"domain '{name}': entity {ent['id']!r} attribute "
+                                    f"{slot!r} is empty", file=path)
+                if key in attributes:
+                    raise LoadError(f"domain '{name}': entity {ent['id']!r}: duplicate "
+                                    f"attribute '{key}'", file=path)
                 attributes[key] = value
             if not isinstance(ent.get("bookable", False), bool):
-                raise LoadError(f"domain '{name}': entity '{ent['id']}' 'bookable' must be a "
+                raise LoadError(f"domain '{name}': entity {ent['id']!r} 'bookable' must be a "
                                 "boolean", file=path)
             entities.append(Entity(
                 id=normalize(ent["id"]),

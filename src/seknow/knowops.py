@@ -15,17 +15,18 @@ each makes one bit-parallel pass over the query per packed key set
 
 The steps read lookups built on first use. Each :class:`~seknow.kb.Domain`
 holds per-(slot, value) postings, bitmasks over the id order, which the query
-ANDs when the domain's constraints differ from its last query's; and its
-pre-normalized names and ids, with a map from each to the first entity
-having it, and the keys grouped by length, each group packed. The entity
-match takes a query equal to a key from that map, since only equal strings
-score 1.0; otherwise it makes one pass per key length, by non-increasing
-bound ``2 * min(len) / (len + len)``, until a bound cannot reach the best
-score (Ukkonen 1992's length filter). The document ranking makes one pass
-over the pack of the entity's normalized space-joined topic words
-(:meth:`~seknow.topics.TopicIndex.entity_pack`, aligned with
-:meth:`~seknow.topics.TopicIndex.entity_docs`), and reads the entity's
-``{doc_id: body}`` map (:attr:`~seknow.kb.Entity.bodies`).
+ANDs when the domain's constraints differ from its last query's; and one
+match table (:attr:`~seknow.kb.Domain.match_table`) of its pre-normalized
+names and ids: a map from each key to the first entity having it, and the
+keys grouped by length, each group packed. The entity match takes a query
+equal to a key from that map, since only equal strings score 1.0; otherwise
+it makes one pass per key length, by non-increasing bound
+``2 * min(len) / (len + len)``, until a bound cannot reach the best score
+(Ukkonen 1992's length filter). The document ranking reads the entity's one
+index record (:meth:`~seknow.topics.TopicIndex.entity_docs`): its documents
+with their normalized space-joined topic words, and the pack of those, over
+which it makes one pass; and the entity's ``{doc_id: body}`` map
+(:attr:`~seknow.kb.Entity.bodies`).
 """
 
 from __future__ import annotations
@@ -119,16 +120,16 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | Non
     Only the single best-matched entity is selected; ties break by ascending
     id, and a best score below :data:`MATCH_FLOOR` returns None. Only equal strings
     score 1.0, so a query equal to some key takes the first entity in id
-    order that has it (``Domain.first_by_key``) without a scan. Otherwise key
-    lengths ``L`` are scanned, one packed pass each, by non-increasing bound
-    ``2 * min(n, L) / (n + L)`` until one is below the best score; an equal
-    bound can only tie, so its length is scanned only when it has a key
-    before the best one in ``Domain.match_keys``. A length's best key is its
-    first of greatest LCS.
+    order that has it (from ``Domain.match_table``) without a scan. Otherwise
+    key lengths ``L`` are scanned, one packed pass each, by non-increasing
+    bound ``2 * min(n, L) / (n + L)`` until one is below the best score; an
+    equal bound can only tie, so its length is scanned only when it has a key
+    before the best one in the table's walk. A length's best key is its first
+    of greatest LCS.
     """
     query = normalize(ruk_value)
-    dom = kb.domain(domain)
-    exact = dom.first_by_key.get(query)
+    first_by_key, by_length = kb.domain(domain).match_table
+    exact = first_by_key.get(query)
     if exact is not None:
         return exact
     n = len(query)
@@ -136,7 +137,7 @@ def match_entity(kb: KnowledgeBase, domain: str, ruk_value: str) -> Entity | Non
     best_score, best_pos = -1.0, 0
     for bound, total, entries, pack in sorted(
             ((_ratio(min(n, length), n + length), n + length, *bucket)
-             for length, bucket in dom.keys_by_length.items()),
+             for length, bucket in by_length.items()),
             key=itemgetter(0), reverse=True):
         if bound < best_score:
             break
@@ -169,9 +170,9 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     query = normalize(" ".join(topic))
     n = len(query)
     bodies = entity.bodies
-    lcs = packed_lcs(index.entity_pack(domain, entity.id), query)
+    docs, pack = index.entity_docs(domain, entity.id)
     scored = []
-    for (doc_id, _, key), common in zip(index.entity_docs(domain, entity.id), lcs):
+    for (doc_id, _, key), common in zip(docs, packed_lcs(pack, query)):
         if bodies and doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")

@@ -16,11 +16,11 @@ stream is its title and body tokenized as one text, title first; it is
 scored once, as its distinct tokens in first-occurrence order with aligned
 scores, and one stable sort of their positions by score ranks the candidates.
 
-An index groups its rows by entity on first use, not at load: each entity's
-documents in doc_id order, with their topic words normalized and
-space-joined. Document retrieval scores an entity's keys in one pass over
-their LCS pack (:func:`~seknow.text.pack_keys`), built on that entity's
-first retrieval.
+An index groups its rows by entity on first use, not at load, into one
+record per entity: its documents in doc_id order, each with its topic words
+normalized and space-joined as its key, and the LCS pack of those keys
+(:func:`~seknow.text.pack_keys`). Document retrieval scores an entity's
+keys in one pass over that pack.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ MAX_TOPICS = 3
 DocKey = tuple[str, str, str]  # (domain, entity_id, doc_id)
 # (doc_id, topic words, the topic words space-joined and normalized)
 EntityDoc = tuple[str, tuple[str, ...], str]
+_NO_DOCS: tuple[tuple[EntityDoc, ...], KeyPack] = ((), pack_keys(()))
 
 
 @dataclass(frozen=True)
@@ -68,35 +69,24 @@ class TopicIndex:
     stopwords_sha256: str = ""
 
     @cached_property
-    def _entity_docs(self) -> dict[tuple[str, str], tuple[EntityDoc, ...]]:
+    def _by_entity(self) -> dict[tuple[str, str], tuple[tuple[EntityDoc, ...], KeyPack]]:
         grouped: dict[tuple[str, str], list[EntityDoc]] = {}
         for (domain, entity_id, doc_id), words in sorted(self.entries.items()):
             topics = tuple(tw.token for tw in words)
             grouped.setdefault((domain, entity_id), []).append(
                 (doc_id, topics, normalize(" ".join(topics))))
-        return {key: tuple(docs) for key, docs in grouped.items()}
+        return {key: (tuple(docs), pack_keys(doc_key for _, _, doc_key in docs))
+                for key, docs in grouped.items()}
 
-    def entity_docs(self, domain: str, entity_id: str) -> tuple[EntityDoc, ...]:
-        """One entity's documents, ascending by doc_id; built once per index, on first use."""
-        return self._entity_docs.get((domain, entity_id), ())
-
-    @cached_property
-    def _entity_packs(self) -> dict[tuple[str, str], KeyPack]:
-        return {}
-
-    def entity_pack(self, domain: str, entity_id: str) -> KeyPack:
-        """The :func:`~seknow.text.pack_keys` pack of one entity's normalized keys, in
-        :meth:`entity_docs` order; built on first use of that entity."""
-        packs = self._entity_packs
-        pack = packs.get((domain, entity_id))
-        if pack is None:
-            pack = packs[domain, entity_id] = pack_keys(
-                key for _, _, key in self.entity_docs(domain, entity_id))
-        return pack
+    def entity_docs(self, domain: str, entity_id: str) -> tuple[tuple[EntityDoc, ...], KeyPack]:
+        """One entity's documents, ascending by doc_id, and the :func:`~seknow.text.pack_keys`
+        pack of their normalized keys in that order; every entity's are built in one walk of
+        the rows, on the index's first use."""
+        return self._by_entity.get((domain, entity_id), _NO_DOCS)
 
     def docs_for_entity(self, domain: str, entity_id: str) -> list[tuple[str, tuple[str, ...]]]:
         """(doc_id, topic words) pairs for one entity, ascending by doc_id."""
-        return [(doc_id, topics) for doc_id, topics, _ in self.entity_docs(domain, entity_id)]
+        return [(doc_id, topics) for doc_id, topics, _ in self.entity_docs(domain, entity_id)[0]]
 
 
 def compute_tfidf(doc_tokens: Mapping) -> dict[object, tuple[tuple[str, ...], list[float]]]:

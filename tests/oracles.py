@@ -388,7 +388,13 @@ def oracle_evaluate(corpus, kb, index, predictor: str, generator=None, goals=Non
     bleu = metrics._bleu_score(stats)
     meteor = math.fsum(oracle_meteor(h, r) for h, r in pairs) / len(pairs)
     rouge = math.fsum(oracle_rouge_l(h, r) for h, r in pairs) / len(pairs)
-    mrr5, r1 = metrics.retrieval_metrics(rankings, gold_docs) if rankings else (0.0, 0.0)
+    # MRR@5: the mean of 1 / rank of the gold document when it ranks in the top five, else 0;
+    # R@1: the share of turns whose top document is the gold one
+    reciprocals = [1.0 / (ranking.index(gold) + 1) if gold in ranking[:5] else 0.0
+                   for ranking, gold in zip(rankings, gold_docs)]
+    hits = [bool(ranking) and ranking[0] == gold for ranking, gold in zip(rankings, gold_docs)]
+    mrr5 = 100.0 * math.fsum(reciprocals) / len(rankings) if rankings else 0.0
+    r1 = 100.0 * sum(hits) / len(rankings) if rankings else 0.0
     prf = extended_prf(preds, golds)
 
     informed = succeeded = judged = 0

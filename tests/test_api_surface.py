@@ -387,3 +387,39 @@ def test_one_lcs_kernel():
     assert lcs_kernels() == ["text.packed_lcs"]
     assert _bit_parallel_update(ast.parse("(x - y) | (x + y)", mode="eval").body)
     assert not _bit_parallel_update(ast.parse("(x + y) | (y - x)", mode="eval").body)
+
+
+def _is_cached_property(node: ast.expr) -> bool:
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None) == "cached_property"
+
+
+def _empty_container(node: ast.expr | None) -> bool:
+    """Whether ``node`` is an empty ``{}``, ``[]``, ``()`` or a no-argument call of a
+    built-in container type."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.args
+            and not node.keywords
+            and node.func.id in {"dict", "list", "tuple", "set", "frozenset"})
+
+
+def empty_memos(source: str) -> list[str]:
+    """Name of each ``cached_property`` in ``source`` whose body, after its docstring, only
+    returns an empty container: a memo that other code fills, so what it caches is built
+    outside it."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(map(_is_cached_property, node.decorator_list))
+                  and [type(s) for s in node.body[ast.get_docstring(node) is not None:]]
+                  == [ast.Return] and _empty_container(node.body[-1].value))
+
+
+def test_no_cached_property_is_an_empty_memo():
+    assert [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in empty_memos(path.read_text("utf-8"))] == []
+    assert empty_memos("class A:\n    @functools.cached_property\n    def m(self):\n"
+                       "        '''doc'''\n        return {}\n"
+                       "    @cached_property\n    def n(self):\n        return dict()\n"
+                       "    @cached_property\n    def o(self):\n        return {1: 2}\n"
+                       "    @property\n    def p(self):\n        return []\n") == ["m", "n"]

@@ -750,6 +750,10 @@ BAD_FILES = {
     "db-entity-without-name": _refused(
         "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][2].pop("name")),
         "domain 'restaurant': entity #2 missing 'name'"),
+    "db-duplicate-attribute": _refused(
+        "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"]
+                         .update(AREA="north")),
+        "domain 'restaurant': entity 'pizza hut': duplicate attribute 'area'"),
     "db-attribute-not-string": _refused(
         "db", _json_edit(DB_PATH, lambda db: db["restaurant"]["entities"][0]["attributes"]
                          .update(stars=4)),
@@ -768,6 +772,69 @@ BAD_FILES = {
     **{f"{command}-out-in-missing-dir": _bad_output(command)
        for command in ("build-index", "run", "eval", "corrupt")},
 }
+
+
+def _pizza_hut_edit(**fields) -> bytes:
+    """The toy db with the first restaurant's id holding a line separator, its attributes
+    updated from ``fields["attributes"]`` and its other fields set from the rest of
+    ``fields``."""
+    def mutate(db):
+        ent = db["restaurant"]["entities"][0]
+        ent["id"] = "pizza\u2028hut"
+        ent["attributes"].update(fields.pop("attributes", {}))
+        ent.update(fields)
+    return _json_edit(DB_PATH, mutate)
+
+
+def _threshold(flag: str):
+    """`build-index` over the toy KB with one ``--threshold`` flag."""
+    return lambda files, tmp_path: (
+        ["build-index", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+         "--out", str(tmp_path / "index.tsv"), "--threshold", flag], "error: config: ")
+
+
+# str.splitlines breaks at \n and \u2028: each raw outside value is quoted as a repr
+LINE_BREAK_VALUES = {
+    "goal-domain-not-object": (_bad_input(
+        "goals", b'{"dlg0000": {"ho\\u2028tel": []}}', " dialog 'dlg0000': "),
+        "goal domain 'ho\\u2028tel' is not an object"),
+    "goal-domain-not-strings": (_bad_input(
+        "goals", b'{"dlg0000": {"ho\\u2028tel": {"constraints": []}}}', " dialog 'dlg0000': "),
+        "goal domain 'ho\\u2028tel' needs an object of string 'constraints' and an array "
+        "of string 'requestables'"),
+    "goal-constraint-empty": (_bad_input(
+        "goals", b'{"dlg0000": {"hotel": {"constraints": {"\\u2028": "x"}}}}',
+        " dialog 'dlg0000': "), "goal domain 'hotel': constraint '\\u2028' is empty"),
+    "goal-for-no-dialog": (_bad_input("goals", b'{"dlg\\u2028": {}}', " "),
+                           "goal for dialog 'dlg\\u2028' names no dialog of the corpus"),
+    "db-attributes-not-strings": (
+        _bad_input("db", _pizza_hut_edit(attributes={"stars": 4}), " domain 'restaurant': "),
+        "entity 'pizza\\u2028hut' attributes must map strings to strings"),
+    "db-attribute-empty": (
+        _bad_input("db", _pizza_hut_edit(attributes={"\u2028": "x"}), " domain 'restaurant': "),
+        "entity 'pizza\\u2028hut' attribute '\\u2028' is empty"),
+    "db-bookable-not-bool": (
+        _bad_input("db", _pizza_hut_edit(bookable="yes"), " domain 'restaurant': "),
+        "entity 'pizza\\u2028hut' 'bookable' must be a boolean"),
+    "db-duplicate-attribute": (
+        _bad_input("db", _pizza_hut_edit(attributes={"AREA": "north"}), " domain 'restaurant': "),
+        "entity 'pizza\\u2028hut': duplicate attribute 'area'"),
+    "threshold-without-equals": (_threshold("hotel\n"),
+                                 "--threshold expects domain=value, got 'hotel\\n'"),
+    "threshold-domain": (_threshold("ho\ntel=1"),
+                         "--threshold domain 'ho\\ntel' has no documents in the knowledge base"),
+    "threshold-not-a-number": (_threshold("hotel=x\n1"),
+                               "--threshold value 'x\\n1' is not a number"),
+    "threshold-not-finite": (_threshold("hotel=nan\n"), "--threshold value 'nan\\n' is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(LINE_BREAK_VALUES))
+def test_outside_value_with_a_line_break_is_one_error_line(tmp_path, capsys, eval_files, case):
+    build, detail = LINE_BREAK_VALUES[case]
+    argv, prefix = build(eval_files, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [prefix + detail]
 
 
 @pytest.mark.parametrize("case", list(BAD_FILES))

@@ -282,13 +282,21 @@ def test_packed_lcs_matches_dp_reference_on_random_key_sets():
 
 def test_packs_are_built_on_first_use():
     kb = load_knowledge_base(str(DB_PATH), str(DOCS_PATH))
-    index = read_index(str(GOLDEN_INDEX_PATH))
-    domain = kb.domain("restaurant")
-    assert "keys_by_length" not in vars(domain) and "_entity_packs" not in vars(index)
+    index = read_index(str(GOLDEN_INDEX_PATH), kb)
+    # loading builds no lookup: no cached_property value is stored yet
+    assert vars(index).keys() == {"entries", "thresholds", "stopwords_sha256"}
+    for domain in kb.domains.values():
+        assert "match_table" not in vars(domain) and "id_order" not in vars(domain)
+        assert all("bodies" not in vars(ent) for ent in domain.entities)
     entity = match_entity(kb, "restaurant", "pizza hutt")
-    assert entity.id == "pizza hut" and "keys_by_length" in vars(domain)
+    assert entity.id == "pizza hut"
+    assert [name for name, domain in kb.domains.items()
+            if "match_table" in vars(domain)] == ["restaurant"]
+    assert "_by_entity" not in vars(index)
     assert retrieve_document(index, "restaurant", entity, ["favorite"])[0].doc_id == "d1"
-    assert list(vars(index)["_entity_packs"]) == [("restaurant", "pizza hut")]
+    # the first retrieval builds every entity's record, each with its pack
+    records = vars(index)["_by_entity"]
+    assert sorted(records) == sorted({key[:2] for key in index.entries})
     assert "bodies" in vars(entity)
 
 
@@ -493,7 +501,7 @@ def test_match_entity_equals_bruteforce_on_edited_benchmark_names(tmp_path):
                     got = match_entity(kb, name, query)
                     expected = oracle_match_entity(entities, query, MATCH_FLOOR)
                     assert (got.id if got else None) == expected, (name, query)
-                    inexact += " ".join(query.split()) not in domain.first_by_key
+                    inexact += " ".join(query.split()) not in domain.match_table[0]
                     matched += expected is not None
     assert inexact > 350 and matched > 300, (inexact, matched)
 
@@ -518,7 +526,7 @@ def test_match_entity_scans_an_equal_bound_length_up_to_the_best_key():
     kb = KnowledgeBase(domains={"hotel": Domain(
         name="hotel", slot_schema=frozenset({"name"}),
         entities=tuple(Entity(id=key, name=key, attributes={}) for key in keys))})
-    assert list(kb.domains["hotel"].keys_by_length) == [4, 9]
+    assert list(kb.domains["hotel"].match_table[1]) == [4, 9]
     assert fuzzy_similarity("abcdef", "bcde") == fuzzy_similarity("abcdef", "abcdefxyz") == 0.8
     assert match_entity(kb, "hotel", "abcdef").id == "abcdefxyz"
 
@@ -535,7 +543,7 @@ def test_match_entity_stops_at_the_first_length_that_cannot_reach_the_best(monke
     # "abcdef" scores 2 * 5 / 12 > 0.8, the bound of every other length: one pass, over
     # the two length-6 keys
     assert match_entity(kb, "hotel", "abcdeg").id == "abcdef"
-    by_length = kb.domains["hotel"].keys_by_length
+    by_length = kb.domains["hotel"].match_table[1]
     assert passes == [by_length[6][1]]
     assert [ent.id for _, ent in by_length[6][0]] == ["abcdef", "xbcdef"]
 
