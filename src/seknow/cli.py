@@ -243,13 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run the structured query for a belief span")
     p.add_argument("--kb", required=True)
-    p.add_argument("--docs")
     p.add_argument("--belief", required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("retrieve", help="rank documents for a belief span")
     p.add_argument("--kb", required=True)
-    p.add_argument("--docs")
+    p.add_argument("--docs", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--belief", required=True)
     p.set_defaults(func=cmd_retrieve)

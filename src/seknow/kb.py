@@ -183,30 +183,25 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
-def _lone_surrogate(value) -> str | None:
-    """The first lone surrogate in a string or key of the parsed JSON ``value``."""
-    if isinstance(value, str):
-        return next((c for c in value if "\ud800" <= c <= "\udfff"), None)
-    if isinstance(value, dict):
-        value = [*value, *value.values()]
-    if isinstance(value, list):
-        return next(filter(None, map(_lone_surrogate, value)), None)
-    return None
-
-
 def parse_json(text: str, file: str, line: int | None = None):
-    """The JSON value of ``text``, all of ``file`` or its ``line``. Malformed JSON, and a
-    string or key holding a lone surrogate escape, which no UTF-8 output can hold, are
-    load errors. The value is walked only when the text holds a surrogate escape."""
+    """The JSON value of ``text``, all of ``file`` or its ``line``. Malformed JSON, nesting
+    deeper than the interpreter's recursion limit, an integer longer than its digit limit,
+    and a string or key holding a lone surrogate escape, which no UTF-8 output can hold,
+    are load errors. The value is encoded only when the text holds a surrogate escape."""
     try:
         value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode()
     except json.JSONDecodeError as exc:
         raise LoadError(exc.msg, file=file, line=exc.lineno if line is None else line) from exc
-    if _SURROGATE_ESCAPE.search(text):
-        surrogate = _lone_surrogate(value)
-        if surrogate is not None:
-            raise LoadError(f"the lone surrogate escape \\u{ord(surrogate):04x} "
-                            "is not valid Unicode text", file=file, line=line)
+    except UnicodeEncodeError as exc:
+        raise LoadError(f"the lone surrogate escape \\u{ord(exc.object[exc.start]):04x} "
+                        "is not valid Unicode text", file=file, line=line) from exc
+    except RecursionError:
+        raise LoadError("JSON nested too deeply", file=file, line=line) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise LoadError(f"integer too long: {str(exc).partition(';')[0]}",
+                        file=file, line=line) from exc
     return value
 
 

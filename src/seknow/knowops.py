@@ -162,8 +162,7 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     each document's space-joined index topics; descending score, ties by
     ascending doc_id. An entity with no indexed documents yields an empty
     list; an empty topic is a query error since retrieval is only meaningful
-    with a topic. When the entity has documents, an index row naming none of
-    them is a query error; without documents every body is empty.
+    with a topic, and so is an index row naming no document of the entity.
     """
     if not topic:
         raise QueryError("document retrieval needs a nonempty topic")
@@ -173,10 +172,10 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     docs, pack = index.entity_docs(domain, entity.id)
     scored = []
     for (doc_id, _, key), common in zip(docs, packed_lcs(pack, query)):
-        if bodies and doc_id not in bodies:
+        if doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
                              f"document of entity '{entity.id}'")
-        scored.append(RetrievedDocument(domain, entity.id, doc_id, bodies.get(doc_id, ""),
+        scored.append(RetrievedDocument(domain, entity.id, doc_id, bodies[doc_id],
                                         _ratio(common, n + len(key))))
     scored.sort(key=attrgetter("score"), reverse=True)  # stable: entity_docs is in doc_id order
     return scored

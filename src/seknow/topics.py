@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -66,7 +65,6 @@ class TopicWord:
 class TopicIndex:
     entries: dict[DocKey, tuple[TopicWord, ...]]
     thresholds: dict[str, float]
-    stopwords_sha256: str = ""
 
     @cached_property
     def _by_entity(self) -> dict[tuple[str, str], tuple[tuple[EntityDoc, ...], KeyPack]]:
@@ -180,12 +178,12 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
 
     used = {dom: float(thresholds[dom]) for dom in sorted(
         {key[0] for key in entries})}
-    return TopicIndex(entries=entries, thresholds=used,
-                      stopwords_sha256=stopwords_digest())
+    return TopicIndex(entries=entries, thresholds=used)
 
 
 def write_index(index: TopicIndex, path: str):
-    """Write the index file plus its ``<path>.meta.json`` sidecar.
+    """Write the index file plus its ``<path>.meta.json`` sidecar, which records the
+    thresholds and the digest of the stopword list in effect.
 
     Index lines are ``domain<TAB>entity_id<TAB>doc_id<TAB>topic1[,topic2[,topic3]]``
     sorted lexicographically, so identical indexes are byte-identical files.
@@ -198,7 +196,7 @@ def write_index(index: TopicIndex, path: str):
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     sidecar = {
         "thresholds": {k: index.thresholds[k] for k in sorted(index.thresholds)},
-        "stopwords_sha256": index.stopwords_sha256,
+        "stopwords_sha256": stopwords_digest(),
     }
     with open_output(sidecar_path(path)) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -210,16 +208,16 @@ def sidecar_path(index_path: str) -> str:
 
 
 def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
-    """Load an index file written by :func:`write_index`.
+    """Load an index file written by :func:`write_index`, with its sidecar.
 
     A repeated (domain, entity, doc) row is refused; given the checked ``kb``, so
-    is a row naming no entity of it, or no document of that entity when the KB
-    holds documents.
+    is a row naming no entity of it or no document of that entity. The sidecar
+    must give finite ``thresholds`` and the ``stopwords_sha256`` of the list in
+    effect.
     """
     doc_ids = None if kb is None else {
         (name, ent.id): {doc.doc_id for doc in ent.documents}
         for name, dom in kb.domains.items() for ent in dom.entities}
-    with_docs = kb is not None and bool(kb.document_domains)
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     topic_word = cache(TopicWord)  # one instance per distinct token
     with open_input(path) as fh:
@@ -245,28 +243,24 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
                 if ids is None:
                     raise LoadError(f"row {key} names no entity of the knowledge base",
                                     file=path, line=lineno)
-                if with_docs and key[2] not in ids:
+                if key[2] not in ids:
                     raise LoadError(f"row {key} names no document of that entity",
                                     file=path, line=lineno)
             entries[key] = topics
-    thresholds: dict[str, float] = {}
-    digest = ""
     meta = sidecar_path(path)
-    if os.path.exists(meta):
-        raw = read_json(meta)
-        if not isinstance(raw, dict):
-            raise LoadError("sidecar must be a JSON object", file=meta)
-        raw_thresholds = raw.get("thresholds", {})
-        # the bound refuses NaN, the infinities and ints too large for a float
-        if not (isinstance(raw_thresholds, dict)
-                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                        for v in raw_thresholds.values())):
-            raise LoadError("'thresholds' must map domain names to finite numbers", file=meta)
-        thresholds = {k: float(v) for k, v in raw_thresholds.items()}
-        digest = raw.get("stopwords_sha256", "")
-        if not isinstance(digest, str):
-            raise LoadError("'stopwords_sha256' must be a string", file=meta)
-        if digest and digest != stopwords_digest():
-            raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest}, "
-                              f"but the list in effect has {stopwords_digest()}")
-    return TopicIndex(entries=entries, thresholds=thresholds, stopwords_sha256=digest)
+    raw = read_json(meta)
+    if not isinstance(raw, dict):
+        raise LoadError("sidecar must be a JSON object", file=meta)
+    thresholds = raw.get("thresholds")
+    # the bound refuses NaN, the infinities and ints too large for a float
+    if not (isinstance(thresholds, dict)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in thresholds.values())):
+        raise LoadError("'thresholds' must map domain names to finite numbers", file=meta)
+    digest = raw.get("stopwords_sha256")
+    if not isinstance(digest, str):
+        raise LoadError("'stopwords_sha256' must be a string", file=meta)
+    if digest != stopwords_digest():
+        raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest!r}, "
+                          f"but the list in effect has {stopwords_digest()}")
+    return TopicIndex(entries=entries, thresholds={k: float(v) for k, v in thresholds.items()})

@@ -208,8 +208,7 @@ def test_criterion_6_oracle_end_to_end(toy_kb, toy_index):
     entries = dict(toy_index.entries)
     entries[("restaurant", "pizza hut", "d0")] = \
         entries[("restaurant", "pizza hut", "d1")]
-    ambiguous_index = TopicIndex(entries=entries, thresholds=toy_index.thresholds,
-                                 stopwords_sha256=toy_index.stopwords_sha256)
+    ambiguous_index = TopicIndex(entries=entries, thresholds=toy_index.thresholds)
     shadowed = evaluate(corpus, ambiguous_kb, ambiguous_index, "oracle")
     assert shadowed.r_at_1 < 100.0
     assert shadowed.mrr_at_5 >= shadowed.r_at_1

@@ -34,6 +34,10 @@ attribute read anywhere uses its name.
 
 A name that an import in ``src/seknow`` binds is read somewhere in that module,
 unless the benchmark tracer patches it there.
+
+No module in ``src/seknow`` probes the filesystem (``os.path.exists``, ``isfile``,
+``isdir`` or their ``pathlib`` forms): every input is opened through
+``text.open_input`` or refused, and none becomes optional because a file is missing.
 """
 
 import ast
@@ -423,3 +427,29 @@ def test_no_cached_property_is_an_empty_memo():
                        "    @cached_property\n    def n(self):\n        return dict()\n"
                        "    @cached_property\n    def o(self):\n        return {1: 2}\n"
                        "    @property\n    def p(self):\n        return []\n") == ["m", "n"]
+
+
+_PROBES = frozenset({"exists", "lexists", "isfile", "isdir", "is_file", "is_dir"})
+
+
+def filesystem_probes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each filesystem probe in ``source``: an attribute named like
+    ``os.path.exists``, ``isfile`` or ``isdir`` or their ``pathlib`` forms, or such a
+    name imported from ``os.path``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _PROBES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os.path":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _PROBES]
+    return sorted(found)
+
+
+def test_no_input_is_probed_for():
+    assert [(path.stem, *probe) for path in sorted(PACKAGE.glob("*.py"))
+            for probe in filesystem_probes(path.read_text("utf-8"))] == []
+    assert filesystem_probes("import os\nif os.path.exists(p):\n    pass\n"
+                             "from os.path import isfile, join\nPath(p).is_dir()\n"
+                             "os.path.join(p, q)\n") == [
+        (2, "exists"), (4, "isfile"), (5, "is_dir")]

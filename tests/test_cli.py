@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import shutil
 import sys
 from importlib import resources
 from pathlib import Path
@@ -11,7 +13,8 @@ from seknow.cli import main
 from seknow.corpus import CorpusSpec, generate_synthetic_corpus, save_corpus
 from seknow.errors import QueryError
 from seknow.kb import load_knowledge_base
-from seknow.topics import build_topic_index
+from seknow.text import stopwords_digest
+from seknow.topics import build_topic_index, sidecar_path
 
 from conftest import (DATA_DIR, DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH,
                       eval_argv)
@@ -109,7 +112,7 @@ def test_belief_that_is_not_utf8_is_a_parse_error(capsys, command):
     # an undecodable argv byte (b"\xff") reaches Python as the lone surrogate "\udcff"
     argv = [command, "--kb", str(DB_PATH), "--belief", "restaurant { area = \udcff }"]
     if command == "retrieve":
-        argv += ["--index", str(GOLDEN_INDEX_PATH)]
+        argv += ["--docs", str(DOCS_PATH), "--index", str(GOLDEN_INDEX_PATH)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -151,8 +154,8 @@ def test_unknown_domain_is_domain_error(capsys):
 def test_retrieve_ranks_documents(tmp_path, capsys):
     index = build_index(tmp_path)
     capsys.readouterr()
-    code = main(["retrieve", "--kb", str(DB_PATH), "--index", str(index),
-                 "--belief", "restaurant { ruk = pizza hut } || favorite"])
+    code = main(["retrieve", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(index), "--belief", "restaurant { ruk = pizza hut } || favorite"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "1\t1.0000\trestaurant\tpizza hut\td1"
@@ -160,8 +163,8 @@ def test_retrieve_ranks_documents(tmp_path, capsys):
 
 
 def test_retrieve_needs_ruk_and_topic(capsys):
-    code = main(["retrieve", "--kb", str(DB_PATH), "--index", str(GOLDEN_INDEX_PATH),
-                 "--belief", "restaurant { ruk = pizza hut }"])
+    code = main(["retrieve", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH), "--belief", "restaurant { ruk = pizza hut }"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
@@ -170,7 +173,8 @@ def test_retrieve_needs_ruk_and_topic(capsys):
 
 
 def test_retrieve_without_matched_entity(capsys):
-    code = main(["retrieve", "--kb", str(DB_PATH), "--index", str(GOLDEN_INDEX_PATH),
+    code = main(["retrieve", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(GOLDEN_INDEX_PATH),
                  "--belief", "restaurant { ruk = zzzz } || favorite"])
     assert code == 0
     assert capsys.readouterr().out == "no entity matched\n"
@@ -584,15 +588,15 @@ def test_malformed_input_is_load_error(tmp_path, capsys, case):
     assert detail in lines[0]
 
 
-def _bad_input(target, content, detail=""):
+def _bad_input(target, content, detail="", kind="load"):
     """Replace one `eval` input with ``content``, or delete it when ``content`` is None;
-    the error line names that file, followed by ``detail``."""
+    the error line, of ``kind``, names that file, followed by ``detail``."""
     def case(files, tmp_path):
         if content is None:
             files[target].unlink()
         else:
             files[target].write_bytes(content)
-        return eval_argv(files), f"error: load: {files[target]}:{detail}"
+        return eval_argv(files), f"error: {kind}: {files[target]}:{detail}"
     return case
 
 
@@ -659,11 +663,29 @@ def _json_edit(source: Path, mutate) -> bytes:
     return json.dumps(value).encode()
 
 
+def _sidecar_json(**fields) -> bytes:
+    """The golden sidecar with ``fields`` set, and any field set to None left out."""
+    sidecar = json.loads(Path(sidecar_path(str(GOLDEN_INDEX_PATH))).read_text("utf-8"))
+    sidecar.update(fields)
+    return json.dumps({k: v for k, v in sidecar.items() if v is not None}).encode()
+
+
 def _corpus_with_escape(escape: str) -> bytes:
     """The toy corpus with ``escape`` in the second dialog's first user turn."""
     first, second, *rest = TOY_CORPUS_PATH.read_text("utf-8").splitlines()
     second = second.replace('"user": "', f'"user": "{escape}', 1)
     return "\n".join([first, second, *rest, ""]).encode()
+
+
+def _corpus_with_integer(digits: int) -> bytes:
+    """The toy corpus with an integer of ``digits`` nines as the second dialog's first key."""
+    first, second, *rest = TOY_CORPUS_PATH.read_text("utf-8").splitlines()
+    return "\n".join([first, '{"n": ' + "9" * digits + ", " + second[1:], *rest, ""]).encode()
+
+
+def _nested_lone_surrogate(depth: int) -> bytes:
+    """A goals file whose one dialog's goal is a lone surrogate escape in ``depth`` arrays."""
+    return b'{"dlg0000": ' + b"[" * depth + b'"\\ud800"' + b"]" * depth + b"}"
 
 
 LONE_SURROGATE = "is not valid Unicode text"
@@ -716,6 +738,12 @@ BAD_FILES = {
     "goals-key-lone-surrogate": _bad_input(
         "goals", b'{"dlg0000": {"hotel\\ud83d": {}}}',
         f" the lone surrogate escape \\ud83d {LONE_SURROGATE}"),
+    "goals-nested-lone-surrogate": _bad_input(
+        "goals", _nested_lone_surrogate(500),
+        f" the lone surrogate escape \\ud800 {LONE_SURROGATE}"),
+    "db-nested-too-deep": _refused("db", b"[" * 200_000, "JSON nested too deeply"),
+    "corpus-integer-too-long": _bad_input(
+        "corpus", _corpus_with_integer(5000), "2: integer too long: "),
     "sidecar-lone-surrogate": _bad_input(
         "sidecar", b'{"thresholds": {"\\udbff": 1.0}}',
         f" the lone surrogate escape \\udbff {LONE_SURROGATE}"),
@@ -725,7 +753,8 @@ BAD_FILES = {
         "sidecar", b'{"thresholds": {"hotel": "x"}}',
         "'thresholds' must map domain names to finite numbers"),
     "sidecar-digest-not-string": _refused(
-        "sidecar", b'{"stopwords_sha256": 7}', "'stopwords_sha256' must be a string"),
+        "sidecar", b'{"thresholds": {}, "stopwords_sha256": 7}',
+        "'stopwords_sha256' must be a string"),
     "db-not-object": _refused("db", b"[]", "db file must be a JSON object keyed by domain"),
     "db-empty-domain-name": _refused(
         "db", _json_edit(DB_PATH, lambda db: db.update({" ": {}})), "empty domain name"),
@@ -826,6 +855,10 @@ LINE_BREAK_VALUES = {
     "threshold-not-a-number": (_threshold("hotel=x\n1"),
                                "--threshold value 'x\\n1' is not a number"),
     "threshold-not-finite": (_threshold("hotel=nan\n"), "--threshold value 'nan\\n' is not finite"),
+    "sidecar-digest": (
+        _bad_input("sidecar", _sidecar_json(stopwords_sha256="a\u2028b"), " ", kind="config"),
+        "index was built with stopwords sha256 'a\\u2028b', but the list in effect has "
+        f"{stopwords_digest()}"),
 }
 
 
@@ -859,6 +892,17 @@ def test_annotation_domain_with_a_line_break_is_one_error_line(tmp_path, capsys,
         "'a\\nb' but the ruk triple is in domain 'hotel'"]
 
 
+def test_json_nested_near_the_recursion_limit_is_one_error_line(capsys, eval_files):
+    # json.loads or the lone-surrogate check, whichever meets the depth, refuses it
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 120, limit + 8, 4):
+        eval_files["goals"].write_bytes(_nested_lone_surrogate(depth))
+        assert main(eval_argv(eval_files)) == 1, depth
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: load: {eval_files['goals']}: ") and err.count("\n") == 1, \
+            (depth, err[-200:])
+
+
 def test_escaped_surrogate_pair_loads(capsys, eval_files):
     # a valid pair decodes to one code point; ensure_ascii writes the emoji as one
     eval_files["docs"].write_bytes(_json_edit(
@@ -873,30 +917,71 @@ UNKNOWN_ENTITY = "restaurant\tpizza palace\td1\tpizza"
 UNKNOWN_DOCUMENT = "restaurant\tpizza hut\td9\tpizza,menu"
 
 
-@pytest.mark.parametrize("row, docs, detail", [
-    (UNKNOWN_ENTITY, True,
+@pytest.mark.parametrize("row, detail", [
+    (UNKNOWN_ENTITY,
      "row ('restaurant', 'pizza palace', 'd1') names no entity of the knowledge base"),
-    (UNKNOWN_ENTITY, False,
-     "row ('restaurant', 'pizza palace', 'd1') names no entity of the knowledge base"),
-    (UNKNOWN_DOCUMENT, True,
-     "row ('restaurant', 'pizza hut', 'd9') names no document of that entity"),
-    (UNKNOWN_DOCUMENT, False, None),  # a KB without documents leaves doc ids unchecked
-], ids=["entity-with-docs", "entity-without-docs", "document-with-docs",
-        "document-without-docs"])
-def test_index_rows_are_checked_against_kb(tmp_path, capsys, row, docs, detail):
+    (UNKNOWN_DOCUMENT, "row ('restaurant', 'pizza hut', 'd9') names no document of that entity"),
+], ids=["entity-with-docs", "document-with-docs"])
+def test_index_rows_are_checked_against_kb(tmp_path, capsys, row, detail):
     index = tmp_path / "index.tsv"
     index.write_text(GOLDEN_INDEX_PATH.read_text("utf-8") + row + "\n", encoding="utf-8")
-    argv = ["retrieve", "--kb", str(DB_PATH), "--index", str(index),
-            "--belief", "restaurant { ruk = pizza hut } || pizza menu"]
-    if docs:
-        argv += ["--docs", str(DOCS_PATH)]
-    code = main(argv)
-    out, err = capsys.readouterr()
-    if detail is None:
-        assert code == 0 and out.startswith("1\t")
+    shutil.copyfile(sidecar_path(str(GOLDEN_INDEX_PATH)), sidecar_path(str(index)))
+    code = main(["retrieve", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(index), "--belief", "restaurant { ruk = pizza hut } || pizza menu"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: load: {index}:10: {detail}"]
+
+
+NO_H1 = "row ('hotel', 'acorn guest house', 'h1') names no document of that entity"
+# (file replaced, its content or None to delete it, kind, the detail after the file name)
+INDEX_INPUTS = {
+    "sidecar-missing": ("sidecar", None, "load", "No such file or directory"),
+    "sidecar-without-thresholds": ("sidecar", _sidecar_json(thresholds=None), "load",
+                                   "'thresholds' must map domain names to finite numbers"),
+    "sidecar-without-digest": ("sidecar", _sidecar_json(stopwords_sha256=None), "load",
+                               "'stopwords_sha256' must be a string"),
+    "sidecar-empty-digest": ("sidecar", _sidecar_json(stopwords_sha256=""), "config",
+                             "index was built with stopwords sha256 '', but the list in "
+                             f"effect has {stopwords_digest()}"),
+    "docs-without-a-row-document": (
+        "docs", _json_edit(DOCS_PATH, lambda docs: docs.remove(
+            next(doc for doc in docs if doc["doc_id"] == "h1"))), "load", NO_H1),
+    "docs-empty": ("docs", b"[]", "load", NO_H1),
+}
+
+
+@pytest.mark.parametrize("case", list(INDEX_INPUTS))
+@pytest.mark.parametrize("command", ["retrieve", "run", "eval", "chat"])
+def test_index_is_read_only_with_its_sidecar_and_documents(
+        tmp_path, capsys, monkeypatch, eval_files, no_turn, command, case):
+    target, content, kind, detail = INDEX_INPUTS[case]
+    if content is None:
+        eval_files[target].unlink()
     else:
-        assert code == 1
-        assert err.splitlines() == [f"error: load: {index}:10: {detail}"]
+        eval_files[target].write_bytes(content)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a hotel in the north\n"))
+    files = ["--kb", str(eval_files["db"]), "--docs", str(eval_files["docs"]),
+             "--index", str(eval_files["index"])]
+    argv = {"retrieve": ["retrieve", *files, "--belief", "hotel { ruk = acorn } || parking"],
+            "run": ["run", *files, "--corpus", str(eval_files["corpus"])],
+            "eval": eval_argv(eval_files),
+            "chat": ["chat", *files]}[command]
+    where = f"{eval_files['index']}:1" if target == "docs" else eval_files["sidecar"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {kind}: {where}: {detail}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["retrieve", "--kb", str(DB_PATH), "--index", str(GOLDEN_INDEX_PATH),
+     "--belief", "restaurant { ruk = pizza hut } || favorite"],
+    ["query", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH), "--belief", ""],
+], ids=["retrieve-without-docs", "query-with-docs"])
+def test_docs_option_is_usage_error_where_it_is_not_optional(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_stats_prints_json(capsys):
@@ -908,7 +993,6 @@ def test_stats_prints_json(capsys):
 
 
 def test_chat_reads_stdin(tmp_path, capsys, monkeypatch):
-    import io
     index = build_index(tmp_path)
     capsys.readouterr()
     monkeypatch.setattr("sys.stdin",
@@ -922,7 +1006,6 @@ def test_chat_reads_stdin(tmp_path, capsys, monkeypatch):
 
 
 def test_chat_reads_an_undecodable_stdin_byte(capsys, monkeypatch):
-    import io
     # a surrogateescape stdin passes b"\xff" on as the lone surrogate "\udcff"
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
         io.BytesIO(b"i want a hotel \xff in the north\n"), encoding="utf-8",
@@ -934,7 +1017,6 @@ def test_chat_reads_an_undecodable_stdin_byte(capsys, monkeypatch):
 
 
 def test_chat_reads_an_undecodable_stdin_byte_from_a_strict_stdin(capsys, monkeypatch):
-    import io
     # outside the C and POSIX locales stdin decodes strictly, and b"\xff" would raise
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
         io.BytesIO(b"i want a hotel \xff in the north\n"), encoding="utf-8", errors="strict"))

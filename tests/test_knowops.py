@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from seknow.knowops import (
 from seknow.metrics import inform_success
 from seknow.pipeline import TurnOutput
 from seknow.text import pack_keys, packed_lcs
-from seknow.topics import TopicIndex, TopicWord, read_index
+from seknow.topics import TopicIndex, TopicWord, read_index, sidecar_path
 
 from conftest import DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH
 
@@ -284,7 +285,7 @@ def test_packs_are_built_on_first_use():
     kb = load_knowledge_base(str(DB_PATH), str(DOCS_PATH))
     index = read_index(str(GOLDEN_INDEX_PATH), kb)
     # loading builds no lookup: no cached_property value is stored yet
-    assert vars(index).keys() == {"entries", "thresholds", "stopwords_sha256"}
+    assert vars(index).keys() == {"entries", "thresholds"}
     for domain in kb.domains.values():
         assert "match_table" not in vars(domain) and "id_order" not in vars(domain)
         assert all("bodies" not in vars(ent) for ent in domain.entities)
@@ -634,6 +635,8 @@ def test_knowledge_operation_refuses_row_without_document(tmp_path, toy_kb):
     path = tmp_path / "index.tsv"
     path.write_text(GOLDEN_INDEX_PATH.read_text("utf-8")
                     + "restaurant\tpizza hut\td9\tpizza,menu\n", encoding="utf-8")
+    shutil.copyfile(sidecar_path(str(GOLDEN_INDEX_PATH)), sidecar_path(str(path)))
+    # read without the KB, the index leaves its rows unchecked for retrieval to find
     state = parse_belief_span("restaurant { ruk = pizza hut } || pizza menu")
     with pytest.raises(QueryError, match=r"index row \(restaurant, pizza hut, d9\) names no "
                                          r"document of entity 'pizza hut'"):

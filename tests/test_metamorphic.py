@@ -1,0 +1,80 @@
+"""Metamorphic relations: input changes that must leave an output unchanged.
+
+A golden file checks one input; a relation checks a property on every input it
+draws. Each relation here is seeded, so a failure names the seed that shows it
+(Chen, Cheung & Yiu 1998; Segura et al. 2016).
+
+* Shuffling the domain order and each domain's entity order in the db, and the
+  record order in the doc base, leaves the index and sidecar bytes unchanged,
+  since the index is built per domain and its rows and thresholds are written
+  sorted; and it leaves both predictors' reports unchanged, since entity ties
+  break by id and document ties by doc_id.
+* Permuting, reversing or doubling the dialogs given to ``evaluate_corpus``
+  leaves its report unchanged, rounded or not, for both predictors: every
+  metric is a mean or a ratio of counts over the whole corpus.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from seknow.corpus import CorpusSpec, DialogCorpus, generate_synthetic_corpus, load_corpus
+from seknow.kb import load_knowledge_base
+from seknow.topics import build_topic_index, sidecar_path, write_index
+
+from conftest import (DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, TOY_THRESHOLDS,
+                      evaluate)
+
+SHUFFLES = 20
+SEEDS = 10
+
+
+def test_kb_order_leaves_the_index_and_the_reports_unchanged(toy_kb, toy_index, tmp_path):
+    golden = (GOLDEN_INDEX_PATH.read_bytes(),
+              Path(sidecar_path(str(GOLDEN_INDEX_PATH))).read_bytes())
+    corpus = load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)
+    reports = {p: evaluate(corpus, toy_kb, toy_index, p) for p in ("oracle", "heuristic")}
+    db = json.loads(DB_PATH.read_text("utf-8"))
+    docs = json.loads(DOCS_PATH.read_text("utf-8"))
+    db_path, docs_path, index_path = (tmp_path / name
+                                      for name in ("db.json", "docs.json", "index.tsv"))
+    for seed in range(SHUFFLES):
+        rng = random.Random(seed)
+        domains = list(db.items())
+        rng.shuffle(domains)
+        db_path.write_text(json.dumps({name: {**domain, "entities": rng.sample(
+            domain["entities"], len(domain["entities"]))} for name, domain in domains}),
+            encoding="utf-8")
+        docs_path.write_text(json.dumps(rng.sample(docs, len(docs))), encoding="utf-8")
+        kb = load_knowledge_base(str(db_path), str(docs_path))
+        index = build_topic_index(kb, TOY_THRESHOLDS)
+        write_index(index, str(index_path))
+        assert (index_path.read_bytes(),
+                Path(sidecar_path(str(index_path))).read_bytes()) == golden, seed
+        for predictor, report in reports.items():
+            assert evaluate(load_corpus(str(TOY_CORPUS_PATH), kb, index), kb, index,
+                            predictor) == report, (seed, predictor)
+
+
+def _corpora(toy_kb, toy_index):
+    yield "toy", load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)
+    yield "generated", generate_synthetic_corpus(
+        toy_kb, toy_index, CorpusSpec(dialogs=12, requestables=("phone",)), seed=3)
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_dialog_order_and_repetition_leave_the_report_unchanged(toy_kb, toy_index, predictor):
+    for name, corpus in _corpora(toy_kb, toy_index):
+        base = evaluate(corpus, toy_kb, toy_index, predictor)
+        dialogs = corpus.dialogs
+        for seed in range(SEEDS):
+            rng = random.Random(seed)
+            permuted = rng.sample(dialogs, len(dialogs))
+            for variant, order in (("permuted", permuted), ("reversed", permuted[::-1]),
+                                   ("doubled", permuted + rng.sample(dialogs, len(dialogs)))):
+                report = evaluate(DialogCorpus(dialogs=tuple(order)), toy_kb, toy_index,
+                                  predictor)
+                assert report == base, (name, seed, variant)
+                assert report.to_dict() == base.to_dict(), (name, seed, variant)

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -361,7 +363,6 @@ def test_read_index_refuses_empty_topic_word(tmp_path, words):
 
 
 def test_all_stopword_document_is_indexing_error(tmp_path):
-    import json
     db = {"hotel": {"slots": ["name"], "entities": [
         {"id": "a", "name": "a", "attributes": {}}]}}
     docs = [{"domain": "hotel", "entity_id": "a", "doc_id": "bad",
@@ -409,25 +410,47 @@ def test_docs_for_entity_matches_scan(toy_kb, toy_index):
     assert len(hand_made.docs_for_entity("hotel", "a")) == 2
 
 
-def test_stopword_env_list_is_in_effect(toy_kb, env_stopwords):
+def test_stopword_env_list_is_in_effect(toy_kb, env_stopwords, tmp_path):
     assert tokenize("is it with the wifi", load_stopwords()) == ["is", "it", "with", "wifi"]
     digest = hashlib.sha256(env_stopwords.read_bytes()).hexdigest()
-    assert build_topic_index(toy_kb, TOY_THRESHOLDS).stopwords_sha256 == digest
-    assert build_topic_index(toy_kb, TOY_THRESHOLDS, load_stopwords()).stopwords_sha256 == digest
+    path = tmp_path / "index.tsv"
+    for stopwords in (None, load_stopwords()):
+        write_index(build_topic_index(toy_kb, TOY_THRESHOLDS, stopwords), str(path))
+        sidecar = json.loads(Path(topics.sidecar_path(str(path))).read_text("utf-8"))
+        assert sidecar["stopwords_sha256"] == digest
     with pytest.raises(ConfigError, match="differ from the list in effect"):
         build_topic_index(toy_kb, TOY_THRESHOLDS, frozenset({"x"}))
 
 
-def test_read_index_refuses_other_stopword_list(toy_index, tmp_path, env_stopwords):
-    path = tmp_path / "index.tsv"
-    write_index(toy_index, str(path))
+def test_read_index_refuses_other_stopword_list(tmp_path, env_stopwords):
+    path = tmp_path / "index.tsv"  # the golden index, built under the packaged list
+    sidecar = Path(topics.sidecar_path(str(path)))
+    shutil.copyfile(GOLDEN_INDEX_PATH, path)
+    shutil.copyfile(topics.sidecar_path(str(GOLDEN_INDEX_PATH)), sidecar)
+    packaged = json.loads(sidecar.read_text("utf-8"))["stopwords_sha256"]
     env_digest = hashlib.sha256(env_stopwords.read_bytes()).hexdigest()
     with pytest.raises(ConfigError) as exc:
         read_index(str(path))
-    assert toy_index.stopwords_sha256 in exc.value.detail
-    assert env_digest in exc.value.detail
-    sidecar = tmp_path / "index.tsv.meta.json"
-    sidecar.write_text('{"stopwords_sha256": ""}', encoding="utf-8")
-    assert read_index(str(path)).stopwords_sha256 == ""
-    sidecar.unlink()
-    assert set(read_index(str(path)).entries) == set(toy_index.entries)
+    assert exc.value.detail == (f"{sidecar}: index was built with stopwords sha256 "
+                                f"{packaged!r}, but the list in effect has {env_digest}")
+
+
+@pytest.mark.parametrize("sidecar, error, detail", [
+    (None, LoadError, "No such file or directory"),
+    ({"stopwords_sha256": "*"}, LoadError, "'thresholds' must map domain names to finite numbers"),
+    ({"thresholds": {}}, LoadError, "'stopwords_sha256' must be a string"),
+    ({"thresholds": {}, "stopwords_sha256": ""}, ConfigError,
+     "index was built with stopwords sha256 '', but the list in effect has *"),
+], ids=["missing", "without-thresholds", "without-digest", "empty-digest"])
+def test_read_index_requires_its_sidecar(toy_index, tmp_path, sidecar, error, detail):
+    path = tmp_path / "index.tsv"
+    write_index(toy_index, str(path))
+    meta = Path(topics.sidecar_path(str(path)))
+    digest = json.loads(meta.read_text("utf-8"))["stopwords_sha256"]
+    if sidecar is None:
+        meta.unlink()
+    else:
+        meta.write_text(json.dumps(sidecar).replace("*", digest), encoding="utf-8")
+    with pytest.raises(error) as exc:
+        read_index(str(path))
+    assert str(exc.value) == f"{meta}: {detail.replace('*', digest)}"
