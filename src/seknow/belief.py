@@ -121,7 +121,10 @@ def canonical_state(latest: dict[tuple[str, str], str],
 def ruk_domain(latest: dict[tuple[str, str], str]) -> str | None:
     """The domain of :meth:`ExtendedBeliefState.ruk` of the state ``latest`` builds:
     the first-mentioned domain with a ruk key, so the domain of the first key that has one."""
-    return next((domain for domain, _ in latest if (domain, RUK_SLOT) in latest), None)
+    for domain, _ in latest:
+        if (domain, RUK_SLOT) in latest:
+            return domain
+    return None
 
 
 def serialize_belief(state: ExtendedBeliefState) -> str:

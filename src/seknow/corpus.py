@@ -31,13 +31,13 @@ from .belief import parse_belief_span  # noqa: F401
 from .pipeline import lexicalize, template_generate  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainGoal:
     constraints: dict[str, str] = field(default_factory=dict)
     requestables: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialogTurn:
     user: str
     response: str
@@ -51,7 +51,7 @@ class DialogTurn:
         return self.response if self.delex_response is None else self.delex_response
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dialog:
     dialog_id: str
     goal: dict[str, DomainGoal]  # goal domain -> its goal
@@ -85,21 +85,26 @@ class CorpusSpec:
 
 def load_corpus(path: str, kb: KnowledgeBase | None = None,
                 index: TopicIndex | None = None) -> DialogCorpus:
-    """Load a corpus file, checking each belief span against the grammar once.
+    """Load a corpus file, checking each distinct belief span against the grammar once.
 
     Dialog ids must be unique and references nonempty, and a ``doc``
     annotation needs a ruk triple in its domain. Given the checked ``kb`` and
     ``index``, goals and spans must fit the KB schema, and each ``doc``
     annotation must name an index row. Spans stay text: the states are built
-    where they are read (scoring, the oracle predictor).
+    where they are read (scoring, the oracle predictor). Equal turn texts, annotation
+    fields and goal names are kept once, through a table of this load (``sys.intern``'s
+    strings would outlive the corpus); a span's repeats reuse its checks' outcome.
     """
     dialogs = []
     seen = set()
+    strings: dict[str, str] = {}
+    checked: dict[str, str | None] = {}  # only spans that passed: a refused one raises
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            dialog = _parse_dialog(parse_json(line, path, lineno), path, lineno, kb, index)
+            dialog = _parse_dialog(parse_json(line, path, lineno), path, lineno, kb, index,
+                                   strings, checked)
             if dialog.dialog_id in seen:
                 raise LoadError(f"duplicate dialog id '{dialog.dialog_id}'", file=path,
                                 line=lineno)
@@ -117,25 +122,31 @@ def load_goals(path: str, kb: KnowledgeBase,
         raise LoadError("goal file must be a JSON object keyed by dialog id", file=path)
     ids = {dialog.dialog_id for dialog in corpus.dialogs}
     goals = {}
+    strings: dict[str, str] = {}
     for dialog_id, goal in raw.items():
         if dialog_id not in ids:
             raise LoadError(f"goal for dialog {dialog_id!r} names no dialog of the corpus",
                             file=path)
-        goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, kb=kb)
+        goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, strings, kb=kb)
     return goals
 
 
-def parse_goal(raw, where: str, path: str, lineno: int | None = None,
+def parse_goal(raw, where: str, path: str, strings: dict[str, str], lineno: int | None = None,
                kb: KnowledgeBase | None = None) -> dict[str, DomainGoal]:
     """Parse ``{domain: {"constraints": {slot: value}, "requestables": [slot]}}``.
 
     Domain, slot, value and requestable names are normalized as the db file's
-    are; one that normalizes to empty, or a domain or slot that normalizes
-    like another of the goal, is refused; given the checked ``kb``, so is a
-    domain or a constraint or requestable slot outside its schema.
+    are, and kept as the one object the load's table ``strings`` holds for it; one
+    that normalizes to empty, or a domain or slot that normalizes like another of
+    the goal, is refused; given the checked ``kb``, so is a domain or a constraint
+    or requestable slot outside its schema.
     """
     def refused(detail: str) -> LoadError:
         return LoadError(detail, file=path, line=lineno)
+
+    def shared(text: str) -> str:
+        name = normalize(text)
+        return strings.setdefault(name, name)
 
     if not isinstance(raw, dict):
         raise refused(f"{where}: goal is not an object")
@@ -149,20 +160,20 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
                 and all(isinstance(v, str) for v in (*constraints.values(), *requestables))):
             raise refused(f"{where}: goal domain {dom!r} needs an object of string "
                           "'constraints' and an array of string 'requestables'")
-        name = normalize(dom)
+        name = shared(dom)
         if not name:
             raise refused(f"{where}: empty goal domain name")
         if name in domains:
             raise refused(f"{where}: duplicate goal domain '{name}'")
         normalized = {}
         for slot, value in constraints.items():
-            key, value = normalize(slot), normalize(value)
+            key, value = shared(slot), shared(value)
             if not (key and value):
                 raise refused(f"{where}: goal domain '{name}': constraint {slot!r} is empty")
             if key in normalized:
                 raise refused(f"{where}: goal domain '{name}': duplicate constraint '{key}'")
             normalized[key] = value
-        requested = tuple(normalize(slot) for slot in requestables)
+        requested = tuple(map(shared, requestables))
         if not all(requested):
             raise refused(f"{where}: goal domain '{name}': empty requestable")
         if kb is not None:
@@ -177,7 +188,8 @@ def parse_goal(raw, where: str, path: str, lineno: int | None = None,
 
 
 def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
-                  index: TopicIndex | None) -> Dialog:
+                  index: TopicIndex | None, strings: dict[str, str],
+                  checked: dict[str, str | None]) -> Dialog:
     if not isinstance(raw, dict):
         raise LoadError("dialog is not a JSON object", file=path, line=lineno)
     dialog_id = raw.get("dialog_id")
@@ -194,11 +206,12 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
         at = where if turn is None else f"{where} turn {turn}"
         return LoadError(f"{at}: {detail}", file=path, line=lineno)
 
-    goal = parse_goal(raw.get("goal", {}), where, path, lineno, kb)
+    goal = parse_goal(raw.get("goal", {}), where, path, strings, lineno, kb)
     raw_turns = raw.get("turns", [])
     if not (isinstance(raw_turns, list) and all(isinstance(t, dict) for t in raw_turns)):
         raise refused("'turns' is not an array of objects")
     turns = []
+    share = strings.setdefault
     for k, t in enumerate(raw_turns):
         user, response, delex = t.get("user", ""), t.get("response", ""), t.get("delex")
         if not (isinstance(user, str) and isinstance(response, str)
@@ -207,22 +220,23 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
         span = t.get("belief_span", "")
         if not isinstance(span, str):
             raise refused("'belief_span' must be a string", k)
-        try:
-            latest, _ = span_fields(span)
-        except ParseError as exc:
-            raise refused(str(exc), k) from exc
-        if kb is not None:
-            fault = _schema_fault(latest, kb)
+        if span not in checked:
+            try:
+                latest, _ = span_fields(span)
+            except ParseError as exc:
+                raise refused(str(exc), k) from exc
+            fault = None if kb is None else _schema_fault(latest, kb)
             if fault is not None:
                 raise refused(fault, k)
+            checked[span] = ruk_domain(latest)
         doc = t.get("doc")
         annotation = None
         if doc is not None:
             keys = ("domain", "entity_id", "doc_id")
             if not (isinstance(doc, dict) and all(isinstance(doc.get(key), str) for key in keys)):
                 raise refused("'doc' needs string 'domain', 'entity_id' and 'doc_id'", k)
-            annotation = tuple(doc[key] for key in keys)
-            domain = ruk_domain(latest)
+            annotation = tuple(share(doc[key], doc[key]) for key in keys)
+            domain = checked[span]
             if domain is None:
                 raise refused("document annotation without a ruk triple in the belief span", k)
             if index is not None and annotation not in index.entries:
@@ -230,8 +244,9 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
             if annotation[0] != domain:
                 raise refused(f"document annotation in domain {annotation[0]!r} but the ruk "
                               f"triple is in domain '{domain}'", k)
-        turn = DialogTurn(user=user, response=response, gold_belief_span=span,
-                          doc_annotation=annotation, delex_response=delex)
+        turn = DialogTurn(user=share(user, user), response=share(response, response),
+                          gold_belief_span=share(span, span), doc_annotation=annotation,
+                          delex_response=delex and share(delex, delex))
         if not turn.reference.strip():
             raise refused("empty reference response", k)
         turns.append(turn)

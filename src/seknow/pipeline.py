@@ -299,11 +299,11 @@ def _topic_overlap(index: TopicIndex, query: EntityMatches, tokens: set[str],
         return None
     for domain, ids in query.items():
         for entity_id in ids:
-            docs = index.docs_for_entity(domain, entity_id)
+            docs, _ = index.entity_docs(domain, entity_id)
             if not docs:
                 continue
             # only the best-matching entity (first with documents) is checked
-            for doc_id, doc_topics in docs:
+            for _, doc_topics, _ in docs:
                 shared = tuple(t for t in doc_topics if t in tokens)
                 if shared:
                     return domain, entity_id, shared

@@ -210,16 +210,17 @@ def sidecar_path(index_path: str) -> str:
 def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
     """Load an index file written by :func:`write_index`, with its sidecar.
 
-    A repeated (domain, entity, doc) row is refused; given the checked ``kb``, so
-    is a row naming no entity of it or no document of that entity. The sidecar
-    must give finite ``thresholds`` and the ``stopwords_sha256`` of the list in
-    effect.
+    Rows keep one string per distinct domain and entity id. A repeated (domain,
+    entity, doc) row is refused; given the checked ``kb``, so is a row naming no
+    entity of it or no document of that entity. The sidecar must give finite
+    ``thresholds`` and the ``stopwords_sha256`` of the list in effect.
     """
     doc_ids = None if kb is None else {
         (name, ent.id): {doc.doc_id for doc in ent.documents}
         for name, dom in kb.domains.items() for ent in dom.entities}
     entries: dict[DocKey, tuple[TopicWord, ...]] = {}
     topic_word = cache(TopicWord)  # one instance per distinct token
+    share = {}.setdefault  # one string per distinct domain and entity id
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -235,7 +236,7 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
                                 file=path, line=lineno)
             if not all(tw.token.strip() for tw in topics):
                 raise LoadError("empty topic word", file=path, line=lineno)
-            key = (parts[0], parts[1], parts[2])
+            key = (share(parts[0], parts[0]), share(parts[1], parts[1]), parts[2])
             if key in entries:
                 raise LoadError(f"duplicate row {key}", file=path, line=lineno)
             if doc_ids is not None:

@@ -5,6 +5,7 @@ import pytest
 
 from genstates import random_span
 from seknow import belief
+from seknow import corpus as corpus_mod
 from seknow.belief import parse_belief_span
 from seknow.corpus import (
     CorpusSpec,
@@ -199,6 +200,66 @@ def test_load_builds_no_belief_state(monkeypatch, toy_kb, toy_index):
     assert calls == []
     parse_belief_span("hotel { stars = 4 }")  # the counter sees a state being built
     assert len(calls) == 1
+
+
+def test_load_keeps_each_distinct_string_once(toy_kb, toy_index):
+    for loaded in (load_corpus(str(TOY_CORPUS_PATH)),
+                   load_corpus(str(TOY_CORPUS_PATH), toy_kb, toy_index)):
+        turns = [turn for dialog in loaded.dialogs for turn in dialog.turns]
+        goals = [goal for dialog in loaded.dialogs for goal in dialog.goal.items()]
+        repeated = 0
+        for values in ([t.user for t in turns], [t.response for t in turns],
+                       [t.delex_response for t in turns], [t.gold_belief_span for t in turns],
+                       [t.doc_annotation[0] for t in turns if t.doc_annotation],
+                       [t.doc_annotation[1] for t in turns if t.doc_annotation],
+                       [name for name, _ in goals],
+                       [v for _, goal in goals for v in goal.constraints.values()]):
+            distinct = len(set(values))
+            assert len(set(map(id, values))) == distinct, values
+            repeated += distinct < len(values)
+        assert repeated == 7  # every field but the goal values repeats in the toy corpus
+        # one table per load: a response equal to a delex text is that same object
+        assert any(t.response is t.delex_response for t in turns)
+    goal = {"Hotel": {"constraints": {"Area": "north"}, "requestables": ["area"]}}
+    (parsed,) = corpus_mod.parse_goal(goal, "goal", "f", {}).values()
+    (slot,) = parsed.constraints
+    assert slot is parsed.requestables[0]
+
+
+def test_load_checks_each_distinct_span_once(monkeypatch, tmp_path, toy_kb, toy_index):
+    calls = []
+    span_fields = corpus_mod.span_fields
+    monkeypatch.setattr(corpus_mod, "span_fields",
+                        lambda span: calls.append(span) or span_fields(span))
+    for args in ((), (toy_kb, toy_index)):
+        for _ in range(2):  # the memo is per load: a second load checks every span again
+            calls.clear()
+            loaded = load_corpus(str(TOY_CORPUS_PATH), *args)
+            spans = [t.gold_belief_span for d in loaded.dialogs for t in d.turns]
+            assert sorted(calls) == sorted(set(spans)) and len(calls) < len(spans)
+    # a span that passed a load without the KB is still checked against it in the next
+    path = _one_turn_corpus(tmp_path / "one.jsonl", "hotel { colour = red }")
+    load_corpus(path)
+    with pytest.raises(LoadError) as err:
+        load_corpus(path, toy_kb, toy_index)
+    assert str(err.value) == (f"{path}:1: dialog 'd' turn 0: slot 'colour' is not in the "
+                              "schema of domain 'hotel'")
+
+
+def test_load_refuses_a_bad_span_that_repeats_an_earlier_utterance(tmp_path):
+    bad = "restaurant { food = }"
+    with pytest.raises(ParseError) as parse_err:
+        parse_belief_span(bad)
+    dialogs = [{"dialog_id": "a", "turns": [{"user": bad, "response": bad, "delex": bad,
+                                             "belief_span": ""}]},
+               {"dialog_id": "b", "turns": [{"user": "x", "response": "y", "belief_span": ""},
+                                            {"user": "x", "response": "y",
+                                             "belief_span": bad}]}]
+    path = tmp_path / "repeat.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in dialogs), encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(str(path))
+    assert str(err.value) == f"{path}:2: dialog 'b' turn 1: {parse_err.value}"
 
 
 def test_load_missing_file_is_load_error(tmp_path):

@@ -4,7 +4,8 @@ Builds the KB, index and eval corpus the benchmark builds for seed 0 (291
 entities, 2,910 documents), through the benchmark's own functions, and
 checks the index, its sidecar, the generated corpus and every eval report
 over the first 100 dialogs (oracle and heuristic units) against
-``benchmarks/digests.json``. Nothing under ``benchmarks/`` is written.
+``benchmarks/digests.json``; and that the loaded corpus holds each distinct
+turn text once. Nothing under ``benchmarks/`` is written.
 """
 
 import json
@@ -21,6 +22,8 @@ import workload  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 DIALOGS = 100
+# Distinct values of each turn field over the seed-0 corpus's 7,000 turns.
+DISTINCT = {"user": 741, "response": 2394, "delex_response": 1875, "gold_belief_span": 5513}
 
 
 def test_seed_zero_full_size_outputs_match_recorded_digests(tmp_path):
@@ -30,6 +33,11 @@ def test_seed_zero_full_size_outputs_match_recorded_digests(tmp_path):
     workload.build_index(workload.load_kb(files), files["index"])
     run.write_eval_corpus(0, db, docs, files["index"], size["corpus_dialogs"], files["corpus"])
     kb, index, corpus = workload.eval_setup(files)
+    turns = [turn for dialog in corpus.dialogs for turn in dialog.turns]
+    assert len(turns) == 7000
+    for field, distinct in DISTINCT.items():  # equal strings are one object
+        values = [getattr(turn, field) for turn in turns]
+        assert (len(set(values)), len(set(map(id, values)))) == (distinct, distinct), field
     workload.generate(kb, index, 0, size["gen_dialogs"], files["generated"])
 
     got = {**workload.index_digests(files["index"]),

@@ -12,6 +12,11 @@ draws. Each relation here is seeded, so a failure names the seed that shows it
 * Permuting, reversing or doubling the dialogs given to ``evaluate_corpus``
   leaves its report unchanged, rounded or not, for both predictors: every
   metric is a mean or a ratio of counts over the whole corpus.
+* Adding to any one domain an entity with no documents, whose attribute
+  values occur in no utterance or gold span and whose name shares no
+  character with any ruk value, leaves the index rows and both predictors'
+  reports unchanged: no constraint selects it, its name scores 0 against every
+  ruk value, and it has no document to retrieve.
 """
 
 import json
@@ -20,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from seknow.belief import parse_belief_span
 from seknow.corpus import CorpusSpec, DialogCorpus, generate_synthetic_corpus, load_corpus
 from seknow.kb import load_knowledge_base
 from seknow.topics import build_topic_index, sidecar_path, write_index
@@ -78,3 +84,36 @@ def test_dialog_order_and_repetition_leave_the_report_unchanged(toy_kb, toy_inde
                                   predictor)
                 assert report == base, (name, seed, variant)
                 assert report.to_dict() == base.to_dict(), (name, seed, variant)
+
+
+def test_an_unreachable_entity_leaves_the_index_and_the_reports_unchanged(
+        toy_kb, toy_index, tmp_path):
+    corpora = dict(_corpora(toy_kb, toy_index))
+    turns = [turn for corpus in corpora.values() for dialog in corpus.dialogs
+             for turn in dialog.turns]
+    texts = [text for turn in turns for text in (turn.user, turn.gold_belief_span)]
+    ruk_chars = {char for turn in turns
+                 if (ruk := parse_belief_span(turn.gold_belief_span).ruk()) is not None
+                 for char in ruk[1]}
+    name = "fjqvy"
+    assert not ruk_chars & set(name)
+    reports = {(corpus_name, predictor): evaluate(corpus, toy_kb, toy_index, predictor)
+               for corpus_name, corpus in corpora.items() for predictor in ("oracle", "heuristic")}
+    db = json.loads(DB_PATH.read_text("utf-8"))
+    db_path = tmp_path / "db.json"
+    for domain in db:
+        attributes = {slot: name if slot == "name" else f"{name} {k}"
+                      for k, slot in enumerate(db[domain]["slots"])}
+        assert not any(value in text for value in attributes.values() for text in texts)
+        entity = {"id": name, "name": name, "bookable": False, "attributes": attributes}
+        db_path.write_text(json.dumps({**db, domain: {
+            **db[domain], "entities": db[domain]["entities"] + [entity]}}), encoding="utf-8")
+        kb = load_knowledge_base(str(db_path), str(DOCS_PATH))
+        # the toy thresholds sit far enough from every candidate's cumulative average,
+        # which divides by the domain's entity count, that one more entity moves none
+        index = build_topic_index(kb, TOY_THRESHOLDS)
+        assert index == toy_index, domain
+        for (corpus_name, predictor), report in reports.items():
+            got = evaluate(corpora[corpus_name], kb, index, predictor)
+            assert got == report and got.to_dict() == report.to_dict(), (
+                domain, corpus_name, predictor)

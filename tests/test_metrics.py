@@ -611,7 +611,7 @@ def test_goal_names_are_normalized_like_the_db(tmp_path, toy_kb, toy_index):
     report = evaluate(recased, toy_kb, toy_index, "oracle")
     assert (report.inform, report.success) == (100.0, 100.0)
     assert report == evaluate(original, toy_kb, toy_index, "oracle")
-    assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f") == {
+    assert parse_goal({"Hotel": {"requestables": [" Phone "]}}, "goal", "f", {}) == {
         "hotel": DomainGoal(requestables=("phone",))}
 
 

@@ -389,6 +389,9 @@ def test_read_index_equals_the_built_index(toy_kb, tmp_path):
     for built in (index, read):  # one TopicWord instance per distinct topic word
         words = [tw for tws in built.entries.values() for tw in tws]
         assert len({id(tw) for tw in words}) == len({tw.token for tw in words}) < len(words)
+    for part in (0, 1):  # one domain string per domain, one entity id string per entity
+        values = [key[part] for key in read.entries]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
 
 
 def test_docs_for_entity_matches_scan(toy_kb, toy_index):
