@@ -159,10 +159,10 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
     words follow in given order. :func:`canonical_state` orders them into the state.
 
     Tolerates repeated whitespace. Raises :class:`ParseError` with a byte
-    offset on malformed input (unbalanced braces, missing ``=``, empty
-    values, stray tokens outside a ``||`` topic segment, a topic without a
-    ruk triple, text that is not valid UTF-8). One pass over the whitespace
-    tokens; the offset is only computed for the error.
+    offset on malformed input (unbalanced braces, a block with no pair,
+    missing ``=``, empty values, stray tokens outside a ``||`` topic segment,
+    a topic without a ruk triple, text that is not valid UTF-8). One pass over
+    the whitespace tokens; the offset is only computed for the error.
     """
     try:
         text.encode("utf-8")
@@ -191,7 +191,7 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
         if toks[i] != "{":
             raise ParseError(f"expected '{{' after domain '{domain}'", _offset(text, i))
         i += 1
-        while toks[i] != "}":
+        while True:  # a block holds at least one pair: "d { }" has no slot name
             if toks[i] is None:
                 raise ParseError("unbalanced braces: missing '}'", _offset(text, i))
             slot = words({"="}, "slot name")
@@ -203,6 +203,8 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
                 i += 1
                 if toks[i] == "}":
                     raise ParseError("trailing ',' before '}'", _offset(text, i))
+            elif toks[i] == "}":
+                break
         i += 1
     topic = toks[i + 1:-1]
     if toks[i] == TOPIC_SEPARATOR:

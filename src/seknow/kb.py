@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -145,7 +146,8 @@ class KnowledgeBase:
     @cached_property
     def _ontology(self) -> tuple[list, dict[str, list[int]]]:
         """Attribute values longest-first (ties by value) with their (domain, slot) pairs,
-        and their positions keyed by the first ``\\w+`` run ("" for a non-word start)."""
+        and their positions keyed by the value's rarest ``\\w+`` run: the one the fewest
+        values hold, the first of them on a tie ("" for a value with no word run)."""
         by_value: dict[str, set[tuple[str, str]]] = {}
         for name, domain in self.domains.items():
             for ent in domain.entities:
@@ -153,16 +155,17 @@ class KnowledgeBase:
                     by_value.setdefault(value, set()).add((name, slot))
         values = [(value, tuple(sorted(by_value[value])))
                   for value in sorted(by_value, key=lambda v: (-len(v), v))]
+        runs = [_WORD_RE.findall(value) for value, _ in values]
+        holders = Counter(word for run in runs for word in set(run))
         index: dict[str, list[int]] = {}
-        for pos, (value, _) in enumerate(values):
-            word = _WORD_RE.match(value)
-            index.setdefault(word.group() if word else "", []).append(pos)
+        for pos, run in enumerate(runs):
+            index.setdefault(min(run, key=holders.__getitem__, default=""), []).append(pos)
         return values, index
 
     def ontology_candidates(self, text: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
         """Longest-first values that may occur as whole words of ``text``: those whose
-        first word run is a word of ``text`` (a ``\\b``-bounded match starts such a
-        word) and those starting with a non-word character."""
+        rarest word run is a word of ``text`` and those with no word run. A ``\\b``-bounded
+        match makes each word run of the value a whole word of ``text``."""
         values, index = self._ontology
         words = {"", *_WORD_RE.findall(text)}
         return [values[pos] for pos in sorted(p for w in words for p in index.get(w, ()))]

@@ -44,6 +44,7 @@ Predictor = Callable[[DialogContext, ExtendedBeliefState], ExtendedBeliefState]
 Generator = Callable[[ExtendedBeliefState, EntityMatches, RetrievedDocument | None], str]
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
+_EDGE_RE = re.compile(r"\b")  # .match(text, pos) tests a word boundary at pos
 
 
 @dataclass(frozen=True)
@@ -242,9 +243,10 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     Constraints: every ontology value appearing verbatim (whole words) in the
     latest user utterance is added for each (domain, slot) that carries it,
     longest match first so short values cannot claim text inside longer ones.
-    Only values whose first word run is a word of the utterance, or that start
-    with a non-word character, are tested: the KB's first-word index
-    (:meth:`~seknow.kb.KnowledgeBase.ontology_candidates`) finds them.
+    Only values whose rarest word run is a word of the utterance, or that have
+    no word run, are tested: the KB's rarest-run index
+    (:meth:`~seknow.kb.KnowledgeBase.ontology_candidates`) finds them, and each
+    is found with ``str.find`` and a ``\\b`` test at both edges.
     Extension: the single best-matching entity of the current structured
     query is checked for documents whose index topics share a token with the
     utterance; the first overlap sets the ruk triple and the shared topic
@@ -281,15 +283,17 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
 
 def _find_unclaimed(utterance: str, value: str,
                     claimed: list[tuple[int, int]]) -> tuple[int, int] | None:
-    # Exact, since a whole-word match is a substring. It keeps most patterns
-    # out of re's 512-entry cache, which a real-size ontology (~900 values)
-    # overflows when every value is compiled on every turn.
-    if value not in utterance:
-        return None
-    for match in re.finditer(rf"\b{re.escape(value)}\b", utterance):
-        span = (match.start(), match.end())
-        if all(span[1] <= lo or span[0] >= hi for lo, hi in claimed):
-            return span
+    """The first occurrence of ``value`` with a ``\\b`` at both edges that overlaps no
+    claimed span, as ``re.finditer`` finds them: after such an occurrence the search
+    resumes at its end (the next index if it is empty), after any other at the next index."""
+    start = utterance.find(value)
+    while start >= 0:
+        end, resume = start + len(value), start + 1
+        if _EDGE_RE.match(utterance, start) and _EDGE_RE.match(utterance, end):
+            if all(end <= lo or start >= hi for lo, hi in claimed):
+                return start, end
+            resume = max(end, resume)
+        start = utterance.find(value, resume)
     return None
 
 

@@ -463,6 +463,8 @@ def oracle_parse_belief_span(text: str):
         if toks.peek() != "{":
             raise ParseError(f"expected '{{' after domain '{domain}'", toks.offset())
         toks.take()
+        if toks.peek() == "}":  # block := DOMAIN '{' pair (',' pair)* '}'
+            raise ParseError("expected slot name, found '}'", toks.offset())
         while toks.peek() != "}":
             if toks.peek() is None:
                 raise ParseError("unbalanced braces: missing '}'", toks.offset())

@@ -38,6 +38,10 @@ unless the benchmark tracer patches it there.
 No module in ``src/seknow`` probes the filesystem (``os.path.exists``, ``isfile``,
 ``isdir`` or their ``pathlib`` forms): every input is opened through
 ``text.open_input`` or refused, and none becomes optional because a file is missing.
+
+Every pattern handed to a ``re`` function in ``src/seknow`` is a string constant, so
+each is compiled once and found in ``re``'s cache: a pattern built per value (an
+``rf"..."`` of ``re.escape``) compiles again whenever the cache overflows.
 """
 
 import ast
@@ -454,3 +458,31 @@ def test_no_input_is_probed_for():
                              "from os.path import isfile, join\nPath(p).is_dir()\n"
                              "os.path.join(p, q)\n") == [
         (2, "exists"), (4, "isfile"), (5, "is_dir")]
+
+
+_RE_FUNCTIONS = frozenset({"compile", "search", "match", "fullmatch", "finditer", "findall",
+                           "sub", "split"})
+
+
+def built_patterns(source: str) -> list[tuple[int, str]]:
+    """(line, function) of each ``re.<function>`` call in ``source`` whose pattern, the
+    first positional argument or ``pattern=``, is not a string constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.func.attr in _RE_FUNCTIONS):
+            continue
+        patterns = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "pattern"]
+        if not all(isinstance(p, ast.Constant) and isinstance(p.value, str) for p in patterns):
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_every_re_pattern_is_a_string_constant():
+    assert [(path.stem, *call) for path in sorted(PACKAGE.glob("*.py"))
+            for call in built_patterns(path.read_text("utf-8"))] == []
+    assert built_patterns('re.compile(r"\\b")\nre.finditer(rf"\\b{re.escape(v)}\\b", t)\n'
+                          're.sub(pattern=p, repl="", string=t)\nre.split(",", t)\n'
+                          'PATTERN.match(t)\nre.escape(v)\nre.match("a" + v, t)\n') == [
+        (2, "finditer"), (3, "sub"), (7, "match")]

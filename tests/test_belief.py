@@ -93,6 +93,15 @@ def test_parse_empty_value_reports_offset():
     assert err.value.offset == text.index("}")
 
 
+def test_parse_refuses_an_empty_block():
+    # block := DOMAIN '{' pair (',' pair)* '}'; an empty block used to drop its domain
+    for text in ("hotel { }", "restaurant { food = thai } hotel {  } || x"):
+        for parse in (parse_belief_span, oracle_parse_belief_span):
+            with pytest.raises(ParseError, match="expected slot name, found '}'") as err:
+                parse(text)
+            assert err.value.offset == text.rindex("}")
+
+
 def test_parse_unbalanced_braces():
     with pytest.raises(ParseError, match="unbalanced"):
         parse_belief_span("restaurant { food = italian")

@@ -107,6 +107,11 @@ def test_query_parse_error_line(capsys):
     assert err.startswith("error: parse: ")
 
 
+def test_query_refuses_an_empty_block(capsys):
+    assert main(["query", "--kb", str(DB_PATH), "--belief", "hotel { }"]) == 1
+    assert capsys.readouterr().err == "error: parse: expected slot name, found '}' (byte offset 8)\n"
+
+
 @pytest.mark.parametrize("command", ["query", "retrieve"])
 def test_belief_that_is_not_utf8_is_a_parse_error(capsys, command):
     # an undecodable argv byte (b"\xff") reaches Python as the lone surrogate "\udcff"

@@ -17,6 +17,9 @@ draws. Each relation here is seeded, so a failure names the seed that shows it
   character with any ruk value, leaves the index rows and both predictors'
   reports unchanged: no constraint selects it, its name scores 0 against every
   ruk value, and it has no document to retrieve.
+* A dialog's ``run_dialog`` outputs do not depend on the dialogs run before it
+  on the same KB: what a KB gains while it runs (each domain's query memo, the
+  heuristic's ontology postings, the match tables) changes no result.
 """
 
 import json
@@ -28,6 +31,8 @@ import pytest
 from seknow.belief import parse_belief_span
 from seknow.corpus import CorpusSpec, DialogCorpus, generate_synthetic_corpus, load_corpus
 from seknow.kb import load_knowledge_base
+from seknow.metrics import PREDICTORS, run_dialog
+from seknow.pipeline import make_template_generator
 from seknow.topics import build_topic_index, sidecar_path, write_index
 
 from conftest import (DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, TOY_THRESHOLDS,
@@ -117,3 +122,23 @@ def test_an_unreachable_entity_leaves_the_index_and_the_reports_unchanged(
             got = evaluate(corpora[corpus_name], kb, index, predictor)
             assert got == report and got.to_dict() == report.to_dict(), (
                 domain, corpus_name, predictor)
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "heuristic"])
+def test_a_dialog_runs_alike_whatever_ran_before_it_on_the_kb(toy_kb, toy_index, predictor):
+    generator = make_template_generator()
+
+    def run(dialog, kb):
+        return run_dialog(dialog, PREDICTORS[predictor](kb, toy_index), generator, kb,
+                          toy_index)
+
+    for name, corpus in _corpora(toy_kb, toy_index):
+        dialogs = corpus.dialogs
+        alone = [run(dialog, load_knowledge_base(str(DB_PATH), str(DOCS_PATH)))
+                 for dialog in dialogs]
+        for seed in range(SEEDS // 2):
+            rng = random.Random(seed)
+            kb = load_knowledge_base(str(DB_PATH), str(DOCS_PATH))
+            order = rng.sample(range(len(dialogs)), len(dialogs))
+            for k in order + rng.sample(order, len(order)):
+                assert run(dialogs[k], kb) == alone[k], (name, seed, dialogs[k].dialog_id)

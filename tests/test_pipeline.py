@@ -248,12 +248,22 @@ def test_every_turn_queries_the_belief_it_returns(toy_kb, toy_index):
         assert turns >= 15 and extended >= 3, (name, turns, extended)
 
 
-# regex metacharacters, non-word edges, values that prefix others, and ""
-FIND_VALUES = ["c++", "£10", "19:45", "a.m.", "north-east", "st", "star", "5 star", ""]
-FIND_FILLER = ["the", "north", "east", "stars", "5", "at", "10"]
+# regex metacharacters, non-word edges, values that prefix others, "", non-ASCII letters,
+# "²" and "_" (word characters), CJK, and a value that overlaps itself ("x x" in "x x x")
+FIND_VALUES = ["c++", "£10", "19:45", "a.m.", "north-east", "st", "star", "5 star", "",
+               "café", "x²", "x_ray", "日本", "x x"]
+FIND_FILLER = ["the", "north", "east", "stars", "5", "at", "10", "x", "é", "²", "_", "本",
+               "日本語", "cafés"]
 
 
 def test_find_unclaimed_matches_regex_reference():
+    # re.finditer resumes after a whole-word match at its end, after any other occurrence
+    # at the next index: "x x" at 2 is skipped in the first case and found in the second
+    for utterance, value, claimed, expected in [("x x x", "x x", [(0, 1)], None),
+                                                ("_x x x", "x x", [], (3, 6)),
+                                                (" ab", "", [(0, 3)], (3, 3))]:
+        assert oracle_find_unclaimed(utterance, value, claimed) == expected
+        assert _find_unclaimed(utterance, value, claimed) == expected, (utterance, value)
     rng = random.Random(0)
     hits = 0
     for _ in range(2000):
@@ -284,10 +294,12 @@ ONTOLOGY = {
 
 
 # values opening with a non-word character, inner punctuation, digits, non-ASCII
-# letters, "_" (a word character) and values that are prefixes of other values
+# letters, "_" (a word character), values that are prefixes of other values, values
+# that share their first word run, and a value with no word run
 ONTOLOGY_VALUES = ["-free", "(north)", "£10", "b&b", "st. john's", "st", "star", "5 star",
                    "5", "19:45", "café", "cafe", "caf", "a.m.", "x_ray", "north",
-                   "north-east", "guest house", "guest", "日本", "c++"]
+                   "north-east", "guest house", "guest", "日本", "c++", "01223 615076",
+                   "01223 956127", "the acorn", "the gardenia", "+/-"]
 ONTOLOGY_FILLER = ["the", "in", "stars", "cafés", "CAFÉ", "st.", "johns", "x", "10", "ray"]
 
 
@@ -317,6 +329,21 @@ def test_heuristic_first_word_index_equals_full_scan():
         found += bool(expected)
         non_word_start += any(v[:1] in ("-", "(", "£") for _, _, v in expected)
     assert found > 1000 and non_word_start > 20
+
+
+def test_ontology_candidates_are_the_values_holding_a_rarest_run():
+    # every value opens with the run every phone number opens with; each is found by its own
+    phones = [f"01223 1000{k:02d}" for k in range(50)]
+    kb = KnowledgeBase(domains={"hotel": Domain(
+        name="hotel", slot_schema=frozenset({"phone"}),
+        entities=tuple(Entity(id=f"e{k}", name=f"e{k}", attributes={"phone": phone})
+                       for k, phone in enumerate(phones)))})
+    for utterance, expected in [("call 01223 100007 please", ["01223 100007"]),
+                                ("01223 100042 or 01223 100007 ?", ["01223 100007",
+                                                                    "01223 100042"]),
+                                ("100013", ["01223 100013"]),
+                                ("my number is 01223", [])]:
+        assert [value for value, _ in kb.ontology_candidates(utterance)] == expected, utterance
 
 
 def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
