@@ -180,7 +180,7 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
         if i == start:
             found = toks[i]
             raise ParseError(f"empty {what}" if found in stop or found is None
-                             else f"expected {what}, found '{found}'", _offset(text, i))
+                             else f"expected {what}, found {found!r}", _offset(text, i))
         return " ".join(toks[start:i])
 
     # Fields are single-spaced runs of whitespace-free tokens, so str.lower normalizes
@@ -189,14 +189,14 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
     while toks[i] is not None and toks[i] != TOPIC_SEPARATOR:
         domain = words({"{"}, "domain name")
         if toks[i] != "{":
-            raise ParseError(f"expected '{{' after domain '{domain}'", _offset(text, i))
+            raise ParseError(f"expected '{{' after domain {domain!r}", _offset(text, i))
         i += 1
         while True:  # a block holds at least one pair: "d { }" has no slot name
             if toks[i] is None:
                 raise ParseError("unbalanced braces: missing '}'", _offset(text, i))
             slot = words({"="}, "slot name")
             if toks[i] != "=":
-                raise ParseError(f"missing '=' after slot '{slot}'", _offset(text, i))
+                raise ParseError(f"missing '=' after slot {slot!r}", _offset(text, i))
             i += 1
             latest[(domain.lower(), slot.lower())] = words({",", "}"}, "value").lower()
             if toks[i] == ",":
@@ -212,7 +212,7 @@ def span_fields(text: str) -> tuple[dict[tuple[str, str], str], list[str]]:
             raise ParseError("empty topic segment", _offset(text, i + 1))
         for k, token in enumerate(topic, start=i + 1):
             if token in _RESERVED:
-                raise ParseError(f"reserved token '{token}' in topic", _offset(text, k))
+                raise ParseError(f"reserved token {token!r} in topic", _offset(text, k))
         if ruk_domain(latest) is None:
             raise ParseError("a topic requires a ruk triple", len(text.encode("utf-8")))
     return latest, [token.lower() for token in topic]

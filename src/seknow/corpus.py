@@ -106,7 +106,7 @@ def load_corpus(path: str, kb: KnowledgeBase | None = None,
             dialog = _parse_dialog(parse_json(line, path, lineno), path, lineno, kb, index,
                                    strings, checked)
             if dialog.dialog_id in seen:
-                raise LoadError(f"duplicate dialog id '{dialog.dialog_id}'", file=path,
+                raise LoadError(f"duplicate dialog id {dialog.dialog_id!r}", file=path,
                                 line=lineno)
             seen.add(dialog.dialog_id)
             dialogs.append(dialog)
@@ -127,7 +127,7 @@ def load_goals(path: str, kb: KnowledgeBase,
         if dialog_id not in ids:
             raise LoadError(f"goal for dialog {dialog_id!r} names no dialog of the corpus",
                             file=path)
-        goals[dialog_id] = parse_goal(goal, f"dialog '{dialog_id}'", path, strings, kb=kb)
+        goals[dialog_id] = parse_goal(goal, f"dialog {dialog_id!r}", path, strings, kb=kb)
     return goals
 
 
@@ -164,25 +164,25 @@ def parse_goal(raw, where: str, path: str, strings: dict[str, str], lineno: int 
         if not name:
             raise refused(f"{where}: empty goal domain name")
         if name in domains:
-            raise refused(f"{where}: duplicate goal domain '{name}'")
+            raise refused(f"{where}: duplicate goal domain {name!r}")
         normalized = {}
         for slot, value in constraints.items():
             key, value = shared(slot), shared(value)
             if not (key and value):
-                raise refused(f"{where}: goal domain '{name}': constraint {slot!r} is empty")
+                raise refused(f"{where}: goal domain {name!r}: constraint {slot!r} is empty")
             if key in normalized:
-                raise refused(f"{where}: goal domain '{name}': duplicate constraint '{key}'")
+                raise refused(f"{where}: goal domain {name!r}: duplicate constraint {key!r}")
             normalized[key] = value
         requested = tuple(map(shared, requestables))
         if not all(requested):
-            raise refused(f"{where}: goal domain '{name}': empty requestable")
+            raise refused(f"{where}: goal domain {name!r}: empty requestable")
         if kb is not None:
             if name not in kb.domains:
-                raise refused(f"goal of {where} references unknown domain '{name}'")
+                raise refused(f"goal of {where} references unknown domain {name!r}")
             for slot in (*normalized, *requested):
                 if slot not in kb.domains[name].slot_schema:
-                    raise refused(f"goal of {where} uses slot '{slot}' outside the schema of "
-                                  f"domain '{name}'")
+                    raise refused(f"goal of {where} uses slot {slot!r} outside the schema of "
+                                  f"domain {name!r}")
         domains[name] = DomainGoal(constraints=normalized, requestables=requested)
     return domains
 
@@ -200,7 +200,7 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
         raise LoadError("'dialog_id' is blank or holds a tab or line break", file=path,
                         line=lineno)
 
-    where = f"dialog '{dialog_id}'"
+    where = f"dialog {dialog_id!r}"
 
     def refused(detail: str, turn: int | None = None) -> LoadError:
         at = where if turn is None else f"{where} turn {turn}"
@@ -243,7 +243,7 @@ def _parse_dialog(raw, path: str, lineno: int, kb: KnowledgeBase | None,
                 raise refused(f"annotated document {annotation} is not in the index", k)
             if annotation[0] != domain:
                 raise refused(f"document annotation in domain {annotation[0]!r} but the ruk "
-                              f"triple is in domain '{domain}'", k)
+                              f"triple is in domain {domain!r}", k)
         turn = DialogTurn(user=share(user, user), response=share(response, response),
                           gold_belief_span=share(span, span), doc_annotation=annotation,
                           delex_response=delex and share(delex, delex))
@@ -262,8 +262,8 @@ def _schema_fault(latest: dict[tuple[str, str], str], kb: KnowledgeBase) -> str 
     rank = {domain: r for r, domain in enumerate(dict.fromkeys(d for d, _ in latest))}
     domain, slot = min(outside, key=lambda key: (rank[key[0]], key[1]))
     if domain not in kb.domains:
-        return f"unknown domain '{domain}'"
-    return f"slot '{slot}' is not in the schema of domain '{domain}'"
+        return f"unknown domain {domain!r}"
+    return f"slot {slot!r} is not in the schema of domain {domain!r}"
 
 
 def save_corpus(corpus: DialogCorpus, path: str):
@@ -347,7 +347,7 @@ def generate_synthetic_corpus(kb: KnowledgeBase, index: TopicIndex,
         if spec.inserted_turns > len(docs):
             raise GenerationError(
                 f"spec asks for {spec.inserted_turns} inserted turns but entity "
-                f"'{entity.id}' has only {len(docs)} indexed documents")
+                f"{entity.id!r} has only {len(docs)} indexed documents")
         slots = sorted(s for s in entity.attributes if s != "name")
         rng.shuffle(slots)
         plan = []  # (user utterance, gold state, doc annotation) per turn

@@ -64,10 +64,6 @@ class TemplateError(SeknowError):
     kind = "template"
 
 
-class PipelineError(SeknowError):
-    kind = "pipeline"
-
-
 class CorruptionError(SeknowError):
     kind = "corruption"
 

@@ -132,7 +132,7 @@ class KnowledgeBase:
         try:
             return self.domains[name]
         except KeyError:
-            raise DomainNotFoundError(f"unknown domain '{name}'") from None
+            raise DomainNotFoundError(f"unknown domain {name!r}") from None
 
     def entity(self, domain: str, entity_id: str) -> Entity | None:
         return self.domain(domain).entity(entity_id)
@@ -223,43 +223,43 @@ def _parse_db(path: str) -> dict[str, Domain]:
         if not name:
             raise LoadError("empty domain name", file=path)
         if name in domains:
-            raise LoadError(f"duplicate domain '{name}'", file=path)
+            raise LoadError(f"duplicate domain {name!r}", file=path)
         if not isinstance(dom_obj, dict):
-            raise LoadError(f"domain '{name}' must be an object", file=path)
+            raise LoadError(f"domain {name!r} must be an object", file=path)
         slots = dom_obj.get("slots")
         ents = dom_obj.get("entities")
         if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)):
-            raise LoadError(f"domain '{name}': 'slots' must be an array of strings", file=path)
+            raise LoadError(f"domain {name!r}: 'slots' must be an array of strings", file=path)
         if not isinstance(ents, list):
-            raise LoadError(f"domain '{name}': 'entities' must be an array", file=path)
+            raise LoadError(f"domain {name!r}: 'entities' must be an array", file=path)
         schema = frozenset(normalize(s) for s in slots)
         if RUK_SLOT in schema:
-            raise LoadError(f"domain '{name}': slot '{RUK_SLOT}' is reserved for the "
+            raise LoadError(f"domain {name!r}: slot {RUK_SLOT!r} is reserved for the "
                             "belief-state extension", file=path)
         entities = []
         for k, ent in enumerate(ents):
             if not isinstance(ent, dict):
-                raise LoadError(f"domain '{name}': entity #{k} must be an object", file=path)
+                raise LoadError(f"domain {name!r}: entity #{k} must be an object", file=path)
             for key in ("id", "name"):
                 if not (isinstance(ent.get(key), str) and ent[key].strip()):
-                    raise LoadError(f"domain '{name}': entity #{k} missing '{key}'", file=path)
+                    raise LoadError(f"domain {name!r}: entity #{k} missing {key!r}", file=path)
             attrs = ent.get("attributes", {})
             if not (isinstance(attrs, dict) and all(
                     isinstance(s, str) and isinstance(v, str) for s, v in attrs.items())):
-                raise LoadError(f"domain '{name}': entity {ent['id']!r} attributes must map "
+                raise LoadError(f"domain {name!r}: entity {ent['id']!r} attributes must map "
                                 "strings to strings", file=path)
             attributes = {}
             for slot, value in attrs.items():
                 key, value = normalize(slot), normalize(value)
                 if not (key and value):
-                    raise LoadError(f"domain '{name}': entity {ent['id']!r} attribute "
+                    raise LoadError(f"domain {name!r}: entity {ent['id']!r} attribute "
                                     f"{slot!r} is empty", file=path)
                 if key in attributes:
-                    raise LoadError(f"domain '{name}': entity {ent['id']!r}: duplicate "
-                                    f"attribute '{key}'", file=path)
+                    raise LoadError(f"domain {name!r}: entity {ent['id']!r}: duplicate "
+                                    f"attribute {key!r}", file=path)
                 attributes[key] = value
             if not isinstance(ent.get("bookable", False), bool):
-                raise LoadError(f"domain '{name}': entity {ent['id']!r} 'bookable' must be a "
+                raise LoadError(f"domain {name!r}: entity {ent['id']!r} 'bookable' must be a "
                                 "boolean", file=path)
             entities.append(Entity(
                 id=normalize(ent["id"]),
@@ -278,8 +278,8 @@ def _locate_owner(domain: Domain, ref: str, record_no: int, path: str) -> Entity
     by_name = [e for e in domain.entities if e.name == ref]
     if len(by_name) > 1:
         raise LoadError(
-            f"document #{record_no}: entity reference '{ref}' is ambiguous in "
-            f"domain '{domain.name}' ({len(by_name)} entities share that name)", file=path)
+            f"document #{record_no}: entity reference {ref!r} is ambiguous in "
+            f"domain {domain.name!r} ({len(by_name)} entities share that name)", file=path)
     return by_name[0] if by_name else None
 
 
@@ -296,7 +296,7 @@ def _fuse(domains: dict[str, Domain], doc_source: str) -> dict[str, Domain]:
             raise LoadError(f"document #{k} must be an object", file=doc_source)
         for key in ("domain", "entity_id", "doc_id", "title", "body"):
             if not isinstance(rec.get(key), str):
-                raise LoadError(f"document #{k} missing '{key}'", file=doc_source)
+                raise LoadError(f"document #{k} missing {key!r}", file=doc_source)
         # an index row holds the doc_id between tabs, on one line
         doc_id = rec["doc_id"].strip()
         if not is_one_field(doc_id):
@@ -351,27 +351,27 @@ def validate_knowledge_base(kb: KnowledgeBase) -> ValidationReport:
         for ent in domain.entities:
             if ent.id in seen_ids:
                 violations.append(Violation(
-                    "duplicate-id", f"domain '{name}': entity id '{ent.id}'"))
+                    "duplicate-id", f"domain {name!r}: entity id {ent.id!r}"))
             seen_ids.add(ent.id)
             for slot in ent.attributes:
                 if slot not in domain.slot_schema:
                     violations.append(Violation(
                         "schema-foreign",
-                        f"domain '{name}': entity '{ent.id}' attribute '{slot}'"))
+                        f"domain {name!r}: entity {ent.id!r} attribute {slot!r}"))
             if ent.attributes.get("name") not in (None, ent.name):
                 violations.append(Violation(
                     "name-mismatch",
-                    f"domain '{name}': entity '{ent.id}' name attribute "
-                    f"'{ent.attributes['name']}'"))
+                    f"domain {name!r}: entity {ent.id!r} name attribute "
+                    f"{ent.attributes['name']!r}"))
             seen_docs = set()
             for doc in ent.documents:
                 if not doc.body.strip():
                     violations.append(Violation(
                         "empty-body",
-                        f"domain '{name}': entity '{ent.id}' document '{doc.doc_id}'"))
+                        f"domain {name!r}: entity {ent.id!r} document {doc.doc_id!r}"))
                 if doc.doc_id in seen_docs:
                     violations.append(Violation(
                         "duplicate-doc-id",
-                        f"domain '{name}': entity '{ent.id}' document '{doc.doc_id}'"))
+                        f"domain {name!r}: entity {ent.id!r} document {doc.doc_id!r}"))
                 seen_docs.add(doc.doc_id)
     return ValidationReport(violations=tuple(violations))

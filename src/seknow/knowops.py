@@ -76,7 +76,7 @@ def structured_query(kb: KnowledgeBase, state: ExtendedBeliefState) -> EntityMat
         domain = kb.domain(dom_name)
         for slot in constraints:
             if slot not in domain.slot_schema:
-                raise QueryError(f"slot '{slot}' is not in the schema of domain '{dom_name}'")
+                raise QueryError(f"slot {slot!r} is not in the schema of domain {dom_name!r}")
         last = domain.last_query
         if last[0] != constraints:
             last = (constraints, tuple(e.id for e in domain.matching(constraints)))
@@ -174,7 +174,7 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     for (doc_id, _, key), common in zip(docs, packed_lcs(pack, query)):
         if doc_id not in bodies:
             raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
-                             f"document of entity '{entity.id}'")
+                             f"document of entity {entity.id!r}")
         scored.append(RetrievedDocument(domain, entity.id, doc_id, bodies[doc_id],
                                         _ratio(common, n + len(key))))
     scored.sort(key=attrgetter("score"), reverse=True)  # stable: entity_docs is in doc_id order

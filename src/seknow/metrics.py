@@ -344,15 +344,19 @@ PREDICTORS: dict[str, Callable[[KnowledgeBase, TopicIndex], PredictorFactory]] =
 
 def run_dialog(dialog: Dialog, factory: PredictorFactory, generator: Generator,
                kb: KnowledgeBase, index: TopicIndex) -> list[TurnOutput]:
-    """Run every turn of one dialog through a fresh session, in order."""
+    """Run every turn of one dialog through a fresh session, in order.
+
+    A turn that raises fails the dialog as one ``EvaluationError``,
+    ``dialog '<id>': turn <k>: <detail>``.
+    """
     session = Session()
     predictor = factory(dialog)
     outputs = []
-    for turn in dialog.turns:
+    for k, turn in enumerate(dialog.turns):
         try:
             outputs.append(run_turn(session, turn.user, predictor, generator, kb, index))
         except Exception as exc:
-            raise EvaluationError(f"dialog '{dialog.dialog_id}': {exc}") from exc
+            raise EvaluationError(f"dialog {dialog.dialog_id!r}: turn {k}: {exc}") from exc
     return outputs
 
 

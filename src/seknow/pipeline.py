@@ -28,7 +28,7 @@ from .belief import (
     parse_belief_span,
     serialize_belief,
 )
-from .errors import CorruptionError, LoadError, OracleError, PipelineError, TemplateError
+from .errors import CorruptionError, LoadError, OracleError, TemplateError
 from .kb import KnowledgeBase
 from .knowops import (
     EntityMatches,
@@ -87,7 +87,7 @@ class TemplateSet:
             return self.entries[(domain, condition)]
         except KeyError:
             raise TemplateError(
-                f"no '{condition}' template for domain '{domain}'") from None
+                f"no {condition!r} template for domain {domain!r}") from None
 
 
 # The template set read when no file is named.
@@ -112,7 +112,7 @@ def _read_templates(path: str) -> dict[tuple[str, str], str]:
             raise LoadError("template row is not 3 tab-separated fields",
                             file=path, line=lineno)
         if (parts[0], parts[1]) in entries:
-            raise LoadError(f"duplicate '{parts[1]}' template for domain '{parts[0]}'",
+            raise LoadError(f"duplicate {parts[1]!r} template for domain {parts[0]!r}",
                             file=path, line=lineno)
         if not parts[2].strip():
             raise LoadError("empty template text", file=path, line=lineno)
@@ -140,7 +140,7 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
             needed += [(name, "doc")] if name in kb.document_domains else []
         for domain, condition in needed:
             if (domain, condition) not in entries:
-                raise LoadError(f"no '{condition}' template for domain '{domain}'", file=path)
+                raise LoadError(f"no {condition!r} template for domain {domain!r}", file=path)
     return TemplateSet(entries=entries)
 
 
@@ -201,13 +201,9 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     operation and the generator see nothing but the belief state it returns.
     """
     session.utterances.append(("user", user_utterance))
-    turn = session.turn_index
-    try:
-        belief = predictor(session.context(), session.prev_belief)
-        query, document, ranking = knowledge_operation(kb, index, belief)
-        delex = generator(belief, query, document)
-    except Exception as exc:
-        raise PipelineError(f"turn {turn}: {exc}") from exc
+    belief = predictor(session.context(), session.prev_belief)
+    query, document, ranking = knowledge_operation(kb, index, belief)
+    delex = generator(belief, query, document)
     text = lexicalize(delex, belief, query, kb)
     session.utterances.append(("system", text))
     session.prev_belief = belief
@@ -388,5 +384,5 @@ def _swap_values(span: str, ontology: Mapping[tuple[str, str], Sequence[str]],
             value = alternatives[rng.randrange(len(alternatives))]
         swapped.append((domain, slot, value))
     if swapped == list(state.triples):
-        raise CorruptionError(f"no slot of belief span '{span}' has an alternative value")
+        raise CorruptionError(f"no slot of belief span {span!r} has an alternative value")
     return serialize_belief(make_state(swapped, state.topic))

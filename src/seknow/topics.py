@@ -153,10 +153,10 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
         if not doc_tokens:
             continue
         if dom_name not in thresholds:
-            raise ConfigError(f"no topic threshold configured for domain '{dom_name}'")
+            raise ConfigError(f"no topic threshold configured for domain {dom_name!r}")
         threshold = thresholds[dom_name]
         if not abs(threshold) <= sys.float_info.max:  # NaN, the infinities, huge ints
-            raise ConfigError(f"topic threshold {threshold} for domain '{dom_name}' "
+            raise ConfigError(f"topic threshold {threshold} for domain {dom_name!r} "
                               "is not finite")
 
         scores = compute_tfidf(doc_tokens)
@@ -166,7 +166,7 @@ def build_topic_index(kb: KnowledgeBase, thresholds: Mapping[str, float],
                 candidates[key] = extract_candidates(tokens, tfidf)
             except IndexingError as exc:
                 raise IndexingError(
-                    f"domain '{dom_name}' entity '{key[0]}' document '{key[1]}': "
+                    f"domain {dom_name!r} entity {key[0]!r} document {key[1]!r}: "
                     f"{exc.detail}") from exc
         ca = compute_ca_tfidf(candidates, entity_count=len(domain.entities))
 

@@ -449,7 +449,7 @@ def _take_words(toks: _Tokens, stop: set[str], what: str) -> str:
     if not words:
         found = toks.peek()
         raise ParseError(f"empty {what}" if found in stop or found is None
-                         else f"expected {what}, found '{found}'", toks.offset())
+                         else f"expected {what}, found {found!r}", toks.offset())
     return " ".join(words)
 
 
@@ -461,7 +461,7 @@ def oracle_parse_belief_span(text: str):
     while toks.peek() is not None and toks.peek() != TOPIC_SEPARATOR:
         domain = _take_words(toks, {"{"}, "domain name")
         if toks.peek() != "{":
-            raise ParseError(f"expected '{{' after domain '{domain}'", toks.offset())
+            raise ParseError(f"expected '{{' after domain {domain!r}", toks.offset())
         toks.take()
         if toks.peek() == "}":  # block := DOMAIN '{' pair (',' pair)* '}'
             raise ParseError("expected slot name, found '}'", toks.offset())
@@ -470,7 +470,7 @@ def oracle_parse_belief_span(text: str):
                 raise ParseError("unbalanced braces: missing '}'", toks.offset())
             slot = _take_words(toks, {"="}, "slot name")
             if toks.peek() != "=":
-                raise ParseError(f"missing '=' after slot '{slot}'", toks.offset())
+                raise ParseError(f"missing '=' after slot {slot!r}", toks.offset())
             toks.take()
             value = _take_words(toks, {",", "}"}, "value")
             triples.append((domain, slot, value))
@@ -485,7 +485,7 @@ def oracle_parse_belief_span(text: str):
             raise ParseError("empty topic segment", toks.offset())
         while toks.peek() is not None:
             if toks.peek() in _RESERVED:
-                raise ParseError(f"reserved token '{toks.peek()}' in topic", toks.offset())
+                raise ParseError(f"reserved token {toks.peek()!r} in topic", toks.offset())
             topic.append(toks.take())
     return _oracle_canonical_state(triples, topic, toks.end_offset)
 

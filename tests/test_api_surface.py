@@ -42,6 +42,10 @@ No module in ``src/seknow`` probes the filesystem (``os.path.exists``, ``isfile`
 Every pattern handed to a ``re`` function in ``src/seknow`` is a string constant, so
 each is compiled once and found in ``re``'s cache: a pattern built per value (an
 ``rf"..."`` of ``re.escape``) compiles again whenever the cache overflows.
+
+No f-string in ``src/seknow`` writes a quote against an interpolation: a value is
+quoted with ``!r``, whose escapes keep a line break, a quote or a backslash in
+the value from splitting or garbling the one ``error:`` line.
 """
 
 import ast
@@ -486,3 +490,28 @@ def test_every_re_pattern_is_a_string_constant():
                           're.sub(pattern=p, repl="", string=t)\nre.split(",", t)\n'
                           'PATTERN.match(t)\nre.escape(v)\nre.match("a" + v, t)\n') == [
         (2, "finditer"), (3, "sub"), (7, "match")]
+
+
+def hand_quoted_values(source: str) -> list[tuple[int, str]]:
+    """(line, expression) of each f-string interpolation in ``source`` that a
+    hand-written quote opens or closes, as in ``f"domain '{name}'"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.JoinedStr):
+            continue
+        parts = [None, *node.values, None]
+        for before, value, after in zip(parts, parts[1:], parts[2:]):
+            if isinstance(value, ast.FormattedValue) and (
+                    isinstance(before, ast.Constant) and before.value.endswith(("'", '"'))
+                    or isinstance(after, ast.Constant) and after.value.startswith(("'", '"'))):
+                found.append((value.lineno, ast.unparse(value.value)))
+    return sorted(found)
+
+
+def test_every_quoted_value_is_a_repr():
+    assert [(path.stem, *site) for path in sorted(PACKAGE.glob("*.py"))
+            for site in hand_quoted_values(path.read_text("utf-8"))] == []
+    assert hand_quoted_values('f"domain \'{name}\'"\nf"slot {slot!r} of {d}"\n'
+                              'f"a \'{{\' b"\nf\'id "{i}"\'\n'
+                              'f"x \'{a!r}\'"\nf"{b}\'s"\n') == [
+        (1, "name"), (4, "i"), (5, "a"), (6, "b")]

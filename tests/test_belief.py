@@ -137,6 +137,18 @@ def test_parse_reserved_token_in_topic_reports_its_own_offset():
         assert err.value.offset == text.index("{", 20)
 
 
+@pytest.mark.parametrize("text, detail", [
+    ("it's = x", "expected '{' after domain \"it's\""),
+    ("hotel { a\\b }", "missing '=' after slot 'a\\\\b'"),
+    ("hotel { \x00 }", "missing '=' after slot '\\x00'"),
+])
+def test_parse_error_quotes_a_token_as_its_repr(text, detail):
+    for parse in (parse_belief_span, oracle_parse_belief_span):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.detail == f"{detail} (byte offset {err.value.offset})"
+
+
 def test_parse_refuses_text_that_is_not_utf8():
     text = "restaurant { area = \udcff }"
     with pytest.raises(ParseError, match="not valid UTF-8") as err:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shlex
 import shutil
 import sys
 from importlib import resources
@@ -271,7 +272,7 @@ def test_run_keeps_finished_dialogs_after_a_failure(tmp_path, capsys, monkeypatc
     out = tmp_path / "partial.tsv"
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: evaluation: dialog 'dlg0002': injected fault"]
+    assert err == ["error: evaluation: dialog 'dlg0002': turn 0: injected fault"]
     finished = [line for line in full.read_text("utf-8").splitlines(keepends=True)
                 if line.startswith(("dlg0000:", "dlg0001:"))]
     assert len(finished) == 6
@@ -827,8 +828,23 @@ def _threshold(flag: str):
          "--out", str(tmp_path / "index.tsv"), "--threshold", flag], "error: config: ")
 
 
+def _corrupt_span_with_a_line_separator(files, tmp_path):
+    """`corrupt` over four dialogs whose only span holds U+2028, which separates tokens
+    in the span grammar: seed 0 draws the value swap, and the span's one slot has no
+    alternative value."""
+    corpus = tmp_path / "taxi.jsonl"
+    corpus.write_text("".join(json.dumps({"dialog_id": f"dlg{i}", "goal": {}, "turns": [
+        {"user": f"a taxi please {i}", "response": f"booked {i}",
+         "belief_span": "taxi {\u2028type = car }"}]}) + "\n" for i in range(4)), "utf-8")
+    return (["corrupt", "--seed", "0", "--corpus", str(corpus),
+             "--out", str(tmp_path / "c.jsonl")], "error: corruption: ")
+
+
 # str.splitlines breaks at \n and \u2028: each raw outside value is quoted as a repr
 LINE_BREAK_VALUES = {
+    "corrupt-span": (_corrupt_span_with_a_line_separator,
+                     "no slot of belief span 'taxi {\\u2028type = car }' has an alternative "
+                     "value"),
     "goal-domain-not-object": (_bad_input(
         "goals", b'{"dlg0000": {"ho\\u2028tel": []}}', " dialog 'dlg0000': "),
         "goal domain 'ho\\u2028tel' is not an object"),
@@ -1096,3 +1112,32 @@ def test_templates_missing_a_needed_row_are_refused_before_any_turn(
     assert stdout == ""
     assert err.splitlines() == [f"error: load: {templates}: no 'doc' template for domain 'hotel'"]
     assert not out.exists()
+
+
+def _quick_tour() -> list[tuple[str, list[str]]]:
+    """Each command of README's quick tour, its ``\\`` continuations joined, with the
+    ``# ->`` lines that follow it."""
+    readme = (DATA_DIR.parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("## Quick tour", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    tour: list[tuple[str, list[str]]] = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("seknow "):
+            tour.append((line, []))
+        elif line.startswith("# -> "):
+            tour[-1][1].append(line.removeprefix("# -> ").removesuffix(" ..."))
+    return tour
+
+
+def test_readme_quick_tour_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(DATA_DIR.parent.parent)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))  # chat reads no message
+    tour = _quick_tour()
+    assert [command.split()[1] for command, _ in tour] == [
+        "build-index", "query", "retrieve", "run", "eval", "corrupt", "stats", "chat"]
+    assert sum(len(expected) for _, expected in tour) == 2
+    for command, expected in tour:
+        argv = shlex.split(command.replace("/tmp/", f"{tmp_path}/"))[1:]
+        assert main(argv) == 0, command
+        out = capsys.readouterr().out
+        for line in expected:
+            assert out.startswith(line), (command, out)

@@ -20,6 +20,10 @@ draws. Each relation here is seeded, so a failure names the seed that shows it
 * A dialog's ``run_dialog`` outputs do not depend on the dialogs run before it
   on the same KB: what a KB gains while it runs (each domain's query memo, the
   heuristic's ontology postings, the match tables) changes no result.
+* On a generated KB in which an entity has two documents of equal topic words,
+  shuffling the index rows, or the doc base, leaves every turn's ranking and
+  both predictors' reports unchanged: the tie breaks by doc_id, not by the
+  position of a row or a record.
 """
 
 import json
@@ -33,7 +37,7 @@ from seknow.corpus import CorpusSpec, DialogCorpus, generate_synthetic_corpus, l
 from seknow.kb import load_knowledge_base
 from seknow.metrics import PREDICTORS, run_dialog
 from seknow.pipeline import make_template_generator
-from seknow.topics import build_topic_index, sidecar_path, write_index
+from seknow.topics import build_topic_index, read_index, sidecar_path, write_index
 
 from conftest import (DB_PATH, DOCS_PATH, GOLDEN_INDEX_PATH, TOY_CORPUS_PATH, TOY_THRESHOLDS,
                       evaluate)
@@ -142,3 +146,67 @@ def test_a_dialog_runs_alike_whatever_ran_before_it_on_the_kb(toy_kb, toy_index,
             order = rng.sample(range(len(dialogs)), len(dialogs))
             for k in order + rng.sample(order, len(order)):
                 assert run(dialogs[k], kb) == alone[k], (name, seed, dialogs[k].dialog_id)
+
+
+def _kb_with_a_document_tie(rng: random.Random) -> tuple[dict, list]:
+    """A db and doc base of two domains. Each domain's first entity has two documents
+    whose bodies differ only by a stopword, so they index under the same topic words;
+    they take its two lowest doc_ids."""
+    vocab = sorted({"".join(rng.choice("bcdfghklmnprstvz") + rng.choice("aeiou")
+                            for _ in range(3)) for _ in range(40)})
+    db, docs = {}, []
+    for domain in ("restaurant", "hotel"):
+        entities = []
+        for k in range(5):
+            name = f"{rng.choice(vocab)} {domain[0]}{k}"
+            entities.append({"id": name, "name": name, "attributes": {
+                "name": name, "area": rng.choice(["north", "south", "center"]),
+                "food": rng.choice(["thai", "italian"])}})
+            bodies = [" ".join(rng.sample(vocab, 8)) for _ in range(rng.randint(1, 3))]
+            if k == 0:
+                tied = " ".join(rng.sample(vocab, 8))
+                bodies = [tied, f"the {tied}", *bodies]
+            docs += [{"domain": domain, "entity_id": name, "doc_id": f"{domain[0]}{k}d{j}",
+                      "title": "notes", "body": body} for j, body in enumerate(bodies)]
+        db[domain] = {"slots": ["name", "area", "food"], "entities": entities}
+    return db, docs
+
+
+def test_row_and_doc_base_order_leave_tied_rankings_and_reports_unchanged(tmp_path):
+    rng = random.Random(35)
+    db, docs = _kb_with_a_document_tie(rng)
+    thresholds = dict.fromkeys(db, 0.0)
+    db_path, docs_path, index_path, rows_path = (
+        tmp_path / name for name in ("db.json", "docs.json", "index.tsv", "rows.tsv"))
+    db_path.write_text(json.dumps(db), encoding="utf-8")
+    docs_path.write_text(json.dumps(docs), encoding="utf-8")
+    kb = load_knowledge_base(str(db_path), str(docs_path))
+    write_index(build_topic_index(kb, thresholds), str(index_path))
+    Path(sidecar_path(str(rows_path))).write_bytes(
+        Path(sidecar_path(str(index_path))).read_bytes())
+    index = read_index(str(index_path), kb)
+    for domain in db:
+        tied = index.entity_docs(domain, db[domain]["entities"][0]["id"])[0]
+        assert tied[0][2] == tied[1][2], domain
+    corpus = generate_synthetic_corpus(kb, index, CorpusSpec(dialogs=10), seed=35)
+    generator = make_template_generator()
+
+    def outcome(kb, index, predictor):
+        rankings = [out.ranking for dialog in corpus.dialogs for out in run_dialog(
+            dialog, PREDICTORS[predictor](kb, index), generator, kb, index)]
+        report = evaluate(corpus, kb, index, predictor)
+        return rankings, report, report.to_dict()
+
+    base = {p: outcome(kb, index, p) for p in ("oracle", "heuristic")}
+    assert any(len(ranking) > 1 for ranking in base["oracle"][0])
+    rows = index_path.read_text("utf-8").splitlines(keepends=True)
+    for seed in range(SHUFFLES):
+        rng = random.Random(seed)
+        rows_path.write_text("".join(rng.sample(rows, len(rows))), encoding="utf-8")
+        docs_path.write_text(json.dumps(rng.sample(docs, len(docs))), encoding="utf-8")
+        shuffled_kb = load_knowledge_base(str(db_path), str(docs_path))
+        for variant, (kb_v, index_v) in {
+                "rows": (kb, read_index(str(rows_path), kb)),
+                "docs": (shuffled_kb, build_topic_index(shuffled_kb, thresholds))}.items():
+            for predictor, expected in base.items():
+                assert outcome(kb_v, index_v, predictor) == expected, (seed, variant, predictor)

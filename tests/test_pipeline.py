@@ -11,7 +11,7 @@ from oracles import oracle_filter_entities, oracle_find_unclaimed, oracle_heuris
 from seknow.belief import make_state, parse_belief_span, serialize_belief
 from seknow import pipeline
 from seknow.corpus import load_corpus
-from seknow.errors import CorruptionError, LoadError, OracleError, PipelineError, TemplateError
+from seknow.errors import CorruptionError, EvaluationError, LoadError, OracleError, TemplateError
 from seknow.kb import Domain, Entity, KnowledgeBase, load_knowledge_base
 from seknow.knowops import format_query_span, knowledge_operation, structured_query
 from seknow.metrics import PREDICTORS, run_dialog
@@ -168,13 +168,22 @@ def test_run_turn_passes_utterance_unchanged(toy_kb, toy_index, templates):
     assert seen == [""]
 
 
-def test_run_turn_wraps_predictor_failure(toy_kb, toy_index, templates):
+def test_run_dialog_wraps_predictor_failure(toy_kb, toy_index, templates):
+    """run_turn lets a fault through as raised; run_dialog wraps it once."""
     def broken(context, prev):
-        raise RuntimeError("boom")
+        if len(context.utterances) > 1:  # the second turn
+            raise RuntimeError("boom")
+        return prev
 
-    with pytest.raises(PipelineError, match="turn 0"):
-        run_turn(Session(), "hi", broken, make_template_generator(templates),
-                 toy_kb, toy_index)
+    generator = make_template_generator(templates)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_turn(Session(utterances=[("user", "hi"), ("system", "hello")]), "hi", broken,
+                 generator, toy_kb, toy_index)
+    dialog = load_corpus(str(TOY_CORPUS_PATH)).dialogs[0]
+    with pytest.raises(EvaluationError) as info:
+        run_dialog(dialog, lambda d: broken, generator, toy_kb, toy_index)
+    assert info.value.detail == "dialog 'dlg0000': turn 1: boom"
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_oracle_predictor_verbatim():
