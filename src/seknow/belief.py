@@ -242,16 +242,3 @@ def prf_counts(pred: ExtendedBeliefState, gold: ExtendedBeliefState) -> tuple[bo
     return (ruk_correct, p_ruk is not None, g_ruk is not None,
             topic_correct, bool(pred.topic), bool(gold.topic))
 
-
-@dataclass(frozen=True)
-class DialogContext:
-    """Alternating (speaker, text) turns ending with a user utterance."""
-
-    utterances: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if not self.utterances or self.utterances[-1][0] != "user":
-            raise ValueError("context must end with a user utterance")
-
-    def latest_user(self) -> str:
-        return self.utterances[-1][1]

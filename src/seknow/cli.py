@@ -22,7 +22,7 @@ from . import kb as kb_mod
 from . import metrics as metrics_mod
 from . import pipeline, topics
 from .belief import parse_belief_span, serialize_belief, span_fields
-from .errors import ConfigError, SeknowError
+from .errors import ConfigError, SeknowError, shown_path
 from .knowops import (
     format_query_span,
     match_entity,
@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if stopwords_file():
-            print(f"stopwords: {stopwords_file()} (sha256 {stopwords_digest()[:12]})",
+            print(f"stopwords: {shown_path(stopwords_file())} (sha256 {stopwords_digest()[:12]})",
                   file=sys.stderr)
         return args.func(args)
     except SeknowError as exc:

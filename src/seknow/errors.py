@@ -5,6 +5,12 @@ uniform ``error: <kind>: <detail>`` lines.
 """
 
 
+def shown_path(path: str) -> str:
+    """``path`` as the head of an error line: as given when every character prints,
+    else its ``repr``, so that a line break or an undecodable byte cannot split the line."""
+    return path if path.isprintable() else repr(path)
+
+
 class SeknowError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -22,8 +28,8 @@ class LoadError(SeknowError):
     kind = "load"
 
     def __init__(self, detail: str, *, file: str, line: int | None = None):
-        where = f"{file}:{line}: " if line is not None else f"{file}: "
-        super().__init__(where + detail)
+        where = f":{line}: " if line is not None else ": "
+        super().__init__(shown_path(file) + where + detail)
         self.file = file
         self.line = line
 

@@ -173,7 +173,7 @@ def retrieve_document(index: TopicIndex, domain: str, entity: Entity,
     scored = []
     for (doc_id, _, key), common in zip(docs, packed_lcs(pack, query)):
         if doc_id not in bodies:
-            raise QueryError(f"index row ({domain}, {entity.id}, {doc_id}) names no "
+            raise QueryError(f"index row {(domain, entity.id, doc_id)} names no "
                              f"document of entity {entity.id!r}")
         scored.append(RetrievedDocument(domain, entity.id, doc_id, bodies[doc_id],
                                         _ratio(common, n + len(key))))

@@ -1,6 +1,6 @@
 """End-to-end turn processing with pluggable predictors and a template generator.
 
-Per turn: predict the extended belief state from the dialog context, run the
+Per turn: predict the extended belief state from the dialog history, run the
 knowledge operation, render a delexicalized response from the committed
 template set, then lexicalize it against the entity it offers. Belief
 prediction is an injected callable so that learned models can replace the
@@ -20,7 +20,6 @@ from functools import cache
 from importlib import resources
 
 from .belief import (
-    DialogContext,
     ExtendedBeliefState,
     canonical_state,
     extend_state,
@@ -39,8 +38,9 @@ from .knowops import (
 from .text import load_stopwords, normalize, open_input, tokenize
 from .topics import TopicIndex
 
-# (context, previous belief) -> belief; the knowledge operation runs on the belief alone
-Predictor = Callable[[DialogContext, ExtendedBeliefState], ExtendedBeliefState]
+History = tuple[tuple[str, str], ...]  # the (speaker, text) turns, ending with the user's
+# (history, previous belief) -> belief; the knowledge operation runs on the belief alone
+Predictor = Callable[[History, ExtendedBeliefState], ExtendedBeliefState]
 Generator = Callable[[ExtendedBeliefState, EntityMatches, RetrievedDocument | None], str]
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z][a-z0-9_ ]*)\]")
@@ -65,9 +65,6 @@ class Session:
     prev_belief: ExtendedBeliefState = ExtendedBeliefState()
     turn_index: int = 0
 
-    def context(self) -> DialogContext:
-        return DialogContext(utterances=tuple(self.utterances))
-
 
 def active_domain(state: ExtendedBeliefState) -> str | None:
     """The ruk triple's domain when present, else the last-mentioned domain."""
@@ -76,18 +73,6 @@ def active_domain(state: ExtendedBeliefState) -> str | None:
         return ruk[0]
     domains = state.domains()
     return domains[-1] if domains else None
-
-
-@dataclass(frozen=True)
-class TemplateSet:
-    entries: dict[tuple[str, str], str]
-
-    def get(self, domain: str, condition: str) -> str:
-        try:
-            return self.entries[(domain, condition)]
-        except KeyError:
-            raise TemplateError(
-                f"no {condition!r} template for domain {domain!r}") from None
 
 
 # The template set read when no file is named.
@@ -120,14 +105,16 @@ def _read_templates(path: str) -> dict[tuple[str, str], str]:
     return entries
 
 
-def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> TemplateSet:
-    """Load ``domain<TAB>condition<TAB>text`` rows (defaults to the packaged set).
+def load_templates(path: str | None = None, kb: KnowledgeBase | None = None,
+                   ) -> dict[tuple[str, str], str]:
+    """``(domain, condition) -> text`` of each ``domain<TAB>condition<TAB>text`` row.
 
-    A ``path`` is read on every call; the packaged set is read once per
-    process. A row with blank text or a repeated (domain, condition) is
-    refused; given the checked ``kb``, so is a set lacking a row some turn
-    over it may need: general/nomatch, each domain's offer and nomatch, and
-    doc where the domain has documents.
+    A ``path`` is read on every call; the packaged set, read when none is
+    named, is read once per process, and every caller shares its dict (not
+    to be mutated). A row with blank text or a repeated (domain, condition)
+    is refused; given the checked ``kb``, so is a set lacking a row some
+    turn over it may need: general/nomatch, each domain's offer and nomatch,
+    and doc where the domain has documents.
     """
     if path is None:
         path, entries = PACKAGED_TEMPLATES, _packaged_templates()
@@ -141,29 +128,37 @@ def load_templates(path: str | None = None, kb: KnowledgeBase | None = None) -> 
         for domain, condition in needed:
             if (domain, condition) not in entries:
                 raise LoadError(f"no {condition!r} template for domain {domain!r}", file=path)
-    return TemplateSet(entries=entries)
+    return entries
+
+
+def _template(templates: dict[tuple[str, str], str], domain: str, condition: str) -> str:
+    try:
+        return templates[(domain, condition)]
+    except KeyError:
+        raise TemplateError(f"no {condition!r} template for domain {domain!r}") from None
 
 
 def template_generate(belief: ExtendedBeliefState, query: EntityMatches,
                       document: RetrievedDocument | None,
-                      templates: TemplateSet) -> str:
+                      templates: dict[tuple[str, str], str]) -> str:
     """Pick and fill the delexicalized response template for this turn.
 
     A retrieved document wins and embeds its body; otherwise a positive
     match count selects the offer template and zero matches the apology.
     """
     if document is not None:
-        return templates.get(document.domain, "doc").replace("{body}", document.body)
+        return _template(templates, document.domain, "doc").replace("{body}", document.body)
     domain = active_domain(belief)
     if domain is None:
-        return templates.get("general", "nomatch")
+        return _template(templates, "general", "nomatch")
     ids = query.get(domain)
     if ids:
-        return templates.get(domain, "offer").replace("{count}", str(len(ids)))
-    return templates.get(domain, "nomatch")
+        return _template(templates, domain, "offer").replace("{count}", str(len(ids)))
+    return _template(templates, domain, "nomatch")
 
 
-def make_template_generator(templates: TemplateSet | None = None) -> Generator:
+def make_template_generator(templates: dict[tuple[str, str], str] | None = None,
+                            ) -> Generator:
     if templates is None:
         templates = load_templates()
     return lambda belief, query, document: template_generate(
@@ -201,7 +196,7 @@ def run_turn(session: Session, user_utterance: str, predictor: Predictor,
     operation and the generator see nothing but the belief state it returns.
     """
     session.utterances.append(("user", user_utterance))
-    belief = predictor(session.context(), session.prev_belief)
+    belief = predictor(tuple(session.utterances), session.prev_belief)
     query, document, ranking = knowledge_operation(kb, index, belief)
     delex = generator(belief, query, document)
     text = lexicalize(delex, belief, query, kb)
@@ -223,7 +218,7 @@ def make_oracle_predictor(golds: Sequence[ExtendedBeliefState]) -> Predictor:
     last state is an error."""
     cursor = iter(list(golds))
 
-    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
+    def predict(history: History, prev: ExtendedBeliefState) -> ExtendedBeliefState:
         try:
             gold = next(cursor)
         except StopIteration:
@@ -254,8 +249,8 @@ def make_heuristic_predictor(kb: KnowledgeBase, index: TopicIndex) -> Predictor:
     """
     stopwords = load_stopwords()
 
-    def predict(context: DialogContext, prev: ExtendedBeliefState) -> ExtendedBeliefState:
-        utterance = normalize(context.latest_user())
+    def predict(history: History, prev: ExtendedBeliefState) -> ExtendedBeliefState:
+        utterance = normalize(history[-1][1])
         claimed: list[tuple[int, int]] = []
         latest = {(domain, slot): value for domain, slot, value in prev.triples}
         for value, pairs in kb.ontology_candidates(utterance):
@@ -315,7 +310,7 @@ def _topic_overlap(index: TopicIndex, query: EntityMatches, tokens: set[str],
 class CorruptionSample:
     """One labeled consistency-detection sample."""
 
-    context: tuple[tuple[str, str], ...]
+    context: History
     belief_span: str
     query_span: str
     document: str | None

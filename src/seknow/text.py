@@ -35,7 +35,7 @@ from importlib import resources
 from itertools import filterfalse
 from typing import TextIO
 
-from .errors import ConfigError, LoadError
+from .errors import ConfigError, LoadError, shown_path
 
 STOPWORDS_ENV_VAR = "SEKNOW_STOPWORDS"
 
@@ -67,7 +67,7 @@ def open_output(path: str) -> Iterator[TextIO]:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"{shown_path(path)}: {exc.strerror or exc}") from exc
 
 
 def normalize(text: str) -> str:
@@ -98,9 +98,9 @@ def _read_stopwords(path: str | None) -> tuple[frozenset[str], str]:
                 raw = fh.read()
         words = raw.decode("utf-8").split()
     except OSError as exc:
-        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {path}: {exc.strerror}") from exc
+        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {shown_path(path)}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {path}: {exc}") from exc
+        raise ConfigError(f"{STOPWORDS_ENV_VAR}: {shown_path(path)}: {exc}") from exc
     return frozenset(normalize(w) for w in words), hashlib.sha256(raw).hexdigest()
 
 
@@ -127,10 +127,11 @@ def tokenize(text: str, stopwords: frozenset[str]) -> list[str]:
 
 
 def sha256_file(path: str) -> str:
-    """SHA-256 hex digest of a file's raw bytes."""
+    """SHA-256 hex digest of a file's raw bytes, read undecoded through :func:`open_input`,
+    so that failing to open or read it is the same LoadError."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
+    with open_input(path) as fh:
+        for chunk in iter(lambda: fh.buffer.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -35,7 +35,7 @@ from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import mul, truediv
 
-from .errors import ConfigError, IndexingError, LoadError
+from .errors import ConfigError, IndexingError, LoadError, shown_path
 from .kb import KnowledgeBase, read_json
 from .text import (KeyPack, load_stopwords, normalize, open_input, open_output, pack_keys,
                    stopwords_digest, tokenize)
@@ -262,6 +262,6 @@ def read_index(path: str, kb: KnowledgeBase | None = None) -> TopicIndex:
     if not isinstance(digest, str):
         raise LoadError("'stopwords_sha256' must be a string", file=meta)
     if digest != stopwords_digest():
-        raise ConfigError(f"{meta}: index was built with stopwords sha256 {digest!r}, "
+        raise ConfigError(f"{shown_path(meta)}: index was built with stopwords sha256 {digest!r}, "
                           f"but the list in effect has {stopwords_digest()}")
     return TopicIndex(entries=entries, thresholds={k: float(v) for k, v in thresholds.items()})

@@ -23,8 +23,12 @@ parameter's own definition, passes it by keyword, by position or through a
 ``*``/``**`` argument. Calls resolve by name as references do; calling a class
 calls its ``__init__``. A default no caller overrides is a constant in disguise.
 
-A dataclass with one field and no method is that field under a second name:
-each reader unwraps it, and the field's own type says as much.
+A dataclass with one field is that field under a second name: each reader
+unwraps it, and the field's own type says as much. A method or a
+``__post_init__`` check adds nothing its callers cannot do with the field
+itself. Such a record stays only if it caches a lookup derived from its field
+(a ``cached_property`` that reads it), which the bare field would rebuild on
+every use.
 
 A dataclass field in ``src/seknow`` is read where code in ``src/seknow`` or
 ``benchmarks/`` loads an attribute of its name, or where its whole record is
@@ -123,7 +127,11 @@ def unused_names(search_benchmarks: bool = True) -> list[str]:
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     searched = sources + (sorted((ROOT / "benchmarks").glob("*.py")) if search_benchmarks
                           else [])
-    refs = {p: _references(p) for p in searched}
+    # (file, line, reference) under the name each reference ends in
+    refs: dict[str, list[tuple[Path, int, str]]] = {}
+    for p in searched:
+        for i, ref in _references(p):
+            refs.setdefault(ref.rpartition(".")[2], []).append((p, i, ref))
     defs = [(name, qual, path, lo, hi)
             for path in sources for name, qual, lo, hi in _definitions(path)]
     dead: set[int] = set()
@@ -133,14 +141,12 @@ def unused_names(search_benchmarks: bool = True) -> list[str]:
         for k, (name, qual, path, lo, hi) in enumerate(defs):
             if k in dead:
                 continue
-            excluded = [(p, a, b) for j, (_, _, p, a, b) in enumerate(defs) if j in dead]
-            excluded.append((path, lo, hi))
+            excluded = [defs[j][2:] for j in dead] + [(path, lo, hi)]
             method = qual.count(".") == 2
-            if not any(ref == name or ref == f"{path.stem}.{name}"
-                       or (method and ref.endswith(f".{name}"))
-                       for p, rows in refs.items()
-                       for i, ref in rows
-                       if not any(p == q and a <= i <= b for q, a, b in excluded)):
+            # refs[name] holds the forms name, module.name and .name; a method counts each
+            if not any((ref == name or ref == f"{path.stem}.{name}" or method)
+                       and not any(p == q and a <= i <= b for q, a, b in excluded)
+                       for p, i, ref in refs.get(name, ())):
                 dead.add(k)
                 changed = True
     return sorted(defs[k][1] for k in dead)
@@ -274,21 +280,37 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
-def one_field_records() -> list[str]:
-    """``module.Class`` of each ``@dataclass`` in ``src/seknow`` with exactly one
-    annotated field and no method, property or ``__post_init__``."""
+def one_field_records(source: str) -> list[str]:
+    """Name of each ``@dataclass`` in ``source`` with exactly one annotated field that
+    no ``cached_property`` of it reads as ``self.<field>``."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text("utf-8")).body:
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)) \
-                    and sum(isinstance(s, ast.AnnAssign) for s in node.body) == 1 \
-                    and not any(isinstance(s, ast.FunctionDef) for s in node.body):
-                found.append(f"{path.stem}.{node.name}")
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))):
+            continue
+        fields = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+        caches = [s for s in node.body if isinstance(s, ast.FunctionDef)
+                  and any(map(_is_cached_property, s.decorator_list))]
+        if len(fields) == 1 and not any(
+                isinstance(n, ast.Attribute) and n.attr == fields[0]
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+                for cache in caches for n in ast.walk(cache)):
+            found.append(node.name)
     return sorted(found)
 
 
 def test_no_dataclass_only_wraps_one_field():
-    assert one_field_records() == sorted(ONE_FIELD_ALLOWED)
+    assert [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in one_field_records(path.read_text("utf-8"))] == sorted(ONE_FIELD_ALLOWED)
+    assert one_field_records(
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n    def get(self):\n"
+        "        return self.x\n"
+        "@dataclass\nclass C:\n    x: int\n    @cached_property\n    def m(self):\n"
+        "        return {v: k for k, v in self.x.items()}\n"
+        "@dataclass\nclass D:\n    x: int\n    @cached_property\n    def m(self):\n"
+        "        return 1\n"
+        "@dataclass\nclass E:\n    x: int\n    y: int\n"
+        "class F:\n    x: int\n") == ["A", "B", "D"]
 
 
 # Imports their module never reads: benchmarks/tracer.py patches each on ``corpus`` by

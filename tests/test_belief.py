@@ -13,7 +13,6 @@ from oracles import (
     oracle_ruk,
 )
 from seknow.belief import (
-    DialogContext,
     ExtendedBeliefState,
     extend_state,
     joint_goal_match,
@@ -391,11 +390,3 @@ def test_extended_prf_topic_set_equality():
 def test_extended_prf_alignment_error():
     with pytest.raises(EvaluationError):
         extended_prf([make_state([])], [])
-
-
-def test_dialog_context_must_end_with_user():
-    with pytest.raises(ValueError):
-        DialogContext(utterances=(("system", "hello"),))
-    ctx = DialogContext(utterances=(("user", "hi"), ("system", "hello"),
-                                    ("user", "find me a hotel")))
-    assert ctx.latest_user() == "find me a hotel"

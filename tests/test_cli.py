@@ -1074,6 +1074,62 @@ def test_bad_stopword_file_is_config_error(tmp_path, capsys, monkeypatch, comman
     assert lines[0].startswith(f"error: config: SEKNOW_STOPWORDS: {stops}: ")
 
 
+# A path is written as given when every character of it prints, else as its repr.
+@pytest.mark.parametrize("path, shown", [
+    ("a\nb", "'a\\nb'"), ("a\x85b", "'a\\x85b'"), ("a\u2028b", "'a\\u2028b'"),
+    ("a\udcffb", "'a\\udcffb'"), ("a b", "a b"), ("it's", "it's"),
+], ids=["newline", "nel", "line-separator", "undecodable-byte", "space", "quote"])
+def test_path_that_does_not_print_heads_the_error_line_as_its_repr(
+        tmp_path, capsys, monkeypatch, path, shown):
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--corpus", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: load: {shown}: No such file or directory"]
+    out = tmp_path / "missing" / path
+    assert main(["corrupt", "--corpus", str(TOY_CORPUS_PATH), "--out", str(out)]) == 1
+    shown_out = str(out) if str(out).isprintable() else repr(str(out))
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {shown_out}: No such file or directory"]
+    monkeypatch.setenv("SEKNOW_STOPWORDS", path)
+    assert main(["stats", "--corpus", str(TOY_CORPUS_PATH)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: SEKNOW_STOPWORDS: {shown}: No such file or directory"]
+
+
+def test_stopword_path_that_does_not_print_is_its_repr_in_notice_and_digest_error(
+        tmp_path, capsys, monkeypatch):
+    stops = tmp_path / "stops\nlist.txt"
+    stops.write_text("the\nand\n", encoding="utf-8")
+    monkeypatch.setenv("SEKNOW_STOPWORDS", str(stops))
+    assert main(["stats", "--corpus", str(TOY_CORPUS_PATH)]) == 0
+    notice = f"stopwords: {str(stops)!r} (sha256 {stopwords_digest()[:12]})"
+    assert capsys.readouterr().err.splitlines() == [notice]
+    index = tmp_path / "index\n.tsv"
+    shutil.copyfile(GOLDEN_INDEX_PATH, index)
+    shutil.copyfile(sidecar_path(str(GOLDEN_INDEX_PATH)), sidecar_path(str(index)))
+    assert main(["retrieve", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                 "--index", str(index), "--belief", "restaurant { ruk = pizza hut } || menu"]) == 1
+    notice_line, error_line = capsys.readouterr().err.splitlines()
+    assert notice_line == notice
+    assert error_line.startswith(
+        f"error: config: {sidecar_path(str(index))!r}: index was built with stopwords sha256 ")
+
+
+def test_eval_out_input_gone_before_it_is_hashed_is_a_load_error(
+        tmp_path, capsys, monkeypatch, eval_files):
+    evaluate_corpus = metrics.evaluate_corpus
+
+    def delete_docs_then_evaluate(*args, **kwargs):
+        eval_files["docs"].unlink()  # loaded already; eval --out hashes it after the eval
+        return evaluate_corpus(*args, **kwargs)
+    monkeypatch.setattr(metrics, "evaluate_corpus", delete_docs_then_evaluate)
+    out = tmp_path / "r.json"
+    assert main([*eval_argv(eval_files), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: load: {eval_files['docs']}: No such file or directory"]
+    assert not out.exists()
+
+
 def test_eval_refuses_index_of_other_stopword_list(tmp_path, capsys, env_stopwords):
     code = main(["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
                  "--index", str(GOLDEN_INDEX_PATH), "--corpus", str(TOY_CORPUS_PATH),

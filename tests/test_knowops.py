@@ -631,13 +631,24 @@ def test_knowledge_operation_unmatched_entity(toy_kb, toy_index):
     assert document is None
 
 
-def test_knowledge_operation_refuses_row_without_document(tmp_path, toy_kb):
+def _refuse_row_without_document(tmp_path, toy_kb, doc_id):
     path = tmp_path / "index.tsv"
     path.write_text(GOLDEN_INDEX_PATH.read_text("utf-8")
-                    + "restaurant\tpizza hut\td9\tpizza,menu\n", encoding="utf-8")
+                    + f"restaurant\tpizza hut\t{doc_id}\tpizza,menu\n", encoding="utf-8")
     shutil.copyfile(sidecar_path(str(GOLDEN_INDEX_PATH)), sidecar_path(str(path)))
     # read without the KB, the index leaves its rows unchecked for retrieval to find
     state = parse_belief_span("restaurant { ruk = pizza hut } || pizza menu")
-    with pytest.raises(QueryError, match=r"index row \(restaurant, pizza hut, d9\) names no "
-                                         r"document of entity 'pizza hut'"):
+    with pytest.raises(QueryError) as info:
         knowledge_operation(toy_kb, read_index(str(path)), state)
+    # the row key is written as a tuple repr, as read_index's row errors write it
+    assert info.value.detail == (f"index row ('restaurant', 'pizza hut', {doc_id!r}) names no "
+                                 "document of entity 'pizza hut'")
+    assert len(info.value.detail.splitlines()) == 1
+
+
+def test_knowledge_operation_refuses_row_without_document(tmp_path, toy_kb):
+    _refuse_row_without_document(tmp_path, toy_kb, "d9")
+
+
+def test_knowledge_operation_refuses_row_without_document_with_line_break(tmp_path, toy_kb):
+    _refuse_row_without_document(tmp_path, toy_kb, "d\u20289")

@@ -24,10 +24,16 @@ draws. Each relation here is seeded, so a failure names the seed that shows it
   shuffling the index rows, or the doc base, leaves every turn's ranking and
   both predictors' reports unchanged: the tie breaks by doc_id, not by the
   position of a row or a record.
+* Changing ``PYTHONHASHSEED`` leaves the bytes of ``build-index`` (index and
+  sidecar) and of ``eval --out`` for both predictors, and what each prints,
+  unchanged: no output follows the iteration order of a set or a str-keyed dict.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +216,29 @@ def test_row_and_doc_base_order_leave_tied_rankings_and_reports_unchanged(tmp_pa
                 "docs": (shuffled_kb, build_topic_index(shuffled_kb, thresholds))}.items():
             for predictor, expected in base.items():
                 assert outcome(kb_v, index_v, predictor) == expected, (seed, variant, predictor)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    thresholds = [f"--threshold={domain}={value}" for domain, value in TOY_THRESHOLDS.items()]
+    outputs = []
+    for seed in ("0", "987654"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("SEKNOW_STOPWORDS", None)
+        out = tmp_path / seed
+        out.mkdir()
+        index = str(out / "index.tsv")
+        commands = [["build-index", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH),
+                     "--out", index, *thresholds]]
+        commands += [["eval", "--kb", str(DB_PATH), "--docs", str(DOCS_PATH), "--index", index,
+                      "--corpus", str(TOY_CORPUS_PATH), "--predictor", predictor,
+                      "--out", str(out / f"{predictor}.json")]
+                     for predictor in ("oracle", "heuristic")]
+        printed = [subprocess.run([sys.executable, "-m", "seknow.cli", *argv], env=env,
+                                  cwd=out, capture_output=True, check=True).stdout
+                   .replace(str(out).encode(), b"<out>") for argv in commands]
+        outputs.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert sorted(outputs[0][1]) == ["heuristic.json", "index.tsv", "index.tsv.meta.json",
+                                     "oracle.json"]
+    assert outputs[0] == outputs[1]

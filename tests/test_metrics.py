@@ -42,12 +42,12 @@ from seknow.metrics import (
     round_half_up,
     run_dialog,
 )
-from seknow.pipeline import TemplateSet, make_template_generator
+from seknow.pipeline import make_template_generator
 from seknow.topics import build_topic_index
 
 from conftest import GOLDEN_REPORT_PATH, TOY_CORPUS_PATH, evaluate
 
-VERBOSE_TEMPLATES = TemplateSet(entries={
+VERBOSE_TEMPLATES = {
     (domain, condition): text
     for domain in ("restaurant", "hotel", "train", "taxi", "general")
     for condition, text in (
@@ -56,7 +56,7 @@ VERBOSE_TEMPLATES = TemplateSet(entries={
         ("nomatch", "sorry , no match found ."),
         ("doc", "according to our information : {body}"),
     )
-})
+}
 
 
 # Random kernel inputs: three forms of one stem, and ten stems in four forms each.

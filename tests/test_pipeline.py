@@ -18,7 +18,6 @@ from seknow.metrics import PREDICTORS, run_dialog
 from seknow.pipeline import (
     CorruptionSample,
     Session,
-    TemplateSet,
     _find_unclaimed,
     _other_index,
     _packaged_templates,
@@ -68,7 +67,7 @@ def test_template_document_answer(toy_kb, toy_index, templates):
 
 
 def test_template_missing_domain_errors(toy_kb):
-    bare = TemplateSet(entries={})
+    bare = {}
     state = make_state([("restaurant", "food", "italian")])
     with pytest.raises(TemplateError):
         template_generate(state, structured_query(toy_kb, state), None, bare)
@@ -94,11 +93,11 @@ def test_packaged_template_file_is_read_once(monkeypatch):
 
 def test_user_template_file_is_read_on_every_call(tmp_path, templates):
     path = tmp_path / "templates.tsv"
-    rows = "".join(f"{d}\t{c}\t{text}\n" for (d, c), text in templates.entries.items())
+    rows = "".join(f"{d}\t{c}\t{text}\n" for (d, c), text in templates.items())
     path.write_text(rows, encoding="utf-8")
     assert load_templates(str(path)) == templates
     path.write_text(rows.replace("sorry , no match found .", "no luck ."), encoding="utf-8")
-    assert load_templates(str(path)).get("general", "nomatch") == "no luck ."
+    assert load_templates(str(path))[("general", "nomatch")] == "no luck ."
 
 
 def lexicalized(toy_kb, delex, *triples):
@@ -159,8 +158,8 @@ def test_run_turn_first_scenario(toy_kb, toy_index, templates):
 def test_run_turn_passes_utterance_unchanged(toy_kb, toy_index, templates):
     seen = []
 
-    def spy(context, prev):
-        seen.append(context.latest_user())
+    def spy(history, prev):
+        seen.append(history[-1][1])
         return prev
 
     session = Session()
@@ -170,8 +169,8 @@ def test_run_turn_passes_utterance_unchanged(toy_kb, toy_index, templates):
 
 def test_run_dialog_wraps_predictor_failure(toy_kb, toy_index, templates):
     """run_turn lets a fault through as raised; run_dialog wraps it once."""
-    def broken(context, prev):
-        if len(context.utterances) > 1:  # the second turn
+    def broken(history, prev):
+        if len(history) > 1:  # the second turn
             raise RuntimeError("boom")
         return prev
 
@@ -204,9 +203,7 @@ def test_oracle_predictor_missing_annotation():
 
 def test_heuristic_adds_verbatim_ontology_values(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
-    session = Session()
-    session.utterances.append(("user", "looking for italian food in the center"))
-    state = predictor(session.context(), make_state([]))
+    state = predictor((("user", "looking for italian food in the center"),), make_state([]))
     constraints = state.constraints()["restaurant"]
     assert constraints["food"] == "italian"
     assert constraints["area"] == "center"
@@ -215,9 +212,7 @@ def test_heuristic_adds_verbatim_ontology_values(toy_kb, toy_index):
 def test_heuristic_sets_ruk_on_topic_overlap(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     prev = make_state([("hotel", "area", "north")])
-    session = Session()
-    session.utterances.append(("user", "do they serve breakfast ?"))
-    state = predictor(session.context(), prev)
+    state = predictor((("user", "do they serve breakfast ?"),), prev)
     assert state.ruk() == ("hotel", "acorn guest house")
     assert state.topic == ("breakfast",)
 
@@ -225,17 +220,13 @@ def test_heuristic_sets_ruk_on_topic_overlap(toy_kb, toy_index):
 def test_heuristic_no_hits_returns_prev(toy_kb, toy_index):
     predictor = make_heuristic_predictor(toy_kb, toy_index)
     prev = make_state([("restaurant", "pricerange", "cheap")])
-    session = Session()
-    session.utterances.append(("user", "thanks, goodbye!"))
-    assert predictor(session.context(), prev) == prev
+    assert predictor((("user", "thanks, goodbye!"),), prev) == prev
 
 
 def test_heuristic_longest_match_first(toy_kb, toy_index):
     # "acorn guest house" must win over shorter overlapping values
     predictor = make_heuristic_predictor(toy_kb, toy_index)
-    session = Session()
-    session.utterances.append(("user", "is acorn guest house in the north ?"))
-    state = predictor(session.context(), make_state([]))
+    state = predictor((("user", "is acorn guest house in the north ?"),), make_state([]))
     assert state.constraints()["hotel"]["name"] == "acorn guest house"
 
 
@@ -330,10 +321,8 @@ def test_heuristic_first_word_index_equals_full_scan():
                   for _ in range(rng.randint(0, 7))]
         utterance = "".join(p + rng.choice([" ", " ", "", "-", ".", ",", "'", "("])
                             for p in pieces)
-        session = Session()
-        session.utterances.append(("user", utterance))
         expected = oracle_heuristic_constraints(kb, " ".join(utterance.lower().split()))
-        state = predictor(session.context(), make_state([]))
+        state = predictor((("user", utterance),), make_state([]))
         assert state == make_state(expected), utterance
         found += bool(expected)
         non_word_start += any(v[:1] in ("-", "(", "£") for _, _, v in expected)
@@ -369,8 +358,8 @@ def _heuristic_dialogs(kb, index, seed: int, dialogs: int) -> tuple[int, int]:
     predictor = make_heuristic_predictor(kb, index)
     seen = []
 
-    def checked(context, prev):
-        state = predictor(context, prev)
+    def checked(history, prev):
+        state = predictor(history, prev)
         assert state == make_state(state.triples, state.topic)
         seen.append((prev, state))
         return state
